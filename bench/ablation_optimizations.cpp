@@ -1,4 +1,4 @@
-// Ablation study over Plexus's design choices (DESIGN.md): starting from the
+// Ablation study over Plexus's design choices: starting from the
 // naive 3D algorithm, enable one optimisation at a time and measure the
 // simulated epoch time on both machines. Functional runs on an Isolate-3-8M
 // proxy (the dataset most sensitive to balance and variability) at 16 ranks;

@@ -3,7 +3,7 @@
 /// Shared helpers for the table/figure harnesses: proxy construction at
 /// bench-friendly scale, formatting, and banner printing. Every harness
 /// prints (a) the paper's reported numbers and (b) our measured/modelled
-/// reproduction, so EXPERIMENTS.md can be cross-checked against the output.
+/// reproduction, so the two can be compared row by row.
 
 #include <cstdio>
 #include <cstdlib>
@@ -36,9 +36,8 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
 
 inline void note(const std::string& text) { std::printf("note: %s\n", text.c_str()); }
 
-/// Proxy scaled for functional simulation on this machine (see DESIGN.md
-/// scale protocol): structure class and average degree of the real dataset,
-/// at `target_nodes` scale.
+/// Proxy scaled for functional simulation on one host: structure class and
+/// average degree of the real dataset, at `target_nodes` scale.
 inline graph::Graph bench_proxy(const std::string& dataset, std::int64_t target_nodes,
                                 std::uint64_t seed = 0xbe7c4) {
   return graph::make_proxy(graph::dataset_info(dataset), target_nodes, seed);

@@ -3,8 +3,8 @@
 //
 // Full-size points come from the analytic scale-out models; the structural
 // curves driving them (boundary growth, SA exchange volume, 1D nonzero
-// imbalance) are measured on proxies with the real partitioners (DESIGN.md
-// scale protocol). Points the paper reports as failures (OOM / partition
+// imbalance) are measured on scaled-down proxies with the real partitioners.
+// Points the paper reports as failures (OOM / partition
 // timeout / job timeout) are annotated with the paper's status.
 #include <optional>
 

@@ -190,15 +190,9 @@ BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMill
 // needed and the ratio isolates vectorization (both sides single-threaded,
 // both compiled with -ffp-contract=off, bitwise-identical outputs).
 
-/// Min-of-three wall time of one full-matrix call of `k`'s SpMM row kernel
-/// on the RMAT sweep operands (one warm-up call first).
-double spmm_kernel_seconds(const plexus::simd::Kernels& k, plexus::dense::Matrix& c) {
-  const auto& a = rmat_adj();
-  const auto& b = rmat_dense();
-  const auto run = [&] {
-    k.spmm_rows(a.row_ptr().data(), a.col_idx().data(), a.vals().data(), b.data(), b.cols(),
-                c.data(), c.cols(), 0, a.rows(), b.cols(), /*accumulate=*/false);
-  };
+/// Min-of-three wall time of `run` (one warm-up call first).
+template <class Run>
+double min_of_three_seconds(const Run& run, plexus::dense::Matrix& c) {
   run();
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
@@ -211,60 +205,74 @@ double spmm_kernel_seconds(const plexus::simd::Kernels& k, plexus::dense::Matrix
   return best;
 }
 
-void BM_SpmmSimdVsScalar(benchmark::State& state) {
-  const auto& a = rmat_adj();
-  plexus::dense::Matrix c(a.rows(), rmat_dense().cols());
+/// Reports `speedup_vs_serial`: `run` on the pinned scalar table over `run`
+/// on the active table, min of three timed calls each.
+template <class Run>
+void report_simd_speedup(benchmark::State& state, const Run& run, plexus::dense::Matrix& c,
+                         std::int64_t flops) {
   const double scalar =
-      spmm_kernel_seconds(plexus::simd::kernels(plexus::simd::Target::Scalar), c);
+      min_of_three_seconds([&] { run(plexus::simd::kernels(plexus::simd::Target::Scalar)); }, c);
   double active = std::numeric_limits<double>::infinity();
   for (auto _ : state) {
-    active = std::min(active, spmm_kernel_seconds(plexus::simd::active_kernels(), c));
+    active = std::min(active,
+                      min_of_three_seconds([&] { run(plexus::simd::active_kernels()); }, c));
   }
   state.SetLabel(plexus::simd::target_name(plexus::simd::active_target()));
-  state.SetItemsProcessed(state.iterations() * a.nnz() * rmat_dense().cols() * 2);
+  state.SetItemsProcessed(state.iterations() * flops);
   if (active > 0.0 && std::isfinite(active)) {
     state.counters["speedup_vs_serial"] = scalar / active;
   }
+}
+
+/// One full-matrix SpMM row-kernel call on the RMAT sweep operands.
+void BM_SpmmSimdVsScalar(benchmark::State& state) {
+  const auto& a = rmat_adj();
+  const auto& b = rmat_dense();
+  plexus::dense::Matrix c(a.rows(), b.cols());
+  report_simd_speedup(
+      state,
+      [&](const plexus::simd::Kernels& k) {
+        k.spmm_rows(a.row_ptr().data(), a.col_idx().data(), a.vals().data(), b.data(), b.cols(),
+                    c.data(), c.cols(), 0, a.rows(), b.cols(), /*accumulate=*/false);
+      },
+      c, a.nnz() * b.cols() * 2);
 }
 BENCHMARK(BM_SpmmSimdVsScalar)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-/// Min-of-three wall time of one full-range GEMM accumulate tile of `k` on
-/// the kGemmSweepN operands.
-double gemm_kernel_seconds(const plexus::simd::Kernels& k, const plexus::dense::Matrix& a,
-                           const plexus::dense::Matrix& b, plexus::dense::Matrix& c) {
-  const std::int64_t n = kGemmSweepN;
-  const auto run = [&] {
-    k.gemm_tile(a.data(), n, b.data(), n, c.data(), n, 0, n, 0, n, n, 1.0f);
-  };
-  run();
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    benchmark::DoNotOptimize(c.data());
-    best = std::min(
-        best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-  }
-  return best;
-}
-
+/// One full-range gemm_tile call on the square kGemmSweepN operands, op(A) = A.
 void BM_GemmSimdVsScalar(benchmark::State& state) {
-  const auto a = make_dense(kGemmSweepN, kGemmSweepN);
-  const auto b = make_dense(kGemmSweepN, kGemmSweepN);
-  plexus::dense::Matrix c(kGemmSweepN, kGemmSweepN);
-  const double scalar =
-      gemm_kernel_seconds(plexus::simd::kernels(plexus::simd::Target::Scalar), a, b, c);
-  double active = std::numeric_limits<double>::infinity();
-  for (auto _ : state) {
-    active = std::min(active, gemm_kernel_seconds(plexus::simd::active_kernels(), a, b, c));
-  }
-  state.SetLabel(plexus::simd::target_name(plexus::simd::active_target()));
-  state.SetItemsProcessed(state.iterations() * 2 * kGemmSweepN * kGemmSweepN * kGemmSweepN);
-  if (active > 0.0 && std::isfinite(active)) {
-    state.counters["speedup_vs_serial"] = scalar / active;
-  }
+  const std::int64_t n = kGemmSweepN;
+  const auto a = make_dense(n, n);
+  const auto b = make_dense(n, n);
+  plexus::dense::Matrix c(n, n);
+  report_simd_speedup(
+      state,
+      [&](const plexus::simd::Kernels& k) {
+        k.gemm_tile(a.data(), n, 1, b.data(), n, c.data(), n, 0, n, 0, n, n, 1.0f);
+      },
+      c, 2 * n * n * n);
 }
 BENCHMARK(BM_GemmSimdVsScalar)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+/// The weight-gradient GEMM shape, dW = H^T dQ: op(A) = H^T read in place
+/// from a tall 32768 x 64 H (row stride 1, k stride 64), times a 32768 x 64
+/// dQ, in 256-deep k blocks as dense::gemm calls the tile.
+void BM_GemmTransASimdVsScalar(benchmark::State& state) {
+  constexpr std::int64_t m = 64, k = 32768, n = 64, kBlock = 256;
+  const auto h = make_dense(k, m);
+  const auto dq = make_dense(k, n);
+  plexus::dense::Matrix c(m, n);
+  report_simd_speedup(
+      state,
+      [&](const plexus::simd::Kernels& kern) {
+        for (std::int64_t k0 = 0; k0 < k; k0 += kBlock) {
+          kern.gemm_tile(h.data(), 1, m, dq.data(), n, c.data(), n, 0, m, k0, k0 + kBlock, n,
+                         1.0f);
+        }
+      },
+      c, 2 * m * k * n);
+}
+BENCHMARK(BM_GemmTransASimdVsScalar)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void BM_CsrTranspose(benchmark::State& state) {
   const auto a = make_adj(state.range(0), 16.0);

@@ -22,7 +22,7 @@ int main() {
   t.print();
 
   plexus::bench::note(
-      "functional proxies (generator class + avg degree matched; DESIGN.md scale protocol):");
+      "functional proxies (generator class + avg degree matched, scaled down):");
   Table p({"Proxy of", "Nodes", "Sym. edges", "Avg degree (real)", "Avg degree (proxy)",
            "8x8 max/mean nnz (natural order)"});
   for (const auto& d : pg::paper_datasets()) {

@@ -3,7 +3,7 @@
 /// Analytic epoch-time models of Plexus and the baseline frameworks at
 /// arbitrary GPU counts (the full-size points of Figures 8-10).
 ///
-/// Scale protocol (DESIGN.md): structural curves that drive the models —
+/// Scale protocol: structural curves that drive the models —
 /// boundary-node growth with partition count (BNS-GCN) and the
 /// received-row fraction (SA) — are *measured* on scaled-down proxy graphs
 /// with the real partitioners/exchange plans, fitted as power laws, and

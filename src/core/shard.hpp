@@ -44,8 +44,9 @@ Slice flat_slice_range(std::int64_t total_elems, int parts, int idx);
 
 /// Deterministic Glorot value of element (r, c) of layer `layer`'s weight
 /// matrix with *active* shape (valid_rows x valid_cols). Elements in the
-/// padded margin are zero — which keeps padded dimensions exactly inert (the
-/// padded-math-equivalence argument in DESIGN.md). The value depends only on
+/// padded margin are zero — which keeps padded dimensions exactly inert:
+/// padded rows and columns add exact zeros to every product, so the padded
+/// math equals the unpadded math. The value depends only on
 /// (seed, layer, r, c, valid shape), never on padding or sharding.
 float weight_init_value(std::uint64_t seed, int layer, std::int64_t r, std::int64_t c,
                         std::int64_t valid_rows, std::int64_t valid_cols);

@@ -2,7 +2,7 @@
 /// \file partitioner.hpp
 /// Graph partitioners for the baseline frameworks.
 ///
-/// Substitutions (DESIGN.md): BNS-GCN uses METIS and SA+GVB uses the GVB
+/// Substitutions: BNS-GCN uses METIS and SA+GVB uses the GVB
 /// partitioner; neither is redistributable here. We implement
 ///  * a streaming Fennel partitioner with refinement passes — the standard
 ///    METIS surrogate: minimises edge cut under a balance constraint, and

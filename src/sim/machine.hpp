@@ -2,7 +2,7 @@
 /// \file machine.hpp
 /// GPU-cluster machine models (the paper's two platforms, section 6.1).
 ///
-/// Substitution note (DESIGN.md): we do not have Perlmutter or Frontier, so
+/// Substitution note: we do not have Perlmutter or Frontier, so
 /// epoch *times* come from these calibrated analytic models. Parameters follow
 /// the published hardware numbers: A100 = 19.5 fp32 Tflop/s, 1.5 TB/s HBM,
 /// 40 MB L2, 4 GPUs/node; MI250X GCD = 23.9 fp32 Tflop/s, 1.6 TB/s, 8 MB L2,

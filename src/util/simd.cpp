@@ -1,10 +1,13 @@
 #include "util/simd.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -76,166 +79,132 @@ PLEXUS_DEFINE_ELEMENTWISE(avx512, __attribute__((target("avx512f"))))
 #undef PLEXUS_DEFINE_ELEMENTWISE
 
 // ---------------------------------------------------------------------------
-// Row kernels: the axpy `c[j] += v * b[j]` over the feature dimension is the
-// inner loop of both SpMM and the GEMM accumulate tile. The vector bodies use
-// separate mul + add intrinsics (never FMA — one rounding per operation, same
-// as the scalar expression) and handle the tail with scalar ops (AVX2) or a
-// masked lane set (AVX-512), so every feature width is bitwise-identical to
-// the serial reference.
+// Row kernels: the register-blocked GEMM and SpMM of simd_rows.inc, compiled
+// once per target over a vector traits type. The traits use separate mul and
+// add (never FMA: one rounding per operation, same as the scalar expression),
+// and `load`/`store` with `masked` set touch only the `tail` lanes, so every
+// feature width is bitwise-identical to the scalar table.
 
-PLEXUS_SCALAR_ATTR void spmm_rows_scalar(const std::int64_t* rp, const std::int32_t* ci,
-                                         const float* va, const float* b, std::int64_t ldb,
-                                         float* c, std::int64_t ldc, std::int64_t r0,
-                                         std::int64_t r1, std::int64_t n, bool accumulate) {
-  for (std::int64_t r = r0; r < r1; ++r) {
-    float* crow = c + r * ldc;
-    if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const float v = va[k];
-      const float* brow = b + static_cast<std::int64_t>(ci[k]) * ldb;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-    }
-  }
-}
+namespace scalar_rows {
 
-PLEXUS_SCALAR_ATTR void gemm_tile_scalar(const float* a, std::int64_t lda, const float* b,
-                                         std::int64_t ldb, float* c, std::int64_t ldc,
-                                         std::int64_t i0, std::int64_t i1, std::int64_t k0,
-                                         std::int64_t k1, std::int64_t n, float alpha) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * ldb;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
+#define PLEXUS_ROW_ATTR PLEXUS_SCALAR_ATTR
+/// One lane per "vector": C tiles of 4x4 and SpMM passes of 8 columns, held
+/// in scalar registers.
+struct V {
+  using Reg = float;
+  using Keep = bool;
+  using Tail = bool;  // a one-lane vector is never partial
+  static constexpr std::int64_t kLanes = 1;
+  static constexpr int kGemmVecs = 4;
+  static constexpr int kSpmmVecs = 8;
+  PLEXUS_ROW_ATTR static Tail tail(std::int64_t) { return true; }
+  PLEXUS_ROW_ATTR static Reg zero() { return 0.0f; }
+  PLEXUS_ROW_ATTR static Reg load(const float* p, bool, Tail) { return *p; }
+  PLEXUS_ROW_ATTR static void store(float* p, Reg x, bool, Tail) { *p = x; }
+  PLEXUS_ROW_ATTR static Reg splat(float x) { return x; }
+  PLEXUS_ROW_ATTR static Reg mul(Reg x, Reg y) { return x * y; }
+  PLEXUS_ROW_ATTR static Reg add(Reg x, Reg y) { return x + y; }
+  PLEXUS_ROW_ATTR static Keep nonzero(Reg x) { return x != 0.0f; }
+  PLEXUS_ROW_ATTR static Reg add_if(Keep keep, Reg c, Reg p) { return keep ? c + p : c; }
+};
+#include "util/simd_rows.inc"
+#undef PLEXUS_ROW_ATTR
+
+}  // namespace scalar_rows
 
 #if PLEXUS_SIMD_X86
 
-__attribute__((target("avx2"))) void spmm_rows_avx2(const std::int64_t* rp,
-                                                    const std::int32_t* ci, const float* va,
-                                                    const float* b, std::int64_t ldb, float* c,
-                                                    std::int64_t ldc, std::int64_t r0,
-                                                    std::int64_t r1, std::int64_t n,
-                                                    bool accumulate) {
-  for (std::int64_t r = r0; r < r1; ++r) {
-    float* crow = c + r * ldc;
-    if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const float v = va[k];
-      const float* brow = b + static_cast<std::int64_t>(ci[k]) * ldb;
-      const __m256 vv = _mm256_set1_ps(v);
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 bj = _mm256_loadu_ps(brow + j);
-        const __m256 cj = _mm256_loadu_ps(crow + j);
-        _mm256_storeu_ps(crow + j, _mm256_add_ps(cj, _mm256_mul_ps(vv, bj)));
-      }
-      for (; j < n; ++j) crow[j] += v * brow[j];
-    }
-  }
-}
+namespace avx2_rows {
 
-__attribute__((target("avx512f"))) void spmm_rows_avx512(const std::int64_t* rp,
-                                                         const std::int32_t* ci, const float* va,
-                                                         const float* b, std::int64_t ldb,
-                                                         float* c, std::int64_t ldc,
-                                                         std::int64_t r0, std::int64_t r1,
-                                                         std::int64_t n, bool accumulate) {
-  const std::int64_t full = n & ~static_cast<std::int64_t>(15);
-  const __mmask16 tail =
-      static_cast<__mmask16>((1u << static_cast<unsigned>(n - full)) - 1u);
-  for (std::int64_t r = r0; r < r1; ++r) {
-    float* crow = c + r * ldc;
-    if (!accumulate) std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const float v = va[k];
-      const float* brow = b + static_cast<std::int64_t>(ci[k]) * ldb;
-      const __m512 vv = _mm512_set1_ps(v);
-      std::int64_t j = 0;
-      for (; j < full; j += 16) {
-        const __m512 bj = _mm512_loadu_ps(brow + j);
-        const __m512 cj = _mm512_loadu_ps(crow + j);
-        _mm512_storeu_ps(crow + j, _mm512_add_ps(cj, _mm512_mul_ps(vv, bj)));
-      }
-      if (tail != 0) {
-        const __m512 bj = _mm512_maskz_loadu_ps(tail, brow + j);
-        const __m512 cj = _mm512_maskz_loadu_ps(tail, crow + j);
-        _mm512_mask_storeu_ps(crow + j, tail, _mm512_add_ps(cj, _mm512_mul_ps(vv, bj)));
-      }
+#define PLEXUS_ROW_ATTR __attribute__((target("avx2")))
+/// 8 lanes: C tiles of 4x16 (8 ymm accumulators of the 16 registers), SpMM
+/// passes of 64 columns. Tails use maskload/maskstore; the skip is a blend.
+struct V {
+  using Reg = __m256;
+  using Keep = __m256;
+  using Tail = __m256i;
+  static constexpr std::int64_t kLanes = 8;
+  static constexpr int kGemmVecs = 2;
+  static constexpr int kSpmmVecs = 8;
+  PLEXUS_ROW_ATTR static Tail tail(std::int64_t w) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  PLEXUS_ROW_ATTR static Reg zero() { return _mm256_setzero_ps(); }
+  PLEXUS_ROW_ATTR static Reg load(const float* p, bool masked, Tail t) {
+    return masked ? _mm256_maskload_ps(p, t) : _mm256_loadu_ps(p);
+  }
+  PLEXUS_ROW_ATTR static void store(float* p, Reg x, bool masked, Tail t) {
+    if (masked) {
+      _mm256_maskstore_ps(p, t, x);
+    } else {
+      _mm256_storeu_ps(p, x);
     }
   }
-}
+  PLEXUS_ROW_ATTR static Reg splat(float x) { return _mm256_set1_ps(x); }
+  PLEXUS_ROW_ATTR static Reg mul(Reg x, Reg y) { return _mm256_mul_ps(x, y); }
+  PLEXUS_ROW_ATTR static Reg add(Reg x, Reg y) { return _mm256_add_ps(x, y); }
+  PLEXUS_ROW_ATTR static Keep nonzero(Reg x) {
+    return _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+  }
+  PLEXUS_ROW_ATTR static Reg add_if(Keep keep, Reg c, Reg p) {
+    return _mm256_blendv_ps(c, _mm256_add_ps(c, p), keep);
+  }
+};
+#include "util/simd_rows.inc"
+#undef PLEXUS_ROW_ATTR
 
-__attribute__((target("avx2"))) void gemm_tile_avx2(const float* a, std::int64_t lda,
-                                                    const float* b, std::int64_t ldb, float* c,
-                                                    std::int64_t ldc, std::int64_t i0,
-                                                    std::int64_t i1, std::int64_t k0,
-                                                    std::int64_t k1, std::int64_t n,
-                                                    float alpha) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * ldb;
-      const __m256 vv = _mm256_set1_ps(av);
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 bj = _mm256_loadu_ps(brow + j);
-        const __m256 cj = _mm256_loadu_ps(crow + j);
-        _mm256_storeu_ps(crow + j, _mm256_add_ps(cj, _mm256_mul_ps(vv, bj)));
-      }
-      for (; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
+}  // namespace avx2_rows
 
-__attribute__((target("avx512f"))) void gemm_tile_avx512(const float* a, std::int64_t lda,
-                                                         const float* b, std::int64_t ldb,
-                                                         float* c, std::int64_t ldc,
-                                                         std::int64_t i0, std::int64_t i1,
-                                                         std::int64_t k0, std::int64_t k1,
-                                                         std::int64_t n, float alpha) {
-  const std::int64_t full = n & ~static_cast<std::int64_t>(15);
-  const __mmask16 tail =
-      static_cast<__mmask16>((1u << static_cast<unsigned>(n - full)) - 1u);
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * ldb;
-      const __m512 vv = _mm512_set1_ps(av);
-      std::int64_t j = 0;
-      for (; j < full; j += 16) {
-        const __m512 bj = _mm512_loadu_ps(brow + j);
-        const __m512 cj = _mm512_loadu_ps(crow + j);
-        _mm512_storeu_ps(crow + j, _mm512_add_ps(cj, _mm512_mul_ps(vv, bj)));
-      }
-      if (tail != 0) {
-        const __m512 bj = _mm512_maskz_loadu_ps(tail, brow + j);
-        const __m512 cj = _mm512_maskz_loadu_ps(tail, crow + j);
-        _mm512_mask_storeu_ps(crow + j, tail, _mm512_add_ps(cj, _mm512_mul_ps(vv, bj)));
-      }
+namespace avx512_rows {
+
+#define PLEXUS_ROW_ATTR __attribute__((target("avx512f")))
+/// 16 lanes: C tiles of 4x64 (16 zmm accumulators), SpMM passes of 128
+/// columns. Tails and the skip are native mask registers.
+struct V {
+  using Reg = __m512;
+  using Keep = __mmask16;
+  using Tail = __mmask16;
+  static constexpr std::int64_t kLanes = 16;
+  static constexpr int kGemmVecs = 4;
+  static constexpr int kSpmmVecs = 8;
+  PLEXUS_ROW_ATTR static Tail tail(std::int64_t w) {
+    return static_cast<__mmask16>((1u << static_cast<unsigned>(w)) - 1u);
+  }
+  PLEXUS_ROW_ATTR static Reg zero() { return _mm512_setzero_ps(); }
+  PLEXUS_ROW_ATTR static Reg load(const float* p, bool masked, Tail t) {
+    return masked ? _mm512_maskz_loadu_ps(t, p) : _mm512_loadu_ps(p);
+  }
+  PLEXUS_ROW_ATTR static void store(float* p, Reg x, bool masked, Tail t) {
+    if (masked) {
+      _mm512_mask_storeu_ps(p, t, x);
+    } else {
+      _mm512_storeu_ps(p, x);
     }
   }
-}
+  PLEXUS_ROW_ATTR static Reg splat(float x) { return _mm512_set1_ps(x); }
+  PLEXUS_ROW_ATTR static Reg mul(Reg x, Reg y) { return _mm512_mul_ps(x, y); }
+  PLEXUS_ROW_ATTR static Reg add(Reg x, Reg y) { return _mm512_add_ps(x, y); }
+  PLEXUS_ROW_ATTR static Keep nonzero(Reg x) {
+    return _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+  }
+  PLEXUS_ROW_ATTR static Reg add_if(Keep keep, Reg c, Reg p) {
+    return _mm512_mask_add_ps(c, keep, c, p);
+  }
+};
+#include "util/simd_rows.inc"
+#undef PLEXUS_ROW_ATTR
+
+}  // namespace avx512_rows
 
 #endif  // PLEXUS_SIMD_X86
 
-constexpr Kernels kScalarKernels{spmm_rows_scalar, gemm_tile_scalar, relu_scalar,
+constexpr Kernels kScalarKernels{scalar_rows::spmm_rows, scalar_rows::gemm_tile, relu_scalar,
                                  relu_backward_scalar, adam_step_scalar};
 #if PLEXUS_SIMD_X86
-constexpr Kernels kAvx2Kernels{spmm_rows_avx2, gemm_tile_avx2, relu_avx2, relu_backward_avx2,
-                               adam_step_avx2};
-constexpr Kernels kAvx512Kernels{spmm_rows_avx512, gemm_tile_avx512, relu_avx512,
+constexpr Kernels kAvx2Kernels{avx2_rows::spmm_rows, avx2_rows::gemm_tile, relu_avx2,
+                               relu_backward_avx2, adam_step_avx2};
+constexpr Kernels kAvx512Kernels{avx512_rows::spmm_rows, avx512_rows::gemm_tile, relu_avx512,
                                  relu_backward_avx512, adam_step_avx512};
 #endif
 

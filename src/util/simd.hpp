@@ -6,15 +6,21 @@
 /// AVX-512F — compiled side by side in one TU via per-function target
 /// attributes and selected **once** per process from `PLEXUS_SIMD`
 /// (`auto|avx512|avx2|scalar`, default auto = best the CPU supports,
-/// logged at first use). All targets are **bitwise-identical** by
-/// construction: kernels vectorize over the feature dimension j, so each
-/// output element sees exactly the serial sequence of roundings
-/// (`c[j] + v * b[j]` as one multiply and one add — never an FMA, and the
-/// whole tree compiles with `-ffp-contract=off` so the scalar reference
-/// cannot silently contract either). The tail that does not fill a vector
-/// is handled with masked lanes (AVX-512) or scalar ops (AVX2), so any
-/// feature width matches `spmm_rows_serial` exactly. `PLEXUS_SIMD` is
-/// therefore a pure performance knob with no observable numeric effect.
+/// logged at first use).
+///
+/// The GEMM and SpMM kernels are register-blocked: they work on (i, j)
+/// output tiles that stay in registers across the whole reduction loop
+/// (GEMM: 4 rows x up to 64 columns on AVX-512; SpMM: one row, up to 128
+/// columns per pass), so C is loaded and stored once per tile, not once per
+/// reduction step. Blocking changes only which elements are in flight
+/// together, never the per-element order: every output element sees exactly
+/// the serial sequence of roundings, `c = c + v * b` as one multiply and one
+/// add (never an FMA; the whole tree compiles with `-ffp-contract=off` so the
+/// scalar reference cannot silently contract either) with the reduction
+/// index ascending. All targets are therefore **bitwise-identical**. The
+/// columns that do not fill a vector use masked lanes, so any feature width
+/// matches `spmm_rows_serial` exactly. `PLEXUS_SIMD` is a pure performance
+/// knob with no observable numeric effect.
 ///
 /// The table of a *specific* target is also exposed (`kernels(target)`)
 /// so tests can pin every supported target against the scalar reference
@@ -52,12 +58,15 @@ struct Kernels {
   void (*spmm_rows)(const std::int64_t* rp, const std::int32_t* ci, const float* va,
                     const float* b, std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t r0,
                     std::int64_t r1, std::int64_t n, bool accumulate);
-  /// GEMM accumulate tile: C[i,:] += alpha * A[i,kk] * B[kk,:] for
-  /// i in [i0, i1), kk in [k0, k1), preserving the `alpha * a == 0` row
-  /// skip of the serial kernel (a skipped term adds nothing, not +0.0).
-  void (*gemm_tile)(const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                    std::int64_t ldc, std::int64_t i0, std::int64_t i1, std::int64_t k0,
-                    std::int64_t k1, std::int64_t n, float alpha);
+  /// GEMM accumulate tile: C[i,:] += (alpha * op(A)[i,kk]) * B[kk,:] for
+  /// i in [i0, i1), kk in [k0, k1) ascending, where op(A)[i,kk] is
+  /// `a[i * a_rs + kk * a_ks]`: (lda, 1) reads A, (1, lda) reads A^T in
+  /// place. Keeps the `alpha * a == 0` skip of the serial kernel (a skipped
+  /// term adds nothing, not +0.0).
+  void (*gemm_tile)(const float* a, std::int64_t a_rs, std::int64_t a_ks, const float* b,
+                    std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t i0,
+                    std::int64_t i1, std::int64_t k0, std::int64_t k1, std::int64_t n,
+                    float alpha);
   /// y[i] = x[i] > 0 ? x[i] : 0.
   void (*relu)(const float* x, float* y, std::int64_t n);
   /// dx[i] = q[i] > 0 ? dy[i] : 0.

@@ -6,20 +6,78 @@
 // reduction uses a thread-count-independent chunk grid, and the pipelined
 // per-block all-reduces sum in fixed member order over disjoint row ranges —
 // so no tolerance is needed anywhere.
+//
+// The kernel seed-bits test pins the exact output bits of dense::matmul and
+// sparse::spmm on fixed operands to constants recorded before the
+// register-blocked kernels replaced the per-k axpy row kernels. It needs no
+// libm, so the hashes are host-independent, and CI's PLEXUS_SIMD=scalar quick
+// run checks the scalar table against the same constants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "comm/handle.hpp"
 #include "core/trainer.hpp"
+#include "dense/gemm.hpp"
 #include "graph/datasets.hpp"
 #include "sim/machine.hpp"
+#include "sparse/csr.hpp"
+#include "sparse/spmm.hpp"
+#include "util/rng.hpp"
 
 namespace pc = plexus::core;
+namespace pd = plexus::dense;
 namespace pg = plexus::graph;
 namespace psim = plexus::sim;
 
 namespace {
+
+/// FNV-1a over the IEEE bit patterns of every element, row-major.
+std::uint64_t fnv1a_bits(const pd::Matrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const float v : m.flat()) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+/// Uniform [-1, 1) operand; `relu` zeroes the negative half, as activations
+/// are, so the GEMM's `alpha * a == 0` skip is exercised.
+pd::Matrix seeded_dense(std::int64_t r, std::int64_t c, std::uint64_t seed, bool relu = false) {
+  plexus::util::CounterRng rng(seed);
+  pd::Matrix m(r, c);
+  for (std::int64_t i = 0; i < m.size(); ++i) {
+    const float v = rng.uniform_at(static_cast<std::uint64_t>(i), -1.0f, 1.0f);
+    m.flat()[static_cast<std::size_t>(i)] = relu && v < 0.0f ? 0.0f : v;
+  }
+  return m;
+}
+
+/// rows x cols CSR with 0..11 nonzeros per row (empty and hub-ish rows).
+plexus::sparse::Csr seeded_csr(std::int64_t rows, std::int64_t cols, std::uint64_t seed) {
+  plexus::util::CounterRng rng(seed);
+  std::vector<std::int64_t> rp(static_cast<std::size_t>(rows) + 1, 0);
+  std::vector<std::int32_t> ci;
+  std::vector<float> va;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const auto deg = static_cast<std::int64_t>(rng.uniform_at(static_cast<std::uint64_t>(r)) * 12);
+    for (std::int64_t k = 0; k < deg; ++k) {
+      const auto u = static_cast<std::uint64_t>(rows + 2 * (r * 16 + k));
+      ci.push_back(static_cast<std::int32_t>(rng.uniform_at(u) * static_cast<double>(cols)));
+      va.push_back(rng.uniform_at(u + 1, -1.0f, 1.0f));
+    }
+    rp[static_cast<std::size_t>(r) + 1] = static_cast<std::int64_t>(ci.size());
+  }
+  return plexus::sparse::Csr::from_parts(rows, cols, std::move(rp), std::move(ci), std::move(va));
+}
 
 // Sized so the per-rank SpMM/GEMM shards and the 512-row loss slice exceed
 // the kernels' small-work cutoffs — the threaded paths must actually run for
@@ -117,6 +175,24 @@ TEST(Determinism, LossesIdenticalAcrossCommChannelCounts) {
       EXPECT_EQ(losses[e], reference[e]) << "budget=" << budget << " epoch " << e;
     }
   }
+}
+
+TEST(Determinism, KernelOutputBitsMatchSeedConstants) {
+  // k = 300 and 520 cross the GEMM's k blocks; n = 100 and 200 leave vector
+  // tails and (200) take two SpMM column passes.
+  const auto nn = pd::matmul(seeded_dense(37, 300, 1, /*relu=*/true), seeded_dense(300, 100, 2));
+  const auto tn = pd::matmul(seeded_dense(520, 24, 3, /*relu=*/true), seeded_dense(520, 33, 4),
+                             pd::Trans::T, pd::Trans::N);
+  const auto nt = pd::matmul(seeded_dense(45, 70, 5), seeded_dense(100, 70, 6), pd::Trans::N,
+                             pd::Trans::T);
+  const auto adj = seeded_csr(211, 150, 7);
+  const auto s100 = plexus::sparse::spmm(adj, seeded_dense(150, 100, 8));
+  const auto s200 = plexus::sparse::spmm(adj, seeded_dense(150, 200, 9));
+  EXPECT_EQ(fnv1a_bits(nn), 0x28063698ebd8bd50ull) << "matmul N/N";
+  EXPECT_EQ(fnv1a_bits(tn), 0xa28e5d4b01a7b8b7ull) << "matmul T/N";
+  EXPECT_EQ(fnv1a_bits(nt), 0x7b10bf91dc3c1aa3ull) << "matmul N/T";
+  EXPECT_EQ(fnv1a_bits(s100), 0x84ad48b6bb4720c3ull) << "spmm n=100";
+  EXPECT_EQ(fnv1a_bits(s200), 0x6b0b0166600a38faull) << "spmm n=200";
 }
 
 TEST(Determinism, AutoBudgetMatchesExplicitBudgets) {

@@ -1,9 +1,11 @@
 // The bitwise contract of the runtime-dispatched SIMD kernels
 // (util/simd.hpp): every target's table — scalar, AVX2, AVX-512 — must
-// produce bit-for-bit the scalar reference's output for any feature width,
-// including widths that exercise the vector tails (1, 7, 15, 33) and the
-// empty edge (0). `kernels(target)` pins a specific table, so one process
-// covers every target the CPU supports without re-execing under PLEXUS_SIMD.
+// produce bit-for-bit the scalar reference's output for any shape: widths
+// that exercise the vector tails and register-panel edges, the empty edge
+// (0), row-tile remainders, reduction depths around the GEMM's k blocks, and
+// both in-place addressings of op(A). `kernels(target)` pins a specific
+// table, so one process covers every target the CPU supports without
+// re-execing under PLEXUS_SIMD.
 //
 // The bf16 wire-format helpers are property-tested here too: exact
 // round-trip for values whose mantissa fits bf16, half-ulp-bounded relative
@@ -13,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -26,7 +29,10 @@ namespace ps = plexus::simd;
 
 namespace {
 
-constexpr std::int64_t kWidths[] = {0, 1, 7, 8, 15, 16, 33, 64};
+/// Feature widths: the empty edge, one full vector of AVX2 (8) and AVX-512
+/// (16), tails of both around them, and the register-panel edges (64/65 for
+/// AVX-512 GEMM, 128/129 for the SpMM pass and the 4-vector GEMM panels).
+constexpr std::int64_t kWidths[] = {0, 1, 7, 8, 15, 16, 17, 33, 63, 64, 65, 100, 129};
 
 std::vector<ps::Target> supported_targets() {
   std::vector<ps::Target> out;
@@ -56,6 +62,22 @@ void expect_bitwise_equal(const std::vector<float>& got, const std::vector<float
   }
 }
 
+/// The serial GEMM tile every table must reproduce: for each row, k
+/// ascending, one multiply and one add per element, terms whose `alpha * a`
+/// is zero skipped.
+void serial_gemm_tile(const float* a, std::int64_t rs, std::int64_t ks, const float* b,
+                      std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t i0,
+                      std::int64_t i1, std::int64_t k0, std::int64_t k1, std::int64_t n,
+                      float alpha) {
+  for (std::int64_t i = i0; i < i1; ++i) {
+    for (std::int64_t kk = k0; kk < k1; ++kk) {
+      const float av = alpha * a[i * rs + kk * ks];
+      if (av == 0.0f) continue;
+      for (std::int64_t j = 0; j < n; ++j) c[i * ldc + j] += av * b[kk * ldb + j];
+    }
+  }
+}
+
 }  // namespace
 
 TEST(SimdKernels, ScalarAlwaysSupportedAndActiveTargetIs) {
@@ -72,7 +94,10 @@ TEST(SimdKernels, SpmmRowsBitwiseAcrossTargetsAndWidths) {
   const std::vector<std::int32_t> ci = {0, 4, 9, 1, 1, 5, 8, 0, 2, 3, 6, 7, 9, 9, 4};
   const auto va = random_floats(ci.size(), 11);
   const std::int64_t rows = 6, bro = 10;
-  for (const std::int64_t n : kWidths) {
+  // kWidths plus 200 and 256: rows that take two 128-column register passes.
+  std::vector<std::int64_t> widths(std::begin(kWidths), std::end(kWidths));
+  widths.insert(widths.end(), {200, 256});
+  for (const std::int64_t n : widths) {
     const auto b = random_floats(static_cast<std::size_t>(bro * n), 13);
     const auto seed_c = random_floats(static_cast<std::size_t>(rows * n), 17);
     for (const bool accumulate : {false, true}) {
@@ -128,22 +153,93 @@ TEST(SimdKernels, SpmmRowsMatchesSerialReferenceThroughCsr) {
   }
 }
 
-TEST(SimdKernels, GemmTileBitwiseAcrossTargetsAndWidths) {
-  const std::int64_t m = 5, k = 9;
+TEST(SimdKernels, GemmTileBitwiseAcrossTargetsAndShapes) {
+  // Every table, scalar included, against the serial tile. m covers the
+  // 4-row tile remainders, k the 256-deep block edges, n the vector tails
+  // and column-panel edges of every target. The tile covers
+  // [k0, k0 + k): k0 = 2 starts inside the reduction range, k0 = 300 past the
+  // first k block, like the later blocks of dense::gemm. op(A) is read both
+  // ways, each through a power-of-two leading dimension: (lda, 1) from an
+  // m x 1024 A, and (1, lda) from a k x 16 A holding A^T. Half of A is zero
+  // (+0.0 and -0.0) so the `alpha * a == 0` skip runs in every tile, and
+  // alpha = 0 skips every term.
+  constexpr std::int64_t kLdN = 1024, kLdT = 16;
+  constexpr std::int64_t kRows[] = {1, 3, 5, 9};
+  constexpr std::int64_t kDepths[] = {1, 255, 256, 257, 600};
+  constexpr std::int64_t kStarts[] = {0, 2, 300};
+  constexpr std::int64_t kMaxK = 300 + 600;
+  static_assert(9 * kLdN <= kMaxK * kLdT && kMaxK <= kLdN, "A storage covers both addressings");
+  auto a_store = random_floats(static_cast<std::size_t>(kMaxK * kLdT), 29);
+  for (std::size_t i = 0; i < a_store.size(); i += 2) a_store[i] = i % 4 == 0 ? 0.0f : -0.0f;
   for (const std::int64_t n : kWidths) {
-    auto a = random_floats(static_cast<std::size_t>(m * k), 29);
-    a[3] = 0.0f;  // exercises the alpha * a == 0 row skip
-    const auto b = random_floats(static_cast<std::size_t>(k * n), 31);
-    const auto seed_c = random_floats(static_cast<std::size_t>(m * n), 37);
-    for (const float alpha : {1.0f, -0.75f, 0.0f}) {
-      std::vector<float> want = seed_c;
-      ps::kernels(ps::Target::Scalar)
-          .gemm_tile(a.data(), k, b.data(), n, want.data(), n, 0, m, 2, k, n, alpha);
-      for (const ps::Target t : supported_targets()) {
-        std::vector<float> got = seed_c;
-        ps::kernels(t).gemm_tile(a.data(), k, b.data(), n, got.data(), n, 0, m, 2, k, n, alpha);
-        expect_bitwise_equal(got, want, "gemm_tile", t, n);
+    const auto b = random_floats(static_cast<std::size_t>(kMaxK * n), 31);
+    for (const std::int64_t m : kRows) {
+      const auto seed_c = random_floats(static_cast<std::size_t>(m * n), 37);
+      for (const std::int64_t k : kDepths) {
+        for (const std::int64_t k0 : kStarts) {
+          for (const bool trans_a : {false, true}) {
+            const std::int64_t rs = trans_a ? 1 : kLdN;
+            const std::int64_t ks = trans_a ? kLdT : 1;
+            for (const bool accumulate : {false, true}) {
+              for (const float alpha : {1.0f, -0.75f, 0.0f}) {
+                SCOPED_TRACE(testing::Message()
+                             << "m=" << m << " k=" << k << " k0=" << k0 << " trans_a=" << trans_a
+                             << " accumulate=" << accumulate << " alpha=" << alpha);
+                const std::vector<float> c0 =
+                    accumulate ? seed_c : std::vector<float>(seed_c.size(), 0.0f);
+                std::vector<float> want = c0;
+                serial_gemm_tile(a_store.data(), rs, ks, b.data(), n, want.data(), n, 0, m, k0,
+                                 k0 + k, n, alpha);
+                for (const ps::Target t : supported_targets()) {
+                  std::vector<float> got = c0;
+                  ps::kernels(t).gemm_tile(a_store.data(), rs, ks, b.data(), n, got.data(), n, 0,
+                                           m, k0, k0 + k, n, alpha);
+                  expect_bitwise_equal(got, want, "gemm_tile", t, n);
+                }
+              }
+            }
+          }
+        }
       }
+    }
+  }
+}
+
+TEST(SimdKernels, GemmTileSkipKeepsNegativeZeroAgainstNonFiniteB) {
+  // Zero A entries (+0.0 and -0.0) face +inf, NaN and -inf rows of B, and C
+  // starts at -0.0. The serial kernel skips those terms: an unmasked add
+  // would turn -0.0 into +0.0 (adding 0 * finite) or into NaN (0 * inf).
+  const std::int64_t m = 5, k = 7, n = 37;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto a = random_floats(static_cast<std::size_t>(m * k), 41);
+  auto b = random_floats(static_cast<std::size_t>(k * n), 43);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      // Row 4 is all zero; elsewhere the terms facing B rows 1, 3, 5.
+      if (i == 4 || kk % 2 == 1) a[static_cast<std::size_t>(i * k + kk)] = kk == 3 ? -0.0f : 0.0f;
+    }
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    b[static_cast<std::size_t>(1 * n + j)] = inf;
+    b[static_cast<std::size_t>(3 * n + j)] = nan;
+    b[static_cast<std::size_t>(5 * n + j)] = -inf;
+  }
+  const std::vector<float> c0(static_cast<std::size_t>(m * n), -0.0f);
+  for (const float alpha : {1.0f, -0.75f}) {
+    std::vector<float> want = c0;
+    ps::kernels(ps::Target::Scalar)
+        .gemm_tile(a.data(), k, 1, b.data(), n, want.data(), n, 0, m, 0, k, n, alpha);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(want[i])) << i;
+      if (static_cast<std::int64_t>(i) / n == 4) {
+        ASSERT_TRUE(want[i] == 0.0f && std::signbit(want[i])) << "all-skipped element " << i;
+      }
+    }
+    for (const ps::Target t : supported_targets()) {
+      std::vector<float> got = c0;
+      ps::kernels(t).gemm_tile(a.data(), k, 1, b.data(), n, got.data(), n, 0, m, 0, k, n, alpha);
+      expect_bitwise_equal(got, want, "gemm_tile skip", t, n);
     }
   }
 }
