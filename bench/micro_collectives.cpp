@@ -246,71 +246,6 @@ BENCHMARK(BM_BlockedAggregation)
     ->Args({8, 0})  // adaptive
     ->Unit(benchmark::kMillisecond);
 
-/// Sparse-vs-dense aggregation wire bytes on a low-density RMAT graph,
-/// through the full trainer (the deliverable the `sparse` strategy ships:
-/// fewer bytes on the simulated links for the same bitwise losses). Runs one
-/// steady-state epoch per strategy — epoch 0 pays the one-time sparse plan
-/// build and is excluded — and reports `sparse_bytes_ratio` =
-/// sparse wire bytes / dense wire bytes, which CI's perf-smoke job gates
-/// below a threshold. Uses max(PLEXUS_BENCH_RMAT_SCALE, 16): at scale 16+
-/// with average degree ~4 most aggregation rows have no local nonzeros on a
-/// multi-rank P group. Deterministic (post-time byte accounting, fixed
-/// seeds), hence Iterations(1).
-void BM_BlockedAggregationSparseBytes(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  const int scale = std::max(rmat_scale(), 16);
-  static const plexus::graph::Graph g = [scale] {
-    const std::int64_t nodes = std::int64_t{1} << scale;
-    plexus::graph::Graph built;
-    built.name = "rmat-lowdensity";
-    built.num_nodes = nodes;
-    built.num_classes = 8;
-    built.edges = plexus::graph::rmat(scale, nodes * 2, 0.57, 0.19, 0.19, 0.05, /*seed=*/42);
-    built.features = plexus::dense::Matrix(nodes, 32);
-    plexus::util::CounterRng rng(11);
-    for (std::int64_t i = 0; i < built.features.size(); ++i) {
-      built.features.flat()[static_cast<std::size_t>(i)] =
-          rng.uniform_at(static_cast<std::uint64_t>(i), -1, 1);
-    }
-    built.labels.resize(static_cast<std::size_t>(nodes));
-    for (std::int64_t v = 0; v < nodes; ++v) {
-      built.labels[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(v % 8);
-    }
-    built.train_mask.assign(static_cast<std::size_t>(nodes), 1);
-    built.val_mask.assign(static_cast<std::size_t>(nodes), 0);
-    built.test_mask.assign(static_cast<std::size_t>(nodes), 0);
-    return built;
-  }();
-
-  double dense_bytes = 0.0, sparse_bytes = 0.0;
-  for (auto _ : state) {
-    plexus::core::TrainOptions opt;
-    opt.grid = {ranks, 1, 1};  // layer-0 forward aggregates over a P group of `ranks`
-    opt.machine = &plexus::sim::Machine::test_machine();
-    opt.model.hidden_dims = {32};
-    opt.model.options.agg_row_blocks = 8;
-    opt.epochs = 2;
-    opt.aggregation = plexus::core::Aggregation::Dense;
-    const auto dense = plexus::core::train_plexus(g, opt);
-    opt.aggregation = plexus::core::Aggregation::Sparse;
-    const auto sparse = plexus::core::train_plexus(g, opt);
-    dense_bytes = dense.epochs.back().comm_wire_bytes;
-    sparse_bytes = sparse.epochs.back().comm_wire_bytes;
-  }
-  state.counters["dense_wire_mb"] =
-      benchmark::Counter(dense_bytes / 1e6, benchmark::Counter::kDefaults);
-  state.counters["sparse_wire_mb"] =
-      benchmark::Counter(sparse_bytes / 1e6, benchmark::Counter::kDefaults);
-  state.counters["sparse_bytes_ratio"] =
-      benchmark::Counter(dense_bytes > 0.0 ? sparse_bytes / dense_bytes : 1.0,
-                         benchmark::Counter::kDefaults);
-}
-BENCHMARK(BM_BlockedAggregationSparseBytes)
-    ->Args({4})
-    ->Args({8})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 /// Float wire bytes of a short training run under the bf16 wire format vs
 /// the fp32 default, through the full trainer (same graph, same grid, same
 /// seeds — only TrainOptions::wire differs). Reports `wire_bytes_ratio` =

@@ -48,7 +48,6 @@ StreamRun run_streaming(const std::string& dir, const plexus::core::TrainOptions
   // cache stats readable after the run.
   const plexus::core::ShardedDatasetView view(dir, budget_bytes);
   plexus::core::TrainOptions opt = base;
-  opt.aggregation = plexus::core::Aggregation::Dense;
   opt.prefetch_depth = prefetch_depth;
   opt.rss_budget_bytes = budget_bytes;
   const auto t0 = std::chrono::steady_clock::now();

@@ -83,8 +83,8 @@ int main() {
   t.print();
 
   // One-shot host recalibration: measure the vectorized kernels and refit the
-  // machine constants, so the planning heuristics (pipeline depth, sparse
-  // aggregation) can be priced against this host's real rates instead of the
+  // machine constants, so the planning heuristics (pipeline and prefetch
+  // depth) can be priced against this host's real rates instead of the
   // scalar-era ones. The default training machine stays perlmutter_a100 —
   // this section only reports what the fit would change.
   plexus::bench::banner("Host kernel calibration (one-shot perfmodel fit)",

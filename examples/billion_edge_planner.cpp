@@ -129,9 +129,7 @@ int run_proxy(int scale, std::int64_t rss_budget_mb, int epochs, const std::stri
   // Train through a named budgeted view (instead of train_plexus_streaming)
   // so the cache high-water mark is still readable after the run.
   const plexus::core::ShardedDatasetView view(dir, opt.rss_budget_bytes);
-  plexus::core::TrainOptions sopt = opt;
-  sopt.aggregation = plexus::core::Aggregation::Dense;
-  const auto result = plexus::core::train_plexus(view, sopt);
+  const auto result = plexus::core::train_plexus(view, opt);
 
   double io_bytes = 0.0;
   double io_s = 0.0;
@@ -163,8 +161,7 @@ int main(int argc, char** argv) {
   using plexus::util::ArgParser;
   ArgParser args("billion_edge_planner",
                  "Plan billion-edge full-graph training; --run-proxy streams a generated "
-                 "proxy from disk under an RSS budget.",
-                 "");
+                 "proxy from disk under an RSS budget.");
   args.add_flag("run-proxy", "", "generate a proxy to shards and train out-of-core", "");
   args.add_flag("scale", "n", "proxy scale: log2(#nodes)", "24");
   args.add_flag("rss-budget", "MB", "streaming block-cache budget in MB", "256");

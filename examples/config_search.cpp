@@ -3,9 +3,6 @@
 // predicted-best configuration beats the predicted-worst on a proxy run.
 //
 //   ./build/examples/config_search --dataset=ogbn-products --gpus=64
-//
-// The old positional form `config_search [dataset] [gpus]` still works but is
-// deprecated.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -15,7 +12,6 @@
 #include "perfmodel/perfmodel.hpp"
 #include "sim/machine.hpp"
 #include "util/arg_parser.hpp"
-#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -24,8 +20,7 @@ int main(int argc, char** argv) {
   namespace pp = plexus::perf;
 
   ArgParser args("config_search",
-                 "Rank every 3D grid for a dataset and GPU budget with the performance model.",
-                 "[dataset] [gpus]");
+                 "Rank every 3D grid for a dataset and GPU budget with the performance model.");
   args.add_flag("dataset", "name", "Table 4 dataset name", "ogbn-products");
   args.add_flag("gpus", "n", "GPU budget to enumerate grids for", "64");
 
@@ -36,19 +31,10 @@ int main(int argc, char** argv) {
       return 1;
     case ArgParser::Status::Ok: break;
   }
-  const auto& pos = args.positionals();
-  if (!pos.empty()) {
-    std::fprintf(stderr,
-                 "config_search: note: positional arguments are deprecated; use --key=value "
-                 "flags (--help)\n");
-  }
-  const std::string dataset =
-      !pos.empty() && !args.is_set("dataset") ? pos[0] : args.value("dataset");
-  const std::string gpus_arg =
-      pos.size() > 1 && !args.is_set("gpus") ? pos[1] : args.value("gpus");
+  const std::string dataset = args.value("dataset");
   int gpus = 0;
-  if (!plexus::util::parse_int(gpus_arg, gpus) || gpus < 1) {
-    std::fprintf(stderr, "config_search: bad GPU count '%s'\n%s", gpus_arg.c_str(),
+  if (!args.value_int("gpus", gpus) || gpus < 1) {
+    std::fprintf(stderr, "config_search: bad --gpus '%s'\n%s", args.value("gpus").c_str(),
                  args.usage().c_str());
     return 1;
   }

@@ -386,121 +386,6 @@ class Communicator {
     return post_collective(a, static_cast<std::int64_t>(in.size() * sizeof(T)));
   }
 
-  /// Flat variable all-to-all: `send` holds the payload packed by destination
-  /// member (`send_counts[m]` elements to member m, in member order); `recv`
-  /// receives chunks packed by source member (`recv_counts[m]` elements from
-  /// member m). The counts arrays — `group size` entries each, valid until the
-  /// handle is waited or dropped — must be globally consistent:
-  /// `recv_counts[m]` here equals member m's `send_counts[my pos]` (the
-  /// caller owns the count exchange; the sparse aggregation plan derives both
-  /// sides from the shared nnz structure). Cost is charged on the straggler's
-  /// total send volume, like `all_to_all_v`.
-  template <typename T>
-  CommHandle iall_to_all_v(GroupId gid, std::span<const T> send,
-                           const std::int64_t* send_counts, std::span<T> recv,
-                           const std::int64_t* recv_counts) {
-    auto& g = world_->group(gid);
-    CollArgs a;
-    a.kind = Collective::AllToAll;
-    a.gid = gid;
-    a.pos = g.position_of(rank_);
-    a.send = send.data();
-    a.recv = recv.data();
-    a.elem = sizeof(T);
-    a.dtype = dtype_of<T>();
-    a.send_counts = send_counts;
-    a.recv_counts = recv_counts;
-    std::int64_t my_elems = 0;
-    std::int64_t recv_elems = 0;
-    for (int m = 0; m < g.size(); ++m) {
-      my_elems += send_counts[m];
-      recv_elems += recv_counts[m];
-    }
-    PLEXUS_CHECK(send.size() == static_cast<std::size_t>(my_elems),
-                 "iall_to_all_v: send buffer does not match send_counts");
-    PLEXUS_CHECK(recv.size() == static_cast<std::size_t>(recv_elems),
-                 "iall_to_all_v: recv buffer does not match recv_counts");
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        // Same straggler protocol as below, but the packed chunks travel as
-        // bf16: the counts stay element counts, only `elem` (and therefore
-        // every displacement and the costed byte volume) narrows.
-        a.elem = sizeof(std::uint16_t);
-        const std::int64_t my_wire_bytes =
-            my_elems * static_cast<std::int64_t>(sizeof(std::uint16_t));
-        auto ws = std::make_shared<std::vector<std::uint16_t>>();
-        auto wr = std::make_shared<std::vector<std::uint16_t>>();
-        const float* sptr = send.data();
-        const std::size_t sn = send.size();
-        const std::span<float> out = recv;
-        std::function<void(CollArgs&)> setup = [ws, wr, sptr, sn,
-                                                rn = recv.size()](CollArgs& aw) {
-          ws->resize(sn);
-          simd::bf16_pack(sptr, ws->data(), static_cast<std::int64_t>(sn));
-          wr->resize(rn);
-          aw.send = ws->data();
-          aw.recv = wr->data();
-        };
-        std::function<void()> teardown = [wr, out] {
-          simd::bf16_unpack(wr->data(), out.data(), static_cast<std::int64_t>(out.size()));
-        };
-        Transport* t = transport_;
-        if (!t->uses_group_protocol()) {
-          return post_op(Collective::AllToAll, gid, my_wire_bytes,
-                         [&g, a, t, setup = std::move(setup),
-                          teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                           setup(a);
-                           t->execute(g, a, op);
-                           teardown();
-                         });
-        }
-        return post_op(Collective::AllToAll, gid, /*bytes=*/0,
-                       [&g, a, t, my_wire_bytes, setup = std::move(setup),
-                        teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                         setup(a);
-                         detail::aux_value(g, a.pos) = static_cast<double>(my_wire_bytes);
-                         const double floor =
-                             detail::publish(g, a.pos, a.send, op.posted_clock);
-                         g.barrier->arrive_and_wait();
-                         double max_bytes = 0.0;
-                         for (int m = 0; m < g.size(); ++m) {
-                           max_bytes = std::max(max_bytes, detail::aux_value(g, m));
-                         }
-                         op.bytes = static_cast<std::int64_t>(max_bytes);
-                         t->move(g, a);
-                         detail::finish_read_phase(g, a.pos, floor, op);
-                         g.barrier->arrive_and_wait();
-                         t->finalize(g, a);
-                         teardown();
-                       });
-      }
-    }
-    const std::int64_t my_bytes = my_elems * static_cast<std::int64_t>(sizeof(T));
-    Transport* t = transport_;
-    if (!t->uses_group_protocol()) {
-      return post_op(Collective::AllToAll, gid, my_bytes,
-                     [&g, a, t](detail::CommOp& op) { t->execute(g, a, op); });
-    }
-    // Same protocol shape as all_to_all_v: exchange the straggler's send
-    // volume through the aux slots so op.bytes (and thus the cost model) is
-    // group-uniform, then let the transport move the packed chunks.
-    return post_op(Collective::AllToAll, gid, /*bytes=*/0,
-                   [&g, a, t, my_bytes](detail::CommOp& op) {
-                     detail::aux_value(g, a.pos) = static_cast<double>(my_bytes);
-                     const double floor = detail::publish(g, a.pos, a.send, op.posted_clock);
-                     g.barrier->arrive_and_wait();
-                     double max_bytes = 0.0;
-                     for (int m = 0; m < g.size(); ++m) {
-                       max_bytes = std::max(max_bytes, detail::aux_value(g, m));
-                     }
-                     op.bytes = static_cast<std::int64_t>(max_bytes);
-                     t->move(g, a);
-                     detail::finish_read_phase(g, a.pos, floor, op);
-                     g.barrier->arrive_and_wait();
-                     t->finalize(g, a);
-                   });
-  }
-
   /// Run `fn` on the world group's channel, ordered with this rank's
   /// world-group collectives. No sim time or stats are charged; exceptions
   /// propagate at wait(). Useful for asynchronous host-side staging and for

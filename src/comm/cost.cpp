@@ -73,24 +73,6 @@ std::int64_t wire_bytes(Collective op, std::int64_t bytes, int group_size) {
   return 0;
 }
 
-double dense_aggregation_time(std::int64_t block_bytes, bool scatter, int group_size,
-                              const LinkParams& link, double a2a_distance_penalty) {
-  return collective_time(scatter ? Collective::ReduceScatter : Collective::AllReduce,
-                         block_bytes, group_size, link, a2a_distance_penalty);
-}
-
-double sparse_aggregation_time(std::int64_t block_bytes, std::int64_t max_support_bytes,
-                               bool scatter, int group_size, const LinkParams& link,
-                               double a2a_distance_penalty) {
-  double t = collective_time(Collective::AllToAll, max_support_bytes, group_size, link,
-                             a2a_distance_penalty);
-  if (!scatter) {
-    t += collective_time(Collective::AllGather, block_bytes, group_size, link,
-                         a2a_distance_penalty);
-  }
-  return t;
-}
-
 int choose_pipeline_depth(double block_compute_seconds, double block_ring_seconds,
                           int num_blocks, int max_depth) {
   if (num_blocks <= 1 || block_ring_seconds <= 0.0) return 1;

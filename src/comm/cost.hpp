@@ -46,28 +46,10 @@ const char* collective_name(Collective op);
 /// Bytes that actually cross links for one collective, per the same ring
 /// algorithms `collective_time` charges: all-reduce moves the logical buffer
 /// twice (reduce-scatter + all-gather pass), all-gather / reduce-scatter /
-/// all-to-all move it once, each scaled by the (G-1)/G ring fraction. This is
-/// the honest volume counter for comparing strategies whose *logical* buffer
-/// sizes differ (dense all-reduce vs sparse selective exchange): CommStats
-/// `bytes` counts the logical buffer per call, `wire_bytes` what the links
-/// carried.
+/// all-to-all move it once, each scaled by the (G-1)/G ring fraction.
+/// CommStats `bytes` counts the logical buffer per call, `wire_bytes` what
+/// the links carried.
 std::int64_t wire_bytes(Collective op, std::int64_t bytes, int group_size);
-
-/// Cost-model time to aggregate one block of `block_bytes` dense payload the
-/// dense way: a full all-reduce (hidden-layer aggregation) or, when
-/// `scatter` is set, a reduce-scatter (layer-0 feature-gradient resharding).
-double dense_aggregation_time(std::int64_t block_bytes, bool scatter, int group_size,
-                              const LinkParams& link, double a2a_distance_penalty = 1.0);
-
-/// Cost-model time for the sparse strategy on the same block: a selective
-/// all-to-all-v carrying `max_support_bytes` (the straggler member's packed
-/// support rows) followed, unless `scatter`, by the dense all-gather that
-/// redistributes the reduced chunks. Comparing this against
-/// `dense_aggregation_time` with the *same* link is how the per-layer Auto
-/// chooser and `perf::choose_aggregation` decide dense-vs-sparse.
-double sparse_aggregation_time(std::int64_t block_bytes, std::int64_t max_support_bytes,
-                               bool scatter, int group_size, const LinkParams& link,
-                               double a2a_distance_penalty = 1.0);
 
 /// Perf-model rule for the software-pipeline depth of a blocked aggregation
 /// (paper section 5.2 + the section 4 cost model): given the *fastest*

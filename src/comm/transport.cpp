@@ -78,10 +78,6 @@ class SimTransport final : public Transport {
         return;
       }
       case Collective::AllToAll: {
-        if (a.send_counts != nullptr) {
-          detail::flat_alltoallv_move(g, a, /*rotated=*/false);
-          return;
-        }
         if (nb == 0) return;
         auto* dst = static_cast<unsigned char*>(a.recv);
         for (int m = 0; m < g.size(); ++m) {
@@ -110,37 +106,6 @@ class SimTransport final : public Transport {
 }  // namespace
 
 namespace detail {
-
-void flat_alltoallv_move(GroupShared& g, const CollArgs& a, bool rotated) {
-  const int G = g.size();
-  // Publish my per-destination counts so every peer can locate its chunk
-  // inside my packed send buffer; g.slots[m] already holds member m's send
-  // pointer from the protocol's publish step.
-  g.xfer_slots[static_cast<std::size_t>(a.pos)] = a.send_counts;
-  g.barrier->arrive_and_wait();
-  std::vector<std::int64_t> rdispl(static_cast<std::size_t>(G) + 1, 0);
-  for (int m = 0; m < G; ++m) {
-    rdispl[static_cast<std::size_t>(m) + 1] = rdispl[static_cast<std::size_t>(m)] +
-                                              a.recv_counts[m];
-  }
-  auto* dst = static_cast<unsigned char*>(a.recv);
-  for (int s = 0; s < G; ++s) {
-    const int m = rotated ? (a.pos + s) % G : s;
-    const auto* their_counts =
-        static_cast<const std::int64_t*>(g.xfer_slots[static_cast<std::size_t>(m)]);
-    std::int64_t src_off = 0;
-    for (int j = 0; j < a.pos; ++j) src_off += their_counts[j];
-    const std::int64_t n = their_counts[a.pos];
-    PLEXUS_CHECK(n == a.recv_counts[m], "iall_to_all_v: send/recv counts inconsistent");
-    if (n == 0) continue;  // empty chunk: source pointer may be null, never touch it
-    const auto* src = static_cast<const unsigned char*>(g.slots[static_cast<std::size_t>(m)]) +
-                      static_cast<std::size_t>(src_off) * a.elem;
-    std::memcpy(dst + static_cast<std::size_t>(rdispl[static_cast<std::size_t>(m)]) * a.elem,
-                src, static_cast<std::size_t>(n) * a.elem);
-  }
-  // No trailing barrier: the protocol's completion barrier seals these reads
-  // before any member's next op republishes the slots.
-}
 
 Transport& sim_transport() {
   static SimTransport t;

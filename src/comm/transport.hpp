@@ -125,13 +125,9 @@ constexpr DType dtype_of() {
 /// | AllToAll      | full input  | full output   | per-member chunk        |
 /// | Barrier       | nullptr     | nullptr       | 0                       |
 ///
-/// A flat variable all-to-all (`iall_to_all_v`) is an AllToAll with
-/// `send_counts != nullptr`: `send` holds the payload packed by destination
-/// member (destination chunks in member order, `send_counts[m]` elements
-/// each), `recv` receives chunks packed by source member
-/// (`recv_counts[m]` elements from member m), and `count` is unused (the
-/// counts arrays govern). The counts must be globally consistent:
-/// `recv_counts[m]` here equals member m's `send_counts[my pos]`.
+/// The variable all-to-all (`all_to_all_v`) does not travel as CollArgs
+/// payload fields: in-process backends exchange the per-member vectors
+/// through the group slots, distributed ones go through Transport::alltoallv.
 struct CollArgs {
   Collective kind = Collective::Barrier;
   GroupId gid = 0;  ///< the op's group (sub-communicator key for MPI)
@@ -142,11 +138,6 @@ struct CollArgs {
   std::size_t count = 0;  ///< element count (see table above)
   int root = 0;           ///< broadcast root (group position)
   DType dtype = DType::Bytes;
-  /// Flat variable all-to-all (see table note above): per-destination /
-  /// per-source element counts, each `group size` entries. Null for every
-  /// other collective shape.
-  const std::int64_t* send_counts = nullptr;
-  const std::int64_t* recv_counts = nullptr;
   /// Typed accumulation `acc[i] += src[i]` over `n` elements; null for
   /// non-reducing collectives. Every backend must apply contributions with
   /// this exact function in canonical member order for bitwise conformance.
@@ -313,15 +304,6 @@ inline void assign_chunk(const CollArgs& a, void* acc, const void* src) {
   const std::size_t nb = a.count * a.elem;
   if (nb > 0) std::memcpy(acc, src, nb);
 }
-
-/// Flat variable all-to-all movement shared by the in-process transports
-/// (CollArgs::send_counts != nullptr). Each member publishes its send_counts
-/// through `g.xfer_slots` (one extra barrier), then copies its chunk out of
-/// every source's packed send buffer — in canonical member order (Sim) or the
-/// rotated all-to-all order (Local); the destinations are disjoint, so both
-/// orders produce identical bytes. Zero-length chunks are skipped, never
-/// dereferenced, so empty send lists are safe.
-void flat_alltoallv_move(GroupShared& g, const CollArgs& a, bool rotated);
 
 /// Accessors used by the Local transport ring schedules; exposed for the
 /// conformance tests.

@@ -68,12 +68,6 @@ class LocalTransport final : public Transport {
         return;
       }
       case Collective::AllToAll: {
-        if (a.send_counts != nullptr) {
-          // Flat variable exchange: same rotated read order as the equal-chunk
-          // schedule, chunk geometry from the published counts.
-          detail::flat_alltoallv_move(g, a, /*rotated=*/true);
-          return;
-        }
         if (nb == 0) return;
         auto* dst = static_cast<unsigned char*>(a.recv);
         for (int s = 0; s < G; ++s) {

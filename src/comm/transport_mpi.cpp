@@ -194,47 +194,6 @@ class MpiTransport final : public Transport {
         return;
       }
       case Collective::AllToAll: {
-        if (a.send_counts != nullptr) {
-          // Flat variable all-to-all: the caller owns the count exchange, so
-          // both sides are known here — just size-check and post.
-          std::vector<int> scounts(static_cast<std::size_t>(G)),
-              sdispls(static_cast<std::size_t>(G));
-          std::vector<int> rcounts(static_cast<std::size_t>(G)),
-              rdispls(static_cast<std::size_t>(G));
-          std::int64_t soff = 0, roff = 0, my_send = 0;
-          for (int m = 0; m < G; ++m) {
-            const std::int64_t sb = a.send_counts[m] * static_cast<std::int64_t>(a.elem);
-            const std::int64_t rb = a.recv_counts[m] * static_cast<std::int64_t>(a.elem);
-            scounts[static_cast<std::size_t>(m)] = static_cast<int>(sb);
-            rcounts[static_cast<std::size_t>(m)] = static_cast<int>(rb);
-            sdispls[static_cast<std::size_t>(m)] = static_cast<int>(soff);
-            rdispls[static_cast<std::size_t>(m)] = static_cast<int>(roff);
-            soff += sb;
-            roff += rb;
-            my_send += sb;
-          }
-          PLEXUS_CHECK(soff <= std::numeric_limits<int>::max() &&
-                           roff <= std::numeric_limits<int>::max(),
-                       "MPI transport: iall_to_all_v payload exceeds MPI int counts");
-          const double max_posted = clock_sync(comm, op, my_send);
-          mpi_check(MPI_Ialltoallv(nn(a.send), scounts.data(), sdispls.data(), MPI_BYTE,
-                                   nn(a.recv), rcounts.data(), rdispls.data(), MPI_BYTE,
-                                   comm, &req),
-                    "MPI_Ialltoallv");
-          mpi_check(MPI_Wait(&req, MPI_STATUS_IGNORE), "MPI_Wait");
-          // The straggler defines the exchange: cost the maximum per-member
-          // total send volume, like the in-process protocol's aux exchange.
-          // Clocked ops already exchanged it through the fused allreduce.
-          if (!op.clocked) {
-            std::int64_t max_total = my_send;
-            mpi_check(
-                MPI_Allreduce(MPI_IN_PLACE, &max_total, 1, MPI_INT64_T, MPI_MAX, comm),
-                "MPI_Allreduce(max bytes)");
-            op.bytes = max_total;
-          }
-          finish(g, op, max_posted);
-          return;
-        }
         const double max_posted = clock_sync(comm, op, op.bytes);
         counts_.assign(static_cast<std::size_t>(G), nb);
         displs_.resize(static_cast<std::size_t>(G));

@@ -1,14 +1,9 @@
 #include "core/layer.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <span>
-#include <string>
-#include <utility>
 
 #include "core/shard_stream.hpp"
 #include "dense/gemm.hpp"
@@ -42,28 +37,6 @@ void drain_pipeline(std::deque<comm::CommHandle>& inflight) {
 }
 
 }  // namespace
-
-const char* aggregation_name(Aggregation a) { return util::enum_name(a); }
-
-bool aggregation_from_string(std::string_view s, Aggregation& out) {
-  return util::enum_from_string(s, out);
-}
-
-Aggregation default_aggregation() {
-  const char* s = std::getenv("PLEXUS_AGG");
-  if (s == nullptr || *s == '\0') return Aggregation::Dense;
-  Aggregation a = Aggregation::Dense;
-  if (!aggregation_from_string(s, a)) return Aggregation::Dense;  // malformed: default
-  return a;
-}
-
-std::optional<Aggregation> env_aggregation() {
-  const char* s = std::getenv("PLEXUS_AGG");
-  if (s == nullptr || *s == '\0') return std::nullopt;
-  Aggregation a = Aggregation::Dense;
-  if (!aggregation_from_string(s, a)) return std::nullopt;  // malformed: inherit
-  return a;
-}
 
 DistGcnLayer::DistGcnLayer(std::int64_t padded_nodes, const Grid3D& grid, int rank,
                            int layer_index, int num_layers, std::int64_t in_dim_padded,
@@ -104,10 +77,6 @@ DistGcnLayer::DistGcnLayer(std::int64_t padded_nodes, const Grid3D& grid, int ra
                  "layer needs an adjacency shard or a stream plan");
     PLEXUS_CHECK(splan_->rows.size() == rows_r_ && splan_->cols.size() == rows_p_,
                  "stream plan does not match layer roles");
-    // The selective exchange plans from the resident nnz structure, which a
-    // streamed shard does not have — the model forces Dense when streaming.
-    PLEXUS_CHECK(opts_.aggregation == Aggregation::Dense,
-                 "streaming epochs require dense aggregation");
   }
 
   // W block (rows = Q slice of Din, cols = P slice of Dout), flat 1/R slice.
@@ -143,40 +112,6 @@ dense::Matrix DistGcnLayer::gather_weight_block(sim::RankContext& ctx) {
   return gathered_weights(ctx);
 }
 
-int DistGcnLayer::resolve_depth(sim::RankContext& ctx, const sparse::Csr& a,
-                                const std::vector<std::int64_t>& bounds,
-                                std::int64_t dense_rows, comm::GroupId gid,
-                                comm::Collective op, int* cache) {
-  if (opts_.pipeline_depth > 0) return opts_.pipeline_depth;
-  if (*cache > 0) return *cache;
-  // Adaptive (pipeline_depth == 0): pick the depth from the exact per-block
-  // costs — the fastest block's noise-free SpMM time (noise only slows blocks
-  // down, so this lower-bounds the hiding window) against the largest block's
-  // ring time on this group's links.
-  const int nb = static_cast<int>(bounds.size()) - 1;
-  double t_spmm_min = 0.0;
-  std::int64_t max_rows = 0;
-  bool any = false;
-  for (int k = 0; k < nb; ++k) {
-    const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-    const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-    if (b0 == b1) continue;
-    const sim::SpmmShape shape{a.range_nnz(b0, b1), b1 - b0, dense_rows, din_q_};
-    const double t = sim::spmm_time(*ctx.machine, shape);
-    t_spmm_min = any ? std::min(t_spmm_min, t) : t;
-    max_rows = std::max(max_rows, b1 - b0);
-    any = true;
-  }
-  const auto& g = ctx.comm.world().group(gid);
-  // Price what the links actually carry: bf16 wire halves the per-element
-  // volume, shrinking the hiding window and therefore the adaptive depth.
-  const auto eb = static_cast<std::int64_t>(ctx.comm.wire_float_bytes());
-  const double t_ring = comm::collective_time(op, eb * max_rows * din_q_, g.size(), g.link,
-                                              g.a2a_distance_penalty);
-  *cache = comm::choose_pipeline_depth(t_spmm_min, t_ring, nb);
-  return *cache;
-}
-
 namespace {
 
 /// Largest block length and nonempty block count of a bounds vector.
@@ -194,44 +129,65 @@ void bounds_shape(const std::vector<std::int64_t>& bounds, std::int64_t* max_row
 
 }  // namespace
 
-int DistGcnLayer::resolve_depth_streamed(sim::RankContext& ctx,
-                                         const std::vector<std::int64_t>& bounds,
-                                         std::int64_t dense_rows, comm::GroupId gid,
-                                         comm::Collective op, int* cache) {
+int DistGcnLayer::resolve_depth(sim::RankContext& ctx, const AggPass& pass) {
   if (opts_.pipeline_depth > 0) return opts_.pipeline_depth;
-  if (*cache > 0) return *cache;
-  const int nb = static_cast<int>(bounds.size()) - 1;
+  if (*pass.depth > 0) return *pass.depth;
+  // Adaptive (pipeline_depth == 0): the per-block SpMM time against the
+  // largest block's ring time on this group's links.
+  const int nb = static_cast<int>(pass.bounds.size()) - 1;
+  const std::int64_t dense_rows = pass.in.rows();
   std::int64_t max_rows = 0;
   int nonempty = 0;
-  bounds_shape(bounds, &max_rows, &nonempty);
-  const std::int64_t est_nnz =
-      std::max<std::int64_t>(1, splan_->est_nnz / std::max(1, nonempty));
-  const sim::SpmmShape shape{est_nnz, std::max<std::int64_t>(1, max_rows), dense_rows, din_q_};
-  const double t_spmm = sim::spmm_time(*ctx.machine, shape);
-  const auto& g = ctx.comm.world().group(gid);
+  bounds_shape(pass.bounds, &max_rows, &nonempty);
+  double t_spmm = 0.0;
+  if (pass.a != nullptr) {
+    // Resident: the fastest block's exact noise-free SpMM time (noise only
+    // slows blocks down, so this lower-bounds the hiding window).
+    bool any = false;
+    for (int k = 0; k < nb; ++k) {
+      const std::int64_t b0 = pass.bounds[static_cast<std::size_t>(k)];
+      const std::int64_t b1 = pass.bounds[static_cast<std::size_t>(k) + 1];
+      if (b0 == b1) continue;
+      const sim::SpmmShape shape{pass.a->range_nnz(b0, b1), b1 - b0, dense_rows, din_q_};
+      const double t = sim::spmm_time(*ctx.machine, shape);
+      t_spmm = any ? std::min(t_spmm, t) : t;
+      any = true;
+    }
+  } else {
+    // Streamed: the shard is not resident, so price the stream plan's
+    // uniform nnz estimate.
+    const std::int64_t est_nnz =
+        std::max<std::int64_t>(1, splan_->est_nnz / std::max(1, nonempty));
+    const sim::SpmmShape shape{est_nnz, std::max<std::int64_t>(1, max_rows), dense_rows, din_q_};
+    t_spmm = sim::spmm_time(*ctx.machine, shape);
+  }
+  const auto& g = ctx.comm.world().group(pass.gid);
+  // Price what the links actually carry: bf16 wire halves the per-element
+  // volume, shrinking the hiding window and therefore the adaptive depth.
   const auto eb = static_cast<std::int64_t>(ctx.comm.wire_float_bytes());
+  const auto op =
+      pass.scatter.empty() ? comm::Collective::AllReduce : comm::Collective::ReduceScatter;
   const double t_ring = comm::collective_time(op, eb * max_rows * din_q_, g.size(), g.link,
                                               g.a2a_distance_penalty);
-  *cache = comm::choose_pipeline_depth(t_spmm, t_ring, nb);
-  return *cache;
+  *pass.depth = comm::choose_pipeline_depth(t_spmm, t_ring, nb);
+  return *pass.depth;
 }
 
-int DistGcnLayer::resolve_prefetch_depth(sim::RankContext& ctx,
-                                         const std::vector<std::int64_t>& bounds,
-                                         std::int64_t dense_rows, int* cache) {
-  const int nb = static_cast<int>(bounds.size()) - 1;
+int DistGcnLayer::resolve_prefetch_depth(sim::RankContext& ctx, const AggPass& pass) {
+  const int nb = static_cast<int>(pass.bounds.size()) - 1;
   if (opts_.prefetch_depth > 0) return std::clamp(opts_.prefetch_depth, 1, std::max(1, nb));
-  if (*cache > 0) return *cache;
+  if (*pass.io_depth > 0) return *pass.io_depth;
   std::int64_t max_rows = 0;
   int nonempty = 0;
-  bounds_shape(bounds, &max_rows, &nonempty);
+  bounds_shape(pass.bounds, &max_rows, &nonempty);
   const std::int64_t est_nnz =
       std::max<std::int64_t>(1, splan_->est_nnz / std::max(1, nonempty));
   // On-disk bytes of one block window: col idx (i32) + value (f32) per
   // nonzero, plus the row-pointer run.
   const std::int64_t block_bytes = est_nnz * 8 + (max_rows + 1) * 8;
   const double t_disk = static_cast<double>(block_bytes) / ctx.machine->disk_bw;
-  const sim::SpmmShape shape{est_nnz, std::max<std::int64_t>(1, max_rows), dense_rows, din_q_};
+  const sim::SpmmShape shape{est_nnz, std::max<std::int64_t>(1, max_rows), pass.in.rows(),
+                             din_q_};
   const double t_spmm = sim::spmm_time(*ctx.machine, shape);
   std::int64_t depth = comm::choose_pipeline_depth(t_spmm, t_disk, nb);
   if (opts_.rss_budget_bytes >= 0) {
@@ -239,145 +195,88 @@ int DistGcnLayer::resolve_prefetch_depth(sim::RankContext& ctx,
     // prefetch window itself must fit the budget.
     depth = std::min(depth, std::max<std::int64_t>(1, opts_.rss_budget_bytes / block_bytes));
   }
-  *cache = std::clamp(static_cast<int>(depth), 1, std::max(1, nb));
-  return *cache;
+  *pass.io_depth = std::clamp(static_cast<int>(depth), 1, std::max(1, nb));
+  return *pass.io_depth;
 }
 
-void DistGcnLayer::build_sparse_plan(sim::RankContext& ctx, SparsePlan& plan,
-                                     const sparse::Csr& a, std::int64_t rows,
-                                     std::int64_t dense_rows, int G, comm::GroupId gid,
-                                     bool scatter) {
-  plan.built = true;
-  plan.sparse = false;
-  plan.scatter = scatter;
-  plan.blocks.clear();
-  if (G <= 1) return;  // nothing to exchange: dense fallback
-  const int nb = std::max(1, opts_.agg_row_blocks);
-  PLEXUS_CHECK(rows % G == 0, "sparse aggregation: rows not padded to the group");
-  plan.bounds = sparse::block_bounds_aligned(rows, nb, G);
-  const int nblk = static_cast<int>(plan.bounds.size()) - 1;
+void DistGcnLayer::aggregate(sim::RankContext& ctx, const AggPass& pass, KernelTimers& timers) {
+  const auto& bounds = pass.bounds;
+  const int nb = static_cast<int>(bounds.size()) - 1;
+  const int depth = resolve_depth(ctx, pass);
 
-  // Support scan: which rows of each block my CSR shard actually touches.
-  std::vector<std::vector<std::int32_t>> support(static_cast<std::size_t>(nblk));
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(nblk), 0);
-  for (int k = 0; k < nblk; ++k) {
-    const std::int64_t b0 = plan.bounds[static_cast<std::size_t>(k)];
-    const std::int64_t b1 = plan.bounds[static_cast<std::size_t>(k) + 1];
-    auto& s = support[static_cast<std::size_t>(k)];
-    for (std::int64_t r = b0; r < b1; ++r) {
-      if (a.row_nnz(r) > 0) s.push_back(static_cast<std::int32_t>(r - b0));
-    }
-    counts[static_cast<std::size_t>(k)] = static_cast<std::int64_t>(s.size());
-  }
-
-  // Gather every member's per-block support counts: the shared input for the
-  // dense-vs-sparse decision (and the straggler term of the cost model), so
-  // every member decides identically.
-  std::vector<std::int64_t> all_counts(static_cast<std::size_t>(nblk) * static_cast<std::size_t>(G));
-  ctx.comm.all_gather<std::int64_t>(gid, counts, all_counts);
-
-  const auto& g = ctx.comm.world().group(gid);
-  // Feature payloads are priced at their wire width (fp32 or bf16): the
-  // dense-vs-sparse choice must compare what the links would really carry.
-  const auto wire_eb = static_cast<std::int64_t>(ctx.comm.wire_float_bytes());
-  double t_dense = 0.0, t_sparse = 0.0;
-  std::int64_t max_support = 0, max_blk_rows = 0;
-  int nonempty = 0;
-  for (int k = 0; k < nblk; ++k) {
-    const std::int64_t blk_rows =
-        plan.bounds[static_cast<std::size_t>(k) + 1] - plan.bounds[static_cast<std::size_t>(k)];
-    if (blk_rows == 0) continue;
-    ++nonempty;
-    std::int64_t s_max = 0;
-    for (int m = 0; m < G; ++m) {
-      s_max = std::max(s_max, all_counts[static_cast<std::size_t>(m) *
-                                             static_cast<std::size_t>(nblk) +
-                                         static_cast<std::size_t>(k)]);
-    }
-    const std::int64_t dense_bytes = blk_rows * din_q_ * wire_eb;
-    const std::int64_t support_bytes = s_max * din_q_ * wire_eb;
-    t_dense += comm::dense_aggregation_time(dense_bytes, scatter, G, g.link,
-                                            g.a2a_distance_penalty);
-    t_sparse += comm::sparse_aggregation_time(dense_bytes, support_bytes, scatter, G, g.link,
-                                              g.a2a_distance_penalty);
-    max_support = std::max(max_support, s_max);
-    max_blk_rows = std::max(max_blk_rows, blk_rows);
-  }
-  if (nonempty == 0) return;
-  if (opts_.aggregation == Aggregation::Auto && t_sparse >= t_dense) return;
-  plan.sparse = true;
-
-  // Group-uniform pipeline depth: the sparse loop interleaves two collective
-  // stages on one group, so unlike the dense path every member must post the
-  // same op sequence — resolve the adaptive choice to the group max.
-  int depth = opts_.pipeline_depth;
-  if (depth <= 0) {
-    double t_spmm_min = 0.0;
-    bool any = false;
-    for (int k = 0; k < nblk; ++k) {
-      const std::int64_t b0 = plan.bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = plan.bounds[static_cast<std::size_t>(k) + 1];
+  // Streamed source: block loads are posted as IO handles into their own
+  // pipeline deque, so disk reads (and any cache misses behind them) overlap
+  // earlier blocks' SpMMs exactly like the per-block collectives do. Only the
+  // wait that compute could not cover lands in timers.io_exposed.
+  std::deque<std::future<BlockLoad>> loads;
+  int next = 0;
+  const int pf = pass.a == nullptr ? resolve_prefetch_depth(ctx, pass) : 0;
+  const auto fill = [&] {
+    while (static_cast<int>(loads.size()) < pf && next < nb) {
+      const int k = next++;
+      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
+      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
       if (b0 == b1) continue;
-      const sim::SpmmShape shape{a.range_nnz(b0, b1), b1 - b0, dense_rows, din_q_};
-      const double t = sim::spmm_time(*ctx.machine, shape);
-      t_spmm_min = any ? std::min(t_spmm_min, t) : t;
-      any = true;
+      // Rows [b0, b1) of A^T are the column window [b0, b1) of A; the IO
+      // worker transposes it (same canonical source-row order as the
+      // resident transpose), so the counting sort hides behind compute too.
+      loads.push_back(pass.transpose
+                          ? stream_->post(splan_->version, splan_->rows.begin, splan_->rows.end,
+                                          splan_->cols.begin + b0, splan_->cols.begin + b1,
+                                          /*transpose=*/true)
+                          : stream_->post(splan_->version, splan_->rows.begin + b0,
+                                          splan_->rows.begin + b1, splan_->cols.begin,
+                                          splan_->cols.end, /*transpose=*/false));
     }
-    const double t_ring = comm::sparse_aggregation_time(
-        max_blk_rows * din_q_ * wire_eb, max_support * din_q_ * wire_eb, scatter, G, g.link,
-        g.a2a_distance_penalty);
-    const int local = comm::choose_pipeline_depth(t_spmm_min, t_ring, nonempty);
-    depth = static_cast<int>(ctx.comm.all_reduce_max_scalar(gid, static_cast<double>(local)));
-  }
-  plan.depth = std::max(1, depth);
+  };
+  fill();
 
-  // Per-block row-list exchange + persistent staging. Each block's rows are
-  // split into G equal chunks, chunk c owned by member c; the ascending
-  // support list is naturally packed by destination chunk.
-  plan.blocks.resize(static_cast<std::size_t>(nblk));
-  for (int k = 0; k < nblk; ++k) {
-    auto& blk = plan.blocks[static_cast<std::size_t>(k)];
-    blk.b0 = plan.bounds[static_cast<std::size_t>(k)];
-    blk.b1 = plan.bounds[static_cast<std::size_t>(k) + 1];
-    if (blk.b0 == blk.b1) continue;
-    const std::int64_t cr = (blk.b1 - blk.b0) / G;  // chunk rows
-    blk.send_rows = std::move(support[static_cast<std::size_t>(k)]);
-    std::vector<std::vector<std::int32_t>> to_owner(static_cast<std::size_t>(G));
-    for (const auto r : blk.send_rows) {
-      const auto c = static_cast<std::size_t>(r / cr);
-      to_owner[c].push_back(static_cast<std::int32_t>(r - static_cast<std::int64_t>(c) * cr));
+  std::deque<comm::CommHandle> inflight;
+  for (int k = 0; k < nb; ++k) {
+    const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
+    const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
+    if (b0 == b1) continue;  // bounds are grid-derived, identical on all members
+    std::int64_t nnz = 0;
+    if (pass.a != nullptr) {
+      sparse::spmm_rows(*pass.a, pass.in, pass.out, b0, b1);
+      nnz = pass.a->range_nnz(b0, b1);
+    } else {
+      util::WallTimer io_timer;
+      BlockLoad bl = loads.front().get();
+      timers.io_exposed += io_timer.seconds();
+      timers.io_bytes += bl.bytes_read;
+      loads.pop_front();
+      fill();  // repost before computing, so the IO worker never idles
+      sparse::spmm_into_rows(bl.csr, pass.in, pass.out, b0);
+      nnz = bl.csr.nnz();  // == range_nnz of the assembled shard
     }
-    ctx.comm.all_to_all_v<std::int32_t>(gid, to_owner, blk.src_rows);
-    blk.send_counts.resize(static_cast<std::size_t>(G));
-    blk.recv_counts.resize(static_cast<std::size_t>(G));
-    std::int64_t recv_total = 0;
-    for (int m = 0; m < G; ++m) {
-      blk.send_counts[static_cast<std::size_t>(m)] =
-          static_cast<std::int64_t>(to_owner[static_cast<std::size_t>(m)].size()) * din_q_;
-      blk.recv_counts[static_cast<std::size_t>(m)] =
-          static_cast<std::int64_t>(blk.src_rows[static_cast<std::size_t>(m)].size()) * din_q_;
-      recv_total += blk.recv_counts[static_cast<std::size_t>(m)];
+    // Both sources charge the block's own nnz, so the sim cost — noise seed
+    // included — is identical whether the shard is resident or streamed.
+    const sim::SpmmShape shape{nnz, b1 - b0, pass.in.rows(), din_q_};
+    double t = sim::spmm_time(*ctx.machine, shape);
+    if (pass.noise_seed.has_value()) {
+      const std::uint64_t seed = util::hash_combine(
+          *pass.noise_seed,
+          util::hash_combine(static_cast<std::uint64_t>(layer_),
+                             util::hash_combine(static_cast<std::uint64_t>(ctx.rank()),
+                                                static_cast<std::uint64_t>(k))));
+      t *= sim::spmm_noise_factor(*ctx.machine, shape, seed);
     }
-    blk.send_buf.resize(blk.send_rows.size() * static_cast<std::size_t>(din_q_));
-    blk.recv_buf.resize(static_cast<std::size_t>(recv_total));
-    if (!scatter) blk.chunk_buf.resize(static_cast<std::size_t>(cr * din_q_));
+    ctx.comm.charge_compute(t);
+    timers.spmm += t;
+    std::span<float> rows{pass.out.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
+    if (!pass.scatter.empty()) {
+      std::span<float> out =
+          pass.scatter.subspan(static_cast<std::size_t>(b0 / ext_r_ * din_q_),
+                               rows.size() / static_cast<std::size_t>(ext_r_));
+      inflight.push_back(
+          ctx.comm.ireduce_scatter_sum<float>(pass.gid, std::span<const float>(rows), out));
+    } else {
+      inflight.push_back(ctx.comm.iall_reduce_sum<float>(pass.gid, rows));
+    }
+    trim_pipeline(inflight, depth);
   }
-}
-
-void DistGcnLayer::fold_sparse_chunk(const SparseBlockPlan& blk, std::span<float> out) const {
-  // Zero-prefill, then accumulate every contribution in canonical member
-  // order — per element the same left-fold over (mostly +0.0) partials the
-  // dense transports apply, so the reduced values match the dense collectives
-  // bitwise.
-  std::fill(out.begin(), out.end(), 0.0f);
-  const float* src = blk.recv_buf.data();
-  for (const auto& rows : blk.src_rows) {
-    for (const auto r : rows) {
-      float* dst = out.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(din_q_);
-      for (std::int64_t d = 0; d < din_q_; ++d) dst[d] += src[d];
-      src += din_q_;
-    }
-  }
+  drain_pipeline(inflight);
 }
 
 dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
@@ -396,134 +295,20 @@ dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& 
   // the aggregation and retired just before the combination GEMM: on the sim
   // timeline it hides behind the SpMM blocks instead of charging full latency.
   h_ = dense::Matrix(rows_r_, din_q_);
-  const int nb = std::max(1, opts_.agg_row_blocks);
-
   dense::Matrix w_block;
   comm::CommHandle w_gather = igathered_weights(ctx, w_block);
-
-  // Sparse selective aggregation (lazily planned; Auto may fall back to
-  // dense). The plan build runs its own collectives, so it happens here — in
-  // SPMD lockstep at every member's first forward.
-  if (opts_.aggregation != Aggregation::Dense && !fwd_sparse_.built) {
-    build_sparse_plan(ctx, fwd_sparse_, adj_->a, rows_r_, rows_p_, ext_p_, p_group_,
-                      /*scatter=*/false);
-  }
-  const bool sparse_agg = opts_.aggregation != Aggregation::Dense && fwd_sparse_.sparse;
-
-  // The streamed path charges the block's own nnz (== range_nnz of the
-  // assembled shard), so the sim cost — noise seed included — is identical
-  // to the resident path's.
-  auto charge_spmm_block = [&](std::int64_t nnz, std::int64_t b0, std::int64_t b1, int k) {
-    const sim::SpmmShape shape{nnz, b1 - b0, rows_p_, din_q_};
-    const std::uint64_t noise_seed = util::hash_combine(
-        epoch_seed, util::hash_combine(static_cast<std::uint64_t>(layer_),
-                                       util::hash_combine(static_cast<std::uint64_t>(ctx.rank()),
-                                                          static_cast<std::uint64_t>(k))));
-    const double t_block = sim::spmm_time(m, shape) * sim::spmm_noise_factor(m, shape, noise_seed);
-    ctx.comm.charge_compute(t_block);
-    timers.spmm += t_block;
-  };
-
-  if (stream_ != nullptr) {
-    // Out-of-core aggregation (the streaming epoch): block loads are posted
-    // as IO handles into their own pipeline deque, so disk reads (and any
-    // cache misses behind them) overlap earlier blocks' SpMMs exactly like
-    // the per-block collectives do. Only the wait that compute could not
-    // cover lands in timers.io_exposed.
-    const auto bounds = sparse::block_bounds(rows_r_, nb);
-    const int depth = resolve_depth_streamed(ctx, bounds, rows_p_, p_group_,
-                                             comm::Collective::AllReduce, &fwd_depth_);
-    const int pf = resolve_prefetch_depth(ctx, bounds, rows_p_, &fwd_io_depth_);
-    std::deque<std::pair<std::future<BlockLoad>, int>> loads;
-    int next = 0;
-    auto fill = [&] {
-      while (static_cast<int>(loads.size()) < pf && next < nb) {
-        const int k = next++;
-        const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-        const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-        if (b0 == b1) continue;
-        loads.emplace_back(stream_->post(splan_->version, splan_->rows.begin + b0,
-                                         splan_->rows.begin + b1, splan_->cols.begin,
-                                         splan_->cols.end, /*transpose=*/false),
-                           k);
-      }
-    };
-    fill();
-    std::deque<comm::CommHandle> inflight;
-    while (!loads.empty()) {
-      const int k = loads.front().second;
-      util::WallTimer io_timer;
-      BlockLoad bl = loads.front().first.get();
-      timers.io_exposed += io_timer.seconds();
-      timers.io_bytes += bl.bytes_read;
-      loads.pop_front();
-      fill();  // repost before computing, so the IO worker never idles
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      sparse::spmm_into_rows(bl.csr, f_in, h_, b0);
-      charge_spmm_block(bl.csr.nnz(), b0, b1, k);
-      std::span<float> rows{h_.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-      inflight.push_back(ctx.comm.iall_reduce_sum<float>(p_group_, rows));
-      trim_pipeline(inflight, depth);
-    }
-    drain_pipeline(inflight);
-  } else if (sparse_agg) {
-    // Per block: SpMM, pack the support rows, sparse all-to-all to the chunk
-    // owners; on retire, fold the received contributions into the reduced
-    // chunk and re-gather the equal chunks with a dense all-gather. Two
-    // pipelined stages, both trimmed to the plan's group-uniform depth.
-    const auto& bounds = fwd_sparse_.bounds;
-    const int nblk = static_cast<int>(bounds.size()) - 1;
-    std::deque<std::pair<comm::CommHandle, int>> exchange;
-    std::deque<comm::CommHandle> gathers;
-    auto advance_exchange = [&]() {
-      exchange.front().first.wait();
-      auto& blk = fwd_sparse_.blocks[static_cast<std::size_t>(exchange.front().second)];
-      fold_sparse_chunk(blk, blk.chunk_buf);
-      std::span<float> rows{h_.row(blk.b0), static_cast<std::size_t>((blk.b1 - blk.b0) * din_q_)};
-      gathers.push_back(ctx.comm.iall_gather<float>(
-          p_group_, std::span<const float>(blk.chunk_buf), rows));
-      exchange.pop_front();
-    };
-    for (int k = 0; k < nblk; ++k) {
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (b0 == b1) continue;  // bounds are grid-derived, identical on all members
-      sparse::spmm_rows(adj_->a, f_in, h_, b0, b1);
-      charge_spmm_block(adj_->a.range_nnz(b0, b1), b0, b1, k);
-      auto& blk = fwd_sparse_.blocks[static_cast<std::size_t>(k)];
-      float* sp = blk.send_buf.data();
-      for (const auto r : blk.send_rows) {
-        std::memcpy(sp, h_.row(b0 + r), static_cast<std::size_t>(din_q_) * sizeof(float));
-        sp += din_q_;
-      }
-      exchange.emplace_back(
-          ctx.comm.iall_to_all_v<float>(p_group_, std::span<const float>(blk.send_buf),
-                                        blk.send_counts.data(), std::span<float>(blk.recv_buf),
-                                        blk.recv_counts.data()),
-          k);
-      while (static_cast<int>(exchange.size()) >= fwd_sparse_.depth) advance_exchange();
-      trim_pipeline(gathers, fwd_sparse_.depth);
-    }
-    while (!exchange.empty()) advance_exchange();
-    drain_pipeline(gathers);
-  } else {
-    const auto bounds = sparse::block_bounds(rows_r_, nb);
-    const int depth = resolve_depth(ctx, adj_->a, bounds, rows_p_, p_group_,
-                                    comm::Collective::AllReduce, &fwd_depth_);
-    std::deque<comm::CommHandle> inflight;
-    for (int k = 0; k < nb; ++k) {
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (b0 == b1) continue;  // bounds are grid-derived, identical on all members
-      sparse::spmm_rows(adj_->a, f_in, h_, b0, b1);
-      charge_spmm_block(adj_->a.range_nnz(b0, b1), b0, b1, k);
-      std::span<float> rows{h_.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-      inflight.push_back(ctx.comm.iall_reduce_sum<float>(p_group_, rows));
-      trim_pipeline(inflight, depth);
-    }
-    drain_pipeline(inflight);
-  }
+  aggregate(ctx,
+            {.a = adj_ != nullptr ? &adj_->a : nullptr,
+             .transpose = false,
+             .in = f_in,
+             .out = h_,
+             .bounds = sparse::block_bounds(rows_r_, std::max(1, opts_.agg_row_blocks)),
+             .gid = p_group_,
+             .scatter = {},
+             .noise_seed = epoch_seed,
+             .depth = &fwd_depth_,
+             .io_depth = &fwd_io_depth_},
+            timers);
 
   // ---- Step 2: combination Q = SGEMM(H, W), all-reduced over the Q group.
   w_gather.wait();
@@ -544,7 +329,7 @@ dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& 
 }
 
 dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix& df_out,
-                                     bool last, KernelTimers& timers, FinalReduce final_reduce,
+                                     bool last, KernelTimers& timers,
                                      std::span<float> grad_slice) {
   PLEXUS_CHECK(df_out.rows() == rows_r_ && df_out.cols() == dout_p_, "backward input shape");
   const sim::Machine& m = *ctx.machine;
@@ -598,179 +383,28 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
   // dF = SpMM(A^T, dH) (eq. 2.7), blocked over output rows — the backward
   // mirror of section 5.2. The final R-group collective pipelines behind the
   // next block's SpMM: per-block all-reduces for the hidden layers, or (layer
-  // 0 with trainable features) per-block reduce-scatters whose R-aligned row
-  // blocks land directly on the caller's resharded flat gradient slice.
+  // 0) per-block reduce-scatters whose R-aligned row blocks land directly on
+  // the caller's resharded flat gradient slice.
   dense::Matrix df_in(rows_p_, din_q_);
   const int nb = std::max(1, opts_.agg_row_blocks);
-  const bool scatter = final_reduce == FinalReduce::ReduceScatter;
+  const bool scatter = layer_ == 0;
   if (scatter) {
-    PLEXUS_CHECK(grad_slice.size() ==
-                     static_cast<std::size_t>(rows_p_ / ext_r_ * din_q_),
+    PLEXUS_CHECK(grad_slice.size() == static_cast<std::size_t>(rows_p_ / ext_r_ * din_q_),
                  "backward: grad_slice does not match the resharded feature slice");
   }
-
-  // Sparse selective aggregation for the reducing directions (None has no
-  // collective to sparsify). Lazily planned like the forward direction;
-  // rebuilt if the caller switches the final-reduce shape.
-  bool sparse_agg = false;
-  if (final_reduce != FinalReduce::None && opts_.aggregation != Aggregation::Dense) {
-    if (!bwd_sparse_.built || bwd_sparse_.scatter != scatter) {
-      build_sparse_plan(ctx, bwd_sparse_, adj_->a_t, rows_p_, rows_r_, ext_r_, r_group_,
-                        scatter);
-    }
-    sparse_agg = bwd_sparse_.sparse;
-  }
-
-  auto charge_spmm_block = [&](std::int64_t nnz, std::int64_t b0, std::int64_t b1) {
-    const sim::SpmmShape shape{nnz, b1 - b0, rows_r_, din_q_};
-    const double t = sim::spmm_time(m, shape);
-    ctx.comm.charge_compute(t);
-    timers.spmm += t;
-  };
-
-  if (stream_ != nullptr) {
-    // Streamed dF: rows [b0, b1) of A^T are the column window [b0, b1) of A,
-    // so the stream loads that window and transposes it on the IO worker —
-    // the counting sort hides behind compute too. Bitwise-identical to rows
-    // [b0, b1) of the resident transpose (same canonical source-row order).
-    const auto bounds = scatter ? sparse::block_bounds_aligned(rows_p_, nb, ext_r_)
-                                : sparse::block_bounds(rows_p_, nb);
-    const int depth =
-        final_reduce == FinalReduce::None
-            ? 1
-            : resolve_depth_streamed(ctx, bounds, rows_r_, r_group_,
-                                     scatter ? comm::Collective::ReduceScatter
-                                             : comm::Collective::AllReduce,
-                                     &bwd_depth_);
-    const int pf = resolve_prefetch_depth(ctx, bounds, rows_r_, &bwd_io_depth_);
-    std::deque<std::pair<std::future<BlockLoad>, int>> loads;
-    int next = 0;
-    auto fill = [&] {
-      while (static_cast<int>(loads.size()) < pf && next < nb) {
-        const int k = next++;
-        const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-        const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-        if (b0 == b1) continue;
-        loads.emplace_back(stream_->post(splan_->version, splan_->rows.begin,
-                                         splan_->rows.end, splan_->cols.begin + b0,
-                                         splan_->cols.begin + b1, /*transpose=*/true),
-                           k);
-      }
-    };
-    fill();
-    std::deque<comm::CommHandle> inflight;
-    while (!loads.empty()) {
-      const int k = loads.front().second;
-      util::WallTimer io_timer;
-      BlockLoad bl = loads.front().first.get();
-      timers.io_exposed += io_timer.seconds();
-      timers.io_bytes += bl.bytes_read;
-      loads.pop_front();
-      fill();
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      sparse::spmm_into_rows(bl.csr, dh, df_in, b0);
-      charge_spmm_block(bl.csr.nnz(), b0, b1);
-      std::span<const float> rows{df_in.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-      if (final_reduce == FinalReduce::AllReduce) {
-        std::span<float> inout{df_in.row(b0), rows.size()};
-        inflight.push_back(ctx.comm.iall_reduce_sum<float>(r_group_, inout));
-        trim_pipeline(inflight, depth);
-      } else if (scatter) {
-        std::span<float> out =
-            grad_slice.subspan(static_cast<std::size_t>(b0 / ext_r_ * din_q_),
-                               rows.size() / static_cast<std::size_t>(ext_r_));
-        inflight.push_back(ctx.comm.ireduce_scatter_sum<float>(r_group_, rows, out));
-        trim_pipeline(inflight, depth);
-      }
-    }
-    drain_pipeline(inflight);
-    if (scatter) return {};
-    return df_in;
-  }
-
-  if (sparse_agg) {
-    // Mirror of the forward sparse pipeline over the R group: SpMM, pack,
-    // sparse all-to-all; on retire, fold into the reduced chunk. Hidden
-    // layers re-gather the chunks into df_in; layer 0 folds directly onto
-    // the caller's grad-slice chunk (the reduce-scatter's destination).
-    const auto& bounds = bwd_sparse_.bounds;
-    const int nblk = static_cast<int>(bounds.size()) - 1;
-    std::deque<std::pair<comm::CommHandle, int>> exchange;
-    std::deque<comm::CommHandle> gathers;
-    auto advance_exchange = [&]() {
-      exchange.front().first.wait();
-      auto& blk = bwd_sparse_.blocks[static_cast<std::size_t>(exchange.front().second)];
-      if (scatter) {
-        const std::int64_t cr = (blk.b1 - blk.b0) / ext_r_;
-        fold_sparse_chunk(blk,
-                          grad_slice.subspan(static_cast<std::size_t>(blk.b0 / ext_r_ * din_q_),
-                                             static_cast<std::size_t>(cr * din_q_)));
-      } else {
-        fold_sparse_chunk(blk, blk.chunk_buf);
-        std::span<float> rows{df_in.row(blk.b0),
-                              static_cast<std::size_t>((blk.b1 - blk.b0) * din_q_)};
-        gathers.push_back(ctx.comm.iall_gather<float>(
-            r_group_, std::span<const float>(blk.chunk_buf), rows));
-      }
-      exchange.pop_front();
-    };
-    for (int k = 0; k < nblk; ++k) {
-      const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-      const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (b0 == b1) continue;
-      sparse::spmm_rows(adj_->a_t, dh, df_in, b0, b1);
-      charge_spmm_block(adj_->a_t.range_nnz(b0, b1), b0, b1);
-      auto& blk = bwd_sparse_.blocks[static_cast<std::size_t>(k)];
-      float* sp = blk.send_buf.data();
-      for (const auto r : blk.send_rows) {
-        std::memcpy(sp, df_in.row(b0 + r), static_cast<std::size_t>(din_q_) * sizeof(float));
-        sp += din_q_;
-      }
-      exchange.emplace_back(
-          ctx.comm.iall_to_all_v<float>(r_group_, std::span<const float>(blk.send_buf),
-                                        blk.send_counts.data(), std::span<float>(blk.recv_buf),
-                                        blk.recv_counts.data()),
-          k);
-      while (static_cast<int>(exchange.size()) >= bwd_sparse_.depth) advance_exchange();
-      trim_pipeline(gathers, bwd_sparse_.depth);
-    }
-    while (!exchange.empty()) advance_exchange();
-    drain_pipeline(gathers);
-    if (scatter) return {};
-    return df_in;
-  }
-
-  const auto bounds = scatter ? sparse::block_bounds_aligned(rows_p_, nb, ext_r_)
-                              : sparse::block_bounds(rows_p_, nb);
-  const int depth =
-      final_reduce == FinalReduce::None
-          ? 1
-          : resolve_depth(ctx, adj_->a_t, bounds, rows_r_, r_group_,
-                          scatter ? comm::Collective::ReduceScatter
-                                  : comm::Collective::AllReduce,
-                          &bwd_depth_);
-  std::deque<comm::CommHandle> inflight;
-  for (int k = 0; k < nb; ++k) {
-    const std::int64_t b0 = bounds[static_cast<std::size_t>(k)];
-    const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
-    if (b0 == b1) continue;
-    sparse::spmm_rows(adj_->a_t, dh, df_in, b0, b1);
-    charge_spmm_block(adj_->a_t.range_nnz(b0, b1), b0, b1);
-    std::span<const float> rows{df_in.row(b0), static_cast<std::size_t>((b1 - b0) * din_q_)};
-    if (final_reduce == FinalReduce::AllReduce) {
-      std::span<float> inout{df_in.row(b0), rows.size()};
-      inflight.push_back(ctx.comm.iall_reduce_sum<float>(r_group_, inout));
-      trim_pipeline(inflight, depth);
-    } else if (scatter) {
-      std::span<float> out =
-          grad_slice.subspan(static_cast<std::size_t>(b0 / ext_r_ * din_q_),
-                             rows.size() / static_cast<std::size_t>(ext_r_));
-      inflight.push_back(ctx.comm.ireduce_scatter_sum<float>(r_group_, rows, out));
-      trim_pipeline(inflight, depth);
-    }
-  }
-  drain_pipeline(inflight);
+  aggregate(ctx,
+            {.a = adj_ != nullptr ? &adj_->a_t : nullptr,
+             .transpose = true,
+             .in = dh,
+             .out = df_in,
+             .bounds = scatter ? sparse::block_bounds_aligned(rows_p_, nb, ext_r_)
+                               : sparse::block_bounds(rows_p_, nb),
+             .gid = r_group_,
+             .scatter = scatter ? grad_slice : std::span<float>{},
+             .noise_seed = std::nullopt,
+             .depth = &bwd_depth_,
+             .io_depth = &bwd_io_depth_},
+            timers);
   if (scatter) return {};
   return df_in;
 }

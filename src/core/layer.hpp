@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/adjacency_store.hpp"
@@ -29,43 +28,6 @@
 namespace plexus::core {
 
 class ShardStream;
-
-/// Strategy for the blocked aggregation collectives (forward H all-reduce
-/// over P, backward dF all-reduce / reduce-scatter over R).
-enum class Aggregation {
-  /// Ring collectives over the full dense row block — the paper's scheme.
-  Dense,
-  /// Selective exchange: per block, only the rows the local CSR shard's
-  /// nonzeros touch travel (packed sparse all-to-all to the chunk owners +
-  /// canonical-order fold; hidden-layer aggregation re-gathers the reduced
-  /// chunks with a dense all-gather). Losses stay bitwise-identical to Dense;
-  /// only bytes-on-the-wire and the cost-model time change. Falls back to
-  /// Dense on single-member groups.
-  Sparse,
-  /// Per layer and direction, pick Dense or Sparse from the measured nnz
-  /// support density per block (cost model comparison; identical decision on
-  /// every group member).
-  Auto,
-};
-
-/// Strategy name ("dense", "sparse", "auto") for logs and CLI flags. Thin
-/// wrapper over the util::EnumNames registry at the bottom of this header.
-const char* aggregation_name(Aggregation a);
-
-/// Parse a strategy name (case-insensitive). Returns false on unknown names.
-bool aggregation_from_string(std::string_view s, Aggregation& out);
-
-/// The PLEXUS_AGG environment variable (`dense` | `sparse` | `auto`), else
-/// Dense. Resolved by TrainOptions; PlexusOptions itself defaults to Dense so
-/// directly-constructed layers are unaffected by the environment.
-Aggregation default_aggregation();
-
-/// PLEXUS_AGG as an *optional* override: the parsed value when the variable
-/// is set (and well-formed), std::nullopt otherwise. This is the
-/// TrainOptions::aggregation default — set means "override the model's
-/// aggregation", unset means "inherit model.options.aggregation" (see
-/// core::resolve_options).
-std::optional<Aggregation> env_aggregation();
 
 /// Tunables of the parallel algorithm (paper section 5).
 struct PlexusOptions {
@@ -91,17 +53,8 @@ struct PlexusOptions {
   /// Streaming epochs only: RSS budget (bytes) the block cache and prefetch
   /// window planner honour. < 0 = unbounded.
   std::int64_t rss_budget_bytes = -1;
-  /// Aggregation strategy (dense ring vs sparsity-aware selective exchange).
-  Aggregation aggregation = Aggregation::Dense;
   dense::AdamConfig adam;
 };
-
-/// How DistGcnLayer::backward applies the final R-group collective to the
-/// partial dF_in block (section 3.2): fused into the blocked dF SpMM pipeline
-/// as per-block all-reduces (layers > 0), fused as per-block reduce-scatters
-/// onto the caller's row-major-resharded gradient slice (layer 0 with
-/// trainable features), or left to the caller entirely.
-enum class FinalReduce { None, AllReduce, ReduceScatter };
 
 /// Per-rank accumulated simulated kernel time, by category. The io fields
 /// are *wall-clock* streaming accounting (exposed block-load wait and bytes
@@ -125,9 +78,7 @@ class DistGcnLayer {
   /// out-of-core streaming epoch, adj == nullptr plus a ShardStream and the
   /// layer's LayerStreamPlan — then every aggregation block is loaded from
   /// disk through the stream's prefetch pipeline instead of read from the
-  /// shard, with bitwise-identical results. Streaming requires
-  /// Aggregation::Dense (the selective exchange needs the resident nnz
-  /// structure up front).
+  /// shard, with bitwise-identical results.
   DistGcnLayer(std::int64_t padded_nodes, const Grid3D& grid, int rank, int layer_index,
                int num_layers, std::int64_t in_dim_padded, std::int64_t out_dim_padded,
                std::int64_t in_dim_valid, std::int64_t out_dim_valid, const AdjacencyShard* adj,
@@ -142,21 +93,17 @@ class DistGcnLayer {
 
   /// Backward: df_out is the gradient w.r.t. this layer's output (same block
   /// layout as the forward output, replicated over Q). The final R-group
-  /// collective over the partial dF_in block is applied per `final_reduce`,
-  /// pipelined against the blocked dF = SpMM(A^T, dH) (the backward mirror of
-  /// section 5.2):
-  ///  * FinalReduce::AllReduce — returns the *reduced* dF_in block.
-  ///  * FinalReduce::ReduceScatter — row blocks are aligned to the R extent
-  ///    and each block is reduce-scattered onto `grad_slice` (the caller's
-  ///    row-major-resharded flat gradient slice, layer 0 / section 3.2);
-  ///    returns an empty matrix.
-  ///  * FinalReduce::None — returns the *partial* dF_in; the caller applies
-  ///    whatever collective it needs.
+  /// collective over the partial dF_in block is pipelined against the
+  /// blocked dF = SpMM(A^T, dH) (the backward mirror of section 5.2):
+  ///  * layers > 0 all-reduce each block and return the *reduced* dF_in;
+  ///  * layer 0 (trainable input features, section 3.2) aligns its row
+  ///    blocks to the R extent and reduce-scatters each block onto
+  ///    `grad_slice`, the caller's row-major-resharded flat gradient slice,
+  ///    and returns an empty matrix.
   /// Stores dW internally; its reduce-scatter is posted asynchronously and
   /// retired in apply_grad().
   dense::Matrix backward(sim::RankContext& ctx, const dense::Matrix& df_out, bool last,
-                         KernelTimers& timers, FinalReduce final_reduce = FinalReduce::None,
-                         std::span<float> grad_slice = {});
+                         KernelTimers& timers, std::span<float> grad_slice = {});
 
   /// Adam step on the local weight slice using the gradient from backward().
   /// Waits for the asynchronous dW reduce-scatter posted there.
@@ -185,75 +132,49 @@ class DistGcnLayer {
   comm::CommHandle igathered_weights(sim::RankContext& ctx, dense::Matrix& w_block);
   dense::Matrix gathered_weights(sim::RankContext& ctx);
 
-  /// Pipeline depth for this layer's blocked aggregation: the fixed
-  /// PlexusOptions value, or (pipeline_depth == 0) the perf-model choice from
-  /// the actual per-block SpMM times and this group's ring parameters —
-  /// computed once per (direction, collective) and cached. Purely a local
-  /// scheduling decision: ranks need not agree on it.
-  int resolve_depth(sim::RankContext& ctx, const sparse::Csr& a,
-                    const std::vector<std::int64_t>& bounds, std::int64_t dense_rows,
-                    comm::GroupId gid, comm::Collective op, int* cache);
+  /// One direction of blocked aggregation (section 5.2): out = SpMM(adjacency,
+  /// in) row block by row block, each block's collective in flight behind the
+  /// next blocks' SpMMs.
+  struct AggPass {
+    /// Block source: the resident shard (A forward, A^T backward), read in
+    /// place; null = windows loaded through the ShardStream prefetch pipeline.
+    const sparse::Csr* a;
+    /// Streamed source only: load the column window of A and transpose it on
+    /// the IO worker (backward's rows of A^T) instead of the row window.
+    bool transpose;
+    const dense::Matrix& in;            ///< dense operand: F_in or dH
+    dense::Matrix& out;                 ///< H or dF_in, written block by block
+    std::vector<std::int64_t> bounds;   ///< row blocks of `out`
+    comm::GroupId gid;                  ///< group of the per-block collective
+    /// Empty: all-reduce each block of `out` in place. Otherwise each
+    /// (R-aligned) block is reduce-scattered onto its sub-range of this slice.
+    std::span<float> scatter;
+    /// Forward's SpMM charge applies the per-kernel noise model keyed by
+    /// (epoch seed, layer, rank, block); backward's is noise-free.
+    std::optional<std::uint64_t> noise_seed;
+    int* depth;     ///< cached adaptive pipeline depth (0 = not yet resolved)
+    int* io_depth;  ///< cached adaptive prefetch depth (streamed source)
+  };
 
-  /// Streaming twin of resolve_depth: the shard is not resident, so the
-  /// per-block SpMM time comes from the stream plan's uniform nnz estimate.
-  /// Still a purely local scheduling decision.
-  int resolve_depth_streamed(sim::RankContext& ctx, const std::vector<std::int64_t>& bounds,
-                             std::int64_t dense_rows, comm::GroupId gid, comm::Collective op,
-                             int* cache);
+  /// The one pipelined aggregation loop, for both directions and both block
+  /// sources. The streamed source waits for block k's load, reposts the
+  /// prefetch window, then runs the SpMM, so the IO worker never idles.
+  void aggregate(sim::RankContext& ctx, const AggPass& pass, KernelTimers& timers);
 
-  /// In-flight block loads the streaming loops keep posted: the fixed
+  /// Pipeline depth of one aggregation pass: the fixed PlexusOptions value,
+  /// or (pipeline_depth == 0) the perf-model choice from the per-block SpMM
+  /// time against the largest block's ring time (all-reduce or
+  /// reduce-scatter, per `pass.scatter`) on the pass's group. The
+  /// resident source prices its fastest block's exact nnz; the streamed one
+  /// the stream plan's uniform estimate. Computed once per direction and
+  /// cached; purely a local scheduling decision — ranks need not agree on it.
+  int resolve_depth(sim::RankContext& ctx, const AggPass& pass);
+
+  /// In-flight block loads the streamed source keeps posted: the fixed
   /// PlexusOptions::prefetch_depth, or (0 = adaptive) the perf-model balance
   /// of per-block SpMM time against per-block disk time, clamped to the RSS
   /// budget. Cached per direction.
-  int resolve_prefetch_depth(sim::RankContext& ctx, const std::vector<std::int64_t>& bounds,
-                             std::int64_t dense_rows, int* cache);
-
-  /// One aggregation block of the sparse selective-exchange plan. The block's
-  /// rows are split into `group size` equal chunks, chunk c owned by member c;
-  /// at steady state only the packed float payloads move.
-  struct SparseBlockPlan {
-    std::int64_t b0 = 0, b1 = 0;  ///< row bounds (b1 - b0 divisible by G)
-    /// My support rows in [b0, b1) (block-local, ascending): rows with nnz in
-    /// my CSR shard. Ascending order means the packed send buffer is packed
-    /// by destination chunk automatically.
-    std::vector<std::int32_t> send_rows;
-    std::vector<std::int64_t> send_counts;  ///< elements to each member (rows x Din/Q)
-    std::vector<std::int64_t> recv_counts;  ///< elements from each member
-    /// Per source member: the chunk-local rows of *my* chunk that member
-    /// contributes, aligned with its packed payload (exchanged at plan build).
-    std::vector<std::vector<std::int32_t>> src_rows;
-    // Persistent per-block staging (handles of different blocks are in
-    // flight concurrently, so the buffers cannot be shared).
-    std::vector<float> send_buf;   ///< my packed support rows
-    std::vector<float> recv_buf;   ///< peers' contributions to my chunk
-    std::vector<float> chunk_buf;  ///< my reduced chunk (all-gather input)
-  };
-
-  /// Lazily-built per-direction plan. Building runs collectives on the
-  /// group (support-count all-gather, depth max-reduce, per-block row-list
-  /// exchange), so it happens in SPMD lockstep at the first forward/backward.
-  struct SparsePlan {
-    bool built = false;
-    bool sparse = false;   ///< decision: false = dense fallback
-    bool scatter = false;  ///< built for the reduce-scatter direction
-    int depth = 1;         ///< group-uniform pipeline depth for this plan
-    std::vector<std::int64_t> bounds;  ///< G-aligned row-block bounds
-    std::vector<SparseBlockPlan> blocks;
-  };
-
-  /// Build `plan` for aggregating `rows` output rows of `a` over group `gid`
-  /// (`G` members): scan per-block support, gather support counts (the Auto
-  /// decision input), and — when sparse wins — exchange per-block row lists
-  /// and size the staging buffers.
-  void build_sparse_plan(sim::RankContext& ctx, SparsePlan& plan, const sparse::Csr& a,
-                        std::int64_t rows, std::int64_t dense_rows, int G,
-                        comm::GroupId gid, bool scatter);
-
-  /// Fold the received contributions of `blk` into its reduced chunk in
-  /// canonical member order. `out` — `chunk_buf` for the all-reduce
-  /// direction, the caller's grad-slice chunk for scatter — is zero-prefilled
-  /// here first.
-  void fold_sparse_chunk(const SparseBlockPlan& blk, std::span<float> out) const;
+  int resolve_prefetch_depth(sim::RankContext& ctx, const AggPass& pass);
 
   const Grid3D* grid_;
   const AdjacencyShard* adj_;
@@ -297,23 +218,6 @@ class DistGcnLayer {
   // Cached adaptive prefetch depths of the streaming IO pipeline.
   int fwd_io_depth_ = 0;
   int bwd_io_depth_ = 0;
-
-  // Sparse selective-aggregation plans, one per direction (the nnz structure
-  // and groups are fixed for the layer's lifetime).
-  SparsePlan fwd_sparse_;
-  SparsePlan bwd_sparse_;
 };
 
 }  // namespace plexus::core
-
-/// Registry entry (util/enum_names.hpp): the one source of truth for
-/// aggregation-strategy names.
-template <>
-struct plexus::util::EnumNames<plexus::core::Aggregation> {
-  static constexpr const char* kind = "aggregation";
-  static constexpr EnumEntry<plexus::core::Aggregation> table[] = {
-      {plexus::core::Aggregation::Dense, "dense"},
-      {plexus::core::Aggregation::Sparse, "sparse"},
-      {plexus::core::Aggregation::Auto, "auto"},
-  };
-};

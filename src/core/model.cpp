@@ -37,14 +37,9 @@ DistGcn::DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& g
   // Out-of-core mode: a budgeted sharded view streams adjacency blocks from
   // disk instead of materialising shards. Streaming is a pure scheduling /
   // memory knob — every arithmetic result is bitwise-identical to resident
-  // mode — but it requires dense aggregation (the sparse strategy needs the
-  // whole shard resident to plan its row sets).
+  // mode.
   const bool streaming = view.streaming();
-  if (streaming) {
-    PLEXUS_CHECK(spec_.options.aggregation == Aggregation::Dense,
-                 "streaming epochs require dense aggregation");
-    stream_ = std::make_unique<ShardStream>(view);
-  }
+  if (streaming) stream_ = std::make_unique<ShardStream>(view);
 
   adj_store_ = std::make_unique<AdjacencyStore>(view, grid, ctx.rank(), L, streaming);
   for (int l = 0; l < L; ++l) {
@@ -83,15 +78,6 @@ DistGcn::DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& g
   df_slice_.assign(f_slice_.size(), 0.0f);
   f_adam_ = dense::Adam(f_slice_.size(), spec_.options.adam);
 }
-
-DistGcn::DistGcn(sim::RankContext& ctx, std::unique_ptr<DatasetView> view, const Grid3D& grid,
-                 GcnSpec spec)
-    : DistGcn(ctx, *view, grid, std::move(spec)) {
-  owned_view_ = std::move(view);
-}
-
-DistGcn::DistGcn(sim::RankContext& ctx, const PlexusDataset& ds, const Grid3D& grid, GcnSpec spec)
-    : DistGcn(ctx, std::make_unique<InMemoryDatasetView>(ds), grid, std::move(spec)) {}
 
 dense::Matrix DistGcn::gather_input_features(sim::RankContext& ctx) {
   // One all-gather per aggregation row block: member m's sub-slice of block k
@@ -152,24 +138,18 @@ EpochStats DistGcn::train_epoch(sim::RankContext& ctx, int epoch) {
   // slices instead (section 3.2), riding the same pipeline.
   dense::Matrix df = std::move(loss.dlogits);
   for (int l = L - 1; l >= 0; --l) {
-    auto& layer = *layers_[static_cast<std::size_t>(l)];
-    const FinalReduce mode = l > 0 ? FinalReduce::AllReduce
-                                   : (spec_.train_input_features ? FinalReduce::ReduceScatter
-                                                                 : FinalReduce::None);
-    dense::Matrix df_partial =
-        layer.backward(ctx, df, /*last=*/l == L - 1, timers, mode, df_slice_);
-    if (l > 0) df = std::move(df_partial);  // already reduced over the layer's R group
+    // Layer 0 returns an empty matrix: its dF landed on df_slice_.
+    df = layers_[static_cast<std::size_t>(l)]->backward(ctx, df, /*last=*/l == L - 1, timers,
+                                                        df_slice_);
   }
 
   // Optimizer step.
   for (auto& layer : layers_) layer->apply_grad(ctx, timers);
-  if (spec_.train_input_features) {
-    f_adam_.step(f_slice_, df_slice_);
-    const double t = sim::elementwise_time(*ctx.machine,
-                                           static_cast<std::int64_t>(f_slice_.size()), 6.0);
-    ctx.comm.charge_compute(t);
-    timers.elementwise += t;
-  }
+  f_adam_.step(f_slice_, df_slice_);
+  const double t = sim::elementwise_time(*ctx.machine,
+                                         static_cast<std::int64_t>(f_slice_.size()), 6.0);
+  ctx.comm.charge_compute(t);
+  timers.elementwise += t;
 
   EpochStats s;
   s.loss = loss.loss;
@@ -196,11 +176,9 @@ CheckpointData DistGcn::gather_state(sim::RankContext& ctx) {
   io::ModelState& s = out.model;
   s.hidden_dims = spec_.hidden_dims;
   s.model_seed = spec_.seed;
-  s.train_input_features = spec_.train_input_features ? 1 : 0;
   s.agg_row_blocks = spec_.options.agg_row_blocks;
   s.gemm_dw_tuning = spec_.options.gemm_dw_tuning ? 1 : 0;
   s.pipeline_depth = spec_.options.pipeline_depth;
-  s.aggregation = static_cast<std::int32_t>(spec_.options.aggregation);
   s.adam = spec_.options.adam;
 
   // Per-layer weights + Adam moments. Every rank holds an equal-size flat

@@ -28,7 +28,6 @@ struct GcnSpec {
   std::vector<std::int64_t> hidden_dims = {128, 128};
   PlexusOptions options;
   std::uint64_t seed = 42;
-  bool train_input_features = true;
 
   int num_layers() const { return static_cast<int>(hidden_dims.size()) + 1; }
 };
@@ -50,8 +49,8 @@ struct EpochStats {
   /// asynchronous gathers (see comm/communicator.hpp).
   double hidden_comm_seconds = 0.0;
   /// Bytes the simulated links actually carried for this rank's collectives
-  /// (comm::wire_bytes per op, summed) — the counter the sparse aggregation
-  /// strategy shrinks. The trainer max-reduces it like the timings.
+  /// (comm::wire_bytes per op, summed at the active wire format's element
+  /// size). The trainer max-reduces it like the timings.
   double comm_wire_bytes = 0.0;
   /// Streaming epochs only: *wall-clock* seconds this rank stalled waiting on
   /// block-load futures (exposed IO — everything the prefetch thread hid is
@@ -75,10 +74,6 @@ class DistGcn {
   /// process per rank; only this rank's block files are ever opened). The
   /// view must outlive the model.
   DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& grid, GcnSpec spec);
-
-  /// Convenience for in-process callers holding a raw PlexusDataset (wraps it
-  /// in an owned InMemoryDatasetView).
-  DistGcn(sim::RankContext& ctx, const PlexusDataset& ds, const Grid3D& grid, GcnSpec spec);
 
   EpochStats train_epoch(sim::RankContext& ctx, int epoch);
 
@@ -108,16 +103,10 @@ class DistGcn {
   void restore_state(const io::ModelState& s);
 
  private:
-  /// Delegation target of the PlexusDataset ctor: builds against *view, then
-  /// takes ownership of it.
-  DistGcn(sim::RankContext& ctx, std::unique_ptr<DatasetView> view, const Grid3D& grid,
-          GcnSpec spec);
-
   dense::Matrix gather_input_features(sim::RankContext& ctx);
   dense::Matrix forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
                             KernelTimers& timers);
 
-  std::unique_ptr<DatasetView> owned_view_;  ///< set by the PlexusDataset ctor
   const DatasetView* view_;
   const Grid3D* grid_;
   int rank_ = 0;

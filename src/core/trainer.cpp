@@ -44,7 +44,6 @@ GcnSpec resolve_options(const TrainOptions& opt) {
   GcnSpec spec = opt.model;
   if (opt.pipeline_depth >= 0) spec.options.pipeline_depth = opt.pipeline_depth;
   if (opt.prefetch_depth >= 0) spec.options.prefetch_depth = opt.prefetch_depth;
-  if (opt.aggregation.has_value()) spec.options.aggregation = *opt.aggregation;
   const std::int64_t budget =
       opt.rss_budget_bytes >= 0 ? opt.rss_budget_bytes : env_rss_budget_bytes();
   if (budget >= 0) spec.options.rss_budget_bytes = budget;
@@ -64,11 +63,12 @@ GcnSpec spec_from_model_state(const io::ModelState& s) {
   GcnSpec spec;
   spec.hidden_dims = s.hidden_dims;
   spec.seed = s.model_seed;
-  spec.train_input_features = s.train_input_features != 0;
+  PLEXUS_CHECK(s.train_input_features != 0,
+               "checkpoint was trained with frozen input features; input features are "
+               "always trained");
   spec.options.agg_row_blocks = s.agg_row_blocks;
   spec.options.gemm_dw_tuning = s.gemm_dw_tuning != 0;
   spec.options.pipeline_depth = s.pipeline_depth;
-  spec.options.aggregation = static_cast<Aggregation>(s.aggregation);
   spec.options.adam = s.adam;
   return spec;
 }
@@ -238,10 +238,6 @@ TrainResult resume_plexus_rank(const std::string& checkpoint_dir, const TrainOpt
 }
 
 TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOptions& opt) {
-  TrainOptions sopt = opt;
-  // Streaming epochs require dense aggregation: the sparse strategy plans its
-  // row exchange from a resident shard.
-  sopt.aggregation = Aggregation::Dense;
   const std::int64_t budget =
       opt.rss_budget_bytes >= 0 ? opt.rss_budget_bytes : env_rss_budget_bytes();
   // One budgeted view shared by every rank thread: the shared BlockCache is
@@ -249,7 +245,7 @@ TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOpti
   // loads go through each rank's ShardStream worker; BlockCache::get is
   // thread-safe and mmap/read happens outside its lock.
   const ShardedDatasetView view(shard_dir, budget);
-  return run_threaded(view, sopt, ResumePlan{});
+  return run_threaded(view, opt, ResumePlan{});
 }
 
 TrainResult train_plexus(const graph::Graph& g, const TrainOptions& opt) {

@@ -26,6 +26,14 @@
 
 namespace plexus::core {
 
+/// The aggregation strategy, kept only because the perfbench harness names
+/// it (it sets TrainOptions::aggregation and logs aggregation_name()). Dense
+/// ring collectives are the one strategy; nothing in the library reads the
+/// field. Delete all three items once the benchmark stops naming them.
+enum class Aggregation { Dense };
+
+inline const char* aggregation_name(Aggregation) { return "dense"; }
+
 struct TrainOptions {
   sim::GridShape grid{1, 1, 1};
   const sim::Machine* machine = &sim::Machine::perlmutter_a100();
@@ -62,15 +70,8 @@ struct TrainOptions {
   /// prefetch-depth clamp. Pure memory knob: losses are bitwise-identical
   /// for any budget.
   std::int64_t rss_budget_bytes = -1;
-  /// Aggregation strategy for the blocked collectives (see
-  /// core::Aggregation): Dense ring collectives, Sparse selective row
-  /// exchange, or Auto (per layer/direction cost-model choice). Follows the
-  /// same inherit-unless-set contract as pipeline_depth (see
-  /// resolve_options): std::nullopt keeps model.options.aggregation, a value
-  /// overrides it. Defaults to the PLEXUS_AGG environment variable when set,
-  /// else nullopt (inherit). Losses are bitwise-identical across strategies;
-  /// only bytes-on-the-wire and the simulated comm time change.
-  std::optional<Aggregation> aggregation = env_aggregation();
+  /// Ignored; see core::Aggregation.
+  std::optional<Aggregation> aggregation;
   /// Record rank 0's simulated timeline (compute / in-flight / exposed comm
   /// spans) into TrainResult::rank0_timeline. Off by default (unbounded span
   /// storage); breakdown harnesses (fig9) turn it on.
@@ -88,8 +89,8 @@ struct TrainOptions {
   /// WirePrecision::Fp32 ships the buffers verbatim — the bitwise-
   /// deterministic default — while WirePrecision::Bf16 packs fp32 → bf16 at
   /// the transport boundary, halving the float wire volume (and the modelled
-  /// comm time, which the adaptive pipeline-depth / aggregation planning
-  /// re-prices accordingly) at the cost of one bf16 rounding per sent value;
+  /// comm time, which the adaptive pipeline-depth planning re-prices
+  /// accordingly) at the cost of one bf16 rounding per sent value;
   /// accumulation stays in fp32 (docs/COMM.md). Unlike every knob above,
   /// bf16 is an explicit numeric change: losses are close to, but not
   /// bitwise-identical with, fp32 runs. Defaults to the process default (the
@@ -109,9 +110,7 @@ struct TrainOptions {
 /// one-process-per-rank, resume) and by serve/, so all of them configure the
 /// model identically. Contract, uniform across knobs:
 ///   * pipeline_depth:  opt.pipeline_depth >= 0 overrides, < 0 (default)
-///     inherits model.options.pipeline_depth;
-///   * aggregation:     opt.aggregation engaged overrides, nullopt (default,
-///     unless PLEXUS_AGG is set) inherits model.options.aggregation.
+///     inherits model.options.pipeline_depth.
 /// Everything else passes through opt.model untouched.
 GcnSpec resolve_options(const TrainOptions& opt);
 
@@ -121,7 +120,9 @@ GcnSpec resolve_options(const TrainOptions& opt);
 std::int64_t env_rss_budget_bytes();
 
 /// Rebuild the GcnSpec a checkpoint was trained with (exactly what
-/// gather_state flattened into the ModelState spec fields).
+/// gather_state flattened into the ModelState spec fields). Rejects a
+/// checkpoint whose input features were frozen (train_input_features == 0):
+/// features are always trained.
 GcnSpec spec_from_model_state(const io::ModelState& s);
 
 struct TrainResult {
@@ -170,8 +171,7 @@ TrainResult train_plexus(const graph::Graph& g, const TrainOptions& opt);
 /// through ONE budgeted ShardedDatasetView shared by every rank thread, so
 /// adjacency blocks are memory-mapped/read on demand through an LRU
 /// BlockCache whose resident bytes never exceed the resolved RSS budget
-/// (opt.rss_budget_bytes, else PLEXUS_RSS_MB, else unbounded). Forces dense
-/// aggregation (the sparse planner needs resident shards). Losses and
+/// (opt.rss_budget_bytes, else PLEXUS_RSS_MB, else unbounded). Losses and
 /// simulated clocks are bitwise-identical to an in-memory train_plexus run
 /// over the same directory — streaming is a pure memory/scheduling knob.
 TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOptions& opt);

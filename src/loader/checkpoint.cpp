@@ -27,7 +27,7 @@ void write_model_state(const std::string& dir, const ModelState& s) {
   write_pod(f.get(), s.agg_row_blocks);
   write_pod(f.get(), s.gemm_dw_tuning);
   write_pod(f.get(), s.pipeline_depth);
-  write_pod(f.get(), s.aggregation);
+  write_pod(f.get(), std::int32_t{0});  // retired aggregation-strategy slot
   write_pod(f.get(), s.adam.lr);
   write_pod(f.get(), s.adam.beta1);
   write_pod(f.get(), s.adam.beta2);
@@ -70,7 +70,7 @@ ModelState read_model_state(const std::string& dir) {
   s.agg_row_blocks = read_pod<std::int32_t>(f.get(), nullptr);
   s.gemm_dw_tuning = read_pod<std::uint8_t>(f.get(), nullptr);
   s.pipeline_depth = read_pod<std::int32_t>(f.get(), nullptr);
-  s.aggregation = read_pod<std::int32_t>(f.get(), nullptr);
+  read_pod<std::int32_t>(f.get(), nullptr);  // retired aggregation-strategy slot
   s.adam.lr = read_pod<float>(f.get(), nullptr);
   s.adam.beta1 = read_pod<float>(f.get(), nullptr);
   s.adam.beta2 = read_pod<float>(f.get(), nullptr);

@@ -42,12 +42,15 @@ struct ModelState {
   // --- model spec (core::GcnSpec, flattened to POD scalars) ---
   std::vector<std::int64_t> hidden_dims;
   std::uint64_t model_seed = 42;
+  /// Always 1: input features are trained. Kept so the byte layout, and
+  /// every checkpoint written before, stays readable.
   std::uint8_t train_input_features = 1;
-  // Resolved core::PlexusOptions the model was trained with.
+  // Resolved core::PlexusOptions the model was trained with. (The file also
+  // keeps a retired int32 aggregation-strategy slot after pipeline_depth:
+  // written as 0, ignored on read.)
   std::int32_t agg_row_blocks = 1;
   std::uint8_t gemm_dw_tuning = 0;
   std::int32_t pipeline_depth = 0;
-  std::int32_t aggregation = 0;  ///< core::Aggregation as int
   dense::AdamConfig adam;
   // --- preprocessing identity (permutations regenerate from these) ---
   std::int32_t scheme = 2;  ///< core::PermutationScheme as int

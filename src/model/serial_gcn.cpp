@@ -89,7 +89,7 @@ struct SerialModel {
         dense::Matrix next_dq(df.rows(), df.cols());
         dense::relu_backward(st.q_pre[static_cast<std::size_t>(l - 1)], df, next_dq);
         dq = std::move(next_dq);
-      } else if (spec.train_input_features) {
+      } else {
         f_adam.step(features.flat(), df.flat());
       }
     }

@@ -30,7 +30,7 @@ struct SerialResult {
 };
 
 /// Train the reference model; `spec` matches the distributed GcnSpec (only
-/// hidden_dims, adam config, seed and train_input_features are used).
+/// hidden_dims, adam config and seed are used; input features are trained).
 SerialResult train_serial_gcn(const graph::Graph& g, const core::GcnSpec& spec, int epochs,
                               bool evaluate_splits = false);
 

@@ -276,45 +276,6 @@ double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
   return adjacency + activations + features;
 }
 
-bool choose_sparse_aggregation(const sim::Machine& machine, const WorkloadStats& w,
-                               const sim::GridShape& g, int layer, int agg_row_blocks,
-                               bool backward, int wire_elem_bytes) {
-  PLEXUS_CHECK(layer >= 0 && layer < w.num_layers(), "choose_sparse_aggregation: bad layer");
-  PLEXUS_CHECK(wire_elem_bytes > 0, "choose_sparse_aggregation: bad wire element size");
-  const LayerRoles roles = roles_for_layer(layer);
-  const double ep = extent(g, roles.p);
-  const double eq = extent(g, roles.q);
-  const double er = extent(g, roles.r);
-  const double n = static_cast<double>(w.num_nodes);
-  const double nnz = static_cast<double>(w.num_nonzeros);
-  const double din_q =
-      std::max(1.0, static_cast<double>(w.layer_dims[static_cast<std::size_t>(layer)]) / eq);
-  const int nb = std::max(1, agg_row_blocks);
-
-  // Forward aggregates the (N/R)-row H block over P; backward aggregates the
-  // (N/P)-row dF block over R. The shard holds NNZ/(R*P) nonzeros either way.
-  const double group = backward ? er : ep;
-  const double rows = backward ? n / ep : n / er;
-  const auto link = sim::link_for_dim(machine, g, backward ? roles.r : roles.p);
-  if (group <= 1.0) return false;
-
-  // Expected nonzeros per shard row, and the Poisson estimate of the support
-  // density (fraction of rows with at least one nonzero — the rows sparse
-  // aggregation actually ships).
-  const double deg = nnz / (er * ep) / std::max(1.0, rows);
-  const double density = std::min(1.0, 1.0 - std::exp(-deg));
-
-  const double eb = static_cast<double>(wire_elem_bytes);
-  const auto block_bytes = static_cast<std::int64_t>(eb * (rows / nb) * din_q);
-  const auto support_bytes = static_cast<std::int64_t>(eb * (rows / nb) * density * din_q);
-  const bool scatter = backward && layer == 0;
-  const double t_dense =
-      comm::dense_aggregation_time(block_bytes, scatter, static_cast<int>(group), link);
-  const double t_sparse = comm::sparse_aggregation_time(block_bytes, support_bytes, scatter,
-                                                        static_cast<int>(group), link);
-  return t_sparse < t_dense;
-}
-
 std::vector<sim::GridShape> enumerate_grids(int gpus) {
   std::vector<sim::GridShape> out;
   for (int x = 1; x <= gpus; ++x) {

@@ -116,23 +116,6 @@ int choose_prefetch_depth(const sim::Machine& machine, std::int64_t block_bytes,
 double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
                               int adjacency_versions = 2, double elem_bytes = 4.0);
 
-/// Workload-level dense-vs-sparse choice for a layer's blocked aggregation
-/// (the selective row exchange of core::Aggregation::Sparse). Estimates the
-/// per-block support density from the average shard degree under the
-/// double-permutation uniformity assumption — a row of the (N/R x N/P)
-/// forward shard is touched with probability ~ 1 - exp(-deg/P) (Poisson) —
-/// and compares comm::sparse_aggregation_time against
-/// comm::dense_aggregation_time on the group's link. `backward` switches to
-/// the dF aggregation over R (layer 0's backward is the reduce-scatter
-/// direction). Returns true when sparse is predicted to win. This is the
-/// workload-level form of the exact per-shard decision DistGcnLayer makes
-/// under Aggregation::Auto from its measured support counts.
-/// `wire_elem_bytes` as in choose_pipeline_depth: both the dense and the
-/// sparse candidate are priced at the active wire format's per-float size.
-bool choose_sparse_aggregation(const sim::Machine& machine, const WorkloadStats& w,
-                               const sim::GridShape& g, int layer, int agg_row_blocks,
-                               bool backward = false, int wire_elem_bytes = 4);
-
 /// All factorisations x*y*z == gpus.
 std::vector<sim::GridShape> enumerate_grids(int gpus);
 

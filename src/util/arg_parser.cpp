@@ -26,10 +26,8 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 
 }  // namespace
 
-ArgParser::ArgParser(std::string prog, std::string summary, std::string positional_hint)
-    : prog_(std::move(prog)),
-      summary_(std::move(summary)),
-      positional_hint_(std::move(positional_hint)) {}
+ArgParser::ArgParser(std::string prog, std::string summary)
+    : prog_(std::move(prog)), summary_(std::move(summary)) {}
 
 void ArgParser::add_flag(std::string name, std::string hint, std::string help, std::string def) {
   flags_.push_back({std::move(name), std::move(hint), std::move(help), std::move(def), "", false});
@@ -60,13 +58,12 @@ std::string ArgParser::suggest(std::string_view name) const {
 }
 
 ArgParser::Status ArgParser::parse(int argc, char** argv) {
-  positionals_.clear();
   error_.clear();
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positionals_.emplace_back(arg);
-      continue;
+      error_ = "unexpected argument '" + std::string(arg) + "' (flags are --key=value)";
+      return Status::Error;
     }
     std::string_view body = arg.substr(2);
     std::string_view val;
@@ -121,9 +118,6 @@ std::string ArgParser::usage() const {
     s += "  " + head + std::string(width + 2 - head.size(), ' ') + f.help;
     if (!f.def.empty()) s += " (default " + f.def + ")";
     s += "\n";
-  }
-  if (!positional_hint_.empty()) {
-    s += "  deprecated positional form: " + prog_ + " " + positional_hint_ + "\n";
   }
   return s;
 }

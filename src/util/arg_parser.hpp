@@ -4,13 +4,11 @@
 ///
 /// Flags are registered up front with a value hint and help line; `parse`
 /// then accepts `--key=value` (and bare `--key`, which stores "1" so boolean
-/// switches work), handles `--help`, and collects everything else as
-/// positionals — the pre-flag CLIs read those, so old invocations keep
-/// working during the deprecation window. Unknown flags fail with a
-/// did-you-mean suggestion (edit distance <= 2 against the registered
-/// names). Values stay strings; callers convert with the checked helpers
-/// here (built on util/parse.hpp) so a mistyped number prints usage instead
-/// of training on a 0-sized axis.
+/// switches work) and handles `--help`. Positional arguments are an error.
+/// Unknown flags fail with a did-you-mean suggestion (edit distance <= 2
+/// against the registered names). Values stay strings; callers convert with
+/// the checked helpers here (built on util/parse.hpp) so a mistyped number
+/// prints usage instead of training on a 0-sized axis.
 
 #include <cstdint>
 #include <string>
@@ -22,9 +20,8 @@ namespace plexus::util {
 class ArgParser {
  public:
   /// `prog` is argv[0] for the usage line; `summary` one line of what the
-  /// binary does; `positional_hint` the legacy positional form (shown in
-  /// usage as the deprecated alternative; empty = no positional form).
-  ArgParser(std::string prog, std::string summary, std::string positional_hint = "");
+  /// binary does.
+  ArgParser(std::string prog, std::string summary);
 
   /// Register `--name=<hint>`. `def` is the value reported when the flag is
   /// absent; pass "" for flags whose absence the caller tests with is_set().
@@ -45,9 +42,6 @@ class ArgParser {
   bool value_int(std::string_view name, int& out) const;
   bool value_int64(std::string_view name, std::int64_t& out) const;
 
-  /// Non-flag arguments in order (the deprecated positional form).
-  const std::vector<std::string>& positionals() const { return positionals_; }
-
   std::string usage() const;
   const std::string& error() const { return error_; }
 
@@ -67,9 +61,7 @@ class ArgParser {
 
   std::string prog_;
   std::string summary_;
-  std::string positional_hint_;
   std::vector<Flag> flags_;
-  std::vector<std::string> positionals_;
   std::string error_;
 };
 

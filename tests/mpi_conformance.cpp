@@ -152,53 +152,15 @@ void run_group(pc::Communicator& comm, pc::GroupId gid) {
     }
   }
 
-  // flat variable all-to-all (the sparse-aggregation exchange): counts from a
-  // (src, dst) formula every process evaluates identically, including zero
-  // pairs; exact.
-  {
-    const auto pair_count = [gid](int src, int dst) {
-      return static_cast<std::int64_t>((src * 31 + dst * 17 + gid) % 4) * 3;
-    };
-    std::vector<std::int64_t> scnt(static_cast<std::size_t>(G)),
-        rcnt(static_cast<std::size_t>(G));
-    std::int64_t stot = 0, rtot = 0;
-    for (int m = 0; m < G; ++m) {
-      scnt[static_cast<std::size_t>(m)] = pair_count(pos, m);
-      rcnt[static_cast<std::size_t>(m)] = pair_count(m, pos);
-      stot += scnt[static_cast<std::size_t>(m)];
-      rtot += rcnt[static_cast<std::size_t>(m)];
-    }
-    std::vector<float> v_in(static_cast<std::size_t>(stot)),
-        v_out(static_cast<std::size_t>(rtot));
-    for (std::size_t i = 0; i < v_in.size(); ++i) v_in[i] = payload(gid, 6, g_rank, i);
-    comm.iall_to_all_v<float>(gid, v_in, scnt.data(), v_out, rcnt.data()).wait();
-    std::int64_t roff = 0;
-    for (int m = 0; m < G; ++m) {
-      // Member m packs its chunks by destination position, so my chunk starts
-      // after the counts it sends to positions < pos.
-      std::int64_t soff = 0;
-      for (int j = 0; j < pos; ++j) soff += pair_count(m, j);
-      for (std::int64_t i = 0; i < rcnt[static_cast<std::size_t>(m)]; ++i) {
-        expect(v_out[static_cast<std::size_t>(roff + i)] ==
-                   payload(gid, 6, g.members[m], static_cast<std::size_t>(soff + i)),
-               "flat iall_to_all_v gid=" + std::to_string(gid) + " from member " +
-                   std::to_string(m));
-      }
-      roff += rcnt[static_cast<std::size_t>(m)];
-    }
-  }
-
-  // zero-sized payloads: every collective and an all-zero-count flat exchange
-  // must tolerate null/empty buffers (MPI may reject null pointers even with
-  // zero counts — the transport substitutes a dummy address).
+  // zero-sized payloads: every collective must tolerate null/empty buffers
+  // (MPI may reject null pointers even with zero counts — the transport
+  // substitutes a dummy address).
   {
     comm.all_gather<float>(gid, {}, {});
     comm.all_reduce_sum<float>(gid, {});
     comm.reduce_scatter_sum<float>(gid, {}, {});
     comm.broadcast<float>(gid, {}, /*root=*/0);
     comm.all_to_all<float>(gid, {}, {});
-    std::vector<std::int64_t> zeros(static_cast<std::size_t>(G), 0);
-    comm.iall_to_all_v<float>(gid, {}, zeros.data(), {}, zeros.data()).wait();
     // A live round after the degenerate ones proves the communicator survived.
     std::vector<float> one{1.0f};
     comm.all_reduce_sum<float>(gid, one);

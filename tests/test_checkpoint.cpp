@@ -166,3 +166,47 @@ TEST_F(CheckpointTest, ResumeRejectsMismatchedGrid) {
   wrong.grid = {2, 1, 1};  // volume 2 != checkpoint pad_multiple 4
   EXPECT_THROW(pc::resume_plexus(dir_.string(), wrong), std::runtime_error);
 }
+
+TEST_F(CheckpointTest, RetiredSpecSlotsKeepTheLayout) {
+  // model.plx keeps two retired spec slots so older checkpoints still load:
+  // the trained-features byte (always 1; a 0 is rejected with a diagnostic)
+  // and the aggregation-strategy int32 (written 0, ignored on read).
+  auto opt = options(1);
+  opt.model.options.pipeline_depth = 3;
+  opt.checkpoint_dir = dir_.string();
+  pc::train_plexus(g_, opt);
+
+  // Offsets: magic, hidden count, two hidden dims, model seed; then the
+  // features byte, agg row blocks, dW tuning byte, pipeline depth.
+  const long features_at = 8 + 8 + 2 * 8 + 8;
+  const long depth_at = features_at + 1 + 4 + 1;
+  const long aggregation_at = depth_at + 4;
+  const auto path = (dir_ / "model.plx").string();
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::int32_t depth = 0, aggregation = -1;
+  ASSERT_EQ(std::fseek(f, depth_at, SEEK_SET), 0);
+  ASSERT_EQ(std::fread(&depth, sizeof(depth), 1, f), 1u);
+  ASSERT_EQ(std::fread(&aggregation, sizeof(aggregation), 1, f), 1u);
+  EXPECT_EQ(depth, 3);
+  EXPECT_EQ(aggregation, 0);
+  const std::int32_t older_strategy = 1;  // what a checkpoint of a sparse run holds
+  ASSERT_EQ(std::fseek(f, aggregation_at, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&older_strategy, sizeof(older_strategy), 1, f), 1u);
+  std::fclose(f);
+
+  auto s = pc::load_model_state(dir_.string());
+  EXPECT_EQ(s.train_input_features, 1);
+  EXPECT_EQ(s.pipeline_depth, 3);
+  EXPECT_EQ(s.adam.lr, opt.model.options.adam.lr);  // fields after the slot still line up
+  EXPECT_EQ(pc::spec_from_model_state(s).options.pipeline_depth, 3);
+
+  s.train_input_features = 0;
+  try {
+    pc::spec_from_model_state(s);
+    FAIL() << "frozen-features checkpoint accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("frozen input features"), std::string::npos)
+        << e.what();
+  }
+}

@@ -239,10 +239,6 @@ namespace {
 pc::TrainOptions options_with_model_defaults() {
   pc::TrainOptions opt;
   opt.model.options.pipeline_depth = 3;
-  opt.model.options.aggregation = pc::Aggregation::Sparse;
-  // Neutralize the PLEXUS_AGG-derived default so the matrix below is
-  // hermetic regardless of the test environment.
-  opt.aggregation = std::nullopt;
   return opt;
 }
 
@@ -260,19 +256,6 @@ TEST(ResolveOptions, ZeroAndPositiveDepthOverride) {
   EXPECT_EQ(pc::resolve_options(opt).options.pipeline_depth, 0);
   opt.pipeline_depth = 2;
   EXPECT_EQ(pc::resolve_options(opt).options.pipeline_depth, 2);
-}
-
-TEST(ResolveOptions, NulloptAggregationInherits) {
-  auto opt = options_with_model_defaults();
-  EXPECT_EQ(pc::resolve_options(opt).options.aggregation, pc::Aggregation::Sparse);
-}
-
-TEST(ResolveOptions, EngagedAggregationOverrides) {
-  auto opt = options_with_model_defaults();
-  opt.aggregation = pc::Aggregation::Dense;
-  EXPECT_EQ(pc::resolve_options(opt).options.aggregation, pc::Aggregation::Dense);
-  opt.aggregation = pc::Aggregation::Auto;
-  EXPECT_EQ(pc::resolve_options(opt).options.aggregation, pc::Aggregation::Auto);
 }
 
 TEST(ResolveOptions, EverythingElsePassesThrough) {

@@ -53,6 +53,7 @@ void expect_losses_close(const std::vector<double>& got, const std::vector<doubl
 pd::Matrix distributed_logits(const pg::Graph& g, psim::GridShape shape,
                               pc::PermutationScheme scheme, const pc::GcnSpec& spec) {
   const auto ds = pc::preprocess_graph(g, scheme, spec.num_layers(), shape.size(), 7);
+  const pc::InMemoryDatasetView view(ds);
   plexus::comm::World world(shape.size());
   pc::Grid3D grid(world, shape, psim::Machine::test_machine());
   const auto roles = pc::roles_for_layer(spec.num_layers() - 1);
@@ -61,7 +62,7 @@ pd::Matrix distributed_logits(const pg::Graph& g, psim::GridShape shape,
 
   pd::Matrix out(ds.padded_nodes, padded_classes);
   psim::run_cluster(world, psim::Machine::test_machine(), [&](psim::RankContext& ctx) {
-    pc::DistGcn model(ctx, ds, grid, spec);
+    pc::DistGcn model(ctx, view, grid, spec);
     const pd::Matrix block = model.forward_logits(ctx);
     const auto c = grid.coords_of(ctx.rank());
     if (pc::Grid3D::coord(c, roles.q) != 0) return;  // skip replicas
@@ -261,123 +262,6 @@ TEST(Distributed, LocalBackendLossesBitwiseEqualSim) {
     EXPECT_TRUE(bitwise_eq(sim.epochs[i].comm_seconds, local.epochs[i].comm_seconds))
         << "epoch " << i;
   }
-}
-
-TEST(Distributed, SparseAggregationLossesBitwiseEqualDense) {
-  // The selective row exchange reorders nothing: chunks fold contributions in
-  // canonical member order and skipped members contribute exactly-zero rows,
-  // so losses must match the dense ring path bit for bit — across grids
-  // (sparse forward only, backward only, both) and pipeline depths (adaptive
-  // and fixed; the sparse pipeline interleaves two collective stages).
-  const auto g = small_graph();
-  const auto bitwise_eq = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  for (const auto shape : {psim::GridShape{2, 2, 2}, psim::GridShape{4, 1, 1},
-                           psim::GridShape{1, 1, 4}}) {
-    for (const int depth : {-1, 1, 3}) {  // -1 = keep the adaptive default
-      pc::TrainOptions opt;
-      opt.grid = shape;
-      opt.machine = &psim::Machine::test_machine();
-      opt.model = small_spec();
-      opt.model.options.agg_row_blocks = 4;
-      opt.epochs = 5;
-      opt.pipeline_depth = depth;
-      opt.aggregation = pc::Aggregation::Dense;
-      const auto dense = pc::train_plexus(g, opt);
-      opt.aggregation = pc::Aggregation::Sparse;
-      const auto sparse = pc::train_plexus(g, opt);
-      ASSERT_EQ(dense.epochs.size(), sparse.epochs.size());
-      for (std::size_t i = 0; i < dense.epochs.size(); ++i) {
-        EXPECT_TRUE(bitwise_eq(dense.epochs[i].loss, sparse.epochs[i].loss))
-            << "grid " << shape.x << "x" << shape.y << "x" << shape.z << " depth " << depth
-            << " epoch " << i << " dense " << dense.epochs[i].loss << " sparse "
-            << sparse.epochs[i].loss;
-      }
-    }
-  }
-}
-
-TEST(Distributed, SparseAggregationLocalBackendBitwiseEqualSim) {
-  // Backend conformance for the sparse path: the flat all-to-all-v and the
-  // re-gather run over real Local byte movement (rotated reads) vs the Sim
-  // shared-slot reads — payloads, losses and simulated clocks must match bit
-  // for bit.
-  const auto g = small_graph();
-  pc::TrainOptions opt;
-  opt.grid = {2, 2, 2};
-  opt.machine = &psim::Machine::test_machine();
-  opt.model = small_spec();
-  opt.model.options.agg_row_blocks = 4;
-  opt.epochs = 5;
-  opt.aggregation = pc::Aggregation::Sparse;
-  opt.backend = plexus::comm::Backend::Sim;
-  const auto sim = pc::train_plexus(g, opt);
-  opt.backend = plexus::comm::Backend::Local;
-  const auto local = pc::train_plexus(g, opt);
-  ASSERT_EQ(sim.epochs.size(), local.epochs.size());
-  const auto bitwise_eq = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  for (std::size_t i = 0; i < sim.epochs.size(); ++i) {
-    EXPECT_TRUE(bitwise_eq(sim.epochs[i].loss, local.epochs[i].loss)) << "epoch " << i;
-    EXPECT_TRUE(bitwise_eq(sim.epochs[i].epoch_seconds, local.epochs[i].epoch_seconds))
-        << "epoch " << i;
-    EXPECT_TRUE(bitwise_eq(sim.epochs[i].comm_seconds, local.epochs[i].comm_seconds))
-        << "epoch " << i;
-    EXPECT_EQ(sim.epochs[i].comm_wire_bytes, local.epochs[i].comm_wire_bytes) << "epoch " << i;
-  }
-}
-
-TEST(Distributed, SparseAggregationMovesFewerWireBytes) {
-  // On a low-density graph most aggregation rows have no local nonzeros, so
-  // the selective exchange must put measurably fewer bytes on the simulated
-  // links than the dense rings. Epoch 0 is excluded: it pays the one-time
-  // plan-build collectives (support-count gather, row-list exchange).
-  const pg::Graph g = pg::make_test_graph(1200, 1.5, 16, 4, /*seed=*/31);
-  pc::TrainOptions opt;
-  opt.grid = {4, 1, 1};
-  opt.machine = &psim::Machine::test_machine();
-  opt.model = small_spec();
-  opt.model.options.agg_row_blocks = 4;
-  opt.epochs = 4;
-  opt.aggregation = pc::Aggregation::Dense;
-  const auto dense = pc::train_plexus(g, opt);
-  opt.aggregation = pc::Aggregation::Sparse;
-  const auto sparse = pc::train_plexus(g, opt);
-  double dense_bytes = 0.0;
-  double sparse_bytes = 0.0;
-  for (std::size_t i = 1; i < dense.epochs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(dense.epochs[i].loss, sparse.epochs[i].loss) << "epoch " << i;
-    dense_bytes += dense.epochs[i].comm_wire_bytes;
-    sparse_bytes += sparse.epochs[i].comm_wire_bytes;
-  }
-  ASSERT_GT(dense_bytes, 0.0);
-  EXPECT_LT(sparse_bytes, 0.9 * dense_bytes);
-  // Steady state is byte-stable: the plan is built once.
-  EXPECT_EQ(sparse.epochs[1].comm_wire_bytes, sparse.epochs.back().comm_wire_bytes);
-}
-
-TEST(Distributed, AutoAggregationIsExactAndNeverMovesMoreBytes) {
-  // Auto decides per layer/direction from the measured support counts; any
-  // mix of decisions must stay bitwise-exact, and its steady-state wire
-  // bytes can never exceed the dense path's (it only switches when the cost
-  // model predicts a win).
-  const pg::Graph g = pg::make_test_graph(1200, 1.5, 16, 4, /*seed=*/31);
-  pc::TrainOptions opt;
-  opt.grid = {2, 2, 1};
-  opt.machine = &psim::Machine::test_machine();
-  opt.model = small_spec();
-  opt.model.options.agg_row_blocks = 4;
-  opt.epochs = 4;
-  opt.aggregation = pc::Aggregation::Dense;
-  const auto dense = pc::train_plexus(g, opt);
-  opt.aggregation = pc::Aggregation::Auto;
-  const auto autod = pc::train_plexus(g, opt);
-  for (std::size_t i = 0; i < dense.epochs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(dense.epochs[i].loss, autod.epochs[i].loss) << "epoch " << i;
-  }
-  EXPECT_LE(autod.epochs.back().comm_wire_bytes, dense.epochs.back().comm_wire_bytes);
 }
 
 TEST(Distributed, GemmTuningIsExact) {

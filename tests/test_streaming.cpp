@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -64,7 +65,6 @@ core::TrainOptions base_options() {
   opt.model.hidden_dims = {16};
   opt.model.options.agg_row_blocks = 4;
   opt.epochs = 3;
-  opt.aggregation = core::Aggregation::Dense;  // streaming forces dense; match it
   return opt;
 }
 
@@ -231,30 +231,50 @@ TEST(Streaming, BudgetedViewMatchesPlainViewBitwise) {
 // ---------------------------------------------------------------------------
 
 TEST(Streaming, TrainMatchesInMemoryBitwise) {
+  // Both block sources of the one aggregation loop — the resident shard read
+  // in place and the ShardStream prefetch window — across every volume-4
+  // grid (so each axis plays P, Q and R) and adaptive plus fixed pipeline
+  // depths.
   const auto ds = make_dataset();
   const auto dir = write_shards(ds, "train");
-  auto opt = base_options();
+  const auto bitwise_eq = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const auto shape : {sim::GridShape{2, 2, 1}, sim::GridShape{4, 1, 1},
+                           sim::GridShape{1, 4, 1}, sim::GridShape{1, 1, 4},
+                           sim::GridShape{1, 2, 2}, sim::GridShape{2, 1, 2}}) {
+    for (const int depth : {-1, 1, 3}) {  // -1 = keep the adaptive default
+      SCOPED_TRACE("grid " + std::to_string(shape.x) + "x" + std::to_string(shape.y) + "x" +
+                   std::to_string(shape.z) + " depth " + std::to_string(depth));
+      auto opt = base_options();
+      opt.grid = shape;
+      opt.pipeline_depth = depth;
+      const auto resident = core::train_plexus(ds, opt);
 
-  const auto resident = core::train_plexus(ds, opt);
+      auto sopt = opt;
+      sopt.rss_budget_bytes = 1 << 20;  // well below the on-disk adjacency bytes
+      const auto streamed = core::train_plexus_streaming(dir, sopt);
 
-  auto sopt = opt;
-  sopt.rss_budget_bytes = 1 << 20;  // well below the on-disk adjacency bytes
-  const auto streamed = core::train_plexus_streaming(dir, sopt);
-
-  ASSERT_EQ(streamed.epochs.size(), resident.epochs.size());
-  for (std::size_t e = 0; e < resident.epochs.size(); ++e) {
-    SCOPED_TRACE(e);
-    // Bitwise: streaming is a pure memory/scheduling knob. Even the
-    // simulated clock matches — block loads charge the same SpMM shapes.
-    EXPECT_EQ(streamed.epochs[e].loss, resident.epochs[e].loss);
-    EXPECT_EQ(streamed.epochs[e].train_accuracy, resident.epochs[e].train_accuracy);
-    EXPECT_EQ(streamed.epochs[e].epoch_seconds, resident.epochs[e].epoch_seconds);
-    EXPECT_EQ(streamed.epochs[e].comm_wire_bytes, resident.epochs[e].comm_wire_bytes);
-    // Resident mode never reports IO.
-    EXPECT_EQ(resident.epochs[e].io_bytes_streamed, 0.0);
-    EXPECT_EQ(resident.epochs[e].io_exposed_seconds, 0.0);
+      ASSERT_EQ(streamed.epochs.size(), resident.epochs.size());
+      for (std::size_t e = 0; e < resident.epochs.size(); ++e) {
+        SCOPED_TRACE(e);
+        const auto& r = resident.epochs[e];
+        const auto& st = streamed.epochs[e];
+        // Bitwise: streaming is a pure memory/scheduling knob. Even the
+        // simulated clock matches — block loads charge the same SpMM shapes.
+        EXPECT_TRUE(bitwise_eq(st.loss, r.loss));
+        EXPECT_TRUE(bitwise_eq(st.train_accuracy, r.train_accuracy));
+        EXPECT_TRUE(bitwise_eq(st.epoch_seconds, r.epoch_seconds));
+        EXPECT_TRUE(bitwise_eq(st.comm_seconds, r.comm_seconds));
+        EXPECT_TRUE(bitwise_eq(st.hidden_comm_seconds, r.hidden_comm_seconds));
+        EXPECT_TRUE(bitwise_eq(st.comm_wire_bytes, r.comm_wire_bytes));
+        // Resident mode never reports IO.
+        EXPECT_EQ(r.io_bytes_streamed, 0.0);
+        EXPECT_EQ(r.io_exposed_seconds, 0.0);
+      }
+      EXPECT_GT(streamed.epochs[0].io_bytes_streamed, 0.0);
+    }
   }
-  EXPECT_GT(streamed.epochs[0].io_bytes_streamed, 0.0);
   fs::remove_all(dir);
 }
 

@@ -193,12 +193,11 @@ TEST(Parse, RejectsGarbageUnlikeAtoi) {
 // ---------------------------------------------------------------------------
 // util::EnumNames — the one string<->enum registry (CLI flags, env vars,
 // checkpoint headers). Property: to_string(from_string(name)) == name for
-// every listed name, case-insensitively, across all three registered enums.
+// every listed name, case-insensitively, for each registered enum.
 
 #include <cctype>
 
 #include "comm/transport.hpp"
-#include "core/layer.hpp"
 #include "core/preprocess.hpp"
 #include "util/enum_names.hpp"
 
@@ -230,7 +229,6 @@ TEST(EnumNames, BackendRoundTrip) { expect_enum_round_trip<plexus::comm::Backend
 TEST(EnumNames, PermutationSchemeRoundTrip) {
   expect_enum_round_trip<plexus::core::PermutationScheme>();
 }
-TEST(EnumNames, AggregationRoundTrip) { expect_enum_round_trip<plexus::core::Aggregation>(); }
 
 TEST(EnumNames, RejectsUnknownAndFormatsError) {
   plexus::comm::Backend b = plexus::comm::Backend::Sim;
@@ -260,7 +258,7 @@ pu::ArgParser::Status parse_args(pu::ArgParser& args, std::vector<std::string> a
 }
 
 pu::ArgParser train_like_parser() {
-  pu::ArgParser args("prog", "test parser", "[dataset] [epochs]");
+  pu::ArgParser args("prog", "test parser");
   args.add_flag("dataset", "name", "dataset to use", "ogbn-products");
   args.add_flag("epochs", "n", "epochs to train", "10");
   args.add_flag("checkpoint", "dir", "checkpoint directory");
@@ -287,22 +285,21 @@ TEST(ArgParser, BareFlagStoresOne) {
   EXPECT_EQ(args.value("checkpoint"), "1");
 }
 
-TEST(ArgParser, PositionalsCollectInOrder) {
+TEST(ArgParser, PositionalArgumentIsAnError) {
   auto args = train_like_parser();
-  ASSERT_EQ(parse_args(args, {"test-graph", "--epochs=3", "7"}), pu::ArgParser::Status::Ok);
-  ASSERT_EQ(args.positionals().size(), 2u);
-  EXPECT_EQ(args.positionals()[0], "test-graph");
-  EXPECT_EQ(args.positionals()[1], "7");
+  EXPECT_EQ(parse_args(args, {"--epochs=3", "test-graph"}), pu::ArgParser::Status::Error);
+  EXPECT_NE(args.error().find("'test-graph'"), std::string::npos) << args.error();
+  EXPECT_NE(args.error().find("--key=value"), std::string::npos) << args.error();
 }
 
 TEST(ArgParser, HelpShortCircuits) {
   auto args = train_like_parser();
   EXPECT_EQ(parse_args(args, {"--help"}), pu::ArgParser::Status::Help);
-  // Usage mentions every flag, its hint, and the deprecated positional form.
+  // Usage mentions every flag with its hint, and no positional form.
   const auto usage = args.usage();
   EXPECT_NE(usage.find("--dataset=name"), std::string::npos) << usage;
   EXPECT_NE(usage.find("--epochs=n"), std::string::npos) << usage;
-  EXPECT_NE(usage.find("[dataset] [epochs]"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("positional"), std::string::npos) << usage;
 }
 
 TEST(ArgParser, UnknownFlagSuggestsNearestName) {

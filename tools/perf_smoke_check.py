@@ -142,30 +142,6 @@ def fmt_mb(b):
     return f"{b:.2f}MB"
 
 
-def check_sparse_bytes(counters, thresholds, failures):
-    max_ratio = thresholds.get("sparse_bytes_max_ratio")
-    names = thresholds.get("sparse_bytes", [])
-    if max_ratio is None or not names:
-        return
-    for name in names:
-        ratio = get_counter(counters, name, "sparse_bytes_ratio", failures)
-        dense_mb = get_counter(counters, name, "dense_wire_mb", failures)
-        sparse_mb = get_counter(counters, name, "sparse_wire_mb", failures)
-        if ratio is None or dense_mb is None or sparse_mb is None:
-            continue
-        ok = dense_mb > 0 and ratio <= max_ratio
-        print(
-            f"[{'OK' if ok else 'FAIL'}] {name}: sparse {fmt_mb(sparse_mb)} vs dense "
-            f"{fmt_mb(dense_mb)} wire bytes (ratio {ratio:.3f}, limit {max_ratio})"
-        )
-        if not ok:
-            failures.append(
-                f"{name}: sparse aggregation wire bytes {fmt_mb(sparse_mb)} not below dense "
-                f"{fmt_mb(dense_mb)} by the required margin (ratio {ratio:.3f} > "
-                f"limit {max_ratio})"
-            )
-
-
 def check_wire_bytes(counters, thresholds, failures):
     max_ratio = thresholds.get("wire_bytes_max_ratio")
     names = thresholds.get("wire_bytes", [])
@@ -323,7 +299,6 @@ def main():
         counters = load_counters(positionals[0])
         check_pipelined_vs_blocking(counters, thresholds, failures)
         check_adaptive_vs_best_fixed(counters, thresholds, failures)
-        check_sparse_bytes(counters, thresholds, failures)
         check_wire_bytes(counters, thresholds, failures)
     if kernels_report is not None:
         check_simd_speedup(load_counters(kernels_report), thresholds, failures)
@@ -341,7 +316,7 @@ def main():
     if positionals:
         checked.append(
             "pipelining hides communication, the adaptive depth matches or beats every "
-            "fixed depth, sparse aggregation moves fewer bytes, and bf16 halves the wire"
+            "fixed depth, and bf16 halves the wire"
         )
     if kernels_report is not None:
         checked.append("the SIMD kernels beat the pinned scalar fallback")
