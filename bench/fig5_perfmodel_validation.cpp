@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "bench_common.hpp"
+#include "core/dataset_view.hpp"
 #include "core/trainer.hpp"
 #include "perfmodel/perfmodel.hpp"
 #include "sim/machine.hpp"
@@ -38,6 +39,7 @@ int main() {
 
   const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::Double, spec.num_layers(),
                                        /*pad_multiple=*/64, /*seed=*/5);
+  const pc::InMemoryDatasetView view(ds);
 
   struct Row {
     psim::GridShape grid;
@@ -51,7 +53,7 @@ int main() {
     opt.machine = &machine;
     opt.model = spec;
     opt.epochs = 2;
-    const auto res = pc::train_plexus(ds, opt);
+    const auto res = pc::train_plexus(view, opt);
     rows.push_back({shape, pp::predict_epoch(machine, w, shape).total(),
                     res.avg_epoch_seconds(/*skip=*/1)});
   }

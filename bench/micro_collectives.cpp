@@ -93,48 +93,6 @@ void BM_AllGather(benchmark::State& state) {
 }
 BENCHMARK(BM_AllGather)->Args({4, 1 << 14})->Args({8, 1 << 14})->Unit(benchmark::kMillisecond);
 
-// Byte-transport backend sweep: the same collective mix under the Sim
-// (shared-slot direct reads) and Local (ring / staged movement) transports.
-// Results are bitwise-identical by the conformance contract — this measures
-// the wall-clock cost of really moving the bytes hop by hop.
-void BM_TransportBackends(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? plexus::comm::Backend::Sim : plexus::comm::Backend::Local;
-  const int ranks = static_cast<int>(state.range(1));
-  const auto elems = static_cast<std::size_t>(state.range(2));
-  plexus::comm::ScopedBackend scoped(backend);
-  state.SetLabel(plexus::comm::backend_name(backend));
-  for (auto _ : state) {
-    plexus::comm::World world(ranks);
-    plexus::sim::run_cluster(
-        world, plexus::sim::Machine::test_machine(),
-        [&](plexus::sim::RankContext& ctx) {
-          const auto wg = ctx.comm.world().world_group();
-          std::vector<float> buf(elems, 1.0f);
-          std::vector<float> in(elems, 2.0f);
-          std::vector<float> gathered(elems * static_cast<std::size_t>(ranks));
-          std::vector<float> chunk(elems / static_cast<std::size_t>(ranks));
-          for (int i = 0; i < 4; ++i) {
-            ctx.comm.all_reduce_sum<float>(wg, buf);
-            ctx.comm.all_gather<float>(wg, in, gathered);
-            ctx.comm.reduce_scatter_sum<float>(wg, in, chunk);
-            ctx.comm.broadcast<float>(wg, buf, i % ranks);
-          }
-          benchmark::DoNotOptimize(buf[0]);
-          benchmark::DoNotOptimize(chunk.data());
-        },
-        /*enable_clock=*/false);
-  }
-  state.SetBytesProcessed(state.iterations() * 4 * 4 * static_cast<std::int64_t>(elems) * 4 *
-                          ranks);
-}
-BENCHMARK(BM_TransportBackends)
-    ->Args({0, 4, 1 << 14})
-    ->Args({1, 4, 1 << 14})
-    ->Args({0, 8, 1 << 14})
-    ->Args({1, 8, 1 << 14})
-    ->Unit(benchmark::kMillisecond);
-
 int rmat_scale() { return plexus::bench::rmat_scale(/*default_scale=*/14); }
 
 /// Blocked aggregation over a power-law RMAT shard on the simulated clock:

@@ -14,12 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "comm/transport.hpp"
 #include "serve/inference_server.hpp"
 #include "serve/served_model.hpp"
 #include "serve/zipf.hpp"
 #include "util/arg_parser.hpp"
-#include "util/enum_names.hpp"
 #include "util/simd.hpp"
 
 int main(int argc, char** argv) {
@@ -34,10 +32,6 @@ int main(int argc, char** argv) {
   args.add_flag("max-batch", "n", "requests the batcher answers at once", "64");
   args.add_flag("max-wait-us", "us", "batcher linger for a fuller batch", "200");
   args.add_flag("max-queue", "n", "admission bound; beyond it requests are rejected", "4096");
-  args.add_flag("wire", "name",
-                "fp32 wire format for any collectives this process opens: " +
-                    plexus::util::enum_choices<plexus::comm::WirePrecision>() +
-                    " (default: PLEXUS_WIRE, else fp32)");
 
   switch (args.parse(argc, argv)) {
     case ArgParser::Status::Help: std::fputs(args.usage().c_str(), stdout); return 0;
@@ -77,23 +71,12 @@ int main(int argc, char** argv) {
   sopt.max_batch = max_batch;
   sopt.max_wait_us = max_wait_us;
   sopt.max_queue = max_queue;
-  auto wire = plexus::comm::default_wire_precision();
-  if (args.is_set("wire") &&
-      !plexus::comm::wire_precision_from_string(args.value("wire"), wire)) {
-    std::fprintf(stderr, "plexus_serve: %s\n%s",
-                 plexus::util::enum_error<plexus::comm::WirePrecision>(args.value("wire")).c_str(),
-                 args.usage().c_str());
-    return 1;
-  }
-  plexus::comm::set_default_wire_precision(wire);
 
   const plexus::serve::ServedModel model(dir);
-  std::printf("serving %s: %lld nodes, %lld classes, %d layers (logits cached), %s simd, "
-              "%s wire\n",
+  std::printf("serving %s: %lld nodes, %lld classes, %d layers (logits cached), %s simd\n",
               dir.c_str(), static_cast<long long>(model.num_nodes()),
               static_cast<long long>(model.num_classes()), model.num_layers(),
-              plexus::simd::target_name(plexus::simd::active_target()),
-              plexus::comm::wire_precision_name(wire));
+              plexus::simd::target_name(plexus::simd::active_target()));
 
   if (args.is_set("node")) {
     std::int64_t node = 0;

@@ -2,22 +2,22 @@
 // user would script:
 //
 //   ./build/examples/plexus_train --dataset=ogbn-products --nodes=8000
-//       --grid=4x2x2 --epochs=10 --backend=local
+//       --grid=4x2x2 --epochs=10
 //   ./build/examples/plexus_train --gpus=16        # perf model picks the grid
 //   ./build/examples/plexus_train --checkpoint=/tmp/ckpt --checkpoint-every=2
 //   ./build/examples/plexus_train --resume=/tmp/ckpt --epochs=10
 //
 // dataset: any Table 4 name (a scaled proxy is generated at --nodes scale).
 // --gpus asks the performance model for the best grid at that GPU budget
-// (section 4.3). --backend picks the byte transport (sim | local, plus mpi in
-// PLEXUS_WITH_MPI builds; default: PLEXUS_BACKEND, else sim) — losses are
-// bitwise-identical across all of them. The mpi backend runs one process per
-// rank: launch under `mpirun -np <volume>`; rank 0 preprocesses and writes a
-// sharded dataset directory (PLEXUS_SHARD_DIR, default under /tmp), every
-// rank then streams only its own shard's block files (see docs/COMM.md).
-// --wire picks the collective wire format (fp32 | bf16; default:
-// PLEXUS_WIRE, else fp32) — bf16 halves the float wire volume but is an
-// explicit numeric change (losses close, not bitwise; docs/COMM.md).
+// (section 4.3). --backend picks the byte transport (sim, the default, plus
+// mpi in PLEXUS_WITH_MPI builds) — losses are bitwise-identical across them.
+// The mpi backend runs one process per rank: launch under
+// `mpirun -np <volume>`; rank 0 preprocesses and writes a sharded dataset
+// directory (PLEXUS_SHARD_DIR, default under /tmp), every rank then streams
+// only its own shard's block files (see docs/COMM.md).
+// --wire picks the collective wire format (fp32, the default, or bf16) —
+// bf16 halves the float wire volume but is an explicit numeric change
+// (losses close, not bitwise; docs/COMM.md).
 // --checkpoint writes a restorable checkpoint directory (final epoch
 // always, every k-th epoch with --checkpoint-every=k); --resume continues a
 // checkpointed run bitwise (see docs/SERVING.md).
@@ -75,12 +75,12 @@ int main(int argc, char** argv) {
   args.add_flag("gpus", "n", "let the performance model pick the best n-GPU grid");
   args.add_flag("epochs", "n", "total training epochs", "10");
   args.add_flag("backend", "name",
-                "byte transport: " + plexus::comm::backend_choices() +
-                    " (default: PLEXUS_BACKEND, else sim)");
+                "byte transport: " + plexus::comm::backend_choices(), "sim");
   args.add_flag("wire", "name",
                 "fp32 wire format: " +
                     plexus::util::enum_choices<plexus::comm::WirePrecision>() +
-                    " (default: PLEXUS_WIRE, else fp32; bf16 is not bitwise)");
+                    " (bf16 is not bitwise)",
+                "fp32");
   args.add_flag("checkpoint", "dir", "write a checkpoint directory (final epoch; see -every)");
   args.add_flag("checkpoint-every", "k", "also checkpoint every k-th epoch", "0");
   args.add_flag("resume", "dir", "resume from a checkpoint directory (bitwise continuation)");
@@ -120,15 +120,13 @@ int main(int argc, char** argv) {
   if (!args.value_int("epochs", epochs) || epochs < 1) {
     return fail(args, "bad --epochs '" + args.value("epochs") + "'");
   }
-  auto backend = plexus::comm::default_backend();
-  const std::string backend_arg = args.value("backend");
-  if (!backend_arg.empty() && !plexus::comm::backend_from_string(backend_arg, backend)) {
+  auto backend = plexus::comm::Backend::Sim;
+  if (!plexus::comm::backend_from_string(args.value("backend"), backend)) {
     return fail(args, plexus::util::enum_error<plexus::comm::Backend>(
-                          backend_arg, plexus::comm::backend_choices()));
+                          args.value("backend"), plexus::comm::backend_choices()));
   }
-  auto wire = plexus::comm::default_wire_precision();
-  if (args.is_set("wire") &&
-      !plexus::comm::wire_precision_from_string(args.value("wire"), wire)) {
+  auto wire = plexus::comm::WirePrecision::Fp32;
+  if (!plexus::comm::wire_precision_from_string(args.value("wire"), wire)) {
     return fail(args,
                 plexus::util::enum_error<plexus::comm::WirePrecision>(args.value("wire")));
   }
@@ -142,7 +140,8 @@ int main(int argc, char** argv) {
   const std::string stream_dir = args.value("stream-dir");
   std::int64_t rss_budget_mb = -1;
   if (args.is_set("rss-budget") &&
-      (!args.value_int64("rss-budget", rss_budget_mb) || rss_budget_mb < 0)) {
+      (!args.value_int64("rss-budget", rss_budget_mb) || rss_budget_mb < 0 ||
+       rss_budget_mb > plexus::core::kMaxRssBudgetMb)) {
     return fail(args, "bad --rss-budget '" + args.value("rss-budget") + "'");
   }
   int prefetch_depth = -1;

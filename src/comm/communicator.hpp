@@ -10,13 +10,11 @@
 ///
 /// The communicator is the **cost / accounting layer**. *How the payload
 /// bytes travel* is delegated to a `Transport` (comm/transport.hpp): the Sim
-/// backend reads peers' published buffers directly, the Local backend runs
-/// real ring/staged schedules between the rank threads, and the optional MPI
+/// backend reads peers' published buffers directly, and the optional MPI
 /// backend maps each op onto a nonblocking MPI request on a per-group
 /// sub-communicator. Everything in this file — post-time clocks, link-busy
 /// horizons, exposed/hidden attribution, stats, timeline — is
-/// backend-invariant for the in-process transports: clocks, stats and losses
-/// are bitwise-identical under Sim and Local.
+/// backend-invariant.
 ///
 /// ## Nonblocking execution model
 ///
@@ -195,17 +193,17 @@ inline void accumulate_bf16_f32(void* acc, const void* src, std::size_t n) {
 class Communicator {
  public:
   /// `clock` may be null (functional-only mode, no time simulation).
-  /// `transport` selects the byte-movement backend; null resolves
-  /// `transport_for(default_backend())` (the PLEXUS_BACKEND environment
-  /// variable, else Sim). A distributed (non-protocol) transport may carry a
-  /// clock only when it opts in via `Transport::supports_clock()` (the MPI
-  /// backend piggybacks the post-clock exchange on each collective); without
-  /// a clock, stats charge the cost-model time per op.
+  /// `transport` selects the byte-movement backend; null means Sim. The wire
+  /// format starts as Fp32 (see set_wire_precision). A distributed
+  /// (non-protocol) transport may carry a clock only when it opts in via
+  /// `Transport::supports_clock()` (the MPI backend piggybacks the post-clock
+  /// exchange on each collective); without a clock, stats charge the
+  /// cost-model time per op.
   Communicator(World& world, int rank, SimClock* clock = nullptr,
                Transport* transport = nullptr)
       : world_(&world), rank_(rank), clock_(clock),
-        transport_(transport != nullptr ? transport : &transport_for(default_backend())),
-        wire_(default_wire_precision()), channel_budget_(comm_thread_budget()) {
+        transport_(transport != nullptr ? transport : &transport_for(Backend::Sim)),
+        channel_budget_(comm_thread_budget()) {
     PLEXUS_CHECK(rank >= 0 && rank < world.size(), "rank out of range");
     PLEXUS_CHECK(clock == nullptr || transport_->supports_clock(),
                  "this transport cannot carry a SimClock");
@@ -795,7 +793,7 @@ class Communicator {
   int rank_;
   SimClock* clock_;
   Transport* transport_;  ///< byte-movement backend (never null)
-  WirePrecision wire_;    ///< fp32 payload wire format (transport.hpp)
+  WirePrecision wire_ = WirePrecision::Fp32;  ///< fp32 payload wire format (transport.hpp)
   CommStats stats_;
   Timeline timeline_;
   /// Disjoint, sorted [t0, t1) intervals during which this rank charged

@@ -1,8 +1,5 @@
 #include "comm/transport.hpp"
 
-#include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -103,16 +100,12 @@ class SimTransport final : public Transport {
   }
 };
 
-}  // namespace
-
-namespace detail {
-
 Transport& sim_transport() {
   static SimTransport t;
   return t;
 }
 
-}  // namespace detail
+}  // namespace
 
 const char* backend_name(Backend b) { return util::enum_name(b); }
 
@@ -130,96 +123,15 @@ std::string backend_choices() {
   return s;
 }
 
-namespace {
-
-/// -1 = follow PLEXUS_BACKEND, else the Backend value of the override.
-std::atomic<int> g_backend_override{-1};
-
-Backend env_backend() {
-  const char* s = std::getenv("PLEXUS_BACKEND");
-  if (s == nullptr || *s == '\0') return Backend::Sim;
-  Backend b = Backend::Sim;
-  if (!backend_from_string(s, b)) return Backend::Sim;  // malformed: default
-  return b;
-}
-
-}  // namespace
-
-Backend default_backend() {
-  const int v = g_backend_override.load(std::memory_order_relaxed);
-  return v >= 0 ? static_cast<Backend>(v) : env_backend();
-}
-
-void set_default_backend(Backend b) {
-  g_backend_override.store(static_cast<int>(b), std::memory_order_relaxed);
-}
-
-void reset_default_backend() { g_backend_override.store(-1, std::memory_order_relaxed); }
-
-ScopedBackend::ScopedBackend(Backend b)
-    : had_override_(g_backend_override.load(std::memory_order_relaxed) >= 0),
-      prev_(default_backend()) {
-  set_default_backend(b);
-}
-
-ScopedBackend::~ScopedBackend() {
-  if (had_override_) {
-    set_default_backend(prev_);
-  } else {
-    reset_default_backend();
-  }
-}
-
 const char* wire_precision_name(WirePrecision w) { return util::enum_name(w); }
 
 bool wire_precision_from_string(std::string_view s, WirePrecision& out) {
   return util::enum_from_string(s, out);
 }
 
-namespace {
-
-/// -1 = follow PLEXUS_WIRE, else the WirePrecision value of the override.
-std::atomic<int> g_wire_override{-1};
-
-WirePrecision env_wire_precision() {
-  const char* s = std::getenv("PLEXUS_WIRE");
-  if (s == nullptr || *s == '\0') return WirePrecision::Fp32;
-  WirePrecision w = WirePrecision::Fp32;
-  if (!wire_precision_from_string(s, w)) return WirePrecision::Fp32;  // malformed: default
-  return w;
-}
-
-}  // namespace
-
-WirePrecision default_wire_precision() {
-  const int v = g_wire_override.load(std::memory_order_relaxed);
-  return v >= 0 ? static_cast<WirePrecision>(v) : env_wire_precision();
-}
-
-void set_default_wire_precision(WirePrecision w) {
-  g_wire_override.store(static_cast<int>(w), std::memory_order_relaxed);
-}
-
-void reset_default_wire_precision() { g_wire_override.store(-1, std::memory_order_relaxed); }
-
-ScopedWirePrecision::ScopedWirePrecision(WirePrecision w)
-    : had_override_(g_wire_override.load(std::memory_order_relaxed) >= 0),
-      prev_(default_wire_precision()) {
-  set_default_wire_precision(w);
-}
-
-ScopedWirePrecision::~ScopedWirePrecision() {
-  if (had_override_) {
-    set_default_wire_precision(prev_);
-  } else {
-    reset_default_wire_precision();
-  }
-}
-
 Transport& transport_for(Backend b) {
   switch (b) {
-    case Backend::Sim: return detail::sim_transport();
-    case Backend::Local: return detail::local_transport();
+    case Backend::Sim: return sim_transport();
     case Backend::Mpi:
 #ifdef PLEXUS_WITH_MPI
       return detail::mpi_transport();
@@ -228,7 +140,7 @@ Transport& transport_for(Backend b) {
 #endif
   }
   PLEXUS_CHECK(false, "unknown backend");
-  return detail::sim_transport();
+  return sim_transport();
 }
 
 bool mpi_transport_available() {

@@ -6,38 +6,31 @@
 ///
 ///  * **cost / accounting** (communicator.hpp) — post-time clocks, the ring
 ///    cost model, link-busy horizons, exposed-vs-hidden attribution,
-///    CommStats and the timeline. This layer is backend-invariant: simulated
-///    clocks, stats and losses are bitwise-identical for every in-process
-///    transport.
+///    CommStats and the timeline. This layer is backend-invariant: it never
+///    looks at how the bytes travel.
 ///  * **byte movement** (this file) — how the payload of a collective
 ///    actually travels between ranks. Selected per Communicator via a
 ///    `Transport`.
 ///
-/// Three backends:
+/// Two backends:
 ///
 ///  * `Backend::Sim` — the shared-slot simulator movement: every member
-///    publishes its buffer pointer and peers read it directly. This is the
-///    historic behaviour, preserved bit for bit (same copies, same float
-///    summation order).
-///  * `Backend::Local` — really moves bytes between the in-process rank
-///    threads the way a network transport would: ring all-gather and ring
-///    broadcast relay hop neighbour-to-neighbour with a group-barrier per
-///    step, all-to-all uses a rotated exchange schedule, and reductions stage
-///    every peer contribution into a receive buffer before combining. The
-///    combination order is canonical (member 0, 1, …, G-1 — the same
-///    left-fold the Sim backend uses), so results stay bitwise-identical to
-///    Sim: determinism is part of the transport conformance contract, the
-///    reason a true ring *reduction* (whose partial sums nest in ring order)
-///    is deliberately not used.
+///    publishes its buffer pointer and peers read it directly. Reductions
+///    fold contributions in canonical member order (member 0, 1, …, G-1), a
+///    left-fold pinned against a serial reference by the transport
+///    conformance test.
 ///  * `Backend::Mpi` — optional, compiled behind the `PLEXUS_WITH_MPI` CMake
 ///    option: maps each CommHandle onto MPI collectives on a per-group
 ///    sub-communicator (`MPI_Comm_create_group` over the group's member
 ///    list). One process per rank. Reductions gather every contribution and
 ///    fold locally in canonical member order (never `MPI_SUM`, whose order
 ///    is implementation-defined), so float results are bitwise-identical to
-///    the in-process backends. Supports the SimClock: each op piggybacks one
-///    fused max-allreduce of {posted clock, payload bytes} on the collective,
+///    Sim. Supports the SimClock: each op piggybacks one fused
+///    max-allreduce of {posted clock, payload bytes} on the collective,
 ///    which is all the completion math needs (see docs/COMM.md).
+///
+/// The launcher fixes the transport: a Communicator or `sim::run_cluster`
+/// given none uses Sim, and `sim::run_distributed_rank` takes MPI.
 ///
 /// In-process transports implement `move()` (+ optional `finalize()`), which
 /// the Communicator runs inside the group's barrier protocol. Distributed
@@ -58,13 +51,10 @@
 
 namespace plexus::comm {
 
-/// Byte-transport backend selector. Resolution: explicit API argument, else
-/// `set_default_backend()`, else the `PLEXUS_BACKEND` environment variable
-/// (`sim` | `local` | `mpi`), else Sim.
+/// Byte-transport backend selector (`sim` | `mpi`).
 enum class Backend {
-  Sim,    ///< shared-slot simulator movement (historic behaviour)
-  Local,  ///< in-process ring/staged movement between rank threads
-  Mpi,    ///< real MPI nonblocking collectives (requires PLEXUS_WITH_MPI)
+  Sim,  ///< shared-slot in-process movement between rank threads
+  Mpi,  ///< real MPI nonblocking collectives (requires PLEXUS_WITH_MPI)
 };
 
 /// Element type of a collective payload, for backends (MPI) that need a real
@@ -77,9 +67,8 @@ enum class DType { Bytes, F32, F64, I32, I64 };
 /// and widens / accumulates in fp32 on completion, so the compression is an
 /// explicitly opted-in numeric change (docs/COMM.md), never silent. Only
 /// fp32 payloads compress; int / double / metadata exchanges always travel
-/// at full width. Resolution mirrors Backend: explicit
-/// `Communicator::set_wire_precision`, else `set_default_wire_precision()`,
-/// else the `PLEXUS_WIRE` environment variable (`fp32` | `bf16`), else Fp32.
+/// at full width. Set per Communicator with `set_wire_precision` (the
+/// trainer forwards `TrainOptions::wire`); Fp32 unless set.
 enum class WirePrecision {
   Fp32,  ///< verbatim fp32 payloads (bitwise-deterministic)
   Bf16,  ///< bf16 wire payloads, fp32 accumulation (half the wire volume)
@@ -90,14 +79,6 @@ const char* wire_precision_name(WirePrecision w);
 
 /// Parse a wire-format name (case-insensitive). Returns false on unknown.
 bool wire_precision_from_string(std::string_view s, WirePrecision& out);
-
-/// The process-wide default wire format: `set_default_wire_precision`
-/// override, else `PLEXUS_WIRE`, else Fp32.
-WirePrecision default_wire_precision();
-void set_default_wire_precision(WirePrecision w);
-
-/// Restore "follow the PLEXUS_WIRE environment variable".
-void reset_default_wire_precision();
 
 /// Bytes one fp32 payload element occupies on the wire under `w`.
 constexpr std::size_t wire_elem_size(WirePrecision w) {
@@ -164,7 +145,7 @@ struct CollArgs {
   double scalar_value = 0.0;
 };
 
-/// A byte-movement backend. Stateless (Sim/Local) or process-global (MPI)
+/// A byte-movement backend. Stateless (Sim) or process-global (MPI)
 /// singletons returned by `transport_for`; shared by every Communicator that
 /// selects them, so implementations must be thread-safe across concurrent
 /// rank and channel threads.
@@ -190,9 +171,7 @@ class Transport {
 
   /// In-process data movement. Runs on the op's executing thread between the
   /// group's protocol barriers; `g.slots[m]` holds member m's published
-  /// buffer (CollArgs::send if set, else recv). Implementations may run
-  /// extra `g.barrier` rounds (every member executes the same schedule) and
-  /// may publish additional pointers through `g.xfer_slots`.
+  /// buffer (CollArgs::send if set, else recv).
   virtual void move(GroupShared& g, const CollArgs& a);
 
   /// Trailing writes to the member's *own* buffers, run after the protocol's
@@ -216,28 +195,17 @@ class Transport {
                          detail::CommOp& op);
 };
 
-/// Backend name ("sim", "local", "mpi") for logs and CLI flags. Thin wrapper
+/// Backend name ("sim", "mpi") for logs and CLI flags. Thin wrapper
 /// over the util::EnumNames registry below.
 const char* backend_name(Backend b);
 
 /// Parse a backend name (case-insensitive). Returns false on unknown names.
 bool backend_from_string(std::string_view s, Backend& out);
 
-/// The backends this *build* can actually run: "sim | local", plus "mpi"
+/// The backends this *build* can actually run: "sim", plus "mpi"
 /// when compiled with PLEXUS_WITH_MPI. Pass to util::enum_error<Backend> so
 /// error messages never advertise an unavailable backend.
 std::string backend_choices();
-
-/// The process-wide default backend: `set_default_backend` override, else
-/// `PLEXUS_BACKEND`, else Sim.
-Backend default_backend();
-
-/// Process-wide override; pass `reset_default_backend()` semantics by calling
-/// with the environment-resolved value, or use ScopedBackend in tests.
-void set_default_backend(Backend b);
-
-/// Restore "follow the PLEXUS_BACKEND environment variable".
-void reset_default_backend();
 
 /// The singleton transport for a backend. Aborts for Backend::Mpi when the
 /// tree was configured without PLEXUS_WITH_MPI.
@@ -265,32 +233,6 @@ void mpi_runtime_barrier();
 /// `MPI_Finalize` (no-op if never initialised or already finalised).
 void mpi_runtime_finalize();
 
-/// RAII default-backend override for tests and benches.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(Backend b);
-  ~ScopedBackend();
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  bool had_override_;
-  Backend prev_;
-};
-
-/// RAII default-wire-format override for tests and benches.
-class ScopedWirePrecision {
- public:
-  explicit ScopedWirePrecision(WirePrecision w);
-  ~ScopedWirePrecision();
-  ScopedWirePrecision(const ScopedWirePrecision&) = delete;
-  ScopedWirePrecision& operator=(const ScopedWirePrecision&) = delete;
-
- private:
-  bool had_override_;
-  WirePrecision prev_;
-};
-
 namespace detail {
 
 /// Initialise a reduction accumulator from the first contribution: the
@@ -305,11 +247,8 @@ inline void assign_chunk(const CollArgs& a, void* acc, const void* src) {
   if (nb > 0) std::memcpy(acc, src, nb);
 }
 
-/// Accessors used by the Local transport ring schedules; exposed for the
-/// conformance tests.
-Transport& sim_transport();
-Transport& local_transport();
 #ifdef PLEXUS_WITH_MPI
+/// The MPI singleton behind `transport_for` (transport_mpi.cpp).
 Transport& mpi_transport();
 #endif
 }  // namespace detail
@@ -323,7 +262,6 @@ struct plexus::util::EnumNames<plexus::comm::Backend> {
   static constexpr const char* kind = "backend";
   static constexpr EnumEntry<plexus::comm::Backend> table[] = {
       {plexus::comm::Backend::Sim, "sim"},
-      {plexus::comm::Backend::Local, "local"},
       {plexus::comm::Backend::Mpi, "mpi"},
   };
 };

@@ -27,7 +27,7 @@
 /// (member 0, 1, …, G−1 — exactly what SimTransport::move does). Gathering
 /// every contribution and folding locally costs extra wire volume but makes
 /// float results bitwise-identical to the in-process backends, which is what
-/// lets `mpirun`ed training gate its losses against the `local` backend.
+/// lets `mpirun`ed training gate its losses against the `sim` backend.
 ///
 /// The request is posted and completed on the op's executing thread (a comm
 /// channel, or the posting thread in inline mode), so CommHandle

@@ -26,7 +26,6 @@ GroupId World::create_group(std::vector<int> members, LinkParams link,
   g->channel_hint = channel_hint;
   g->barrier = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(g->members.size()));
   g->slots.assign(g->members.size(), nullptr);
-  g->xfer_slots.assign(g->members.size(), nullptr);
   // First `size` entries publish member clocks; the next `size` entries carry
   // scalar exchange values (see Communicator::aux_value).
   g->clock_slots.assign(2 * g->members.size(), 0.0);

@@ -34,11 +34,6 @@ struct GroupShared {
   double a2a_distance_penalty = 1.0;
   std::unique_ptr<std::barrier<>> barrier;
   std::vector<const void*> slots;
-  /// Secondary per-member pointer slots for transports that must reach a
-  /// peer's *destination* or staging buffer mid-op (the Local transport's
-  /// ring schedules). Written and read only between the op's protocol
-  /// barriers, bracketed by the transport's own extra barrier rounds.
-  std::vector<const void*> xfer_slots;
   std::vector<double> clock_slots;
   /// Comm-channel routing class. Line groups of the 3D grid are tagged with
   /// their *family* (X = 0, Y = 1, Z = 2) so a rank's own three line groups

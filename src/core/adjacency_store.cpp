@@ -52,10 +52,6 @@ AdjacencyStore::AdjacencyStore(const DatasetView& view, const Grid3D& grid, int 
   }
 }
 
-AdjacencyStore::AdjacencyStore(const PlexusDataset& dataset, const Grid3D& grid, int rank,
-                               int num_layers)
-    : AdjacencyStore(InMemoryDatasetView(dataset), grid, rank, num_layers) {}
-
 const AdjacencyShard& AdjacencyStore::layer(int l) const {
   PLEXUS_CHECK(!streaming_, "AdjacencyStore::layer: no shards in streaming mode");
   PLEXUS_CHECK(l >= 0 && static_cast<std::size_t>(l) < by_layer_.size(), "bad layer");

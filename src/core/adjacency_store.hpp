@@ -15,7 +15,6 @@
 
 #include "core/dataset_view.hpp"
 #include "core/grid.hpp"
-#include "core/preprocess.hpp"
 #include "core/roles.hpp"
 #include "core/shard.hpp"
 #include "sparse/csr.hpp"
@@ -47,9 +46,6 @@ class AdjacencyStore {
   /// LayerStreamPlan coordinates are computed, and layer() must not be used.
   AdjacencyStore(const DatasetView& view, const Grid3D& grid, int rank, int num_layers,
                  bool streaming = false);
-
-  /// Convenience for in-process callers holding a raw PlexusDataset.
-  AdjacencyStore(const PlexusDataset& dataset, const Grid3D& grid, int rank, int num_layers);
 
   const AdjacencyShard& layer(int l) const;
 

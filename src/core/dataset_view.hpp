@@ -17,7 +17,7 @@
 ///
 /// Both providers hand out bitwise-identical blocks (the sharded round trip
 /// is exact binary CSR/float IO), which is what lets `mpirun`ed training
-/// gate its losses against the in-process backends.
+/// gate its losses against the in-process Sim backend.
 
 #include <cstdint>
 #include <memory>

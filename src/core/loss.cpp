@@ -81,12 +81,4 @@ LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int
   return out;
 }
 
-LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int last_layer,
-                                  const PlexusDataset& ds, const dense::Matrix& logits_block,
-                                  const std::vector<std::uint8_t>& mask, double norm,
-                                  bool want_grad) {
-  return distributed_softmax_ce(ctx, grid, last_layer, InMemoryDatasetView(ds), logits_block,
-                                mask, norm, want_grad);
-}
-
 }  // namespace plexus::core

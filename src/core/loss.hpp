@@ -13,7 +13,6 @@
 
 #include "core/dataset_view.hpp"
 #include "core/grid.hpp"
-#include "core/preprocess.hpp"
 #include "dense/matrix.hpp"
 #include "sim/cluster.hpp"
 
@@ -32,12 +31,6 @@ struct LossResult {
 /// stay consistent; evaluation ignores dlogits).
 LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int last_layer,
                                   const DatasetView& view, const dense::Matrix& logits_block,
-                                  const std::vector<std::uint8_t>& mask, double norm,
-                                  bool want_grad = true);
-
-/// Convenience for in-process callers holding a raw PlexusDataset.
-LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int last_layer,
-                                  const PlexusDataset& ds, const dense::Matrix& logits_block,
                                   const std::vector<std::uint8_t>& mask, double norm,
                                   bool want_grad = true);
 

@@ -6,6 +6,8 @@
 #include "comm/world.hpp"
 #include "sim/cluster.hpp"
 #include "util/error.hpp"
+#include "util/logging.hpp"
+#include "util/parse.hpp"
 
 namespace plexus::core {
 
@@ -53,10 +55,13 @@ GcnSpec resolve_options(const TrainOptions& opt) {
 std::int64_t env_rss_budget_bytes() {
   const char* env = std::getenv("PLEXUS_RSS_MB");
   if (env == nullptr || *env == '\0') return -1;
-  char* end = nullptr;
-  const long long mb = std::strtoll(env, &end, 10);
-  if (end == env || mb < 0) return -1;
-  return static_cast<std::int64_t>(mb) << 20;
+  std::int64_t mb = -1;
+  if (!util::parse_int64(env, mb) || mb < 0 || mb > kMaxRssBudgetMb) {
+    PLEXUS_LOG(Warn) << "PLEXUS_RSS_MB=" << env << " is not a megabyte count in [0, "
+                     << kMaxRssBudgetMb << "]; ignoring it";
+    return -1;
+  }
+  return mb << 20;
 }
 
 GcnSpec spec_from_model_state(const io::ModelState& s) {
@@ -208,10 +213,6 @@ TrainResult train_plexus(const DatasetView& view, const TrainOptions& opt) {
   return run_threaded(view, opt, ResumePlan{});
 }
 
-TrainResult train_plexus(const PlexusDataset& ds, const TrainOptions& opt) {
-  return train_plexus(InMemoryDatasetView(ds), opt);
-}
-
 TrainResult train_plexus_rank(const DatasetView& view, const TrainOptions& opt, int my_rank) {
   return run_rank(view, opt, ResumePlan{}, my_rank);
 }
@@ -252,7 +253,7 @@ TrainResult train_plexus(const graph::Graph& g, const TrainOptions& opt) {
   const PlexusDataset ds = preprocess_graph(g, opt.scheme, opt.model.num_layers(),
                                             /*pad_multiple=*/opt.grid.size(),
                                             opt.preprocess_seed);
-  return train_plexus(ds, opt);
+  return train_plexus(InMemoryDatasetView(ds), opt);
 }
 
 }  // namespace plexus::core

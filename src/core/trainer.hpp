@@ -11,6 +11,7 @@
 ///   opt.grid = {2, 2, 2};
 ///   auto result = plexus::core::train_plexus(graph, opt);
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -76,15 +77,12 @@ struct TrainOptions {
   /// spans) into TrainResult::rank0_timeline. Off by default (unbounded span
   /// storage); breakdown harnesses (fig9) turn it on.
   bool trace_timeline = false;
-  /// Byte-transport backend for the collectives (comm/transport.hpp):
-  /// Backend::Sim (shared-slot simulator movement) or Backend::Local (real
-  /// in-process ring/staged movement between the rank threads). Losses,
-  /// clocks and stats are bitwise-identical across the two — only the
-  /// mechanics of the byte movement differ. Defaults to the process default
-  /// (the PLEXUS_BACKEND environment variable, else Sim). Backend::Mpi is a
-  /// one-process-per-rank backend and cannot run under the threaded cluster —
-  /// it is driven through train_plexus_rank instead.
-  comm::Backend backend = comm::default_backend();
+  /// Byte-transport backend for the collectives (comm/transport.hpp).
+  /// Backend::Sim, the default, moves bytes between the threaded cluster's
+  /// rank threads. Backend::Mpi is a one-process-per-rank backend and cannot
+  /// run under the threaded cluster — it is driven through train_plexus_rank
+  /// instead.
+  comm::Backend backend = comm::Backend::Sim;
   /// Wire format for fp32 collective payloads (comm/transport.hpp):
   /// WirePrecision::Fp32 ships the buffers verbatim — the bitwise-
   /// deterministic default — while WirePrecision::Bf16 packs fp32 → bf16 at
@@ -93,9 +91,8 @@ struct TrainOptions {
   /// accordingly) at the cost of one bf16 rounding per sent value;
   /// accumulation stays in fp32 (docs/COMM.md). Unlike every knob above,
   /// bf16 is an explicit numeric change: losses are close to, but not
-  /// bitwise-identical with, fp32 runs. Defaults to the process default (the
-  /// PLEXUS_WIRE environment variable, else Fp32).
-  comm::WirePrecision wire = comm::default_wire_precision();
+  /// bitwise-identical with, fp32 runs.
+  comm::WirePrecision wire = comm::WirePrecision::Fp32;
   /// Checkpoint directory (core/checkpoint.hpp). Empty = no checkpointing.
   /// When set, a checkpoint is always written after the final epoch; set
   /// checkpoint_every > 0 to also write one every k-th epoch (absolute epoch
@@ -114,9 +111,14 @@ struct TrainOptions {
 /// Everything else passes through opt.model untouched.
 GcnSpec resolve_options(const TrainOptions& opt);
 
+/// Largest RSS budget in megabytes whose byte count (`mb << 20`) fits in
+/// int64.
+inline constexpr std::int64_t kMaxRssBudgetMb = std::numeric_limits<std::int64_t>::max() >> 20;
+
 /// PLEXUS_RSS_MB parsed to bytes (megabytes << 20), or -1 when the variable
-/// is unset, malformed or negative. The environment-level default behind
-/// TrainOptions::rss_budget_bytes.
+/// is unset, or when it is not a whole decimal number in
+/// [0, kMaxRssBudgetMb] (then it also logs a warning). The environment-level
+/// default behind TrainOptions::rss_budget_bytes.
 std::int64_t env_rss_budget_bytes();
 
 /// Rebuild the GcnSpec a checkpoint was trained with (exactly what
@@ -158,11 +160,6 @@ EpochStats reduce_epoch_stats(comm::Communicator& comm, comm::GroupId wg, EpochS
 /// train_plexus_rank for sharded views).
 TrainResult train_plexus(const DatasetView& view, const TrainOptions& opt);
 
-/// Train on an already-preprocessed dataset (shared across configurations to
-/// amortise preprocessing in sweeps). `ds` must have been padded to a multiple
-/// of opt.grid volume.
-TrainResult train_plexus(const PlexusDataset& ds, const TrainOptions& opt);
-
 /// Convenience: preprocess `g` (padding to the grid volume) and train.
 TrainResult train_plexus(const graph::Graph& g, const TrainOptions& opt);
 
@@ -178,8 +175,8 @@ TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOpti
 
 /// One-process-per-rank driver: runs rank `my_rank`'s share of the training
 /// over the distributed transport selected by opt.backend (Backend::Mpi —
-/// in-process backends belong in train_plexus). The caller launches one
-/// process per rank (mpirun), initialises the runtime
+/// the in-process Sim backend belongs in train_plexus). The caller launches
+/// one process per rank (mpirun), initialises the runtime
 /// (comm::mpi_runtime_init), and passes each process its own view — typically
 /// a ShardedDatasetView so no process touches block files outside its shard.
 /// Every process returns the same reduced TrainResult (epoch stats are

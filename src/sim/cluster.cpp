@@ -29,7 +29,7 @@ void run_cluster(comm::World& world, const Machine& machine, const RankFn& fn,
   const int size = world.size();
   const int threads_per_rank = resolve_intra_rank_threads(intra_rank_threads, size);
   comm::Transport& t =
-      transport != nullptr ? *transport : comm::transport_for(comm::default_backend());
+      transport != nullptr ? *transport : comm::transport_for(comm::Backend::Sim);
   PLEXUS_CHECK(t.uses_group_protocol(),
                "run_cluster simulates ranks as in-process threads; distributed "
                "transports need one process per rank");

@@ -43,9 +43,9 @@ int resolve_intra_rank_threads(int requested, int num_ranks);
 /// Each rank thread's kernel engine is set to
 /// resolve_intra_rank_threads(intra_rank_threads, world.size()) threads.
 /// `transport` selects the byte-movement backend for every rank's
-/// communicator (null = transport_for(default_backend())); it must be an
-/// in-process transport — ranks here are threads of one process, so a
-/// distributed backend (MPI) needs its own one-process-per-rank launcher.
+/// communicator (null = Sim); it must be an in-process transport — ranks
+/// here are threads of one process, so a distributed backend (MPI) needs its
+/// own one-process-per-rank launcher.
 /// Throws the first rank exception encountered.
 void run_cluster(comm::World& world, const Machine& machine, const RankFn& fn,
                  bool enable_clock = true, int intra_rank_threads = 0,

@@ -10,7 +10,7 @@
 ///   struct plexus::util::EnumNames<comm::Backend> {
 ///     static constexpr const char* kind = "backend";
 ///     static constexpr EnumEntry<comm::Backend> table[] = {
-///         {comm::Backend::Sim, "sim"}, {comm::Backend::Local, "local"}, ...};
+///         {comm::Backend::Sim, "sim"}, {comm::Backend::Mpi, "mpi"}};
 ///   };
 ///
 /// and gets `enum_name` / `enum_from_string` (case-insensitive) /

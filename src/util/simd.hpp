@@ -29,7 +29,7 @@
 ///
 /// bf16 helpers (round-to-nearest-even pack, widening unpack, fused
 /// unpack-accumulate in fp32) live here too: the comm layer uses them for
-/// the `PLEXUS_WIRE=bf16` wire format (see docs/COMM.md).
+/// the bf16 wire format (`TrainOptions::wire`, see docs/COMM.md).
 
 #include <cstdint>
 

@@ -13,7 +13,7 @@
 // out-of-order wait / drop) and the stats accounting are exercised too,
 // and an end-to-end block trains the full model over the MPI backend from a
 // sharded dataset directory, gating its losses bitwise against the
-// in-process Local backend.
+// in-process Sim backend.
 //
 // Exit code 0 on success; nonzero (aborting the mpirun) on any failure.
 
@@ -216,7 +216,7 @@ void run_handle_lifecycle(pc::Communicator& comm) {
 /// End-to-end: the full trainer, one process per rank over the MPI backend,
 /// fed from a sharded dataset directory rank 0 writes — the mpi_conformance
 /// version of `mpirun plexus_train ... mpi`. Losses must be bitwise-identical
-/// to the threaded in-process Local backend (identical data via exact binary
+/// to the threaded in-process Sim backend (identical data via exact binary
 /// shard IO + canonical-order reductions + SPMD-identical schedules).
 void run_end_to_end_training(int size) {
   namespace pcore = plexus::core;
@@ -234,9 +234,8 @@ void run_end_to_end_training(int size) {
   opt.model.seed = 99;
   opt.epochs = 4;
 
-  // Reference: the threaded in-process cluster over the Local backend —
+  // Reference: the threaded in-process cluster over the Sim backend —
   // every process derives it independently, no reference rank needed.
-  opt.backend = pc::Backend::Local;
   const auto ref = pcore::train_plexus(g, opt);
 
   // Distributed run: rank 0 publishes the sharded layout, every rank streams
@@ -258,7 +257,7 @@ void run_end_to_end_training(int size) {
   for (std::size_t i = 0; i < got.epochs.size() && i < ref.epochs.size(); ++i) {
     expect(std::memcmp(&got.epochs[i].loss, &ref.epochs[i].loss, sizeof(double)) == 0,
            "e2e loss epoch " + std::to_string(i) + " mpi=" + std::to_string(got.epochs[i].loss) +
-               " local=" + std::to_string(ref.epochs[i].loss));
+               " sim=" + std::to_string(ref.epochs[i].loss));
     expect(got.epochs[i].epoch_seconds > 0.0, "e2e sim clock epoch " + std::to_string(i));
   }
   expect(view.load_stats().files_opened > 0, "e2e shard IO happened");

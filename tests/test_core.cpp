@@ -2,7 +2,10 @@
 // preprocessing (permutation schemes), adjacency store, weight init.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "comm/world.hpp"
 #include "core/adjacency_store.hpp"
@@ -199,14 +202,16 @@ TEST(AdjacencyStore, UniqueShardCounts) {
   pc::Grid3D grid(world, {2, 2, 2}, plexus::sim::Machine::test_machine());
 
   const auto ds_dbl = pc::preprocess_graph(g, pc::PermutationScheme::Double, 6, 8, 5);
+  const pc::InMemoryDatasetView dbl(ds_dbl);
   // Double permutation: (version, plane) pairs cycle with period 6.
-  EXPECT_EQ(pc::AdjacencyStore(ds_dbl, grid, 0, 1).unique_shards(), 1u);
-  EXPECT_EQ(pc::AdjacencyStore(ds_dbl, grid, 0, 3).unique_shards(), 3u);
-  EXPECT_EQ(pc::AdjacencyStore(ds_dbl, grid, 0, 6).unique_shards(), 6u);
+  EXPECT_EQ(pc::AdjacencyStore(dbl, grid, 0, 1).unique_shards(), 1u);
+  EXPECT_EQ(pc::AdjacencyStore(dbl, grid, 0, 3).unique_shards(), 3u);
+  EXPECT_EQ(pc::AdjacencyStore(dbl, grid, 0, 6).unique_shards(), 6u);
 
   const auto ds_single = pc::preprocess_graph(g, pc::PermutationScheme::Single, 6, 8, 5);
+  const pc::InMemoryDatasetView single(ds_single);
   // Single permutation: only the plane matters -> min(3, L).
-  EXPECT_EQ(pc::AdjacencyStore(ds_single, grid, 0, 6).unique_shards(), 3u);
+  EXPECT_EQ(pc::AdjacencyStore(single, grid, 0, 6).unique_shards(), 3u);
 }
 
 TEST(AdjacencyStore, ShardsPartitionTheMatrix) {
@@ -215,6 +220,7 @@ TEST(AdjacencyStore, ShardsPartitionTheMatrix) {
   plexus::comm::World world(8);
   pc::Grid3D grid(world, {2, 2, 2}, plexus::sim::Machine::test_machine());
   const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::Double, 3, 8, 5);
+  const pc::InMemoryDatasetView view(ds);
   for (int layer = 0; layer < 3; ++layer) {
     std::int64_t total = 0;
     const auto roles = pc::roles_for_layer(layer);
@@ -222,7 +228,7 @@ TEST(AdjacencyStore, ShardsPartitionTheMatrix) {
       const auto c = grid.coords_of(r);
       // Count each (r_coord, p_coord) block once (skip Q replicas).
       if (pc::Grid3D::coord(c, roles.q) != 0) continue;
-      total += pc::AdjacencyStore(ds, grid, r, 3).layer(layer).a.nnz();
+      total += pc::AdjacencyStore(view, grid, r, 3).layer(layer).a.nnz();
     }
     EXPECT_EQ(total, ds.adjacency_for_layer(layer).nnz()) << "layer " << layer;
   }
@@ -271,4 +277,29 @@ TEST(ResolveOptions, EverythingElsePassesThrough) {
   EXPECT_EQ(spec.options.agg_row_blocks, 4);
   EXPECT_TRUE(spec.options.gemm_dw_tuning);
   EXPECT_EQ(spec.options.pipeline_depth, 1);
+}
+
+TEST(ResolveOptions, MalformedRssBudgetEnvIsIgnored) {
+  // PLEXUS_RSS_MB must be a whole megabyte count whose byte size fits in
+  // int64. Anything else is ignored (-1, no budget) instead of being read
+  // as a prefix ("16MB" -> 16) or wrapping negative on the << 20.
+  const char* prev = std::getenv("PLEXUS_RSS_MB");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
+  const std::string too_big = std::to_string(pc::kMaxRssBudgetMb + 1);
+  for (const char* bad : {"1e3", "16.5", "16MB", " 16", "-5", "99999999999999", too_big.c_str()}) {
+    ::setenv("PLEXUS_RSS_MB", bad, 1);
+    EXPECT_EQ(pc::env_rss_budget_bytes(), -1) << bad;
+    EXPECT_EQ(pc::resolve_options(options_with_model_defaults()).options.rss_budget_bytes, -1)
+        << bad;
+  }
+  ::setenv("PLEXUS_RSS_MB", "16", 1);
+  EXPECT_EQ(pc::env_rss_budget_bytes(), std::int64_t{16} << 20);
+  ::setenv("PLEXUS_RSS_MB", std::to_string(pc::kMaxRssBudgetMb).c_str(), 1);
+  EXPECT_EQ(pc::env_rss_budget_bytes(), pc::kMaxRssBudgetMb << 20);
+  if (saved) {
+    ::setenv("PLEXUS_RSS_MB", saved->c_str(), 1);
+  } else {
+    ::unsetenv("PLEXUS_RSS_MB");
+  }
 }

@@ -231,39 +231,6 @@ TEST(Distributed, AdaptiveDepthIsExactAndExposesNoMoreThanAnyFixedDepth) {
   }
 }
 
-TEST(Distributed, LocalBackendLossesBitwiseEqualSim) {
-  // Backend conformance at training scale: the Local transport really moves
-  // bytes over ring/staged schedules instead of the Sim shared-slot reads,
-  // but applies reductions in the same canonical member order — so losses
-  // AND simulated clocks must match the Sim backend bit for bit.
-  const auto g = small_graph();
-  pc::TrainOptions opt;
-  opt.grid = {2, 2, 2};
-  opt.machine = &psim::Machine::test_machine();
-  opt.model = small_spec();
-  opt.model.options.agg_row_blocks = 4;  // exercise the pipelined path too
-  opt.epochs = 5;
-  opt.backend = plexus::comm::Backend::Sim;
-  const auto sim = pc::train_plexus(g, opt);
-  opt.backend = plexus::comm::Backend::Local;
-  const auto local = pc::train_plexus(g, opt);
-  ASSERT_EQ(sim.epochs.size(), local.epochs.size());
-  const auto bitwise_eq = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  for (std::size_t i = 0; i < sim.epochs.size(); ++i) {
-    // memcmp, not EXPECT_DOUBLE_EQ: the contract is bit-for-bit, and the
-    // gtest macro tolerates 4-ULP drift that would hide a reduction-order
-    // regression in the Local transport.
-    EXPECT_TRUE(bitwise_eq(sim.epochs[i].loss, local.epochs[i].loss))
-        << "epoch " << i << " loss " << sim.epochs[i].loss << " vs " << local.epochs[i].loss;
-    EXPECT_TRUE(bitwise_eq(sim.epochs[i].epoch_seconds, local.epochs[i].epoch_seconds))
-        << "epoch " << i;
-    EXPECT_TRUE(bitwise_eq(sim.epochs[i].comm_seconds, local.epochs[i].comm_seconds))
-        << "epoch " << i;
-  }
-}
-
 TEST(Distributed, GemmTuningIsExact) {
   const auto g = small_graph();
   pc::TrainOptions opt;

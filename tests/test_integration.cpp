@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bnsgcn.hpp"
+#include "core/dataset_view.hpp"
 #include "core/preprocess.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
@@ -151,7 +152,7 @@ TEST(Integration, RejectsMismatchedPadding) {
   opt.machine = &psim::Machine::test_machine();
   opt.model = spec_small();
   opt.epochs = 1;
-  EXPECT_THROW(pc::train_plexus(ds, opt), std::runtime_error);
+  EXPECT_THROW(pc::train_plexus(pc::InMemoryDatasetView(ds), opt), std::runtime_error);
 }
 
 TEST(PreprocessAlgebra, PermutedAdjacencyKeepsRowSums) {

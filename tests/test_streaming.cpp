@@ -237,6 +237,7 @@ TEST(Streaming, TrainMatchesInMemoryBitwise) {
   // depths.
   const auto ds = make_dataset();
   const auto dir = write_shards(ds, "train");
+  const core::InMemoryDatasetView view(ds);
   const auto bitwise_eq = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
@@ -249,7 +250,7 @@ TEST(Streaming, TrainMatchesInMemoryBitwise) {
       auto opt = base_options();
       opt.grid = shape;
       opt.pipeline_depth = depth;
-      const auto resident = core::train_plexus(ds, opt);
+      const auto resident = core::train_plexus(view, opt);
 
       auto sopt = opt;
       sopt.rss_budget_bytes = 1 << 20;  // well below the on-disk adjacency bytes

@@ -15,7 +15,7 @@ the ring cost model — fully deterministic, so the gate is runner-independent.
 On failure every violated threshold is printed with a value-vs-limit diff.
 
 The micro_collectives report additionally carries the bf16 wire-format
-gate: with PLEXUS_WIRE-style bf16 payloads the trainer's wire bytes must
+gate: with TrainOptions::wire = Bf16 the trainer's wire bytes must
 drop to at most `wire_bytes_max_ratio` of the fp32 run (deterministic byte
 accounting; the measured ratio is exactly 0.5 on all-float workloads).
 
