@@ -3,10 +3,7 @@
 #include <utility>
 
 #include "core/shard.hpp"
-#include "loader/file_io.hpp"
 #include "loader/mapped_block.hpp"
-#include "sparse/coo.hpp"
-#include "sparse/partition2d.hpp"
 #include "util/error.hpp"
 
 namespace plexus::core {
@@ -45,22 +42,17 @@ const std::vector<std::uint8_t>& InMemoryDatasetView::mask(Split split) const {
   return ds_->train_mask;
 }
 
-ShardedDatasetView::ShardedDatasetView(std::string dir) : dir_(std::move(dir)) {
-  const io::ShardedMeta meta = io::read_meta(dir_);
+ShardedDatasetView::ShardedDatasetView(std::string dir)
+    : dir_(std::move(dir)), meta_(io::read_meta(dir_)) {
   const io::PlexusShardMeta pm = io::read_plexus_meta(dir_);
-  padded_nodes_ = meta.num_nodes;
-  padded_feature_dim_ = meta.feature_dim;
-  num_classes_ = meta.num_classes;
+  padded_nodes_ = meta_.num_nodes;
+  padded_feature_dim_ = meta_.feature_dim;
+  num_classes_ = meta_.num_classes;
   num_nodes_ = pm.valid_nodes;
   feature_dim_ = pm.valid_feature_dim;
   train_total_ = pm.train_total;
   scheme_ = static_cast<PermutationScheme>(pm.scheme);
   adjacency_versions_ = pm.adjacency_versions;
-  grid_rows_ = meta.grid_rows;
-  grid_cols_ = meta.grid_cols;
-  adjacency_nnz_ = meta.adjacency_nnz;
-  row_bounds_ = sparse::block_bounds(padded_nodes_, grid_rows_);
-  col_bounds_ = sparse::block_bounds(padded_nodes_, grid_cols_);
   PLEXUS_CHECK(num_nodes_ <= padded_nodes_ && feature_dim_ <= padded_feature_dim_,
                "sharded dataset: inconsistent metadata in " + dir_);
   labels_ = io::load_labels(dir_);
@@ -75,87 +67,38 @@ ShardedDatasetView::ShardedDatasetView(std::string dir, std::int64_t rss_budget_
   cache_ = std::make_unique<io::BlockCache>(rss_budget_bytes);
 }
 
+const char* ShardedDatasetView::prefix(int version) const {
+  return version % 2 != 0 && adjacency_versions_ > 1 ? "adjo" : "adj";
+}
+
 sparse::Csr ShardedDatasetView::adjacency_block(int version, std::int64_t r0, std::int64_t r1,
                                                std::int64_t c0, std::int64_t c1) const {
-  if (cache_ != nullptr) {
-    std::int64_t discard = 0;
-    return adjacency_block_counted(version, r0, r1, c0, c1, &discard);
-  }
-  const bool odd = version % 2 != 0 && adjacency_versions_ > 1;
-  return io::load_adjacency_block(dir_, r0, r1, c0, c1, &stats_, odd ? "adjo" : "adj");
+  if (cache_ != nullptr) return adjacency_block_counted(version, r0, r1, c0, c1, nullptr);
+  // Only the owning rank thread calls this on a plain view, so it may count
+  // into the unsynchronised stats_.
+  return io::load_adjacency_window(dir_, prefix(version), meta_, r0, r1, c0, c1,
+                                   [this](const std::string& path) {
+                                     auto block = io::MappedBlock::open(path);
+                                     stats_.files_opened++;
+                                     stats_.bytes_read += block->size_bytes();
+                                     return block;
+                                   });
 }
 
 sparse::Csr ShardedDatasetView::adjacency_block_counted(int version, std::int64_t r0,
                                                         std::int64_t r1, std::int64_t c0,
                                                         std::int64_t c1,
                                                         std::int64_t* io_bytes) const {
-  const bool odd = version % 2 != 0 && adjacency_versions_ > 1;
-  const std::string prefix = odd ? "adjo" : "adj";
-  if (cache_ != nullptr) return streamed_adjacency_block(prefix, r0, r1, c0, c1, io_bytes);
-  // Non-streaming fall-through keeps a local LoadStats: the counted entry
-  // point may be called from a worker thread, and the shared mutable
-  // `stats_` is only safe on the single owning rank thread.
-  io::LoadStats local;
-  auto csr = io::load_adjacency_block(dir_, r0, r1, c0, c1, &local, prefix);
-  if (io_bytes != nullptr) *io_bytes = local.bytes_read;
-  return csr;
-}
-
-sparse::Csr ShardedDatasetView::streamed_adjacency_block(const std::string& prefix,
-                                                         std::int64_t r0, std::int64_t r1,
-                                                         std::int64_t c0, std::int64_t c1,
-                                                         std::int64_t* io_bytes) const {
+  // Runs on prefetch workers: count into the caller's slot, never stats_.
   if (io_bytes != nullptr) *io_bytes = 0;
-  sparse::Coo coo;
-  coo.num_rows = r1 - r0;
-  coo.num_cols = c1 - c0;
-  // Identical stripe walk and COO emission order to io::load_adjacency_block,
-  // so the resulting CSR is bitwise-identical to the blocking loader's — the
-  // streaming epoch's determinism contract rests on this loop.
-  for (std::int32_t r = 0; r < grid_rows_; ++r) {
-    if (row_bounds_[static_cast<std::size_t>(r) + 1] <= r0 ||
-        row_bounds_[static_cast<std::size_t>(r)] >= r1) {
-      continue;
-    }
-    for (std::int32_t c = 0; c < grid_cols_; ++c) {
-      if (col_bounds_[static_cast<std::size_t>(c) + 1] <= c0 ||
-          col_bounds_[static_cast<std::size_t>(c)] >= c1) {
-        continue;
-      }
-      const auto block = cache_->get(io::adjacency_block_path(dir_, prefix, r, c), io_bytes);
-      io::ByteReader in(*block);
-      PLEXUS_CHECK(in.pod<std::uint64_t>() == io::kPlxMagic, "bad magic in " + block->path());
-      const auto row0 = in.pod<std::int64_t>();
-      const auto col0 = in.pod<std::int64_t>();
-      const auto rows = in.pod<std::int64_t>();
-      in.pod<std::int64_t>();  // cols
-      const auto nnz = in.pod<std::int64_t>();
-      PLEXUS_CHECK(rows >= 0 && nnz >= 0, "corrupt block header in " + block->path());
-      const auto row_ptr = in.array<std::int64_t>(static_cast<std::size_t>(rows) + 1);
-      const auto col_idx = in.array<std::int32_t>(static_cast<std::size_t>(nnz));
-      const auto vals = in.array<float>(static_cast<std::size_t>(nnz));
-      std::int64_t prev = 0;
-      for (std::int64_t lr = 0; lr < rows; ++lr) {
-        const auto k0 = row_ptr[static_cast<std::size_t>(lr)];
-        const auto k1 = row_ptr[static_cast<std::size_t>(lr) + 1];
-        // Validate contiguity before the window skip: a corrupt row_ptr must
-        // surface even when the bad row lies outside the requested window.
-        PLEXUS_CHECK(k0 == prev && k1 >= k0 && k1 <= nnz,
-                     "corrupt row pointer in " + block->path());
-        prev = k1;
-        const auto gr = row0 + lr;
-        if (gr < r0 || gr >= r1) continue;
-        for (std::int64_t k = k0; k < k1; ++k) {
-          const auto gc = col0 + col_idx[static_cast<std::size_t>(k)];
-          if (gc < c0 || gc >= c1) continue;
-          coo.push(gr - r0, gc - c0, vals[static_cast<std::size_t>(k)]);
-        }
-      }
-      PLEXUS_CHECK(row_ptr[0] == 0 && prev == nnz,
-                   "corrupt row pointer in " + block->path());
-    }
-  }
-  return sparse::Csr::from_coo(coo, false);
+  return io::load_adjacency_window(
+      dir_, prefix(version), meta_, r0, r1, c0, c1,
+      [&](const std::string& path) -> std::shared_ptr<const io::MappedBlock> {
+        if (cache_ != nullptr) return cache_->get(path, io_bytes);
+        auto block = io::MappedBlock::open(path);
+        if (io_bytes != nullptr) *io_bytes += block->size_bytes();
+        return block;
+      });
 }
 
 dense::Matrix ShardedDatasetView::feature_block(std::int64_t r0, std::int64_t r1,

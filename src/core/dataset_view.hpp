@@ -139,7 +139,7 @@ class ShardedDatasetView final : public DatasetView {
   const std::vector<std::uint8_t>& mask(Split split) const override;
 
   bool streaming() const override { return cache_ != nullptr; }
-  std::int64_t adjacency_nnz() const override { return adjacency_nnz_; }
+  std::int64_t adjacency_nnz() const override { return meta_.adjacency_nnz; }
   sparse::Csr adjacency_block_counted(int version, std::int64_t r0, std::int64_t r1,
                                       std::int64_t c0, std::int64_t c1,
                                       std::int64_t* io_bytes) const override;
@@ -155,19 +155,11 @@ class ShardedDatasetView final : public DatasetView {
   io::BlockCache::Stats cache_stats() const;
 
  private:
-  /// Streamed equivalent of io::load_adjacency_block: same stripe walk,
-  /// same COO emission order, blocks served from the cache.
-  sparse::Csr streamed_adjacency_block(const std::string& prefix, std::int64_t r0,
-                                       std::int64_t r1, std::int64_t c0, std::int64_t c1,
-                                       std::int64_t* io_bytes) const;
+  const char* prefix(int version) const;
 
   std::string dir_;
+  io::ShardedMeta meta_;
   std::int32_t adjacency_versions_ = 1;
-  std::int32_t grid_rows_ = 0;
-  std::int32_t grid_cols_ = 0;
-  std::int64_t adjacency_nnz_ = 0;
-  std::vector<std::int64_t> row_bounds_;
-  std::vector<std::int64_t> col_bounds_;
   std::vector<std::int32_t> labels_;
   io::ShardedMasks masks_;
   std::unique_ptr<io::BlockCache> cache_;

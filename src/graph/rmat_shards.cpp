@@ -212,18 +212,10 @@ std::int64_t write_blocks_streamed(const std::string& dir, const std::string& pr
       row_ptr[static_cast<std::size_t>(i) + 1] =
           row_ptr[static_cast<std::size_t>(i)] + counts[static_cast<std::size_t>(i)];
     }
-    auto f = io::open_file(
-        dir + "/" + prefix + "_" + std::to_string(r) + "_" + std::to_string(c) + ".plx", "wb");
-    io::write_pod(f.get(), io::kPlxMagic);
-    io::write_pod(f.get(), rb[static_cast<std::size_t>(r)]);
-    io::write_pod(f.get(), cb[static_cast<std::size_t>(c)]);
-    io::write_pod(f.get(), rows);
-    io::write_pod(f.get(), cb[static_cast<std::size_t>(c) + 1] - cb[static_cast<std::size_t>(c)]);
-    io::write_pod(f.get(), static_cast<std::int64_t>(col_idx.size()));
-    io::write_array(f.get(), row_ptr.data(), row_ptr.size());
-    io::write_array(f.get(), col_idx.data(), col_idx.size());
-    io::write_array(f.get(), vals.data(), vals.size());
-    f.close();
+    io::write_adjacency_block(io::adjacency_block_path(dir, prefix, r, c),
+                              rb[static_cast<std::size_t>(r)], cb[static_cast<std::size_t>(c)],
+                              cb[static_cast<std::size_t>(c) + 1] - cb[static_cast<std::size_t>(c)],
+                              row_ptr, col_idx, vals);
     nnz_total += static_cast<std::int64_t>(col_idx.size());
     *peak_buffer_bytes =
         std::max(*peak_buffer_bytes,
@@ -461,17 +453,8 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
   }
 
   // ---- Phase E: metadata, labels, masks, features — small or streamed.
-  {
-    auto f = io::open_file(dir + "/meta.plx", "wb");
-    io::write_pod(f.get(), io::kPlxMagic);
-    io::write_pod(f.get(), padded);
-    io::write_pod(f.get(), padded_dim);
-    io::write_pod(f.get(), spec.num_classes);
-    io::write_pod(f.get(), static_cast<std::int32_t>(spec.parts));
-    io::write_pod(f.get(), static_cast<std::int32_t>(spec.parts));
-    io::write_pod(f.get(), result.adjacency_nnz);
-    f.close();
-  }
+  io::write_meta(dir, io::ShardedMeta{padded, padded_dim, spec.num_classes, spec.parts,
+                                      spec.parts, result.adjacency_nnz});
   {
     // Labels and masks live in the final layer's output permutation.
     const auto& p_out = (spec.num_layers - 1) % 2 == 0 ? p_r : p_c;
@@ -487,11 +470,7 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
       masks.val[dst] = val[static_cast<std::size_t>(u)];
       masks.test[dst] = test[static_cast<std::size_t>(u)];
     }
-    auto f = io::open_file(dir + "/labels.plx", "wb");
-    io::write_pod(f.get(), io::kPlxMagic);
-    io::write_pod(f.get(), static_cast<std::int64_t>(labels_out.size()));
-    io::write_array(f.get(), labels_out.data(), labels_out.size());
-    f.close();
+    io::write_labels(dir, labels_out);
     io::write_masks(dir, masks);
   }
   {
@@ -509,30 +488,25 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
     const util::CounterRng rng(util::hash_combine(spec.seed, 0xfea7));
     const auto rb = sparse::block_bounds(padded, spec.parts);
     std::vector<float> row(static_cast<std::size_t>(padded_dim), 0.0f);
+    const auto row_at = [&](std::int64_t dst) {
+      std::fill(row.begin(), row.end(), 0.0f);
+      const auto u = p_c_inv[static_cast<std::size_t>(dst)];
+      if (u < n) {
+        for (std::int64_t k = 0; k < spec.feature_dim; ++k) {
+          row[static_cast<std::size_t>(k)] =
+              rng.uniform_at(static_cast<std::uint64_t>(u * spec.feature_dim + k), -1.0f, 1.0f);
+        }
+        if (spec.label_signal != 0.0f) {
+          row[static_cast<std::size_t>(labels[static_cast<std::size_t>(u)] %
+                                       spec.feature_dim)] += spec.label_signal;
+        }
+      }
+      return row.data();
+    };
     for (int r = 0; r < spec.parts; ++r) {
       const auto r0 = rb[static_cast<std::size_t>(r)];
-      const auto r1 = rb[static_cast<std::size_t>(r) + 1];
-      auto f = io::open_file(dir + "/feat_" + std::to_string(r) + ".plx", "wb");
-      io::write_pod(f.get(), io::kPlxMagic);
-      io::write_pod(f.get(), r0);
-      io::write_pod(f.get(), r1 - r0);
-      io::write_pod(f.get(), padded_dim);
-      for (std::int64_t dst = r0; dst < r1; ++dst) {
-        std::fill(row.begin(), row.end(), 0.0f);
-        const auto u = p_c_inv[static_cast<std::size_t>(dst)];
-        if (u < n) {
-          for (std::int64_t k = 0; k < spec.feature_dim; ++k) {
-            row[static_cast<std::size_t>(k)] = rng.uniform_at(
-                static_cast<std::uint64_t>(u * spec.feature_dim + k), -1.0f, 1.0f);
-          }
-          if (spec.label_signal != 0.0f) {
-            row[static_cast<std::size_t>(labels[static_cast<std::size_t>(u)] %
-                                         spec.feature_dim)] += spec.label_signal;
-          }
-        }
-        io::write_array(f.get(), row.data(), row.size());
-      }
-      f.close();
+      io::write_feature_block(io::feature_block_path(dir, r), r0,
+                              rb[static_cast<std::size_t>(r) + 1] - r0, padded_dim, row_at);
     }
   }
 

@@ -1,14 +1,14 @@
 #pragma once
 /// \file mapped_block.hpp
-/// Memory-mapped .plx shard block files for the out-of-core streaming epoch.
-/// A MappedBlock is one block file held read-only in memory — mmap with a
-/// MADV_WILLNEED hint where the platform has it, a plain (hookable) stdio
-/// read everywhere else. Blocks are immutable once opened and reference
-/// counted: the shared_ptr a caller holds is also the BlockCache's pin, so
-/// an in-flight prefetch can never be unmapped underneath the SpMM that is
-/// about to consume it.
+/// Memory-mapped .plx shard block files: every adjacency block read, blocking
+/// or streamed, opens its file through here. A MappedBlock is one block file
+/// held read-only in memory — mmap with a MADV_WILLNEED hint where the
+/// platform has it, a plain (hookable) stdio read everywhere else. Blocks
+/// are immutable once opened and reference counted: the shared_ptr a caller
+/// holds is also the BlockCache's pin, so an in-flight prefetch can never be
+/// unmapped underneath the SpMM that is about to consume it.
 ///
-/// ByteReader is the sequential typed cursor the streaming loader parses
+/// ByteReader is the sequential typed cursor io::parse_adjacency_block reads
 /// headers and arrays with; every advance is bounds-checked against the
 /// file size captured at open, so a block truncated on disk surfaces as a
 /// clean "truncated block file" error instead of a fault.
@@ -71,7 +71,9 @@ class ByteReader {
   /// i32 / f32 runs), which the alignment check enforces.
   template <typename T>
   std::span<const T> array(std::size_t count) {
-    need(count * sizeof(T));
+    // Divide rather than multiply: count comes from the file and
+    // count * sizeof(T) can wrap.
+    PLEXUS_CHECK(count <= remaining() / sizeof(T), "truncated block file " + *path_);
     const std::byte* p = data_ + off_;
     PLEXUS_CHECK(reinterpret_cast<std::uintptr_t>(p) % alignof(T) == 0,
                  "misaligned array in " + *path_);

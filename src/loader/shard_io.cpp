@@ -1,9 +1,7 @@
 #include "loader/shard_io.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <utility>
 
 #include "loader/file_io.hpp"
 #include "sparse/coo.hpp"
@@ -13,49 +11,120 @@
 
 namespace plexus::io {
 
-namespace {
-
-constexpr std::uint64_t kMagic = kPlxMagic;
-
-std::string adj_path(const std::string& dir, const std::string& prefix, int r, int c) {
-  return adjacency_block_path(dir, prefix, r, c);
-}
-std::string feat_path(const std::string& dir, int r) {
-  return dir + "/feat_" + std::to_string(r) + ".plx";
-}
-
-/// Read one adjacency block file: header + CSR arrays.
-struct AdjBlock {
-  std::int64_t row0 = 0;
-  std::int64_t col0 = 0;
-  std::int64_t rows = 0;
-  std::int64_t cols = 0;
-  std::vector<std::int64_t> row_ptr;
-  std::vector<std::int32_t> col_idx;
-  std::vector<float> vals;
-};
-
-AdjBlock read_adj_block(const std::string& path, LoadStats* stats) {
-  auto f = open_file(path, "rb");
-  if (stats != nullptr) stats->files_opened++;
-  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), stats) == kMagic, "bad magic in " + path);
-  AdjBlock b;
-  b.row0 = read_pod<std::int64_t>(f.get(), stats);
-  b.col0 = read_pod<std::int64_t>(f.get(), stats);
-  b.rows = read_pod<std::int64_t>(f.get(), stats);
-  b.cols = read_pod<std::int64_t>(f.get(), stats);
-  const auto nnz = read_pod<std::int64_t>(f.get(), stats);
-  b.row_ptr = read_array<std::int64_t>(f.get(), static_cast<std::size_t>(b.rows) + 1, stats);
-  b.col_idx = read_array<std::int32_t>(f.get(), static_cast<std::size_t>(nnz), stats);
-  b.vals = read_array<float>(f.get(), static_cast<std::size_t>(nnz), stats);
-  return b;
-}
-
-}  // namespace
-
 std::string adjacency_block_path(const std::string& dir, const std::string& prefix, int r,
                                  int c) {
   return dir + "/" + prefix + "_" + std::to_string(r) + "_" + std::to_string(c) + ".plx";
+}
+
+std::string feature_block_path(const std::string& dir, int r) {
+  return dir + "/feat_" + std::to_string(r) + ".plx";
+}
+
+AdjacencyBlock parse_adjacency_block(const MappedBlock& block) {
+  const std::string& path = block.path();
+  ByteReader in(block);
+  PLEXUS_CHECK(in.pod<std::uint64_t>() == kPlxMagic, "bad magic in " + path);
+  AdjacencyBlock b;
+  b.row0 = in.pod<std::int64_t>();
+  b.col0 = in.pod<std::int64_t>();
+  b.rows = in.pod<std::int64_t>();
+  b.cols = in.pod<std::int64_t>();
+  const auto nnz = in.pod<std::int64_t>();
+  PLEXUS_CHECK(b.row0 >= 0 && b.col0 >= 0 && b.rows >= 0 && b.cols >= 0 && nnz >= 0,
+               "corrupt block header in " + path);
+  b.row_ptr = in.array<std::int64_t>(static_cast<std::size_t>(b.rows) + 1);
+  b.col_idx = in.array<std::int32_t>(static_cast<std::size_t>(nnz));
+  b.vals = in.array<float>(static_cast<std::size_t>(nnz));
+  bool monotone = b.row_ptr.front() == 0 && b.row_ptr.back() == nnz;
+  for (std::size_t i = 1; monotone && i < b.row_ptr.size(); ++i) {
+    monotone = b.row_ptr[i] >= b.row_ptr[i - 1];
+  }
+  PLEXUS_CHECK(monotone, "corrupt row pointer in " + path);
+  return b;
+}
+
+sparse::Csr load_adjacency_window(const std::string& dir, const std::string& prefix,
+                                  const ShardedMeta& meta, std::int64_t r0, std::int64_t r1,
+                                  std::int64_t c0, std::int64_t c1, const BlockOpener& open) {
+  const auto rb = sparse::block_bounds(meta.num_nodes, meta.grid_rows);
+  const auto cb = sparse::block_bounds(meta.num_nodes, meta.grid_cols);
+  sparse::Coo coo;
+  coo.num_rows = r1 - r0;
+  coo.num_cols = c1 - c0;
+  for (std::size_t r = 0; r + 1 < rb.size(); ++r) {
+    if (rb[r + 1] <= r0 || rb[r] >= r1) continue;
+    for (std::size_t c = 0; c + 1 < cb.size(); ++c) {
+      if (cb[c + 1] <= c0 || cb[c] >= c1) continue;
+      const auto file =
+          open(adjacency_block_path(dir, prefix, static_cast<int>(r), static_cast<int>(c)));
+      const auto blk = parse_adjacency_block(*file);
+      PLEXUS_CHECK(blk.row0 == rb[r] && blk.rows == rb[r + 1] - rb[r] && blk.col0 == cb[c] &&
+                       blk.cols == cb[c + 1] - cb[c],
+                   "corrupt block header in " + file->path() + " (not its grid block)");
+      for (std::int64_t gr = std::max(r0, rb[r]); gr < std::min(r1, rb[r + 1]); ++gr) {
+        const auto lr = static_cast<std::size_t>(gr - blk.row0);
+        for (auto k = static_cast<std::size_t>(blk.row_ptr[lr]);
+             k < static_cast<std::size_t>(blk.row_ptr[lr + 1]); ++k) {
+          const std::int64_t lc = blk.col_idx[k];
+          PLEXUS_CHECK(lc >= 0 && lc < blk.cols, "corrupt column index in " + file->path());
+          const auto gc = blk.col0 + lc;
+          if (gc < c0 || gc >= c1) continue;
+          coo.push(gr - r0, gc - c0, blk.vals[k]);
+        }
+      }
+    }
+  }
+  return sparse::Csr::from_coo(coo, false);
+}
+
+void write_adjacency_block(const std::string& path, std::int64_t row0, std::int64_t col0,
+                           std::int64_t cols, std::span<const std::int64_t> row_ptr,
+                           std::span<const std::int32_t> col_idx, std::span<const float> vals) {
+  auto f = open_file(path, "wb");
+  write_pod(f.get(), kPlxMagic);
+  write_pod(f.get(), row0);
+  write_pod(f.get(), col0);
+  write_pod(f.get(), static_cast<std::int64_t>(row_ptr.size()) - 1);
+  write_pod(f.get(), cols);
+  write_pod(f.get(), static_cast<std::int64_t>(col_idx.size()));
+  write_array(f.get(), row_ptr.data(), row_ptr.size());
+  write_array(f.get(), col_idx.data(), col_idx.size());
+  write_array(f.get(), vals.data(), vals.size());
+  f.close();
+}
+
+void write_feature_block(const std::string& path, std::int64_t row0, std::int64_t rows,
+                         std::int64_t cols,
+                         const std::function<const float*(std::int64_t row)>& row_at) {
+  auto f = open_file(path, "wb");
+  write_pod(f.get(), kPlxMagic);
+  write_pod(f.get(), row0);
+  write_pod(f.get(), rows);
+  write_pod(f.get(), cols);
+  for (std::int64_t row = row0; row < row0 + rows; ++row) {
+    write_array(f.get(), row_at(row), static_cast<std::size_t>(cols));
+  }
+  f.close();
+}
+
+void write_meta(const std::string& dir, const ShardedMeta& meta) {
+  auto f = open_file(dir + "/meta.plx", "wb");
+  write_pod(f.get(), kPlxMagic);
+  write_pod(f.get(), meta.num_nodes);
+  write_pod(f.get(), meta.feature_dim);
+  write_pod(f.get(), meta.num_classes);
+  write_pod(f.get(), meta.grid_rows);
+  write_pod(f.get(), meta.grid_cols);
+  write_pod(f.get(), meta.adjacency_nnz);
+  f.close();
+}
+
+void write_labels(const std::string& dir, const std::vector<std::int32_t>& labels) {
+  auto f = open_file(dir + "/labels.plx", "wb");
+  write_pod(f.get(), kPlxMagic);
+  write_pod(f.get(), static_cast<std::int64_t>(labels.size()));
+  write_array(f.get(), labels.data(), labels.size());
+  f.close();
 }
 
 void write_adjacency_blocks(const std::string& dir, const std::string& prefix,
@@ -64,21 +133,12 @@ void write_adjacency_blocks(const std::string& dir, const std::string& prefix,
   std::filesystem::create_directories(dir);
   const auto rb = sparse::block_bounds(adj.rows(), grid_rows);
   const auto cb = sparse::block_bounds(adj.cols(), grid_cols);
-  for (int r = 0; r < grid_rows; ++r) {
-    for (int c = 0; c < grid_cols; ++c) {
-      const auto blk = adj.block(rb[static_cast<std::size_t>(r)], rb[static_cast<std::size_t>(r) + 1],
-                                 cb[static_cast<std::size_t>(c)], cb[static_cast<std::size_t>(c) + 1]);
-      auto f = open_file(adj_path(dir, prefix, r, c), "wb");
-      write_pod(f.get(), kMagic);
-      write_pod(f.get(), rb[static_cast<std::size_t>(r)]);
-      write_pod(f.get(), cb[static_cast<std::size_t>(c)]);
-      write_pod(f.get(), blk.rows());
-      write_pod(f.get(), blk.cols());
-      write_pod(f.get(), blk.nnz());
-      write_array(f.get(), blk.row_ptr().data(), blk.row_ptr().size());
-      write_array(f.get(), blk.col_idx().data(), blk.col_idx().size());
-      write_array(f.get(), blk.vals().data(), blk.vals().size());
-      f.close();
+  for (std::size_t r = 0; r + 1 < rb.size(); ++r) {
+    for (std::size_t c = 0; c + 1 < cb.size(); ++c) {
+      const auto blk = adj.block(rb[r], rb[r + 1], cb[c], cb[c + 1]);
+      write_adjacency_block(
+          adjacency_block_path(dir, prefix, static_cast<int>(r), static_cast<int>(c)), rb[r],
+          cb[c], blk.cols(), blk.row_ptr(), blk.col_idx(), blk.vals());
     }
   }
 }
@@ -89,46 +149,21 @@ void write_sharded_dataset(const std::string& dir, const sparse::Csr& adj,
                            std::int32_t grid_rows, std::int32_t grid_cols) {
   PLEXUS_CHECK(adj.rows() == adj.cols() && adj.rows() == features.rows(), "shape mismatch");
   std::filesystem::create_directories(dir);
-
-  {
-    auto f = open_file(dir + "/meta.plx", "wb");
-    write_pod(f.get(), kMagic);
-    write_pod(f.get(), adj.rows());
-    write_pod(f.get(), features.cols());
-    write_pod(f.get(), num_classes);
-    write_pod(f.get(), grid_rows);
-    write_pod(f.get(), grid_cols);
-    write_pod(f.get(), adj.nnz());
-    f.close();
-  }
-  {
-    auto f = open_file(dir + "/labels.plx", "wb");
-    write_pod(f.get(), kMagic);
-    write_pod(f.get(), static_cast<std::int64_t>(labels.size()));
-    write_array(f.get(), labels.data(), labels.size());
-    f.close();
-  }
-
+  write_meta(dir, ShardedMeta{adj.rows(), features.cols(), num_classes, grid_rows, grid_cols,
+                              adj.nnz()});
+  write_labels(dir, labels);
   write_adjacency_blocks(dir, "adj", adj, grid_rows, grid_cols);
-
   const auto rb = sparse::block_bounds(adj.rows(), grid_rows);
-  for (int r = 0; r < grid_rows; ++r) {
-    const auto r0 = rb[static_cast<std::size_t>(r)];
-    const auto r1 = rb[static_cast<std::size_t>(r) + 1];
-    auto f = open_file(feat_path(dir, r), "wb");
-    write_pod(f.get(), kMagic);
-    write_pod(f.get(), r0);
-    write_pod(f.get(), r1 - r0);
-    write_pod(f.get(), features.cols());
-    write_array(f.get(), features.row(r0), static_cast<std::size_t>((r1 - r0) * features.cols()));
-    f.close();
+  for (std::size_t r = 0; r + 1 < rb.size(); ++r) {
+    write_feature_block(feature_block_path(dir, static_cast<int>(r)), rb[r], rb[r + 1] - rb[r],
+                        features.cols(), [&](std::int64_t row) { return features.row(row); });
   }
 }
 
 void write_plexus_meta(const std::string& dir, const PlexusShardMeta& m) {
   std::filesystem::create_directories(dir);
   auto f = open_file(dir + "/pmeta.plx", "wb");
-  write_pod(f.get(), kMagic);
+  write_pod(f.get(), kPlxMagic);
   write_pod(f.get(), m.valid_nodes);
   write_pod(f.get(), m.valid_feature_dim);
   write_pod(f.get(), m.train_total);
@@ -142,7 +177,7 @@ void write_masks(const std::string& dir, const ShardedMasks& masks) {
                "mask length mismatch");
   std::filesystem::create_directories(dir);
   auto f = open_file(dir + "/masks.plx", "wb");
-  write_pod(f.get(), kMagic);
+  write_pod(f.get(), kPlxMagic);
   write_pod(f.get(), static_cast<std::int64_t>(masks.train.size()));
   write_array(f.get(), masks.train.data(), masks.train.size());
   write_array(f.get(), masks.val.data(), masks.val.size());
@@ -152,7 +187,7 @@ void write_masks(const std::string& dir, const ShardedMasks& masks) {
 
 ShardedMeta read_meta(const std::string& dir) {
   auto f = open_file(dir + "/meta.plx", "rb");
-  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kMagic, "bad magic in meta");
+  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kPlxMagic, "bad magic in meta");
   ShardedMeta m;
   m.num_nodes = read_pod<std::int64_t>(f.get(), nullptr);
   m.feature_dim = read_pod<std::int64_t>(f.get(), nullptr);
@@ -165,7 +200,7 @@ ShardedMeta read_meta(const std::string& dir) {
 
 PlexusShardMeta read_plexus_meta(const std::string& dir) {
   auto f = open_file(dir + "/pmeta.plx", "rb");
-  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kMagic, "bad magic in pmeta");
+  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kPlxMagic, "bad magic in pmeta");
   PlexusShardMeta m;
   m.valid_nodes = read_pod<std::int64_t>(f.get(), nullptr);
   m.valid_feature_dim = read_pod<std::int64_t>(f.get(), nullptr);
@@ -177,7 +212,7 @@ PlexusShardMeta read_plexus_meta(const std::string& dir) {
 
 ShardedMasks load_masks(const std::string& dir) {
   auto f = open_file(dir + "/masks.plx", "rb");
-  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kMagic, "bad magic in masks");
+  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kPlxMagic, "bad magic in masks");
   const auto n = read_pod<std::int64_t>(f.get(), nullptr);
   ShardedMasks m;
   m.train = read_array<std::uint8_t>(f.get(), static_cast<std::size_t>(n), nullptr);
@@ -190,40 +225,22 @@ sparse::Csr load_adjacency_block(const std::string& dir, std::int64_t r0, std::i
                                  std::int64_t c0, std::int64_t c1, LoadStats* stats,
                                  const std::string& prefix) {
   util::WallTimer timer;
-  const auto meta = read_meta(dir);
-  const auto rb = sparse::block_bounds(meta.num_nodes, meta.grid_rows);
-  const auto cb = sparse::block_bounds(meta.num_nodes, meta.grid_cols);
-
-  sparse::Coo coo;
-  coo.num_rows = r1 - r0;
-  coo.num_cols = c1 - c0;
   std::int64_t buffered = 0;
-  for (int r = 0; r < meta.grid_rows; ++r) {
-    if (rb[static_cast<std::size_t>(r) + 1] <= r0 || rb[static_cast<std::size_t>(r)] >= r1) continue;
-    for (int c = 0; c < meta.grid_cols; ++c) {
-      if (cb[static_cast<std::size_t>(c) + 1] <= c0 || cb[static_cast<std::size_t>(c)] >= c1) {
-        continue;
-      }
-      const auto blk = read_adj_block(adj_path(dir, prefix, r, c), stats);
-      buffered += static_cast<std::int64_t>(blk.col_idx.size() * 8 + blk.row_ptr.size() * 8);
-      // Extract the intersection with the requested window.
-      for (std::int64_t lr = 0; lr < blk.rows; ++lr) {
-        const auto gr = blk.row0 + lr;
-        if (gr < r0 || gr >= r1) continue;
-        for (std::int64_t k = blk.row_ptr[static_cast<std::size_t>(lr)];
-             k < blk.row_ptr[static_cast<std::size_t>(lr) + 1]; ++k) {
-          const auto gc = blk.col0 + blk.col_idx[static_cast<std::size_t>(k)];
-          if (gc < c0 || gc >= c1) continue;
-          coo.push(gr - r0, gc - c0, blk.vals[static_cast<std::size_t>(k)]);
+  auto csr = load_adjacency_window(
+      dir, prefix, read_meta(dir), r0, r1, c0, c1, [&](const std::string& path) {
+        auto block = MappedBlock::open(path);
+        buffered += block->size_bytes();
+        if (stats != nullptr) {
+          stats->files_opened++;
+          stats->bytes_read += block->size_bytes();
         }
-      }
-    }
-  }
+        return block;
+      });
   if (stats != nullptr) {
     stats->peak_host_bytes = std::max(stats->peak_host_bytes, buffered);
     stats->seconds += timer.seconds();
   }
-  return sparse::Csr::from_coo(coo, false);
+  return csr;
 }
 
 dense::Matrix load_feature_block(const std::string& dir, std::int64_t r0, std::int64_t r1,
@@ -232,16 +249,19 @@ dense::Matrix load_feature_block(const std::string& dir, std::int64_t r0, std::i
   const auto meta = read_meta(dir);
   const auto rb = sparse::block_bounds(meta.num_nodes, meta.grid_rows);
   dense::Matrix out(r1 - r0, c1 - c0);
-  for (int r = 0; r < meta.grid_rows; ++r) {
-    const auto b0 = rb[static_cast<std::size_t>(r)];
-    const auto b1 = rb[static_cast<std::size_t>(r) + 1];
+  for (std::size_t r = 0; r + 1 < rb.size(); ++r) {
+    const auto b0 = rb[r];
+    const auto b1 = rb[r + 1];
     if (b1 <= r0 || b0 >= r1) continue;
-    auto f = open_file(feat_path(dir, r), "rb");
+    const auto path = feature_block_path(dir, static_cast<int>(r));
+    auto f = open_file(path, "rb");
     if (stats != nullptr) stats->files_opened++;
-    PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), stats) == kMagic, "bad magic");
+    PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), stats) == kPlxMagic, "bad magic in " + path);
     const auto row0 = read_pod<std::int64_t>(f.get(), stats);
     const auto rows = read_pod<std::int64_t>(f.get(), stats);
     const auto cols = read_pod<std::int64_t>(f.get(), stats);
+    PLEXUS_CHECK(row0 == b0 && rows == b1 - b0 && cols == meta.feature_dim,
+                 "corrupt feature block header in " + path);
     const auto data = read_array<float>(f.get(), static_cast<std::size_t>(rows * cols), stats);
     for (std::int64_t lr = 0; lr < rows; ++lr) {
       const auto gr = row0 + lr;
@@ -258,38 +278,15 @@ dense::Matrix load_feature_block(const std::string& dir, std::int64_t r0, std::i
 sparse::Csr load_adjacency_block_naive(const std::string& dir, std::int64_t r0, std::int64_t r1,
                                        std::int64_t c0, std::int64_t c1, LoadStats* stats,
                                        const std::string& prefix) {
-  util::WallTimer timer;
-  const auto meta = read_meta(dir);
   // Read every block, reassemble the full matrix, then slice — the "load the
   // whole dataset into CPU memory first" pattern of many GNN frameworks.
-  sparse::Coo coo;
-  coo.num_rows = meta.num_nodes;
-  coo.num_cols = meta.num_nodes;
-  for (int r = 0; r < meta.grid_rows; ++r) {
-    for (int c = 0; c < meta.grid_cols; ++c) {
-      const auto blk = read_adj_block(adj_path(dir, prefix, r, c), stats);
-      for (std::int64_t lr = 0; lr < blk.rows; ++lr) {
-        for (std::int64_t k = blk.row_ptr[static_cast<std::size_t>(lr)];
-             k < blk.row_ptr[static_cast<std::size_t>(lr) + 1]; ++k) {
-          coo.push(blk.row0 + lr, blk.col0 + blk.col_idx[static_cast<std::size_t>(k)],
-                   blk.vals[static_cast<std::size_t>(k)]);
-        }
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->peak_host_bytes =
-        std::max(stats->peak_host_bytes, static_cast<std::int64_t>(coo.nnz() * 16));
-  }
-  const auto full = sparse::Csr::from_coo(coo, false);
-  const auto out = full.block(r0, r1, c0, c1);
-  if (stats != nullptr) stats->seconds += timer.seconds();
-  return out;
+  const std::int64_t n = read_meta(dir).num_nodes;
+  return load_adjacency_block(dir, 0, n, 0, n, stats, prefix).block(r0, r1, c0, c1);
 }
 
 std::vector<std::int32_t> load_labels(const std::string& dir) {
   auto f = open_file(dir + "/labels.plx", "rb");
-  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kMagic, "bad magic in labels");
+  PLEXUS_CHECK(read_pod<std::uint64_t>(f.get(), nullptr) == kPlxMagic, "bad magic in labels");
   const auto n = read_pod<std::int64_t>(f.get(), nullptr);
   return read_array<std::int32_t>(f.get(), static_cast<std::size_t>(n), nullptr);
 }

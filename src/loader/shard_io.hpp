@@ -10,12 +10,20 @@
 /// dataset into host memory first (the naive loader, also provided for the
 /// comparison the paper reports: 146 GB -> 9 GB and 139 s -> 7 s for
 /// ogbn-papers100M on 64 GPUs with 16 x 16 shards).
+///
+/// This is the only code that knows the block-file layout: the in-memory
+/// and the streaming generators write through the writers below, and every
+/// adjacency reader parses through parse_adjacency_block.
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dense/matrix.hpp"
+#include "loader/mapped_block.hpp"
 #include "sparse/csr.hpp"
 
 namespace plexus::io {
@@ -56,6 +64,53 @@ struct ShardedMasks {
   std::vector<std::uint8_t> test;
 };
 
+/// One parsed adjacency block file: the header plus zero-copy views of the
+/// CSR arrays inside the MappedBlock it came from (which must outlive it).
+struct AdjacencyBlock {
+  std::int64_t row0 = 0;
+  std::int64_t col0 = 0;
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+  std::span<const std::int64_t> row_ptr;  ///< rows + 1 entries, 0 .. nnz
+  std::span<const std::int32_t> col_idx;  ///< block-local columns
+  std::span<const float> vals;
+};
+
+/// Parse and validate one `<prefix>_<r>_<c>.plx` file: the magic, non-negative
+/// header fields, arrays inside the file and row pointers running from 0 to
+/// nnz without decreasing. Throws an error naming the file otherwise.
+AdjacencyBlock parse_adjacency_block(const MappedBlock& block);
+
+/// Source of adjacency block files for load_adjacency_window: a plain open,
+/// a counting open, or a BlockCache lookup.
+using BlockOpener = std::function<std::shared_ptr<const MappedBlock>(const std::string& path)>;
+
+/// Merge the `prefix` blocks intersecting [r0, r1) x [c0, c1) into one CSR.
+/// Entries are emitted block row, block column, row, entry, which keeps the
+/// result bitwise-equal whichever opener serves the bytes. Each block's
+/// header must match its place in the grid, and every column index in the
+/// rows read must lie inside its block.
+sparse::Csr load_adjacency_window(const std::string& dir, const std::string& prefix,
+                                  const ShardedMeta& meta, std::int64_t r0, std::int64_t r1,
+                                  std::int64_t c0, std::int64_t c1, const BlockOpener& open);
+
+/// Write one adjacency block file: `row_ptr.size() - 1` rows starting at
+/// global row `row0`, `cols` columns starting at `col0`, block-local
+/// column indices.
+void write_adjacency_block(const std::string& path, std::int64_t row0, std::int64_t col0,
+                           std::int64_t cols, std::span<const std::int64_t> row_ptr,
+                           std::span<const std::int32_t> col_idx, std::span<const float> vals);
+
+/// Write one feature row stripe: `rows` rows of `cols` floats from global
+/// row `row0`; `row_at(row)` returns global row `row`, called in order.
+void write_feature_block(const std::string& path, std::int64_t row0, std::int64_t rows,
+                         std::int64_t cols,
+                         const std::function<const float*(std::int64_t row)>& row_at);
+
+void write_meta(const std::string& dir, const ShardedMeta& meta);
+
+void write_labels(const std::string& dir, const std::vector<std::int32_t>& labels);
+
 /// Write `adj` (N x N) and `features` (N x D) into `dir` as grid_rows x
 /// grid_cols adjacency blocks + grid_rows feature row blocks + labels.
 void write_sharded_dataset(const std::string& dir, const sparse::Csr& adj,
@@ -81,19 +136,23 @@ PlexusShardMeta read_plexus_meta(const std::string& dir);
 
 ShardedMasks load_masks(const std::string& dir);
 
-/// Parallel loader: merge only the blocks intersecting [r0, r1) x [c0, c1).
+/// Parallel loader: merge only the blocks intersecting [r0, r1) x [c0, c1)
+/// (load_adjacency_window over freshly opened files).
 /// `prefix` selects the adjacency version ("adj" = the primary matrix).
 sparse::Csr load_adjacency_block(const std::string& dir, std::int64_t r0, std::int64_t r1,
                                  std::int64_t c0, std::int64_t c1, LoadStats* stats = nullptr,
                                  const std::string& prefix = "adj");
 
-/// Parallel loader for a feature row/column window.
+/// Parallel loader for a feature row/column window. Each stripe header must
+/// match the stripe's grid bounds and meta.feature_dim.
 dense::Matrix load_feature_block(const std::string& dir, std::int64_t r0, std::int64_t r1,
                                  std::int64_t c0, std::int64_t c1, LoadStats* stats = nullptr);
 
-/// Path of the `<prefix>_<r>_<c>.plx` block file inside `dir` — the naming
-/// contract shared by write_adjacency_blocks and the streamed block cache.
+/// Path of the `<prefix>_<r>_<c>.plx` block file inside `dir`.
 std::string adjacency_block_path(const std::string& dir, const std::string& prefix, int r, int c);
+
+/// Path of the `feat_<r>.plx` feature row stripe inside `dir`.
+std::string feature_block_path(const std::string& dir, int r);
 
 /// Naive loader: reads the *entire* dataset, then extracts the window
 /// (the baseline of section 5.4's comparison).

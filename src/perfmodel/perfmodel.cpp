@@ -227,21 +227,6 @@ int choose_pipeline_depth(const sim::Machine& machine, const WorkloadStats& w,
   return comm::choose_pipeline_depth(t_spmm, t_ring, nb);
 }
 
-int choose_prefetch_depth(const sim::Machine& machine, std::int64_t block_bytes,
-                          double block_spmm_seconds, int num_blocks,
-                          std::int64_t rss_budget_bytes) {
-  PLEXUS_CHECK(block_bytes >= 0, "choose_prefetch_depth: bad block size");
-  const int nb = std::max(1, num_blocks);
-  const double t_disk =
-      static_cast<double>(block_bytes) / std::max(1.0, machine.disk_bw);
-  int depth = comm::choose_pipeline_depth(block_spmm_seconds, t_disk, nb);
-  if (rss_budget_bytes >= 0 && block_bytes > 0) {
-    depth = std::min<int>(depth,
-                          std::max<std::int64_t>(1, rss_budget_bytes / block_bytes));
-  }
-  return std::clamp(depth, 1, nb);
-}
-
 double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
                               int adjacency_versions, double elem_bytes) {
   PLEXUS_CHECK(adjacency_versions >= 1, "estimate_per_gpu_bytes: bad version count");

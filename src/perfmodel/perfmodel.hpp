@@ -85,20 +85,6 @@ int choose_pipeline_depth(const sim::Machine& machine, const WorkloadStats& w,
                           const sim::GridShape& g, int layer, int agg_row_blocks,
                           int wire_elem_bytes = 4);
 
-/// Streaming-epoch IO prefetch depth (the out-of-core counterpart of
-/// choose_pipeline_depth): how many adjacency block loads to keep posted to
-/// the ShardStream ahead of the aggregation SpMM, chosen by balancing the
-/// per-block sequential-read time (block_bytes / machine.disk_bw) against
-/// the per-block SpMM time with the same pipelining rule
-/// (comm::choose_pipeline_depth). `rss_budget_bytes >= 0` additionally clamps
-/// the depth so the in-flight blocks alone cannot exceed the budget. Always
-/// in [1, max(1, num_blocks)]. This is the workload-level form wired through
-/// `PlexusOptions::prefetch_depth == 0`; DistGcnLayer applies the same rule
-/// to its exact local shard estimates.
-int choose_prefetch_depth(const sim::Machine& machine, std::int64_t block_bytes,
-                          double block_spmm_seconds, int num_blocks,
-                          std::int64_t rss_budget_bytes = -1);
-
 /// Estimated peak per-GPU training bytes for a configuration — what the
 /// billion-edge planner checks against device memory. Counts, per rank:
 ///   * the distinct adjacency shards actually materialised (one per unique

@@ -3,8 +3,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "graph/datasets.hpp"
+#include "loader/mapped_block.hpp"
 #include "loader/shard_io.hpp"
 #include "sparse/csr.hpp"
 
@@ -30,6 +33,32 @@ class LoaderTest : public ::testing::Test {
   pg::Graph g_;
   ps::Csr adj_;
 };
+
+/// Overwrite the bytes at `offset` of `path` with `value`.
+template <typename T>
+void poke(const std::filesystem::path& path, long offset, T value) {
+  std::FILE* f = std::fopen(path.string().c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, sizeof(value), 1, f), 1u);
+  std::fclose(f);
+}
+
+/// The message of the error `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Adjacency block layout: magic, row0, col0, rows, cols, nnz (8 bytes each),
+// then row_ptr[rows + 1], col_idx[nnz], vals[nnz].
+constexpr long kNnzOffset = 40;
+constexpr long kRowPtrOffset = 48;
 
 }  // namespace
 
@@ -163,4 +192,57 @@ TEST_F(LoaderTest, MasksAndPlexusMetaRoundTrip) {
   EXPECT_EQ(gm.train_total, m.train_total);
   EXPECT_EQ(gm.scheme, m.scheme);
   EXPECT_EQ(gm.adjacency_versions, m.adjacency_versions);
+}
+
+TEST_F(LoaderTest, CorruptRowPointerIsRejected) {
+  poke(dir_ / "adj_0_0.plx", kRowPtrOffset + 8, std::int64_t{1} << 40);
+  const auto what = error_of([&] { pio::load_adjacency_block(dir_.string(), 0, 64, 0, 64); });
+  EXPECT_NE(what.find("corrupt row pointer"), std::string::npos) << what;
+  EXPECT_NE(what.find("adj_0_0.plx"), std::string::npos) << what;
+}
+
+TEST_F(LoaderTest, NegativeNnzIsRejected) {
+  poke(dir_ / "adj_0_0.plx", kNnzOffset, std::int64_t{-7});
+  const auto what = error_of([&] { pio::load_adjacency_block(dir_.string(), 0, 64, 0, 64); });
+  EXPECT_NE(what.find("corrupt block header"), std::string::npos) << what;
+}
+
+TEST_F(LoaderTest, BlockMustFitItsGridPlace) {
+  // A header claiming another grid position, and a column index past the
+  // block's width in a row the window reads (row 0 holds its self loop).
+  const auto path = dir_ / "adj_0_0.plx";
+  poke(path, 8, std::int64_t{1});  // row0
+  EXPECT_NE(error_of([&] { pio::load_adjacency_block(dir_.string(), 0, 64, 0, 64); })
+                .find("corrupt block header"),
+            std::string::npos);
+
+  pio::write_adjacency_blocks(dir_.string(), "adj", adj_, 4, 4);
+  poke(path, kRowPtrOffset + 65 * 8, std::int32_t{64});  // col_idx[0] of a 64-row block
+  EXPECT_NE(error_of([&] { pio::load_adjacency_block(dir_.string(), 0, 64, 0, 64); })
+                .find("corrupt column index"),
+            std::string::npos);
+}
+
+TEST_F(LoaderTest, FeatureHeaderMismatchIsRejected) {
+  // feat_<r>.plx header: magic, row0, rows, cols. One column short would
+  // otherwise shift every row after the first.
+  poke(dir_ / "feat_0.plx", 24, std::int64_t{7});
+  const auto what =
+      error_of([&] { pio::load_feature_block(dir_.string(), 0, 256, 0, 8); });
+  EXPECT_NE(what.find("corrupt feature block header"), std::string::npos) << what;
+  EXPECT_NE(what.find("feat_0.plx"), std::string::npos) << what;
+}
+
+TEST_F(LoaderTest, ByteReaderRejectsArraysLongerThanTheFile) {
+  // 2^61 int64s is 2^64 bytes, which wraps to 0 in a multiplied size check.
+  const auto path = dir_ / "sixteen.bin";
+  std::FILE* f = std::fopen(path.string().c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::int64_t words[2] = {1, 2};
+  ASSERT_EQ(std::fwrite(words, sizeof(words), 1, f), 1u);
+  std::fclose(f);
+  const auto block = pio::MappedBlock::open(path.string());
+  pio::ByteReader in(*block);
+  EXPECT_THROW(in.array<std::int64_t>(std::size_t{1} << 61), std::runtime_error);
+  EXPECT_EQ(in.array<std::int64_t>(2).size(), 2u);
 }

@@ -157,31 +157,6 @@ TEST(PerfModel, ChoosePipelineDepthTracksCommIntensity) {
   }
 }
 
-TEST(PerfModel, ChoosePrefetchDepth) {
-  const auto& m = psim::Machine::perlmutter_a100();
-  // One block: nothing to prefetch ahead of.
-  EXPECT_EQ(pp::choose_prefetch_depth(m, 1 << 20, 1e-3, 1), 1);
-  // A disk far slower than the SpMM wants lookahead.
-  psim::Machine slow = m;
-  slow.disk_bw = 1.0e8;  // 100 MB/s: ~10ms per 1 MB block vs 0.1ms of compute
-  const int deep = pp::choose_prefetch_depth(slow, 1 << 20, 1e-4, 8);
-  EXPECT_GE(deep, 2);
-  EXPECT_LE(deep, 8);
-  // The RSS budget clamps in-flight blocks: two blocks' worth caps at 2.
-  EXPECT_EQ(pp::choose_prefetch_depth(slow, 1 << 20, 1e-4, 8, (1 << 20) * 2),
-            std::min(deep, 2));
-  // A budget below one block still posts one load at a time.
-  EXPECT_EQ(pp::choose_prefetch_depth(slow, 1 << 20, 1e-4, 8, 1), 1);
-  // Always within [1, num_blocks] regardless of the cost ratio.
-  for (const int nb : {1, 3, 8, 64}) {
-    for (const double spmm : {1e-6, 1e-3, 1.0}) {
-      const int d = pp::choose_prefetch_depth(m, 4 << 20, spmm, nb);
-      EXPECT_GE(d, 1);
-      EXPECT_LE(d, nb);
-    }
-  }
-}
-
 TEST(PerfModel, EstimatePerGpuBytesPinnedValue) {
   // Tiny single-layer workload on one GPU: every term is computable by hand.
   pp::WorkloadStats w;

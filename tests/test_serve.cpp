@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,6 +64,27 @@ TEST_F(ServeTest, LoadsCheckpointShape) {
   EXPECT_EQ(model_->num_classes(), 4);
   EXPECT_EQ(model_->num_layers(), 3);
   EXPECT_EQ(model_->logits().cols(), model_->state().layers.back().cols);
+}
+
+TEST_F(ServeTest, CorruptCheckpointBlockIsRejectedAtLoad) {
+  // row_ptr[1] of the first adjacency block (after the 48-byte header and
+  // row_ptr[0]) pointing far past the block's nonzeros.
+  const auto copy = std::filesystem::path(dir_->string() + "_corrupt");
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(*dir_, copy);
+  std::FILE* f = std::fopen((copy / "adj_0_0.plx").string().c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const std::int64_t bogus = std::int64_t{1} << 40;
+  ASSERT_EQ(std::fseek(f, 56, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&bogus, sizeof(bogus), 1, f), 1u);
+  std::fclose(f);
+  try {
+    psv::ServedModel corrupt(copy.string());
+    ADD_FAILURE() << "corrupt checkpoint block accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("adj_0_0.plx"), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(copy);
 }
 
 TEST_F(ServeTest, PredictIsArgmaxOverValidClassesOnly) {
