@@ -10,20 +10,20 @@
 #include <string>
 
 #include "graph/datasets.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace plexus::bench {
 
 /// PLEXUS_BENCH_RMAT_SCALE (log2 nodes of the sweep graphs), or
-/// `default_scale` when unset or outside [4, 26]. One parser for every bench
-/// so the env var means the same thing everywhere; benches pick their own
-/// default (micro_kernels 18, micro_collectives 14).
+/// `default_scale` when unset, not a whole integer ("14x") or outside
+/// [4, 26]. One parser for every bench so the env var means the same thing
+/// everywhere; benches pick their own default (micro_kernels 18,
+/// micro_collectives 14).
 inline int rmat_scale(int default_scale) {
   const char* s = std::getenv("PLEXUS_BENCH_RMAT_SCALE");
-  if (s != nullptr && *s != '\0') {
-    const int v = std::atoi(s);
-    if (v >= 4 && v <= 26) return v;
-  }
+  int v = 0;
+  if (s != nullptr && util::parse_int(s, v) && v >= 4 && v <= 26) return v;
   return default_scale;
 }
 

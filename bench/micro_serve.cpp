@@ -131,10 +131,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   double zipf = 0.0;
-  try {
-    zipf = std::stod(args.value("zipf"));
-  } catch (...) {
-    std::fprintf(stderr, "micro_serve: bad --zipf '%s'\n", args.value("zipf").c_str());
+  if (!args.value_double("zipf", zipf) || zipf < 0.0) {
+    std::fprintf(stderr, "micro_serve: bad --zipf '%s'\n%s", args.value("zipf").c_str(),
+                 args.usage().c_str());
     return 1;
   }
 

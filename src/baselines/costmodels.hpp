@@ -6,9 +6,9 @@
 /// Scale protocol: structural curves that drive the models —
 /// boundary-node growth with partition count (BNS-GCN) and the
 /// received-row fraction (SA) — are *measured* on scaled-down proxy graphs
-/// with the real partitioners/exchange plans, fitted as power laws, and
-/// extrapolated to the paper's dataset sizes. Hardware behaviour comes from
-/// the same machine/kernel/collective models the functional simulator uses.
+/// with the real partitioners, fitted as power laws, and extrapolated to the
+/// paper's dataset sizes. Hardware behaviour comes from the same
+/// machine/kernel/collective models the functional simulator uses.
 ///
 /// Where the paper reports a hard failure (OOM, partitioner timeout) we gate
 /// the series on the *paper-reported* status and record it verbatim; see

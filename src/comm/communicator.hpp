@@ -71,7 +71,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -157,8 +156,7 @@ inline void finish_read_phase(GroupShared& g, int pos, double busy_floor, CommOp
   for (int m = 0; m < g.size(); ++m) {
     start = std::max(start, g.clock_slots[static_cast<std::size_t>(m)]);
   }
-  op.full_seconds =
-      collective_time(op.op, op.bytes, g.size(), g.link, g.a2a_distance_penalty);
+  op.full_seconds = collective_time(op.op, op.bytes, g.size(), g.link);
   op.wire_bytes = wire_bytes(op.op, op.bytes, g.size());
   op.done_clock = start + op.full_seconds;
   if (pos == 0) g.link_busy_until = op.done_clock;
@@ -423,152 +421,6 @@ class Communicator {
   template <typename T>
   void reduce_scatter_sum(GroupId gid, std::span<const T> in, std::span<T> out) {
     ireduce_scatter_sum<T>(gid, in, out).wait();
-  }
-
-  /// Copy root's buffer to every member (root given as group position).
-  template <typename T>
-  void broadcast(GroupId gid, std::span<T> buf, int root_pos) {
-    CollArgs a;
-    a.kind = Collective::Broadcast;
-    a.gid = gid;
-    a.recv = buf.data();
-    a.elem = sizeof(T);
-    a.count = buf.size();
-    a.root = root_pos;
-    a.dtype = dtype_of<T>();
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        // The root packs into the wire buffer; *every* member — the root
-        // included — widens the wire buffer back, so replicated state stays
-        // bitwise-identical across the group (a root that kept its exact
-        // fp32 copy would silently diverge from its peers).
-        a.elem = sizeof(std::uint16_t);
-        auto wire = std::make_shared<std::vector<std::uint16_t>>();
-        const std::span<float> out = buf;
-        post_wire_op(
-            a, static_cast<std::int64_t>(buf.size() * sizeof(std::uint16_t)),
-            [wire, out](CollArgs& aw) {
-              wire->resize(out.size());
-              if (aw.pos == aw.root) {
-                simd::bf16_pack(out.data(), wire->data(),
-                                static_cast<std::int64_t>(out.size()));
-              }
-              aw.recv = wire->data();
-            },
-            [wire, out] {
-              simd::bf16_unpack(wire->data(), out.data(),
-                                static_cast<std::int64_t>(out.size()));
-            })
-            .wait();
-        return;
-      }
-    }
-    post_collective(a, static_cast<std::int64_t>(buf.size() * sizeof(T))).wait();
-  }
-
-  /// Equal-chunk all-to-all: member m receives chunk `pos` of member m's `in`
-  /// ... i.e. out[m*chunk ..] = in_m[pos*chunk ..].
-  template <typename T>
-  void all_to_all(GroupId gid, std::span<const T> in, std::span<T> out) {
-    auto& g = world_->group(gid);
-    PLEXUS_CHECK(in.size() == out.size(), "all_to_all: sizes must match");
-    PLEXUS_CHECK(in.size() % static_cast<std::size_t>(g.size()) == 0, "all_to_all: chunking");
-    CollArgs a;
-    a.kind = Collective::AllToAll;
-    a.gid = gid;
-    a.send = in.data();
-    a.recv = out.data();
-    a.elem = sizeof(T);
-    a.count = in.size() / static_cast<std::size_t>(g.size());
-    a.dtype = dtype_of<T>();
-    if constexpr (std::is_same_v<T, float>) {
-      if (wire_ == WirePrecision::Bf16) {
-        a.elem = sizeof(std::uint16_t);
-        auto ws = std::make_shared<std::vector<std::uint16_t>>();
-        auto wr = std::make_shared<std::vector<std::uint16_t>>();
-        const float* src = in.data();
-        const std::size_t sn = in.size();
-        post_wire_op(
-            a, static_cast<std::int64_t>(in.size() * sizeof(std::uint16_t)),
-            [ws, wr, src, sn, rn = out.size()](CollArgs& aw) {
-              ws->resize(sn);
-              simd::bf16_pack(src, ws->data(), static_cast<std::int64_t>(sn));
-              wr->resize(rn);
-              aw.send = ws->data();
-              aw.recv = wr->data();
-            },
-            [wr, out] {
-              simd::bf16_unpack(wr->data(), out.data(), static_cast<std::int64_t>(out.size()));
-            })
-            .wait();
-        return;
-      }
-    }
-    post_collective(a, static_cast<std::int64_t>(in.size() * sizeof(T))).wait();
-  }
-
-  /// Variable all-to-all: `send[m]` goes to member m; `recv[m]` receives from
-  /// member m (resized by the call). Cost is charged on the maximum per-rank
-  /// send volume (the straggler determines the exchange time).
-  template <typename T>
-  void all_to_all_v(GroupId gid, const std::vector<std::vector<T>>& send,
-                    std::vector<std::vector<T>>& recv) {
-    auto& g = world_->group(gid);
-    const int pos = g.position_of(rank_);
-    PLEXUS_CHECK(send.size() == static_cast<std::size_t>(g.size()), "all_to_all_v: send size");
-    if (!transport_->uses_group_protocol()) {
-      // Distributed backends exchange flat byte buffers (the transport runs
-      // the count exchange + MPI_Ialltoallv); repack into the typed vectors.
-      std::vector<std::span<const unsigned char>> send_bytes(send.size());
-      for (std::size_t m = 0; m < send.size(); ++m) {
-        send_bytes[m] = {reinterpret_cast<const unsigned char*>(send[m].data()),
-                         send[m].size() * sizeof(T)};
-      }
-      std::vector<std::vector<unsigned char>> recv_bytes;
-      CollArgs a;
-      a.kind = Collective::AllToAll;
-      a.gid = gid;
-      a.pos = pos;
-      a.elem = sizeof(T);
-      Transport* t = transport_;
-      post_op(Collective::AllToAll, gid, /*bytes=*/0,
-              [&g, a, t, &send_bytes, &recv_bytes](detail::CommOp& op) {
-                t->alltoallv(g, a, send_bytes, recv_bytes, op);
-              })
-          .wait();  // blocking: the referenced buffers outlive the op
-      recv.assign(static_cast<std::size_t>(g.size()), {});
-      for (std::size_t m = 0; m < recv_bytes.size(); ++m) {
-        PLEXUS_CHECK(recv_bytes[m].size() % sizeof(T) == 0, "all_to_all_v: ragged payload");
-        recv[m].resize(recv_bytes[m].size() / sizeof(T));
-        if (!recv_bytes[m].empty()) {
-          std::memcpy(recv[m].data(), recv_bytes[m].data(), recv_bytes[m].size());
-        }
-      }
-      return;
-    }
-    recv.assign(static_cast<std::size_t>(g.size()), {});
-    std::int64_t my_bytes = 0;
-    for (const auto& s : send) my_bytes += static_cast<std::int64_t>(s.size() * sizeof(T));
-    const auto* send_ptr = &send;
-    auto* recv_ptr = &recv;
-    post_op(Collective::AllToAll, gid, /*bytes=*/0,
-            [&g, pos, send_ptr, recv_ptr, my_bytes](detail::CommOp& op) {
-              detail::aux_value(g, pos) = static_cast<double>(my_bytes);
-              const double floor = detail::publish(g, pos, send_ptr, op.posted_clock);
-              g.barrier->arrive_and_wait();
-              double max_bytes = 0.0;
-              for (int m = 0; m < g.size(); ++m) {
-                const auto* their_send = static_cast<const std::vector<std::vector<T>>*>(
-                    g.slots[static_cast<std::size_t>(m)]);
-                (*recv_ptr)[static_cast<std::size_t>(m)] =
-                    (*their_send)[static_cast<std::size_t>(pos)];
-                max_bytes = std::max(max_bytes, detail::aux_value(g, m));
-              }
-              op.bytes = static_cast<std::int64_t>(max_bytes);
-              detail::finish_read_phase(g, pos, floor, op);
-              g.barrier->arrive_and_wait();
-            })
-        .wait();
   }
 
   /// Max of a scalar across the group (costed as a latency-only reduction).

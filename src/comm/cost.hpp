@@ -13,6 +13,10 @@
 
 namespace plexus::comm {
 
+/// The Communicator posts only Barrier, AllGather, AllReduce and
+/// ReduceScatter. Broadcast, AllToAll and Send stay because the cost models
+/// price them (base::costmodels prices BNS-GCN and SA halo traffic as
+/// AllToAll) and perfbench names every enumerator in its traces.
 enum class Collective {
   Barrier,
   Broadcast,
@@ -20,7 +24,7 @@ enum class Collective {
   AllReduce,
   ReduceScatter,
   AllToAll,
-  Send,  ///< point-to-point (used by halo exchange accounting)
+  Send,  ///< point-to-point, priced by collective_time
 };
 
 struct LinkParams {

@@ -20,7 +20,7 @@ void Transport::execute(GroupShared&, const CollArgs&, detail::CommOp&) {
 void Transport::alltoallv(GroupShared&, const CollArgs&,
                           const std::vector<std::span<const unsigned char>>&,
                           std::vector<std::vector<unsigned char>>&, detail::CommOp&) {
-  PLEXUS_CHECK(false, "transport does not implement all_to_all_v");
+  PLEXUS_CHECK(false, "transport does not implement alltoallv");
 }
 
 namespace {
@@ -68,27 +68,14 @@ class SimTransport final : public Transport {
         }
         return;  // copy-back happens in finalize(), after the completion barrier
       }
-      case Collective::Broadcast: {
-        if (a.pos != a.root && nb > 0) {
-          std::memcpy(a.recv, g.slots[static_cast<std::size_t>(a.root)], nb);
-        }
-        return;
-      }
-      case Collective::AllToAll: {
-        if (nb == 0) return;
-        auto* dst = static_cast<unsigned char*>(a.recv);
-        for (int m = 0; m < g.size(); ++m) {
-          const auto* src =
-              static_cast<const unsigned char*>(g.slots[static_cast<std::size_t>(m)]) +
-              static_cast<std::size_t>(a.pos) * nb;
-          std::memcpy(dst + static_cast<std::size_t>(m) * nb, src, nb);
-        }
-        return;
-      }
       case Collective::Barrier:
-      case Collective::Send:
         return;
+      case Collective::Broadcast:
+      case Collective::AllToAll:
+      case Collective::Send:
+        break;
     }
+    PLEXUS_CHECK(false, std::string("sim transport: nothing posts ") + collective_name(a.kind));
   }
 
   void finalize(GroupShared&, const CollArgs& a) override {

@@ -25,9 +25,9 @@
 ///    list). One process per rank. Reductions gather every contribution and
 ///    fold locally in canonical member order (never `MPI_SUM`, whose order
 ///    is implementation-defined), so float results are bitwise-identical to
-///    Sim. Supports the SimClock: each op piggybacks one fused
-///    max-allreduce of {posted clock, payload bytes} on the collective,
-///    which is all the completion math needs (see docs/COMM.md).
+///    Sim. Supports the SimClock: each op piggybacks one max-allreduce of
+///    its posted clock on the collective, which is all the completion math
+///    needs (see docs/COMM.md).
 ///
 /// The launcher fixes the transport: a Communicator or `sim::run_cluster`
 /// given none uses Sim, and `sim::run_distributed_rank` takes MPI.
@@ -102,13 +102,9 @@ constexpr DType dtype_of() {
 /// | AllGather     | own chunk   | gathered out  | per-member chunk        |
 /// | ReduceScatter | full input  | own chunk out | per-member chunk (out)  |
 /// | AllReduce     | nullptr     | in-place buf  | buffer elements         |
-/// | Broadcast     | nullptr     | in-place buf  | buffer elements         |
-/// | AllToAll      | full input  | full output   | per-member chunk        |
 /// | Barrier       | nullptr     | nullptr       | 0                       |
 ///
-/// The variable all-to-all (`all_to_all_v`) does not travel as CollArgs
-/// payload fields: in-process backends exchange the per-member vectors
-/// through the group slots, distributed ones go through Transport::alltoallv.
+/// Nothing posts the other `Collective` kinds; every backend rejects them.
 struct CollArgs {
   Collective kind = Collective::Barrier;
   GroupId gid = 0;  ///< the op's group (sub-communicator key for MPI)
@@ -117,7 +113,6 @@ struct CollArgs {
   void* recv = nullptr;
   std::size_t elem = 0;   ///< element size in bytes
   std::size_t count = 0;  ///< element count (see table above)
-  int root = 0;           ///< broadcast root (group position)
   DType dtype = DType::Bytes;
   /// Typed accumulation `acc[i] += src[i]` over `n` elements; null for
   /// non-reducing collectives. Every backend must apply contributions with
@@ -184,11 +179,8 @@ class Transport {
   /// scalar ops, `op.scalar`.
   virtual void execute(GroupShared& g, const CollArgs& a, detail::CommOp& op);
 
-  /// Variable all-to-all for non-protocol backends: `send[m]` goes to member
-  /// m, `recv[m]` is resized and filled with member m's bytes. Must set
-  /// `op.bytes` to the maximum per-member total send volume (the straggler
-  /// defines the exchange). In-process backends exchange the nested vectors
-  /// through the slot protocol instead (communicator.hpp).
+  /// Variable all-to-all hook. No backend implements it and nothing calls
+  /// it; it stays because perfbench's TimedTransport overrides it.
   virtual void alltoallv(GroupShared& g, const CollArgs& a,
                          const std::vector<std::span<const unsigned char>>& send,
                          std::vector<std::vector<unsigned char>>& recv,

@@ -13,9 +13,6 @@
 /// Collective mapping:
 ///
 ///   iall_gather        -> MPI_Iallgatherv  (equal counts, exact copies)
-///   broadcast          -> MPI_Ibcast
-///   all_to_all         -> MPI_Ialltoallv   (equal counts)
-///   all_to_all_v       -> MPI_Alltoall of counts + MPI_Ialltoallv payload
 ///   barrier            -> MPI_Ibarrier
 ///   ireduce_scatter    -> MPI_Allgather of the full inputs + canonical fold
 ///   iall_reduce_sum    -> MPI_Allgather of the contributions + canonical fold
@@ -37,23 +34,23 @@
 /// MPI concurrently — initialise with MPI_THREAD_MULTIPLE (mpi_runtime_init
 /// does, and downgrades the budget when the library grants less).
 ///
-/// Sim clocks work cross-process by piggybacking one fused
-/// `MPI_Allreduce(MPI_MAX, {posted clock, payload bytes})` on every clocked
-/// op. That is all the completion math needs: `done = max(link busy horizon,
-/// max member post clock) + T_ring(bytes)`. Each process keeps its own copy
-/// of the group's `link_busy_until`, but the written value is group-uniform
-/// (max of group-uniform inputs) and ops on one group execute in SPMD posting
-/// order, so the copies stay equal by induction — the same argument the
-/// in-process protocol makes for member 0's single copy. Unclocked
-/// Communicators skip the fused allreduce entirely and charge cost-model
-/// time per op, as before.
+/// Sim clocks work cross-process by piggybacking one
+/// `MPI_Allreduce(MPI_MAX, posted clock)` on every clocked op. That is all
+/// the completion math needs: `done = max(link busy horizon, max member post
+/// clock) + T_ring(bytes)`, and `bytes` is already equal on every member.
+/// Each process keeps its own copy of the group's `link_busy_until`, but the
+/// written value is group-uniform (max of group-uniform inputs) and ops on
+/// one group execute in SPMD posting order, so the copies stay equal by
+/// induction — the same argument the in-process protocol makes for member
+/// 0's single copy. Unclocked Communicators skip the clock allreduce
+/// entirely and charge cost-model time per op, as before.
 
 #include <mpi.h>
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -108,14 +105,14 @@ class MpiTransport final : public Transport {
     const auto nb = static_cast<int>(chunk_bytes);
     switch (a.kind) {
       case Collective::Barrier: {
-        const double max_posted = clock_sync(comm, op, op.bytes);
+        const double max_posted = clock_sync(comm, op);
         mpi_check(MPI_Ibarrier(comm, &req), "MPI_Ibarrier");
         mpi_check(MPI_Wait(&req, MPI_STATUS_IGNORE), "MPI_Wait");
         finish(g, op, max_posted);
         return;
       }
       case Collective::AllGather: {
-        const double max_posted = clock_sync(comm, op, op.bytes);
+        const double max_posted = clock_sync(comm, op);
         counts_.assign(static_cast<std::size_t>(G), nb);
         displs_.resize(static_cast<std::size_t>(G));
         for (int m = 0; m < G; ++m) displs_[static_cast<std::size_t>(m)] = m * nb;
@@ -129,7 +126,7 @@ class MpiTransport final : public Transport {
       case Collective::ReduceScatter: {
         // Gather every member's full input, then fold this member's chunk in
         // canonical order — bitwise-identical to SimTransport's read phase.
-        const double max_posted = clock_sync(comm, op, op.bytes);
+        const double max_posted = clock_sync(comm, op);
         const std::uint64_t full = chunk_bytes * static_cast<std::uint64_t>(G);
         PLEXUS_CHECK(full * static_cast<std::uint64_t>(G) <=
                          static_cast<std::uint64_t>(std::numeric_limits<int>::max()),
@@ -151,7 +148,7 @@ class MpiTransport final : public Transport {
         return;
       }
       case Collective::AllReduce: {
-        const double max_posted = clock_sync(comm, op, op.bytes);
+        const double max_posted = clock_sync(comm, op);
         if (a.scalar_op) {
           // Same left-fold as the in-process aux-slot exchange.
           scalars_.resize(static_cast<std::size_t>(G));
@@ -186,104 +183,12 @@ class MpiTransport final : public Transport {
         finish(g, op, max_posted);
         return;
       }
-      case Collective::Broadcast: {
-        const double max_posted = clock_sync(comm, op, op.bytes);
-        mpi_check(MPI_Ibcast(nn(a.recv), nb, MPI_BYTE, a.root, comm, &req), "MPI_Ibcast");
-        mpi_check(MPI_Wait(&req, MPI_STATUS_IGNORE), "MPI_Wait");
-        finish(g, op, max_posted);
-        return;
-      }
-      case Collective::AllToAll: {
-        const double max_posted = clock_sync(comm, op, op.bytes);
-        counts_.assign(static_cast<std::size_t>(G), nb);
-        displs_.resize(static_cast<std::size_t>(G));
-        for (int m = 0; m < G; ++m) displs_[static_cast<std::size_t>(m)] = m * nb;
-        mpi_check(MPI_Ialltoallv(nn(a.send), counts_.data(), displs_.data(), MPI_BYTE,
-                                 nn(a.recv), counts_.data(), displs_.data(), MPI_BYTE,
-                                 comm, &req),
-                  "MPI_Ialltoallv");
-        mpi_check(MPI_Wait(&req, MPI_STATUS_IGNORE), "MPI_Wait");
-        finish(g, op, max_posted);
-        return;
-      }
+      case Collective::Broadcast:
+      case Collective::AllToAll:
       case Collective::Send:
-        PLEXUS_CHECK(false, "point-to-point is accounting-only");
+        break;
     }
-    PLEXUS_CHECK(false, "unknown collective");
-  }
-
-  void alltoallv(GroupShared& g, const CollArgs& a,
-                 const std::vector<std::span<const unsigned char>>& send,
-                 std::vector<std::vector<unsigned char>>& recv,
-                 detail::CommOp& op) override {
-    MPI_Comm comm = comm_for(g, a.gid);
-    check_rank_identity(g, a);
-    const int G = g.size();
-    // Exchange per-member byte counts, then the payload.
-    std::vector<std::int64_t> send_counts(static_cast<std::size_t>(G));
-    std::vector<std::int64_t> recv_counts(static_cast<std::size_t>(G));
-    std::int64_t my_total = 0;
-    for (int m = 0; m < G; ++m) {
-      send_counts[static_cast<std::size_t>(m)] =
-          static_cast<std::int64_t>(send[static_cast<std::size_t>(m)].size());
-      my_total += send_counts[static_cast<std::size_t>(m)];
-    }
-    const double max_posted = clock_sync(comm, op, my_total);
-    mpi_check(MPI_Alltoall(send_counts.data(), 1, MPI_INT64_T, recv_counts.data(), 1,
-                           MPI_INT64_T, comm),
-              "MPI_Alltoall(counts)");
-    std::vector<int> scounts(static_cast<std::size_t>(G)), sdispls(static_cast<std::size_t>(G));
-    std::vector<int> rcounts(static_cast<std::size_t>(G)), rdispls(static_cast<std::size_t>(G));
-    std::int64_t soff64 = 0, roff64 = 0;
-    for (int m = 0; m < G; ++m) {
-      soff64 += send_counts[static_cast<std::size_t>(m)];
-      roff64 += recv_counts[static_cast<std::size_t>(m)];
-    }
-    PLEXUS_CHECK(soff64 <= std::numeric_limits<int>::max() &&
-                     roff64 <= std::numeric_limits<int>::max(),
-                 "MPI transport: all_to_all_v payload exceeds MPI int counts");
-    int soff = 0, roff = 0;
-    for (int m = 0; m < G; ++m) {
-      scounts[static_cast<std::size_t>(m)] =
-          static_cast<int>(send_counts[static_cast<std::size_t>(m)]);
-      rcounts[static_cast<std::size_t>(m)] =
-          static_cast<int>(recv_counts[static_cast<std::size_t>(m)]);
-      sdispls[static_cast<std::size_t>(m)] = soff;
-      rdispls[static_cast<std::size_t>(m)] = roff;
-      soff += scounts[static_cast<std::size_t>(m)];
-      roff += rcounts[static_cast<std::size_t>(m)];
-    }
-    std::vector<unsigned char> send_flat(static_cast<std::size_t>(soff));
-    for (int m = 0; m < G; ++m) {
-      const auto& s = send[static_cast<std::size_t>(m)];
-      if (!s.empty()) {
-        std::copy(s.begin(), s.end(),
-                  send_flat.begin() + sdispls[static_cast<std::size_t>(m)]);
-      }
-    }
-    std::vector<unsigned char> recv_flat(static_cast<std::size_t>(roff));
-    MPI_Request req = MPI_REQUEST_NULL;
-    mpi_check(MPI_Ialltoallv(nn(send_flat.data()), scounts.data(), sdispls.data(), MPI_BYTE,
-                             nn(recv_flat.data()), rcounts.data(), rdispls.data(), MPI_BYTE,
-                             comm, &req),
-              "MPI_Ialltoallv");
-    mpi_check(MPI_Wait(&req, MPI_STATUS_IGNORE), "MPI_Wait");
-    recv.assign(static_cast<std::size_t>(G), {});
-    for (int m = 0; m < G; ++m) {
-      recv[static_cast<std::size_t>(m)].assign(
-          recv_flat.begin() + rdispls[static_cast<std::size_t>(m)],
-          recv_flat.begin() + rdispls[static_cast<std::size_t>(m)] +
-              rcounts[static_cast<std::size_t>(m)]);
-    }
-    // The straggler defines the exchange: cost the maximum per-member total.
-    // Clocked ops already exchanged it through the fused allreduce.
-    if (!op.clocked) {
-      std::int64_t max_total = my_total;
-      mpi_check(MPI_Allreduce(MPI_IN_PLACE, &max_total, 1, MPI_INT64_T, MPI_MAX, comm),
-                "MPI_Allreduce(max bytes)");
-      op.bytes = max_total;
-    }
-    finish(g, op, max_posted);
+    PLEXUS_CHECK(false, std::string("MPI transport: nothing posts ") + collective_name(a.kind));
   }
 
  private:
@@ -297,19 +202,17 @@ class MpiTransport final : public Transport {
                  "MPI transport: plexus rank must equal the MPI rank");
   }
 
-  /// Clocked ops piggyback one fused max-allreduce of {posted clock, payload
-  /// bytes} on the collective. Both results are group-uniform: the clock max
-  /// feeds the completion instant, the byte max prices variable exchanges by
-  /// their straggler (for fixed-size collectives `my_bytes` is already
-  /// uniform, so the second lane is a no-op). Unclocked ops skip the wire
-  /// round-trip and keep the post-clock-only accounting.
-  static double clock_sync(MPI_Comm comm, detail::CommOp& op, std::int64_t my_bytes) {
+  /// Clocked ops piggyback one max-allreduce of the posted clock on the
+  /// collective; the group-uniform result feeds the completion instant. The
+  /// payload bytes need no exchange: every posted collective has the same
+  /// size on every member. Unclocked ops skip the wire round-trip and keep
+  /// the post-clock-only accounting.
+  static double clock_sync(MPI_Comm comm, const detail::CommOp& op) {
     if (!op.clocked) return op.posted_clock;
-    double v[2] = {op.posted_clock, static_cast<double>(my_bytes)};
-    mpi_check(MPI_Allreduce(MPI_IN_PLACE, v, 2, MPI_DOUBLE, MPI_MAX, comm),
+    double max_posted = op.posted_clock;
+    mpi_check(MPI_Allreduce(MPI_IN_PLACE, &max_posted, 1, MPI_DOUBLE, MPI_MAX, comm),
               "MPI_Allreduce(clock sync)");
-    op.bytes = static_cast<std::int64_t>(v[1]);
-    return v[0];
+    return max_posted;
   }
 
   /// Completion math. Clocked: the in-process `finish_read_phase` formula —
@@ -318,8 +221,7 @@ class MpiTransport final : public Transport {
   /// induction, see file comment). Unclocked: cost-model time from the
   /// poster's (zero) clock, as before.
   static void finish(GroupShared& g, detail::CommOp& op, double max_posted) {
-    op.full_seconds =
-        collective_time(op.op, op.bytes, g.size(), g.link, g.a2a_distance_penalty);
+    op.full_seconds = collective_time(op.op, op.bytes, g.size(), g.link);
     op.wire_bytes = wire_bytes(op.op, op.bytes, g.size());
     if (op.clocked) {
       const double start = std::max(g.link_busy_until, max_posted);

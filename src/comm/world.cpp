@@ -11,8 +11,7 @@ World::World(int size) : size_(size) {
   create_group(std::move(all));
 }
 
-GroupId World::create_group(std::vector<int> members, LinkParams link,
-                            double a2a_distance_penalty, int channel_hint) {
+GroupId World::create_group(std::vector<int> members, LinkParams link, int channel_hint) {
   PLEXUS_CHECK(!members.empty(), "empty group");
   std::sort(members.begin(), members.end());
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -22,7 +21,6 @@ GroupId World::create_group(std::vector<int> members, LinkParams link,
   auto g = std::make_unique<GroupShared>();
   g->members = std::move(members);
   g->link = link;
-  g->a2a_distance_penalty = a2a_distance_penalty;
   g->channel_hint = channel_hint;
   g->barrier = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(g->members.size()));
   g->slots.assign(g->members.size(), nullptr);

@@ -31,7 +31,6 @@ using GroupId = int;
 struct GroupShared {
   std::vector<int> members;  ///< global ranks, ascending
   LinkParams link;
-  double a2a_distance_penalty = 1.0;
   std::unique_ptr<std::barrier<>> barrier;
   std::vector<const void*> slots;
   std::vector<double> clock_slots;
@@ -78,16 +77,11 @@ class World {
   /// Group 0: all ranks, default link parameters.
   GroupId world_group() const { return 0; }
 
-  /// Number of groups created so far (GroupIds are dense: [0, group_count)).
-  /// GroupIds double as comm-channel routing keys (see comm/handle.hpp).
-  int group_count() const { return static_cast<int>(groups_.size()); }
-
   /// Create a process group. NOT thread-safe: call before the SPMD region.
   /// `channel_hint` >= 0 tags the group with a comm-channel routing class
   /// (the 3D grid uses the line family, X = 0 / Y = 1 / Z = 2); -1 keeps the
   /// GroupId-based routing. See channel_route().
-  GroupId create_group(std::vector<int> members, LinkParams link = {},
-                       double a2a_distance_penalty = 1.0, int channel_hint = -1);
+  GroupId create_group(std::vector<int> members, LinkParams link = {}, int channel_hint = -1);
 
   /// Zero every group's link-busy horizon. Required when reusing a World for
   /// a fresh simulation session whose SimClocks restart at 0 — otherwise the

@@ -25,7 +25,7 @@ Grid3D::Grid3D(comm::World& world, sim::GridShape shape, const sim::Machine& mac
       std::vector<int> members;
       for (int x = 0; x < shape.x; ++x) members.push_back(rank_of({x, y, z}));
       x_groups_[static_cast<std::size_t>(y + shape.y * z)] =
-          world.create_group(members, link_x, 1.0, /*channel_hint=*/0);
+          world.create_group(members, link_x, /*channel_hint=*/0);
     }
   }
   for (int z = 0; z < shape.z; ++z) {
@@ -33,7 +33,7 @@ Grid3D::Grid3D(comm::World& world, sim::GridShape shape, const sim::Machine& mac
       std::vector<int> members;
       for (int y = 0; y < shape.y; ++y) members.push_back(rank_of({x, y, z}));
       y_groups_[static_cast<std::size_t>(x + shape.x * z)] =
-          world.create_group(members, link_y, 1.0, /*channel_hint=*/1);
+          world.create_group(members, link_y, /*channel_hint=*/1);
     }
   }
   for (int x = 0; x < shape.x; ++x) {
@@ -41,7 +41,7 @@ Grid3D::Grid3D(comm::World& world, sim::GridShape shape, const sim::Machine& mac
       std::vector<int> members;
       for (int z = 0; z < shape.z; ++z) members.push_back(rank_of({x, y, z}));
       z_groups_[static_cast<std::size_t>(y + shape.y * x)] =
-          world.create_group(members, link_z, 1.0, /*channel_hint=*/2);
+          world.create_group(members, link_z, /*channel_hint=*/2);
     }
   }
 }

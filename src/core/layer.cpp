@@ -167,8 +167,7 @@ int DistGcnLayer::resolve_depth(sim::RankContext& ctx, const AggPass& pass) {
   const auto eb = static_cast<std::int64_t>(ctx.comm.wire_float_bytes());
   const auto op =
       pass.scatter.empty() ? comm::Collective::AllReduce : comm::Collective::ReduceScatter;
-  const double t_ring = comm::collective_time(op, eb * max_rows * din_q_, g.size(), g.link,
-                                              g.a2a_distance_penalty);
+  const double t_ring = comm::collective_time(op, eb * max_rows * din_q_, g.size(), g.link);
   *pass.depth = comm::choose_pipeline_depth(t_spmm, t_ring, nb);
   return *pass.depth;
 }

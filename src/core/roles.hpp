@@ -37,13 +37,4 @@ constexpr LayerRoles roles_for_layer(int layer) {
   }
 }
 
-constexpr const char* axis_name(Axis a) {
-  switch (a) {
-    case Axis::X: return "X";
-    case Axis::Y: return "Y";
-    case Axis::Z: return "Z";
-  }
-  return "?";
-}
-
 }  // namespace plexus::core

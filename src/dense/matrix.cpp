@@ -48,12 +48,6 @@ float Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
   return m;
 }
 
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (const float v : data_) s += static_cast<double>(v) * static_cast<double>(v);
-  return std::sqrt(s);
-}
-
 Matrix Matrix::glorot(std::int64_t rows, std::int64_t cols, std::uint64_t seed,
                       std::int64_t fan_in, std::int64_t fan_out,
                       std::int64_t global_row_offset, std::int64_t global_col_offset,

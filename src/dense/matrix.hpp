@@ -62,9 +62,6 @@ class Matrix {
   /// Max absolute elementwise difference (for tests).
   static float max_abs_diff(const Matrix& a, const Matrix& b);
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   bool same_shape(const Matrix& o) const { return rows_ == o.rows_ && cols_ == o.cols_; }
 
   /// Deterministic Glorot-uniform init: element (r, c) depends only on

@@ -39,9 +39,6 @@ struct DatasetInfo {
   double avg_degree() const {
     return static_cast<double>(num_edges) / static_cast<double>(num_nodes);
   }
-  double nnz_per_node() const {
-    return static_cast<double>(num_nonzeros) / static_cast<double>(num_nodes);
-  }
 };
 
 /// The six Table 4 datasets in paper order.

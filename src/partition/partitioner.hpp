@@ -1,6 +1,7 @@
 #pragma once
 /// \file partitioner.hpp
-/// Graph partitioners for the baseline frameworks.
+/// Graph partitioners for the baseline frameworks' cost models
+/// (baselines/costmodels.hpp measures their structural curves with these).
 ///
 /// Substitutions: BNS-GCN uses METIS and SA+GVB uses the GVB
 /// partitioner; neither is redistributable here. We implement

@@ -18,7 +18,6 @@ struct GridShape {
   int y = 1;
   int z = 1;
   int size() const { return x * y * z; }
-  bool valid_for(int gpus) const { return size() == gpus && x >= 1 && y >= 1 && z >= 1; }
 };
 
 enum class Dim { X, Y, Z };
@@ -35,7 +34,7 @@ comm::LinkParams link_for_dim(const Machine& m, const GridShape& g, Dim dim);
 double a2a_distance_penalty(const Machine& m, int group_size);
 
 /// Link parameters for a *flat* group of `group_size` ranks packed linearly
-/// onto nodes (used by the partition-parallel and CAGNET baselines).
+/// onto nodes (how base::costmodels prices the BNS-GCN and SA baselines).
 comm::LinkParams link_for_flat_group(const Machine& m, int group_size);
 
 }  // namespace plexus::sim

@@ -267,17 +267,4 @@ Csr normalize_adjacency(const Csr& a, std::int64_t active_nodes) {
   return Csr::from_coo(coo);
 }
 
-Coo symmetrize_edges(const Coo& directed, bool include_reverse) {
-  Coo out;
-  out.num_rows = directed.num_rows;
-  out.num_cols = directed.num_cols;
-  for (std::int64_t i = 0; i < directed.nnz(); ++i) {
-    const std::int64_t r = directed.rows[static_cast<std::size_t>(i)];
-    const std::int64_t c = directed.cols[static_cast<std::size_t>(i)];
-    out.push(r, c, 1.0f);
-    if (include_reverse && r != c) out.push(c, r, 1.0f);
-  }
-  return out;
-}
-
 }  // namespace plexus::sparse

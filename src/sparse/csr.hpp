@@ -30,7 +30,6 @@ class Csr {
   std::span<const std::int64_t> row_ptr() const { return {row_ptr_.data(), row_ptr_.size()}; }
   std::span<const std::int32_t> col_idx() const { return {col_idx_.data(), col_idx_.size()}; }
   std::span<const float> vals() const { return {vals_.data(), vals_.size()}; }
-  std::span<float> vals_mut() { return {vals_.data(), vals_.size()}; }
 
   std::int64_t row_nnz(std::int64_t r) const { return row_ptr_[r + 1] - row_ptr_[r]; }
 
@@ -56,8 +55,9 @@ class Csr {
   /// nnz inside the sub-block without materialising it.
   std::int64_t block_nnz(std::int64_t r0, std::int64_t r1, std::int64_t c0, std::int64_t c1) const;
 
-  /// Per-row set of referenced columns in [c0, c1) — used by the sparsity-aware
-  /// (CAGNET SA) baseline to compute which remote feature rows are needed.
+  /// Sorted set of columns in [c0, c1) that some row references — how the
+  /// sparsity-aware (CAGNET SA) cost model measures which remote feature rows
+  /// a block row needs.
   std::vector<std::int32_t> referenced_cols(std::int64_t c0, std::int64_t c1) const;
 
   /// Dense (rows x cols) copy; tests only.
@@ -82,9 +82,5 @@ class Csr {
 /// to `active_nodes` (rows/cols < active_nodes get self-loops; padded tail stays
 /// empty), returns D^{-1/2} (A + I) D^{-1/2} where D is the degree of (A + I).
 Csr normalize_adjacency(const Csr& a, std::int64_t active_nodes);
-
-/// Symmetrise: returns max(A, A^T) pattern union with value 1.0 entries
-/// (generators may emit directed edges; GCN aggregation wants both directions).
-Coo symmetrize_edges(const Coo& directed, bool include_reverse = true);
 
 }  // namespace plexus::sparse

@@ -107,6 +107,10 @@ bool ArgParser::value_int64(std::string_view name, std::int64_t& out) const {
   return parse_int64(value(name), out);
 }
 
+bool ArgParser::value_double(std::string_view name, double& out) const {
+  return parse_double(value(name), out);
+}
+
 std::string ArgParser::usage() const {
   std::string s = "usage: " + prog_;
   for (const auto& f : flags_) s += " [--" + f.name + "=" + f.hint + "]";

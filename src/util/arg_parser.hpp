@@ -41,6 +41,8 @@ class ArgParser {
   /// Strict integer conversion of value(name); false on non-numeric input.
   bool value_int(std::string_view name, int& out) const;
   bool value_int64(std::string_view name, std::int64_t& out) const;
+  /// Strict finite-double conversion of value(name) (util::parse_double).
+  bool value_double(std::string_view name, double& out) const;
 
   std::string usage() const;
   const std::string& error() const { return error_; }

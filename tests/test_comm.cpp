@@ -88,52 +88,6 @@ TEST_P(GroupSizes, ReduceScatterIsAllReduceThenSlice) {
   });
 }
 
-TEST_P(GroupSizes, BroadcastFromEveryRoot) {
-  const int g = GetParam();
-  spmd(g, [g](psim::RankContext& ctx) {
-    for (int root = 0; root < g; ++root) {
-      std::vector<float> buf{ctx.rank() == root ? 42.0f + static_cast<float>(root) : -1.0f};
-      ctx.comm.broadcast<float>(ctx.comm.world().world_group(), buf, root);
-      EXPECT_EQ(buf[0], 42.0f + static_cast<float>(root));
-    }
-  });
-}
-
-TEST_P(GroupSizes, AllToAllTransposesChunks) {
-  const int g = GetParam();
-  spmd(g, [g](psim::RankContext& ctx) {
-    std::vector<float> in(static_cast<std::size_t>(g));
-    for (int m = 0; m < g; ++m) {
-      in[static_cast<std::size_t>(m)] = static_cast<float>(ctx.rank() * 100 + m);
-    }
-    std::vector<float> out(static_cast<std::size_t>(g));
-    ctx.comm.all_to_all<float>(ctx.comm.world().world_group(), in, out);
-    for (int m = 0; m < g; ++m) {
-      EXPECT_EQ(out[static_cast<std::size_t>(m)], static_cast<float>(m * 100 + ctx.rank()));
-    }
-  });
-}
-
-TEST_P(GroupSizes, AllToAllV) {
-  const int g = GetParam();
-  spmd(g, [g](psim::RankContext& ctx) {
-    // Rank r sends r+1 copies of value (r*10 + m) to member m.
-    std::vector<std::vector<float>> send(static_cast<std::size_t>(g));
-    for (int m = 0; m < g; ++m) {
-      send[static_cast<std::size_t>(m)].assign(static_cast<std::size_t>(ctx.rank() + 1),
-                                               static_cast<float>(ctx.rank() * 10 + m));
-    }
-    std::vector<std::vector<float>> recv;
-    ctx.comm.all_to_all_v<float>(ctx.comm.world().world_group(), send, recv);
-    for (int m = 0; m < g; ++m) {
-      ASSERT_EQ(recv[static_cast<std::size_t>(m)].size(), static_cast<std::size_t>(m + 1));
-      for (const float v : recv[static_cast<std::size_t>(m)]) {
-        EXPECT_EQ(v, static_cast<float>(m * 10 + ctx.rank()));
-      }
-    }
-  });
-}
-
 TEST_P(GroupSizes, ScalarReductions) {
   const int g = GetParam();
   spmd(g, [g](psim::RankContext& ctx) {

@@ -3,7 +3,6 @@
 // failure-path validation.
 #include <gtest/gtest.h>
 
-#include "baselines/bnsgcn.hpp"
 #include "core/dataset_view.hpp"
 #include "core/preprocess.hpp"
 #include "core/trainer.hpp"
@@ -188,32 +187,5 @@ TEST(PreprocessAlgebra, SchemesAgreeOnLossTrajectory) {
   for (std::size_t e = 0; e < losses[0].size(); ++e) {
     EXPECT_NEAR(losses[0][e], losses[1][e], 5e-3) << "epoch " << e;
     EXPECT_NEAR(losses[0][e], losses[2][e], 5e-3) << "epoch " << e;
-  }
-}
-
-TEST(Integration, BnsAndPlexusAgreeWithEachOther) {
-  // Two completely independent distributed implementations (3D tensor
-  // parallelism vs partition parallelism) must produce the same training run.
-  const auto g = graph_200();
-  pc::TrainOptions popt;
-  popt.grid = {2, 2, 1};
-  popt.machine = &psim::Machine::test_machine();
-  popt.model = spec_small();
-  popt.epochs = 5;
-  const auto plexus_run = pc::train_plexus(g, popt);
-
-  plexus::base::BnsGcnOptions bopt;
-  bopt.parts = 4;
-  bopt.machine = &psim::Machine::test_machine();
-  bopt.hidden_dims = popt.model.hidden_dims;
-  bopt.adam = popt.model.options.adam;
-  bopt.seed = popt.model.seed;
-  bopt.epochs = 5;
-  const auto bns_run = plexus::base::train_bnsgcn(g, bopt);
-
-  double tol = 2e-3;
-  for (std::size_t i = 0; i < plexus_run.epochs.size(); ++i) {
-    EXPECT_NEAR(plexus_run.epochs[i].loss, bns_run.epochs[i].loss, tol);
-    tol *= 1.8;
   }
 }

@@ -1,11 +1,11 @@
 // Tests for the partitioners (Fennel/METIS surrogate, nnz-balanced/GVB
-// surrogate), boundary statistics and halo exchange plans.
+// surrogate) and the boundary statistics the cost models' structural
+// curves are measured with.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "graph/datasets.hpp"
-#include "partition/halo.hpp"
 #include "partition/partitioner.hpp"
 #include "sparse/csr.hpp"
 
@@ -105,95 +105,4 @@ TEST(Partition, BoundaryStatsExactOnPath) {
   EXPECT_EQ(s.boundary[1], 1);  // part 1 needs node 1
   EXPECT_EQ(s.total_with_boundary, 6);
   EXPECT_EQ(pp::edge_cut(adj, p), 1);
-}
-
-TEST(Halo, PlansAreConsistent) {
-  const auto g = community_test_graph();
-  const auto a_norm = ps::normalize_adjacency(g.adjacency(), g.num_nodes);
-  const auto partn = pp::fennel_partition(g.adjacency(), 4, 7);
-  const auto plans = pp::build_halo_plans(a_norm, partn);
-  ASSERT_EQ(plans.size(), 4u);
-
-  std::int64_t owned_total = 0;
-  std::int64_t nnz_total = 0;
-  for (int i = 0; i < 4; ++i) {
-    const auto& plan = plans[static_cast<std::size_t>(i)];
-    owned_total += plan.num_owned();
-    nnz_total += plan.local_adj.nnz();
-    // Send/recv lists are aligned pairwise.
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(plan.recv_halo[static_cast<std::size_t>(j)].size(),
-                plans[static_cast<std::size_t>(j)].send_rows[static_cast<std::size_t>(i)].size());
-    }
-    // No self halo.
-    EXPECT_TRUE(plan.recv_halo[static_cast<std::size_t>(i)].empty());
-    // Local adjacency has the right shape.
-    EXPECT_EQ(plan.local_adj.rows(), plan.num_owned());
-    EXPECT_EQ(plan.local_adj.cols(), plan.num_owned() + plan.num_halo());
-  }
-  EXPECT_EQ(owned_total, g.num_nodes);
-  EXPECT_EQ(nnz_total, a_norm.nnz());  // row partition preserves all entries
-}
-
-TEST(Halo, SendRecvListsAreElementAligned) {
-  // The invariant every halo exchange relies on: plans[i].send_rows[j][k] and
-  // plans[j].recv_halo[i][k] name the *same node* for every k — part i packs
-  // owned[send_rows[j][k]] and part j unpacks it at halo[recv_halo[i][k]].
-  // Size equality alone (Halo.PlansAreConsistent) would pass with permuted
-  // lists, which silently scrambles features across nodes; this pins the
-  // element-level pairing on randomized partitions, including ones with
-  // empty and singleton parts.
-  const auto g = community_test_graph();
-  const auto a_norm = ps::normalize_adjacency(g.adjacency(), g.num_nodes);
-  for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    for (const int parts : {2, 3, 5, 8}) {
-      auto partn = pp::random_partition(g.num_nodes, parts, seed);
-      if (seed == 91u && parts >= 3) {
-        // Force an empty part (all its nodes reassigned to part 0) — empty
-        // send/recv lists must stay aligned too.
-        for (auto& a : partn.assignment) {
-          if (a == parts - 1) a = 0;
-        }
-      }
-      const auto plans = pp::build_halo_plans(a_norm, partn);
-      ASSERT_EQ(plans.size(), static_cast<std::size_t>(parts));
-      for (int i = 0; i < parts; ++i) {
-        const auto& sender = plans[static_cast<std::size_t>(i)];
-        for (int j = 0; j < parts; ++j) {
-          const auto& receiver = plans[static_cast<std::size_t>(j)];
-          const auto& send = sender.send_rows[static_cast<std::size_t>(j)];
-          const auto& recv = receiver.recv_halo[static_cast<std::size_t>(i)];
-          ASSERT_EQ(send.size(), recv.size()) << "i=" << i << " j=" << j;
-          for (std::size_t k = 0; k < send.size(); ++k) {
-            EXPECT_EQ(sender.owned[static_cast<std::size_t>(send[k])],
-                      receiver.halo[static_cast<std::size_t>(recv[k])])
-                << "seed " << seed << " parts " << parts << " i=" << i << " j=" << j
-                << " k=" << k;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(Halo, LocalAdjacencyReindexingIsCorrect) {
-  // Verify a few entries: local_adj[r, c] must equal a_norm[owned[r], global(c)].
-  const auto g = pg::make_test_graph(60, 5.0, 4, 3, 21);
-  const auto a_norm = ps::normalize_adjacency(g.adjacency(), g.num_nodes);
-  const auto partn = pp::random_partition(g.num_nodes, 3, 9);
-  const auto plans = pp::build_halo_plans(a_norm, partn);
-  const auto dense = a_norm.to_dense();
-  for (const auto& plan : plans) {
-    const auto local_dense = plan.local_adj.to_dense();
-    const auto cols = plan.local_adj.cols();
-    for (std::int64_t r = 0; r < plan.num_owned(); ++r) {
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const auto gr = plan.owned[static_cast<std::size_t>(r)];
-        const auto gc = c < plan.num_owned() ? plan.owned[static_cast<std::size_t>(c)]
-                                             : plan.halo[static_cast<std::size_t>(c - plan.num_owned())];
-        EXPECT_EQ(local_dense[static_cast<std::size_t>(r * cols + c)],
-                  dense[static_cast<std::size_t>(gr * g.num_nodes + gc)]);
-      }
-    }
-  }
 }

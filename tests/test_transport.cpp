@@ -136,22 +136,6 @@ Streams run_schedule(pc::WirePrecision wire) {
       std::vector<float> ar = input(2, ctx.rank(), n * 2 + 1, 0.003f);
       ctx.comm.all_reduce_sum<float>(gid, ar);
       emit(ar, serial_fold(inputs(2, n * 2 + 1, 0.003f), 0, n * 2 + 1, wire));
-
-      // Broadcast from every root: the root's buffer (marked as rank 999).
-      for (std::size_t root = 0; root < G; ++root) {
-        std::vector<float> bc = input(3, pos == root ? 999 : ctx.rank(), n + 1, 1.0f);
-        ctx.comm.broadcast<float>(gid, bc, static_cast<int>(root));
-        emit(bc, wired(input(3, 999, n + 1, 1.0f), wire));
-      }
-
-      // All-to-all: chunk `pos` of every member, in member order.
-      std::vector<float> a2a(n * G), transposed;
-      ctx.comm.all_to_all<float>(gid, input(4, ctx.rank(), n * G, 1.0f), a2a);
-      for (const auto& in : inputs(4, n * G, 1.0f)) {
-        transposed.insert(transposed.end(), in.begin() + static_cast<std::ptrdiff_t>(pos * n),
-                          in.begin() + static_cast<std::ptrdiff_t>(pos * n + n));
-      }
-      emit(a2a, wired(transposed, wire));
     }
   });
   return s;
@@ -233,8 +217,6 @@ TEST(TransportConformance, ZeroSizedPayloadsAreSafe) {
     ctx.comm.all_gather<float>(gid, {}, {});
     ctx.comm.all_reduce_sum<float>(gid, {});
     ctx.comm.reduce_scatter_sum<float>(gid, {}, {});
-    ctx.comm.broadcast<float>(gid, {}, /*root=*/2);
-    ctx.comm.all_to_all<float>(gid, {}, {});
     // A live round after the degenerate ones proves the group survived.
     std::vector<float> buf{static_cast<float>(ctx.rank() + 1)};
     ctx.comm.all_reduce_sum<float>(gid, buf);

@@ -169,6 +169,13 @@ TEST(Parse, AcceptsWholeIntegers) {
   int v = -1;
   EXPECT_TRUE(pu::parse_int("2147483647", v));
   EXPECT_EQ(v, INT32_MAX);
+  double d = -1.0;
+  EXPECT_TRUE(pu::parse_double("0.99", d));
+  EXPECT_EQ(d, 0.99);
+  EXPECT_TRUE(pu::parse_double("0", d));
+  EXPECT_EQ(d, 0.0);
+  EXPECT_TRUE(pu::parse_double("-1.5e-3", d));
+  EXPECT_EQ(d, -1.5e-3);
 }
 
 TEST(Parse, RejectsGarbageUnlikeAtoi) {
@@ -188,6 +195,17 @@ TEST(Parse, RejectsGarbageUnlikeAtoi) {
   EXPECT_FALSE(pu::parse_int("2147483648", v));  // fits int64, not int
   EXPECT_FALSE(pu::parse_int("-2147483649", v));
   EXPECT_EQ(v, 77);
+  // Whole string, finite only: std::stod would read "0.99x" as 0.99, skip
+  // leading blanks and accept "inf" / "nan".
+  double d = 0.5;
+  EXPECT_FALSE(pu::parse_double("", d));
+  EXPECT_FALSE(pu::parse_double("abc", d));
+  EXPECT_FALSE(pu::parse_double("0.99x", d));
+  EXPECT_FALSE(pu::parse_double(" 0.99", d));
+  EXPECT_FALSE(pu::parse_double("inf", d));
+  EXPECT_FALSE(pu::parse_double("nan", d));
+  EXPECT_FALSE(pu::parse_double("1e999", d));  // overflow
+  EXPECT_EQ(d, 0.5);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,4 +341,12 @@ TEST(ArgParser, RejectsNonNumericValues) {
   EXPECT_EQ(epochs, 42);  // untouched on failure
   std::int64_t e64 = 42;
   EXPECT_FALSE(args.value_int64("epochs", e64));
+  double ed = 42.0;
+  EXPECT_FALSE(args.value_double("epochs", ed));
+  EXPECT_EQ(ed, 42.0);
+  ASSERT_EQ(parse_args(args, {"--epochs=0.99x"}), pu::ArgParser::Status::Ok);
+  EXPECT_FALSE(args.value_double("epochs", ed));
+  ASSERT_EQ(parse_args(args, {"--epochs=0.99"}), pu::ArgParser::Status::Ok);
+  EXPECT_TRUE(args.value_double("epochs", ed));
+  EXPECT_EQ(ed, 0.99);
 }
