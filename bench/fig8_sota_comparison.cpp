@@ -49,6 +49,7 @@ void run_dataset(const DatasetCase& dc, const plexus::sim::Machine& m) {
     const double plx = pb::plexus_epoch(m, info, gpus).total();
     const double bns = pb::bnsgcn_epoch(m, info, gpus, curves).total();
     const double sa = pb::sa_epoch(m, info, gpus, curves, imb).total();
+    // SA+GVB is SA at perfect nonzero balance (imbalance 1.0).
     const double gvb = pb::sa_epoch(m, info, gpus, curves, 1.0).total();
     t.add_row({std::to_string(gpus), plexus::bench::ms(plx, 1), cell("BNS-GCN", gpus, bns),
                cell("SA", gpus, sa), cell("SA+GVB", gpus, gvb)});

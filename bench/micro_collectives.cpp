@@ -260,46 +260,6 @@ void BM_Bf16WireBytes(benchmark::State& state) {
 }
 BENCHMARK(BM_Bf16WireBytes)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-/// Wall-clock effect of per-group comm channels: a 2x2 grid where every rank
-/// posts one all-reduce on its *row* line and one on its *column* line
-/// (GroupIds 1-4), then waits both. With one channel the two collectives
-/// serialise on the rank's single comm thread; with a budget of 4 every line
-/// group gets its own channel and the row/column collectives really execute
-/// concurrently. `state.range(0)` is the channel budget.
-void BM_DisjointGroupChannels(benchmark::State& state) {
-  plexus::comm::ScopedCommThreads scoped(static_cast<int>(state.range(0)));
-  const auto elems = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    plexus::comm::World world(4);
-    const auto row0 = world.create_group({0, 1});
-    const auto row1 = world.create_group({2, 3});
-    const auto col0 = world.create_group({0, 2});
-    const auto col1 = world.create_group({1, 3});
-    plexus::sim::run_cluster(
-        world, plexus::sim::Machine::test_machine(),
-        [&](plexus::sim::RankContext& ctx) {
-          const auto row = ctx.rank() < 2 ? row0 : row1;
-          const auto col = ctx.rank() % 2 == 0 ? col0 : col1;
-          std::vector<float> a(elems, 1.0f);
-          std::vector<float> b(elems, 2.0f);
-          for (int i = 0; i < 8; ++i) {
-            auto hr = ctx.comm.iall_reduce_sum<float>(row, a);
-            auto hc = ctx.comm.iall_reduce_sum<float>(col, b);
-            hr.wait();
-            hc.wait();
-          }
-          benchmark::DoNotOptimize(a[0]);
-          benchmark::DoNotOptimize(b[0]);
-        },
-        /*enable_clock=*/false);
-  }
-  state.SetBytesProcessed(state.iterations() * 8 * 2 * static_cast<std::int64_t>(elems) * 4 * 4);
-}
-BENCHMARK(BM_DisjointGroupChannels)
-    ->Args({1, 1 << 14})
-    ->Args({4, 1 << 14})
-    ->Unit(benchmark::kMillisecond);
-
 /// Real wall-clock overlap: the comm engine reduces one buffer while the
 /// posting thread sums another. Compares against the same work serialised.
 void BM_IAllReduceComputeOverlap(benchmark::State& state) {

@@ -8,7 +8,6 @@
 // configurations — a strictly richer model than the 3-term regression, so the
 // regression's fit quality is a meaningful number, not a tautology.
 #include "bench_common.hpp"
-#include "comm/transport.hpp"
 #include "core/roles.hpp"
 #include "perfmodel/host_fit.hpp"
 #include "perfmodel/perfmodel.hpp"
@@ -86,7 +85,7 @@ int main() {
   // machine constants, so the planning heuristics (pipeline and prefetch
   // depth) can be priced against this host's real rates instead of the
   // scalar-era ones. The default training machine stays perlmutter_a100 —
-  // this section only reports what the fit would change.
+  // this section only reports the fitted constants.
   plexus::bench::banner("Host kernel calibration (one-shot perfmodel fit)",
                         "measured single-thread rates on the active SIMD target");
   const auto cal = pp::measure_host_kernels();
@@ -103,21 +102,5 @@ int main() {
              Table::fmt(m.spmm_efficiency, 4)});
   h.add_row({"mem_bw GB/s", Table::fmt(host.mem_bw / 1e9, 1), Table::fmt(m.mem_bw / 1e9, 0)});
   h.print();
-
-  // What the refit changes downstream: the adaptive pipeline depth for
-  // ogbn-products' layer 0 on a 2x2x2 grid, priced at both wire formats
-  // (fp32 = 4 bytes/float, bf16 = 2 — comm::wire_elem_size).
-  const auto wp = pp::WorkloadStats::from_dataset(pg::dataset_info("ogbn-products"));
-  const psim::GridShape grid{2, 2, 2};
-  const auto eb_fp32 = static_cast<int>(plexus::comm::wire_elem_size(
-      plexus::comm::WirePrecision::Fp32));
-  const auto eb_bf16 = static_cast<int>(plexus::comm::wire_elem_size(
-      plexus::comm::WirePrecision::Bf16));
-  std::printf("adaptive depth, products layer 0, X2Y2Z2, 8 blocks: "
-              "reference %d (fp32) / %d (bf16); host-fit %d (fp32) / %d (bf16)\n",
-              pp::choose_pipeline_depth(m, wp, grid, 0, 8, eb_fp32),
-              pp::choose_pipeline_depth(m, wp, grid, 0, 8, eb_bf16),
-              pp::choose_pipeline_depth(host, wp, grid, 0, 8, eb_fp32),
-              pp::choose_pipeline_depth(host, wp, grid, 0, 8, eb_bf16));
   return 0;
 }

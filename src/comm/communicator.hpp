@@ -18,18 +18,18 @@
 ///
 /// ## Nonblocking execution model
 ///
-/// Every collective is one op executed by exactly one thread per rank — one
-/// of the rank's comm channels (comm/handle.hpp), routed by GroupId, or the
-/// posting thread in inline mode. The `i*` entry points return a
-/// `CommHandle`; the blocking entry points are `i*` + immediate `wait()`.
-/// Per rank, ops on the *same group* run strictly in post order, so SPMD
-/// programs must post collectives on a group in the same order on every
-/// member (the MPI nonblocking-collective rule). Ops on groups routed to
-/// different channels execute concurrently in real time — the sim-time math
-/// below never depended on execution order, so clocks, stats and data are
-/// bitwise-identical for any channel count.
+/// Every collective is one op executed by exactly one thread per rank — the
+/// rank's FIFO comm thread (comm/handle.hpp), or the posting thread in inline
+/// mode — and every one, the scalar reductions included, posts through the
+/// same `post_collective`. The `i*` entry points return a `CommHandle`; the
+/// blocking entry points are `i*` + immediate `wait()`. Per rank, ops run
+/// strictly in post order, so SPMD programs must post their collectives in
+/// the same order on every rank, across all groups (the MPI
+/// nonblocking-collective rule, applied to the rank's one queue). The
+/// sim-time math below never depends on execution order, so clocks, stats
+/// and data are bitwise-identical inline and threaded.
 ///
-/// Synchronisation protocol per op (executed on the op's channel thread):
+/// Synchronisation protocol per op (executed on the rank's comm thread):
 ///   1. publish: write own buffer pointer + *post-time* clock into the
 ///      group's slots; snapshot the group's link-busy horizon
 ///   2. barrier
@@ -76,6 +76,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -133,18 +134,10 @@ namespace detail {
 /// horizon snapshot. Safe before the first barrier: the previous op's
 /// horizon write happened in its read phase, sealed by its second barrier.
 inline double publish(GroupShared& g, int pos, const void* ptr, double posted_clock) {
-  PLEXUS_CHECK(g.clock_slots.size() >= 2 * static_cast<std::size_t>(g.size()),
-               "group clock_slots under-sized");
   const double floor = g.link_busy_until;
   g.slots[static_cast<std::size_t>(pos)] = ptr;
   g.clock_slots[static_cast<std::size_t>(pos)] = posted_clock;
   return floor;
-}
-
-/// Scalar-exchange slot for member `pos`: the second half of clock_slots
-/// (World::create_group sizes it to 2 * members).
-inline double& aux_value(GroupShared& g, int pos) {
-  return g.clock_slots[static_cast<std::size_t>(g.size() + pos)];
 }
 
 /// Derive the op's completion instant from the members' post clocks, the
@@ -170,6 +163,16 @@ void accumulate_sum(void* acc, const void* src, std::size_t n) {
   T* a = static_cast<T*>(acc);
   const T* s = static_cast<const T*>(src);
   for (std::size_t i = 0; i < n; ++i) a[i] += s[i];
+}
+
+/// Elementwise `acc[i] = max(acc[i], src[i])`, the fold of
+/// all_reduce_max_scalar. Folded in the same canonical member order, so every
+/// member gets the same bits even for ties of signed zeros or a NaN input.
+template <typename T>
+void accumulate_max(void* acc, const void* src, std::size_t n) {
+  T* a = static_cast<T*>(acc);
+  const T* s = static_cast<const T*>(src);
+  for (std::size_t i = 0; i < n; ++i) a[i] = std::max(a[i], s[i]);
 }
 
 /// CollArgs-shaped wrappers over the bf16 wire helpers (util/simd.hpp):
@@ -201,7 +204,7 @@ class Communicator {
                Transport* transport = nullptr)
       : world_(&world), rank_(rank), clock_(clock),
         transport_(transport != nullptr ? transport : &transport_for(Backend::Sim)),
-        channel_budget_(comm_thread_budget()) {
+        comm_thread_(comm_thread_budget() == 1) {
     PLEXUS_CHECK(rank >= 0 && rank < world.size(), "rank out of range");
     PLEXUS_CHECK(clock == nullptr || transport_->supports_clock(),
                  "this transport cannot carry a SimClock");
@@ -278,7 +281,6 @@ class Communicator {
     a.recv = inout.data();
     a.elem = sizeof(T);
     a.count = inout.size();
-    a.dtype = dtype_of<T>();
     a.accumulate = &detail::accumulate_sum<T>;
     if constexpr (std::is_same_v<T, float>) {
       if (wire_ == WirePrecision::Bf16) {
@@ -292,14 +294,12 @@ class Communicator {
         auto wire = std::make_shared<std::vector<std::uint16_t>>();
         const float* src = inout.data();
         const std::size_t n = inout.size();
-        return post_wire_op(
-            a, static_cast<std::int64_t>(n * sizeof(std::uint16_t)),
-            [wire, src, n](CollArgs& aw) {
-              wire->resize(n);
-              simd::bf16_pack(src, wire->data(), static_cast<std::int64_t>(n));
-              aw.send = wire->data();
-            },
-            [] {});
+        return post_collective(a, static_cast<std::int64_t>(n * sizeof(std::uint16_t)),
+                               [wire, src, n](CollArgs& aw) {
+                                 wire->resize(n);
+                                 simd::bf16_pack(src, wire->data(), static_cast<std::int64_t>(n));
+                                 aw.send = wire->data();
+                               });
       }
     }
     return post_collective(a, static_cast<std::int64_t>(inout.size() * sizeof(T)));
@@ -319,7 +319,6 @@ class Communicator {
     a.recv = out.data();
     a.elem = sizeof(T);
     a.count = in.size();
-    a.dtype = dtype_of<T>();
     if constexpr (std::is_same_v<T, float>) {
       if (wire_ == WirePrecision::Bf16) {
         a.elem = sizeof(std::uint16_t);
@@ -327,7 +326,7 @@ class Communicator {
         auto wr = std::make_shared<std::vector<std::uint16_t>>();
         const float* src = in.data();
         const std::size_t sn = in.size();
-        return post_wire_op(
+        return post_collective(
             a, static_cast<std::int64_t>(out.size() * sizeof(std::uint16_t)),
             [ws, wr, src, sn, rn = out.size()](CollArgs& aw) {
               ws->resize(sn);
@@ -358,7 +357,6 @@ class Communicator {
     a.recv = out.data();
     a.elem = sizeof(T);
     a.count = out.size();
-    a.dtype = dtype_of<T>();
     a.accumulate = &detail::accumulate_sum<T>;
     if constexpr (std::is_same_v<T, float>) {
       if (wire_ == WirePrecision::Bf16) {
@@ -369,27 +367,24 @@ class Communicator {
         auto wire = std::make_shared<std::vector<std::uint16_t>>();
         const float* src = in.data();
         const std::size_t sn = in.size();
-        return post_wire_op(
-            a, static_cast<std::int64_t>(in.size() * sizeof(std::uint16_t)),
-            [wire, src, sn](CollArgs& aw) {
-              wire->resize(sn);
-              simd::bf16_pack(src, wire->data(), static_cast<std::int64_t>(sn));
-              aw.send = wire->data();
-            },
-            [] {});
+        return post_collective(a, static_cast<std::int64_t>(in.size() * sizeof(std::uint16_t)),
+                               [wire, src, sn](CollArgs& aw) {
+                                 wire->resize(sn);
+                                 simd::bf16_pack(src, wire->data(), static_cast<std::int64_t>(sn));
+                                 aw.send = wire->data();
+                               });
       }
     }
     return post_collective(a, static_cast<std::int64_t>(in.size() * sizeof(T)));
   }
 
-  /// Run `fn` on the world group's channel, ordered with this rank's
-  /// world-group collectives. No sim time or stats are charged; exceptions
-  /// propagate at wait(). Useful for asynchronous host-side staging and for
-  /// testing channel behaviour.
+  /// Run `fn` on this rank's comm thread, in post order with its
+  /// collectives. No sim time or stats are charged; exceptions propagate at
+  /// wait(). Useful for asynchronous host-side staging and for testing the
+  /// comm thread.
   CommHandle icall(std::function<void()> fn) {
     auto op = std::make_shared<detail::CommOp>();
     op->accounted = false;
-    op->channel = world_->world_group();
     op->posted_clock = clock_ != nullptr ? clock_->time() : 0.0;
     op->done_clock = op->posted_clock;
     op->execute = [body = std::move(fn)](detail::CommOp&) { body(); };
@@ -423,123 +418,81 @@ class Communicator {
     ireduce_scatter_sum<T>(gid, in, out).wait();
   }
 
-  /// Max of a scalar across the group (costed as a latency-only reduction).
+  /// Max of a scalar across the group: a one-element all-reduce folded
+  /// member 0 first (`acc = v0; acc = max(acc, v1); ...`), so every member
+  /// returns the same bits. Priced as an 8-byte AllReduce.
   double all_reduce_max_scalar(GroupId gid, double value) {
-    return scalar_reduce(gid, value, /*is_max=*/true);
+    return all_reduce_scalar(gid, value, &detail::accumulate_max<double>);
   }
 
-  /// Sum of a scalar across the group.
+  /// Sum of a scalar across the group, folded the same way (`v0 + v1 + ...`).
   double all_reduce_sum_scalar(GroupId gid, double value) {
-    return scalar_reduce(gid, value, /*is_max=*/false);
+    return all_reduce_scalar(gid, value, &detail::accumulate_sum<double>);
   }
 
  private:
   friend class CommHandle;
 
-  double scalar_reduce(GroupId gid, double value, bool is_max) {
-    auto& g = world_->group(gid);
-    const int pos = g.position_of(rank_);
-    if (!transport_->uses_group_protocol()) {
-      CollArgs a;
-      a.kind = Collective::AllReduce;
-      a.gid = gid;
-      a.pos = pos;
-      a.scalar_op = true;
-      a.scalar_is_max = is_max;
-      a.scalar_value = value;
-      Transport* t = transport_;
-      return post_op(Collective::AllReduce, gid, 8,
-                     [&g, a, t](detail::CommOp& op) { t->execute(g, a, op); })
-          .wait();
-    }
-    return post_op(Collective::AllReduce, gid, 8, [&g, pos, value, is_max](detail::CommOp& op) {
-             detail::aux_value(g, pos) = value;
-             const double floor = detail::publish(g, pos, nullptr, op.posted_clock);
-             g.barrier->arrive_and_wait();
-             double acc = is_max ? value : 0.0;
-             for (int m = 0; m < g.size(); ++m) {
-               const double v = detail::aux_value(g, m);
-               acc = is_max ? std::max(acc, v) : acc + v;
-             }
-             op.scalar = acc;
-             detail::finish_read_phase(g, pos, floor, op);
-             g.barrier->arrive_and_wait();
-           })
-        .wait();
+  double all_reduce_scalar(GroupId gid, double value,
+                           void (*fold)(void* acc, const void* src, std::size_t n)) {
+    CollArgs a;
+    a.kind = Collective::AllReduce;
+    a.gid = gid;
+    a.recv = &value;
+    a.elem = sizeof(double);
+    a.count = 1;
+    a.accumulate = fold;
+    post_collective(a, sizeof(double)).wait();
+    return value;
   }
 
-  /// Route one data collective through the selected transport. For
-  /// in-process (protocol) transports the execute closure runs the shared
-  /// barrier protocol — publish clocks+buffer, transport movement, completion
-  /// derivation, trailing writes — so the accounting is transport-invariant.
-  /// Non-protocol transports own the whole op (they fill the completion
-  /// fields from the cost model themselves).
-  CommHandle post_collective(CollArgs a, std::int64_t bytes) {
+  /// The one post path every collective shares: route the op through the
+  /// selected transport. For in-process (protocol) transports the execute
+  /// closure runs the shared barrier protocol — publish clocks+buffer,
+  /// transport movement, completion derivation, trailing writes — so the
+  /// accounting is transport-invariant. Non-protocol transports own the whole
+  /// op (they fill the completion fields from the cost model themselves).
+  ///
+  /// Compressed-wire fp32 payloads pass `stage` and, when received wire data
+  /// must be widened, `unstage`. `stage` runs first on the op's executing
+  /// thread: it packs this rank's contribution into staging owned by the
+  /// closure and points the CollArgs at it, so the pack overlaps like the
+  /// rest of the op on the comm thread. `unstage` runs after the transport
+  /// completes, widening the wire data back into the caller's fp32 buffers.
+  /// The staging lives inside the op closure, so nonblocking handles can be
+  /// waited from anywhere.
+  CommHandle post_collective(CollArgs a, std::int64_t bytes,
+                             std::function<void(CollArgs&)> stage = nullptr,
+                             std::function<void()> unstage = nullptr) {
     auto& g = world_->group(a.gid);
     a.pos = g.position_of(rank_);
-    Transport* t = transport_;
-    if (!t->uses_group_protocol()) {
-      return post_op(a.kind, a.gid, bytes,
-                     [&g, a, t](detail::CommOp& op) { t->execute(g, a, op); });
-    }
-    return post_op(a.kind, a.gid, bytes, [&g, a, t](detail::CommOp& op) {
-      const void* pub = a.send != nullptr ? a.send : static_cast<const void*>(a.recv);
-      const double floor = detail::publish(g, a.pos, pub, op.posted_clock);
-      g.barrier->arrive_and_wait();
-      t->move(g, a);
-      detail::finish_read_phase(g, a.pos, floor, op);
-      g.barrier->arrive_and_wait();
-      t->finalize(g, a);
-    });
-  }
-
-  /// post_collective for compressed-wire fp32 payloads. `setup` runs first
-  /// on the op's executing thread — it packs this rank's contribution into
-  /// staging owned by the closures and points the CollArgs at it, so the
-  /// pack overlaps like the rest of the op on a comm channel — and
-  /// `teardown` runs after the transport completes (widening received wire
-  /// data back into the caller's fp32 buffers). The staging lives inside
-  /// the op closure, so nonblocking handles can be waited from anywhere.
-  CommHandle post_wire_op(CollArgs a, std::int64_t bytes, std::function<void(CollArgs&)> setup,
-                          std::function<void()> teardown) {
-    auto& g = world_->group(a.gid);
-    a.pos = g.position_of(rank_);
-    Transport* t = transport_;
-    if (!t->uses_group_protocol()) {
-      return post_op(a.kind, a.gid, bytes,
-                     [&g, a, t, setup = std::move(setup),
-                      teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                       setup(a);
+    return post_op(a.kind, bytes,
+                   [&g, a, t = transport_, stage = std::move(stage),
+                    unstage = std::move(unstage)](detail::CommOp& op) mutable {
+                     if (stage) stage(a);
+                     if (t->uses_group_protocol()) {
+                       const void* pub =
+                           a.send != nullptr ? a.send : static_cast<const void*>(a.recv);
+                       const double floor = detail::publish(g, a.pos, pub, op.posted_clock);
+                       g.barrier->arrive_and_wait();
+                       t->move(g, a);
+                       detail::finish_read_phase(g, a.pos, floor, op);
+                       g.barrier->arrive_and_wait();
+                       t->finalize(g, a);
+                     } else {
                        t->execute(g, a, op);
-                       teardown();
-                     });
-    }
-    return post_op(a.kind, a.gid, bytes,
-                   [&g, a, t, setup = std::move(setup),
-                    teardown = std::move(teardown)](detail::CommOp& op) mutable {
-                     setup(a);
-                     const void* pub =
-                         a.send != nullptr ? a.send : static_cast<const void*>(a.recv);
-                     const double floor = detail::publish(g, a.pos, pub, op.posted_clock);
-                     g.barrier->arrive_and_wait();
-                     t->move(g, a);
-                     detail::finish_read_phase(g, a.pos, floor, op);
-                     g.barrier->arrive_and_wait();
-                     t->finalize(g, a);
-                     teardown();
+                     }
+                     if (unstage) unstage();
                    });
   }
 
-  /// The one accounting path every collective shares: build the op record,
-  /// hand it to the op's channel (or execute inline), return the handle.
-  /// `gid` must be the group the op runs on; the channel routing key is the
-  /// group's channel_route (line family when tagged, else the GroupId).
-  CommHandle post_op(Collective kind, GroupId gid, std::int64_t bytes,
+  /// The one accounting path every op shares: build the op record, hand it
+  /// to the comm thread (or execute inline), return the handle.
+  CommHandle post_op(Collective kind, std::int64_t bytes,
                      std::function<void(detail::CommOp&)> body) {
     auto op = std::make_shared<detail::CommOp>();
     op->op = kind;
     op->bytes = bytes;
-    op->channel = channel_route(world_->group(gid), gid);
     op->clocked = clock_ != nullptr;
     op->posted_clock = clock_ != nullptr ? clock_->time() : 0.0;
     op->execute = std::move(body);
@@ -550,12 +503,12 @@ class Communicator {
 
   void dispatch(const std::shared_ptr<detail::CommOp>& op) {
     posted_any_ = true;
-    if (channel_budget_ > 0) {
-      if (!engine_) engine_ = std::make_unique<CommEngine>(channel_budget_);
-      engine_->post(op);
-    } else {
+    if (!comm_thread_) {
       CommEngine::run_inline(*op);
+      return;
     }
+    if (!engine_) engine_ = std::make_unique<CommEngine>();
+    engine_->post(op);
   }
 
   /// Total compute-busy time inside the sim interval [a, b]. compute_spans_
@@ -602,14 +555,13 @@ class Communicator {
   }
 
   /// Charge the finished op onto this rank's clock/stats (caller thread only).
-  /// Returns the scalar result.
-  double retire(detail::CommOp& op) {
+  void retire(detail::CommOp& op) {
     if (op.error) {
       std::exception_ptr e = op.error;
       op.error = nullptr;
       std::rethrow_exception(e);
     }
-    if (!op.accounted) return op.scalar;
+    if (!op.accounted) return;
     forget_post(op);
     auto& e = stats_.entry(op.op);
     e.calls += 1;
@@ -619,7 +571,7 @@ class Communicator {
       // Functional-only mode: no overlap semantics; charge the cost-model
       // time per op (done_clock carries the meaningless busy horizon here).
       e.sim_seconds += op.full_seconds;
-      return op.scalar;
+      return;
     }
     const double t_wait = clock_->time();
     const double exposed = std::max(0.0, op.done_clock - t_wait);
@@ -638,7 +590,6 @@ class Communicator {
     if (op.done_clock > clock_->time()) clock_->set(op.done_clock);
     timeline_.record(TimelineSpan::Kind::CommInFlight, op.op, op.posted_clock, op.done_clock);
     timeline_.record(TimelineSpan::Kind::CommExposed, op.op, t_wait, op.done_clock);
-    return op.scalar;
   }
 
   World* world_;
@@ -653,17 +604,17 @@ class Communicator {
   std::vector<std::pair<double, double>> compute_spans_;
   /// Post clocks of accounted, not-yet-retired ops (prune floor).
   std::multiset<double> outstanding_posts_;
-  int channel_budget_;       ///< snapshot of comm_thread_budget() at creation
+  bool comm_thread_;         ///< comm_thread_budget() == 1 at creation
   bool posted_any_ = false;  ///< any op dispatched (guards set_clock)
   std::unique_ptr<CommEngine> engine_;
 };
 
-inline double CommHandle::wait() {
+inline void CommHandle::wait() {
   PLEXUS_CHECK(op_ != nullptr, "wait() on an empty CommHandle");
   op_->wait_finished();
-  if (op_->retired) return op_->scalar;  // second wait: cached result, no charge
+  if (op_->retired) return;  // second wait: no charge
   op_->retired = true;
-  return owner_->retire(*op_);
+  owner_->retire(*op_);
 }
 
 inline void CommHandle::release() {

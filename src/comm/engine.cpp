@@ -1,9 +1,11 @@
 #include "comm/handle.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
+#include "util/error.hpp"
+#include "util/logging.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace plexus::comm {
@@ -17,33 +19,22 @@ std::vector<unsigned char>& op_scratch() {
 
 }  // namespace detail
 
-CommEngine::CommEngine(int channels) {
-  channels_.resize(static_cast<std::size_t>(std::max(1, channels)));
-  for (auto& ch : channels_) ch = std::make_unique<Channel>();
-}
-
 CommEngine::~CommEngine() {
-  for (auto& ch : channels_) {
-    {
-      std::lock_guard<std::mutex> lock(ch->m);
-      ch->stop = true;
-    }
-    ch->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    stop_ = true;
   }
-  for (auto& ch : channels_) {
-    if (ch->worker.joinable()) ch->worker.join();
-  }
+  cv_.notify_all();
+  if (worker_.joinable()) worker_.join();
 }
 
 void CommEngine::post(std::shared_ptr<detail::CommOp> op) {
-  const auto idx = static_cast<std::size_t>(op->channel) % channels_.size();
-  Channel& ch = *channels_[idx];
   {
-    std::lock_guard<std::mutex> lock(ch.m);
-    ch.queue.push_back(std::move(op));
-    if (!ch.worker.joinable()) ch.worker = std::thread([this, &ch] { loop(ch); });
+    std::lock_guard<std::mutex> lock(m_);
+    queue_.push_back(std::move(op));
+    if (!worker_.joinable()) worker_ = std::thread([this] { loop(); });
   }
-  ch.cv.notify_one();
+  cv_.notify_one();
 }
 
 void CommEngine::run_inline(detail::CommOp& op) {
@@ -56,18 +47,18 @@ void CommEngine::run_inline(detail::CommOp& op) {
   op.mark_finished();
 }
 
-void CommEngine::loop(Channel& ch) {
-  // Channel threads move bytes; they must never recursively build a kernel
-  // pool, so each keeps the serial budget for its whole lifetime.
+void CommEngine::loop() {
+  // The comm thread moves bytes; it must never recursively build a kernel
+  // pool, so it keeps the serial budget for its whole lifetime.
   util::set_intra_rank_threads(1);
   for (;;) {
     std::shared_ptr<detail::CommOp> op;
     {
-      std::unique_lock<std::mutex> lock(ch.m);
-      ch.cv.wait(lock, [&] { return ch.stop || !ch.queue.empty(); });
-      if (ch.queue.empty()) return;  // stop set and fully drained
-      op = std::move(ch.queue.front());
-      ch.queue.pop_front();
+      std::unique_lock<std::mutex> lock(m_);
+      cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stop set and fully drained
+      op = std::move(queue_.front());
+      queue_.pop_front();
     }
     run_inline(*op);
   }
@@ -75,16 +66,18 @@ void CommEngine::loop(Channel& ch) {
 
 namespace {
 
-/// -1 = "use the environment", >= 0 = explicit override.
+/// -1 = "use the environment", 0 or 1 = explicit override.
 std::atomic<int> g_comm_threads{-1};
 
 int env_comm_threads() {
   const char* s = std::getenv("PLEXUS_COMM_THREADS");
   if (s == nullptr || *s == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 0) return 1;  // malformed: default
-  return static_cast<int>(std::min(v, 8L));  // clamp like set_comm_thread_budget
+  int v = -1;
+  if (!util::parse_int(s, v) || (v != 0 && v != 1)) {
+    PLEXUS_LOG(Warn) << "PLEXUS_COMM_THREADS=" << s << " is not 0 or 1; using 1";
+    return 1;
+  }
+  return v;
 }
 
 }  // namespace
@@ -97,7 +90,8 @@ int comm_thread_budget() {
 int comm_thread_override() { return g_comm_threads.load(std::memory_order_relaxed); }
 
 void set_comm_thread_budget(int n) {
-  g_comm_threads.store(n < 0 ? -1 : std::min(n, 8), std::memory_order_relaxed);
+  PLEXUS_CHECK(n >= -1 && n <= 1, "comm thread budget must be 0 or 1 (-1 = environment)");
+  g_comm_threads.store(n, std::memory_order_relaxed);
 }
 
 }  // namespace plexus::comm

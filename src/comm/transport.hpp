@@ -42,7 +42,6 @@
 #include <cstring>
 #include <span>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "comm/handle.hpp"
@@ -56,10 +55,6 @@ enum class Backend {
   Sim,  ///< shared-slot in-process movement between rank threads
   Mpi,  ///< real MPI nonblocking collectives (requires PLEXUS_WITH_MPI)
 };
-
-/// Element type of a collective payload, for backends (MPI) that need a real
-/// datatype for reductions. Byte-copy collectives may use `Bytes`.
-enum class DType { Bytes, F32, F64, I32, I64 };
 
 /// Number format of fp32 collective payloads *on the wire*. `Fp32` ships the
 /// buffers verbatim (bitwise-identical training, the default); `Bf16` packs
@@ -85,15 +80,6 @@ constexpr std::size_t wire_elem_size(WirePrecision w) {
   return w == WirePrecision::Bf16 ? 2 : 4;
 }
 
-template <typename T>
-constexpr DType dtype_of() {
-  if constexpr (std::is_same_v<T, float>) return DType::F32;
-  else if constexpr (std::is_same_v<T, double>) return DType::F64;
-  else if constexpr (std::is_same_v<T, std::int32_t>) return DType::I32;
-  else if constexpr (std::is_same_v<T, std::int64_t>) return DType::I64;
-  else return DType::Bytes;
-}
-
 /// Type-erased description of one collective, built by the Communicator's
 /// templated entry points. Field meaning by kind:
 ///
@@ -104,6 +90,9 @@ constexpr DType dtype_of() {
 /// | AllReduce     | nullptr     | in-place buf  | buffer elements         |
 /// | Barrier       | nullptr     | nullptr       | 0                       |
 ///
+/// Under the bf16 wire format `send` (and, for AllGather, `recv`) point at
+/// packed staging instead; an AllReduce then publishes its packed `send`.
+/// The scalar reductions are AllReduce rows with one `double` element.
 /// Nothing posts the other `Collective` kinds; every backend rejects them.
 struct CollArgs {
   Collective kind = Collective::Barrier;
@@ -113,8 +102,8 @@ struct CollArgs {
   void* recv = nullptr;
   std::size_t elem = 0;   ///< element size in bytes
   std::size_t count = 0;  ///< element count (see table above)
-  DType dtype = DType::Bytes;
-  /// Typed accumulation `acc[i] += src[i]` over `n` elements; null for
+  /// Typed fold `acc[i] = acc[i] op src[i]` over `n` elements (`+` for the
+  /// data reductions, `+` or max for the scalar ones); null for
   /// non-reducing collectives. Every backend must apply contributions with
   /// this exact function in canonical member order for bitwise conformance.
   /// Under a compressed wire format `src` points at *wire-typed* elements
@@ -132,18 +121,12 @@ struct CollArgs {
 
   /// Effective accumulator element size (see `acc_elem`).
   std::size_t accumulator_elem() const { return acc_elem != 0 ? acc_elem : elem; }
-  /// Scalar reductions (all_reduce_{max,sum}_scalar) for non-protocol
-  /// backends; in-process backends exchange scalars through the group's
-  /// clock-slot aux values instead.
-  bool scalar_op = false;
-  bool scalar_is_max = false;
-  double scalar_value = 0.0;
 };
 
 /// A byte-movement backend. Stateless (Sim) or process-global (MPI)
 /// singletons returned by `transport_for`; shared by every Communicator that
 /// selects them, so implementations must be thread-safe across concurrent
-/// rank and channel threads.
+/// rank and comm threads.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -174,9 +157,8 @@ class Transport {
   /// next op's first barrier orders these writes before any peer reads.
   virtual void finalize(GroupShared& g, const CollArgs& a);
 
-  /// Whole-op execution for non-protocol backends: perform the collective,
-  /// fill `op.full_seconds` / `op.done_clock` (cost-model time) and, for
-  /// scalar ops, `op.scalar`.
+  /// Whole-op execution for non-protocol backends: perform the collective and
+  /// fill `op.full_seconds` / `op.done_clock` (cost-model time).
   virtual void execute(GroupShared& g, const CollArgs& a, detail::CommOp& op);
 
   /// Variable all-to-all hook. No backend implements it and nothing calls
@@ -213,9 +195,9 @@ struct MpiRuntime {
 };
 
 /// Initialise MPI for a one-process-per-rank driver (examples, tests) without
-/// exposing mpi.h to the caller: `MPI_Init_thread(MPI_THREAD_MULTIPLE)`, then
-/// downgrade the per-process comm-thread budget to match the granted thread
-/// level (SERIALIZED → one channel, less → inline). Idempotent per process.
+/// exposing mpi.h to the caller: `MPI_Init_thread(MPI_THREAD_SERIALIZED)`;
+/// when the runtime grants less, set the comm-thread budget to 0 so the
+/// posting thread makes every MPI call (inline mode). Idempotent per process.
 /// Aborts in builds without PLEXUS_WITH_MPI.
 MpiRuntime mpi_runtime_init(int* argc, char*** argv);
 

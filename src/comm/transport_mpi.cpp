@@ -16,7 +16,7 @@
 ///   barrier            -> MPI_Ibarrier
 ///   ireduce_scatter    -> MPI_Allgather of the full inputs + canonical fold
 ///   iall_reduce_sum    -> MPI_Allgather of the contributions + canonical fold
-///   scalar reductions  -> MPI_Allgather of one double + canonical fold
+///   scalar reductions  -> the same, over one double (max or sum fold)
 ///
 /// Reductions deliberately avoid `MPI_SUM`: MPI leaves the reduction order
 /// implementation-defined, while the transport conformance contract requires
@@ -26,13 +26,13 @@
 /// float results bitwise-identical to the in-process backends, which is what
 /// lets `mpirun`ed training gate its losses against the `sim` backend.
 ///
-/// The request is posted and completed on the op's executing thread (a comm
-/// channel, or the posting thread in inline mode), so CommHandle
+/// The request is posted and completed on the op's executing thread (the
+/// rank's comm thread, or the posting thread in inline mode), so CommHandle
 /// post/wait/test/drop keep their exact semantics: `test()` polls the
-/// channel-side completion flag, `wait()` retires the op, dropping completes
-/// but skips the accounting. With channel budgets > 0 multiple threads enter
-/// MPI concurrently — initialise with MPI_THREAD_MULTIPLE (mpi_runtime_init
-/// does, and downgrades the budget when the library grants less).
+/// comm-thread completion flag, `wait()` retires the op, dropping completes
+/// but skips the accounting. Only that one thread makes the collective MPI
+/// calls, so MPI_THREAD_SERIALIZED suffices (mpi_runtime_init asks for it and
+/// falls back to inline mode when the library grants less).
 ///
 /// Sim clocks work cross-process by piggybacking one
 /// `MPI_Allreduce(MPI_MAX, posted clock)` on every clocked op. That is all
@@ -149,21 +149,6 @@ class MpiTransport final : public Transport {
       }
       case Collective::AllReduce: {
         const double max_posted = clock_sync(comm, op);
-        if (a.scalar_op) {
-          // Same left-fold as the in-process aux-slot exchange.
-          scalars_.resize(static_cast<std::size_t>(G));
-          mpi_check(MPI_Allgather(&a.scalar_value, 1, MPI_DOUBLE, scalars_.data(), 1,
-                                  MPI_DOUBLE, comm),
-                    "MPI_Allgather(scalar)");
-          double acc = a.scalar_is_max ? a.scalar_value : 0.0;
-          for (int m = 0; m < G; ++m) {
-            const double v = scalars_[static_cast<std::size_t>(m)];
-            acc = a.scalar_is_max ? std::max(acc, v) : acc + v;
-          }
-          op.scalar = acc;
-          finish(g, op, max_posted);
-          return;
-        }
         // Gather every member's *published* contribution (the packed wire
         // buffer under a compressed wire format, else the in-place buffer),
         // fold member 0 first then 1..G-1 — SimTransport's scratch fold,
@@ -241,9 +226,8 @@ class MpiTransport final : public Transport {
       const auto it = comms_.find(gid);
       if (it != comms_.end()) return it->second;
     }
-    // Create outside the cache lock: MPI_Comm_create_group is collective over
-    // the member set, and members may be creating different groups
-    // concurrently on different channels.
+    // Create outside the cache lock: MPI_Comm_create_group blocks until every
+    // member arrives, and no lock may be held across that wait.
     int world_rank = -1, world_size = 0;
     MPI_Comm_rank(MPI_COMM_WORLD, &world_rank);
     MPI_Comm_size(MPI_COMM_WORLD, &world_size);
@@ -267,18 +251,16 @@ class MpiTransport final : public Transport {
 
   std::mutex m_;
   std::unordered_map<GroupId, MPI_Comm> comms_;
-  // Reused count/displacement/gather scratch. One MpiTransport is shared by
-  // every channel thread, so these must be per-thread to stay race-free.
+  // Reused count/displacement/gather scratch. The comm thread and, in inline
+  // mode, the posting thread both execute ops, so keep them per-thread.
   static thread_local std::vector<int> counts_;
   static thread_local std::vector<int> displs_;
   static thread_local std::vector<unsigned char> gather_buf_;
-  static thread_local std::vector<double> scalars_;
 };
 
 thread_local std::vector<int> MpiTransport::counts_;
 thread_local std::vector<int> MpiTransport::displs_;
 thread_local std::vector<unsigned char> MpiTransport::gather_buf_;
-thread_local std::vector<double> MpiTransport::scalars_;
 
 }  // namespace
 
@@ -296,19 +278,14 @@ MpiRuntime mpi_runtime_init(int* argc, char*** argv) {
   MPI_Initialized(&initialized);
   int provided = MPI_THREAD_SINGLE;
   if (initialized == 0) {
-    mpi_check(MPI_Init_thread(argc, argv, MPI_THREAD_MULTIPLE, &provided),
+    mpi_check(MPI_Init_thread(argc, argv, MPI_THREAD_SERIALIZED, &provided),
               "MPI_Init_thread");
   } else {
     mpi_check(MPI_Query_thread(&provided), "MPI_Query_thread");
   }
-  // Comm channels make MPI calls from their own threads. Under
-  // MPI_THREAD_MULTIPLE any budget works; SERIALIZED tolerates exactly one
-  // channel; anything less forces inline mode (posting thread does MPI).
-  if (provided < MPI_THREAD_SERIALIZED) {
-    set_comm_thread_budget(0);
-  } else if (provided < MPI_THREAD_MULTIPLE && comm_thread_budget() > 1) {
-    set_comm_thread_budget(1);
-  }
+  // The comm thread makes the collective MPI calls, one at a time, so
+  // SERIALIZED is enough; below it the posting thread must make them itself.
+  if (provided < MPI_THREAD_SERIALIZED) set_comm_thread_budget(0);
   MpiRuntime rt;
   MPI_Comm_rank(MPI_COMM_WORLD, &rt.rank);
   MPI_Comm_size(MPI_COMM_WORLD, &rt.size);

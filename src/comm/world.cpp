@@ -11,7 +11,7 @@ World::World(int size) : size_(size) {
   create_group(std::move(all));
 }
 
-GroupId World::create_group(std::vector<int> members, LinkParams link, int channel_hint) {
+GroupId World::create_group(std::vector<int> members, LinkParams link) {
   PLEXUS_CHECK(!members.empty(), "empty group");
   std::sort(members.begin(), members.end());
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -21,12 +21,9 @@ GroupId World::create_group(std::vector<int> members, LinkParams link, int chann
   auto g = std::make_unique<GroupShared>();
   g->members = std::move(members);
   g->link = link;
-  g->channel_hint = channel_hint;
   g->barrier = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(g->members.size()));
   g->slots.assign(g->members.size(), nullptr);
-  // First `size` entries publish member clocks; the next `size` entries carry
-  // scalar exchange values (see Communicator::aux_value).
-  g->clock_slots.assign(2 * g->members.size(), 0.0);
+  g->clock_slots.assign(g->members.size(), 0.0);
   groups_.push_back(std::move(g));
   return static_cast<GroupId>(groups_.size() - 1);
 }

@@ -26,19 +26,14 @@ using GroupId = int;
 /// Shared per-group state. `slots` hold pointers published by members during a
 /// collective; `clock_slots` carry their simulated clocks for synchronisation.
 /// All mutable protocol state is per-group (guarded by the group's own op
-/// barriers), so collectives on *different* groups may execute concurrently
-/// on per-group comm channels without any cross-group synchronisation.
+/// barriers), so collectives on *different* groups, run by different ranks'
+/// comm threads, need no cross-group synchronisation.
 struct GroupShared {
   std::vector<int> members;  ///< global ranks, ascending
   LinkParams link;
   std::unique_ptr<std::barrier<>> barrier;
   std::vector<const void*> slots;
   std::vector<double> clock_slots;
-  /// Comm-channel routing class. Line groups of the 3D grid are tagged with
-  /// their *family* (X = 0, Y = 1, Z = 2) so a rank's own three line groups
-  /// never share a channel (budget permitting); -1 = untagged, route by
-  /// GroupId as before. See channel_route().
-  int channel_hint = -1;
   /// Sim instant until which this group's ring links are occupied by the
   /// latest collective. Serialises overlapping (pipelined) collectives on the
   /// same group: a collective starts no earlier than this horizon. Written by
@@ -57,17 +52,6 @@ struct GroupShared {
   }
 };
 
-/// Comm-channel routing key of a group (topology-aware when tagged): the
-/// group's channel_hint — its X/Y/Z line family — when set, else the GroupId.
-/// Ops whose keys are congruent mod the channel budget share one channel per
-/// rank and serialise; family tagging guarantees a rank's own three line
-/// groups land on three distinct keys, so with a budget >= 3 they never
-/// collide (the old `GroupId mod budget` routing could map two of them onto
-/// one channel and forfeit their real-time overlap).
-inline int channel_route(const GroupShared& g, GroupId gid) {
-  return g.channel_hint >= 0 ? g.channel_hint : static_cast<int>(gid);
-}
-
 class World {
  public:
   explicit World(int size);
@@ -78,10 +62,7 @@ class World {
   GroupId world_group() const { return 0; }
 
   /// Create a process group. NOT thread-safe: call before the SPMD region.
-  /// `channel_hint` >= 0 tags the group with a comm-channel routing class
-  /// (the 3D grid uses the line family, X = 0 / Y = 1 / Z = 2); -1 keeps the
-  /// GroupId-based routing. See channel_route().
-  GroupId create_group(std::vector<int> members, LinkParams link = {}, int channel_hint = -1);
+  GroupId create_group(std::vector<int> members, LinkParams link = {});
 
   /// Zero every group's link-busy horizon. Required when reusing a World for
   /// a fresh simulation session whose SimClocks restart at 0 — otherwise the

@@ -16,16 +16,12 @@ Grid3D::Grid3D(comm::World& world, sim::GridShape shape, const sim::Machine& mac
   y_groups_.resize(static_cast<std::size_t>(shape.x * shape.z));
   z_groups_.resize(static_cast<std::size_t>(shape.x * shape.y));
 
-  // Line groups are tagged with their family (X = 0, Y = 1, Z = 2) as the
-  // comm-channel routing class: a rank's own three line groups then always
-  // map to distinct channels (budget permitting), so its X-, Y- and Z-line
-  // collectives overlap in real time instead of queueing on one channel.
   for (int z = 0; z < shape.z; ++z) {
     for (int y = 0; y < shape.y; ++y) {
       std::vector<int> members;
       for (int x = 0; x < shape.x; ++x) members.push_back(rank_of({x, y, z}));
       x_groups_[static_cast<std::size_t>(y + shape.y * z)] =
-          world.create_group(members, link_x, /*channel_hint=*/0);
+          world.create_group(members, link_x);
     }
   }
   for (int z = 0; z < shape.z; ++z) {
@@ -33,7 +29,7 @@ Grid3D::Grid3D(comm::World& world, sim::GridShape shape, const sim::Machine& mac
       std::vector<int> members;
       for (int y = 0; y < shape.y; ++y) members.push_back(rank_of({x, y, z}));
       y_groups_[static_cast<std::size_t>(x + shape.x * z)] =
-          world.create_group(members, link_y, /*channel_hint=*/1);
+          world.create_group(members, link_y);
     }
   }
   for (int x = 0; x < shape.x; ++x) {
@@ -41,7 +37,7 @@ Grid3D::Grid3D(comm::World& world, sim::GridShape shape, const sim::Machine& mac
       std::vector<int> members;
       for (int z = 0; z < shape.z; ++z) members.push_back(rank_of({x, y, z}));
       z_groups_[static_cast<std::size_t>(y + shape.y * x)] =
-          world.create_group(members, link_z, /*channel_hint=*/2);
+          world.create_group(members, link_z);
     }
   }
 }

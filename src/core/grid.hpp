@@ -47,7 +47,7 @@ class Grid3D {
  private:
   sim::GridShape shape_;
   comm::GroupId world_group_;
-  // Indexed by line id within each dimension's family.
+  // Indexed by line id within each dimension.
   std::vector<comm::GroupId> x_groups_;  // (y, z) -> group, id = y + Gy*z
   std::vector<comm::GroupId> y_groups_;  // (x, z) -> group, id = x + Gx*z
   std::vector<comm::GroupId> z_groups_;  // (x, y) -> group, id = y + Gy*x

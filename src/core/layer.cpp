@@ -102,16 +102,6 @@ comm::CommHandle DistGcnLayer::igathered_weights(sim::RankContext& ctx, dense::M
   return ctx.comm.iall_gather<float>(r_group_, w_slice_, w_block.flat());
 }
 
-dense::Matrix DistGcnLayer::gathered_weights(sim::RankContext& ctx) {
-  dense::Matrix w_block;
-  igathered_weights(ctx, w_block).wait();
-  return w_block;
-}
-
-dense::Matrix DistGcnLayer::gather_weight_block(sim::RankContext& ctx) {
-  return gathered_weights(ctx);
-}
-
 namespace {
 
 /// Largest block length and nonempty block count of a bounds vector.

@@ -35,7 +35,7 @@ struct PlexusOptions {
   bool gemm_dw_tuning = false;  ///< reversed dL/dW multiplication order (section 5.3)
   /// Software-pipeline depth of blocked aggregation: while a block's SpMM
   /// runs, up to `pipeline_depth - 1` per-block collectives may be in flight
-  /// on the comm channels. 1 = fully blocking (wait immediately after post);
+  /// on the rank's comm thread. 1 = fully blocking (wait immediately after post);
   /// 2 = the classic one-block lookahead of section 5.2. 0 (the default) =
   /// adaptive: each layer picks its own depth from the perf model (per-block
   /// SpMM time vs per-block ring time — comm::choose_pipeline_depth),
@@ -112,17 +112,13 @@ class DistGcnLayer {
   const LayerRoles& roles() const { return roles_; }
   bool streaming() const { return stream_ != nullptr; }
   comm::GroupId r_group() const { return r_group_; }
-  std::int64_t weight_slice_size() const { return static_cast<std::int64_t>(w_slice_.size()); }
-
-  /// Gathered weight block (tests): (Din/Q x Dout/P).
-  dense::Matrix gather_weight_block(sim::RankContext& ctx);
 
   /// This rank's flat weight slice and its optimizer state (checkpointing).
   std::span<const float> weight_slice() const { return w_slice_; }
   const dense::Adam& optimizer() const { return adam_; }
 
   /// Overwrite the weight slice + Adam state (checkpoint restore). Span
-  /// sizes must match weight_slice_size().
+  /// sizes must match weight_slice().size().
   void restore_state(std::span<const float> w, std::span<const float> m,
                      std::span<const float> v, std::int64_t adam_t);
 
@@ -130,7 +126,6 @@ class DistGcnLayer {
   /// Post the R-group all-gather assembling the (Din/Q x Dout/P) weight block
   /// into `w_block`; the caller waits the handle before reading it.
   comm::CommHandle igathered_weights(sim::RankContext& ctx, dense::Matrix& w_block);
-  dense::Matrix gathered_weights(sim::RankContext& ctx);
 
   /// One direction of blocked aggregation (section 5.2): out = SpMM(adjacency,
   /// in) row block by row block, each block's collective in flight behind the

@@ -17,10 +17,6 @@ const char* scheme_name(PermutationScheme s) {
   return "?";
 }
 
-bool scheme_from_string(std::string_view s, PermutationScheme& out) {
-  return util::enum_from_string(s, out);
-}
-
 namespace {
 
 std::int64_t round_up(std::int64_t v, std::int64_t multiple) {
@@ -52,22 +48,9 @@ PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, 
 
   // Permutations over the padded index space: padding rows scatter uniformly,
   // which keeps per-shard *active* row counts balanced too.
-  std::vector<std::int64_t> p_r;
-  std::vector<std::int64_t> p_c;
-  switch (scheme) {
-    case PermutationScheme::None:
-      p_r = util::identity_permutation(out.padded_nodes);
-      p_c = p_r;
-      break;
-    case PermutationScheme::Single:
-      p_r = util::random_permutation(out.padded_nodes, util::hash_combine(seed, 1));
-      p_c = p_r;
-      break;
-    case PermutationScheme::Double:
-      p_r = util::random_permutation(out.padded_nodes, util::hash_combine(seed, 1));
-      p_c = util::random_permutation(out.padded_nodes, util::hash_combine(seed, 2));
-      break;
-  }
+  const auto perms = util::scheme_permutations(static_cast<int>(scheme), out.padded_nodes, seed);
+  const auto& p_r = perms.rows;
+  const auto& p_c = perms.cols;
 
   out.adj_even = normalized.permuted(p_r, p_c);  // P_r A~ P_c^T  (eq. 5.3)
   if (scheme == PermutationScheme::Double) {
@@ -84,9 +67,8 @@ PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, 
     std::copy(g.features.row(u), g.features.row(u) + g.feature_dim(), out.features.row(dst));
   }
 
-  // The final layer's output rows are ordered by P_r when (L-1) is even,
-  // else by P_c; labels and masks must match that ordering.
-  const auto& p_out = (num_layers - 1) % 2 == 0 ? p_r : p_c;
+  // Labels and masks follow the final layer's output row order.
+  const auto& p_out = perms.output(num_layers);
   out.labels.assign(static_cast<std::size_t>(out.padded_nodes), 0);
   out.train_mask.assign(static_cast<std::size_t>(out.padded_nodes), 0);
   out.val_mask.assign(static_cast<std::size_t>(out.padded_nodes), 0);

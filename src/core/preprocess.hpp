@@ -16,8 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include <string_view>
-
 #include "dense/matrix.hpp"
 #include "graph/graph.hpp"
 #include "sparse/csr.hpp"
@@ -35,9 +33,6 @@ enum class PermutationScheme {
 /// "double-permutation"). CLI flags and checkpoints use the registry names
 /// ("none" | "single" | "double") below instead.
 const char* scheme_name(PermutationScheme s);
-
-/// Parse a registry name (case-insensitive). Returns false on unknown names.
-bool scheme_from_string(std::string_view s, PermutationScheme& out);
 
 struct PlexusDataset {
   std::int64_t num_nodes = 0;         ///< active nodes

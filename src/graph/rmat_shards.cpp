@@ -379,22 +379,9 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
     inv_sqrt[static_cast<std::size_t>(r)] = 1.0 / std::sqrt(degree);
   }
 
-  std::vector<std::int64_t> p_r;
-  std::vector<std::int64_t> p_c;
-  switch (spec.scheme) {
-    case 0:
-      p_r = util::identity_permutation(padded);
-      p_c = p_r;
-      break;
-    case 1:
-      p_r = util::random_permutation(padded, util::hash_combine(spec.preprocess_seed, 1));
-      p_c = p_r;
-      break;
-    default:
-      p_r = util::random_permutation(padded, util::hash_combine(spec.preprocess_seed, 1));
-      p_c = util::random_permutation(padded, util::hash_combine(spec.preprocess_seed, 2));
-      break;
-  }
+  const auto perms = util::scheme_permutations(spec.scheme, padded, spec.preprocess_seed);
+  const auto& p_r = perms.rows;
+  const auto& p_c = perms.cols;
   const auto p_c_inv = util::invert_permutation(p_c);
 
   std::vector<std::uint8_t> train;
@@ -457,7 +444,7 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
                                       spec.parts, result.adjacency_nnz});
   {
     // Labels and masks live in the final layer's output permutation.
-    const auto& p_out = (spec.num_layers - 1) % 2 == 0 ? p_r : p_c;
+    const auto& p_out = perms.output(spec.num_layers);
     std::vector<std::int32_t> labels_out(static_cast<std::size_t>(padded), 0);
     io::ShardedMasks masks;
     masks.train.assign(static_cast<std::size_t>(padded), 0);

@@ -91,26 +91,6 @@ Partitioning fennel_partition(const sparse::Csr& adj, int parts, std::uint64_t s
   return p;
 }
 
-Partitioning nnz_balanced_partition(const sparse::Csr& adj, int parts) {
-  PLEXUS_CHECK(parts >= 1, "parts must be positive");
-  const std::int64_t n = adj.rows();
-  const std::int64_t target = (adj.nnz() + parts - 1) / parts;
-  Partitioning p;
-  p.num_parts = parts;
-  p.assignment.resize(static_cast<std::size_t>(n));
-  std::int64_t acc = 0;
-  int cur = 0;
-  for (std::int64_t v = 0; v < n; ++v) {
-    p.assignment[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(cur);
-    acc += adj.row_nnz(v);
-    if (acc >= target && cur + 1 < parts) {
-      acc = 0;
-      ++cur;
-    }
-  }
-  return p;
-}
-
 std::int64_t edge_cut(const sparse::Csr& adj, const Partitioning& p) {
   std::int64_t cut = 0;
   const auto rp = adj.row_ptr();

@@ -9,9 +9,9 @@
 ///    METIS surrogate: minimises edge cut under a balance constraint, and
 ///    reproduces the boundary-node growth with partition count that drives
 ///    BNS-GCN's scaling cliff (section 7.1);
-///  * a nonzero-balanced contiguous row partitioner — GVB's goal (balance
-///    nonzeros per block row for SpMM);
 ///  * a random partitioner (worst-case baseline for tests).
+/// GVB itself is not modelled by a partitioner: the cost models price SA+GVB
+/// as SA at perfect nonzero balance.
 
 #include <cstdint>
 #include <vector>
@@ -34,9 +34,6 @@ Partitioning random_partition(std::int64_t num_nodes, int parts, std::uint64_t s
 /// hard balance cap of `slack` * n/parts per part.
 Partitioning fennel_partition(const sparse::Csr& adj, int parts, std::uint64_t seed,
                               int passes = 3, double gamma = 1.5, double slack = 1.1);
-
-/// Contiguous block-row partition balancing nonzeros per part (GVB-like).
-Partitioning nnz_balanced_partition(const sparse::Csr& adj, int parts);
 
 /// Number of edges whose endpoints land in different parts.
 std::int64_t edge_cut(const sparse::Csr& adj, const Partitioning& p);

@@ -8,8 +8,8 @@
 /// their scalar-era throughput. With the runtime-dispatched SIMD kernels
 /// (util/simd.hpp) the real peak-FLOP and per-byte rates moved by integer
 /// factors, so planning decisions that compare compute time against wire
-/// time — perf::choose_pipeline_depth, DistGcnLayer's adaptive prefetch
-/// depth — would be fed stale ratios if the constants were left alone.
+/// time — DistGcnLayer's adaptive pipeline and prefetch depths — would be
+/// fed stale ratios if the constants were left alone.
 ///
 /// `measure_host_kernels()` times the vectorized GEMM (all three transpose
 /// modes), the SpMM row kernel on a random graph, and a streaming-copy

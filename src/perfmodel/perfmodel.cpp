@@ -197,36 +197,6 @@ EpochPrediction predict_epoch(const sim::Machine& machine, const WorkloadStats& 
   return out;
 }
 
-int choose_pipeline_depth(const sim::Machine& machine, const WorkloadStats& w,
-                          const sim::GridShape& g, int layer, int agg_row_blocks,
-                          int wire_elem_bytes) {
-  PLEXUS_CHECK(layer >= 0 && layer < w.num_layers(), "choose_pipeline_depth: bad layer");
-  PLEXUS_CHECK(wire_elem_bytes > 0, "choose_pipeline_depth: bad wire element size");
-  const LayerRoles roles = roles_for_layer(layer);
-  const double ep = extent(g, roles.p);
-  const double eq = extent(g, roles.q);
-  const double er = extent(g, roles.r);
-  const double n = static_cast<double>(w.num_nodes);
-  const double nnz = static_cast<double>(w.num_nonzeros);
-  const double din = static_cast<double>(w.layer_dims[static_cast<std::size_t>(layer)]);
-  const double din_q = std::max(1.0, din / eq);
-  const int nb = std::max(1, agg_row_blocks);
-
-  // Average per-block forward-aggregation SpMM on this layer's shard.
-  const sim::SpmmShape block{static_cast<std::int64_t>(nnz / (er * ep)) / nb,
-                             static_cast<std::int64_t>(n / er) / nb,
-                             static_cast<std::int64_t>(n / ep),
-                             static_cast<std::int64_t>(din_q)};
-  const double t_spmm = sim::spmm_time(machine, block);
-  // Per-block ring time of the H all-reduce over the P group (eq. 4.5/4.6).
-  const auto link_p = sim::link_for_dim(machine, g, roles.p);
-  const double block_bytes = static_cast<double>(wire_elem_bytes) * (n / er) / nb * din_q;
-  const double t_ring = comm::collective_time(
-      comm::Collective::AllReduce, static_cast<std::int64_t>(block_bytes),
-      static_cast<int>(ep), link_p);
-  return comm::choose_pipeline_depth(t_spmm, t_ring, nb);
-}
-
 double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
                               int adjacency_versions, double elem_bytes) {
   PLEXUS_CHECK(adjacency_versions >= 1, "estimate_per_gpu_bytes: bad version count");

@@ -71,20 +71,6 @@ struct EpochPrediction {
 EpochPrediction predict_epoch(const sim::Machine& machine, const WorkloadStats& w,
                               const sim::GridShape& g);
 
-/// Per-layer software-pipeline depth for blocked aggregation (section 5.2),
-/// chosen by balancing the layer's per-block SpMM time against the per-block
-/// ring time of its P-group all-reduce (the section-4 cost model applied at
-/// block granularity). This is the workload-level form wired through
-/// `PlexusOptions::pipeline_depth == 0`; DistGcnLayer applies the same rule
-/// (comm::choose_pipeline_depth) to its exact local shard costs. Returns 1
-/// when there is nothing to pipeline (one block, or a 1-wide P group).
-/// `wire_elem_bytes` is the per-float wire size of the collectives (4 for
-/// fp32, 2 under the bf16 wire format — comm::wire_elem_size), so the
-/// depth is planned against the bytes that actually hit the links.
-int choose_pipeline_depth(const sim::Machine& machine, const WorkloadStats& w,
-                          const sim::GridShape& g, int layer, int agg_row_blocks,
-                          int wire_elem_bytes = 4);
-
 /// Estimated peak per-GPU training bytes for a configuration — what the
 /// billion-edge planner checks against device memory. Counts, per rank:
 ///   * the distinct adjacency shards actually materialised (one per unique

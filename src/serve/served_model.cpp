@@ -37,26 +37,10 @@ ServedModel::ServedModel(const std::string& checkpoint_dir)
     acts_.push_back(h);  // cache; h flows on as the next layer's input
   }
 
-  // Original id -> output row: the final layer's outputs are ordered by P_r
-  // when (L-1) is even, else by P_c (core::preprocess_graph's labelling rule),
-  // and both permutations regenerate from the checkpointed seed.
-  const auto scheme = static_cast<core::PermutationScheme>(state_.scheme);
-  switch (scheme) {
-    case core::PermutationScheme::None:
-      p_out_ = util::identity_permutation(ds_.padded_nodes);
-      break;
-    case core::PermutationScheme::Single:
-      p_out_ = util::random_permutation(ds_.padded_nodes,
-                                        util::hash_combine(state_.preprocess_seed, 1));
-      break;
-    case core::PermutationScheme::Double:
-      p_out_ = (L - 1) % 2 == 0
-                   ? util::random_permutation(ds_.padded_nodes,
-                                              util::hash_combine(state_.preprocess_seed, 1))
-                   : util::random_permutation(ds_.padded_nodes,
-                                              util::hash_combine(state_.preprocess_seed, 2));
-      break;
-  }
+  // Original id -> output row: the final layer's output order, regenerated
+  // from the checkpointed scheme and seed exactly as preprocessing drew it.
+  p_out_ = util::scheme_permutations(state_.scheme, ds_.padded_nodes, state_.preprocess_seed)
+               .output(L);
 }
 
 std::int64_t ServedModel::logits_row(std::int64_t node) const {

@@ -15,11 +15,9 @@ int resolve_intra_rank_threads(int requested, int num_ranks) {
   if (requested > 0) return requested;
   const int env = util::env_thread_override();
   const int total = env > 0 ? env : util::hardware_threads();
-  // A rank's comm channels share the rank's host-thread slice: when enabled,
-  // one slot of the per-rank share is reserved for them so compute pools plus
-  // comm threads stay near the process budget. One slot suffices for any
-  // channel count — channels spend almost all their time blocked on group
-  // barriers, so at most one per rank tends to be runnable at once.
+  // A rank's comm thread shares the rank's host-thread slice: when enabled,
+  // one slot of the per-rank share is reserved for it so compute pools plus
+  // comm threads stay near the process budget.
   const int comm_reserved = comm::comm_thread_budget() > 0 ? 1 : 0;
   return std::max(1, total / std::max(1, num_ranks) - comm_reserved);
 }

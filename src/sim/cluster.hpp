@@ -32,10 +32,10 @@ using RankFn = std::function<void(RankContext&)>;
 /// ranks. `requested > 0` wins verbatim (callers may deliberately
 /// oversubscribe); otherwise the process budget — PLEXUS_THREADS when set,
 /// else the hardware concurrency — is divided across ranks so an 8-rank run
-/// does not oversubscribe the host. When dedicated comm channels are enabled
-/// (comm::comm_thread_budget() > 0, the default) each rank's share additionally
-/// reserves one slot for its mostly-blocked channel threads, so compute + comm
-/// stay within the host budget. Always >= 1.
+/// does not oversubscribe the host. When the comm thread is enabled
+/// (comm::comm_thread_budget() == 1, the default) each rank's share
+/// additionally reserves one slot for it, so compute + comm stay within the
+/// host budget. Always >= 1.
 int resolve_intra_rank_threads(int requested, int num_ranks);
 
 /// Run `fn` SPMD over all ranks of `world`. When `enable_clock` is false the

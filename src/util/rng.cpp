@@ -24,6 +24,14 @@ std::vector<std::int64_t> identity_permutation(std::int64_t n) {
   return perm;
 }
 
+SchemePermutations scheme_permutations(int scheme, std::int64_t n, std::uint64_t seed) {
+  PLEXUS_CHECK(scheme >= 0 && scheme <= 2, "unknown permutation scheme");
+  SchemePermutations p;
+  p.rows = scheme == 0 ? identity_permutation(n) : random_permutation(n, hash_combine(seed, 1));
+  p.cols = scheme == 2 ? random_permutation(n, hash_combine(seed, 2)) : p.rows;
+  return p;
+}
+
 std::vector<std::int64_t> invert_permutation(const std::vector<std::int64_t>& perm) {
   std::vector<std::int64_t> inv(perm.size());
   for (std::size_t i = 0; i < perm.size(); ++i) {

@@ -83,6 +83,26 @@ std::vector<std::int64_t> random_permutation(std::int64_t n, std::uint64_t seed)
 /// Identity permutation of {0, ..., n-1}.
 std::vector<std::int64_t> identity_permutation(std::int64_t n);
 
+/// The two preprocessing permutations of a permutation scheme (paper section
+/// 5.1) over `n` padded node ids: rows P_r and columns P_c, drawn from
+/// `seed`. The one derivation behind in-memory preprocessing, streamed shard
+/// generation and the serving id map, so all three place node u on the same
+/// rows. `scheme` is core::PermutationScheme as an int, keeping util/ below
+/// graph/ and core/: 0 (none) = identity for both, 1 (single) = one random
+/// permutation for both, 2 (double) = independent random P_r and P_c.
+struct SchemePermutations {
+  std::vector<std::int64_t> rows;  ///< P_r: node u -> row of the even-layer adjacency
+  std::vector<std::int64_t> cols;  ///< P_c: node u -> column (feature row) of it
+
+  /// Row order of an L-layer GCN's output, and so of its labels and masks:
+  /// P_r when (L-1) is even, else P_c.
+  const std::vector<std::int64_t>& output(int num_layers) const {
+    return (num_layers - 1) % 2 == 0 ? rows : cols;
+  }
+};
+
+SchemePermutations scheme_permutations(int scheme, std::int64_t n, std::uint64_t seed);
+
 /// Inverse of a permutation: out[perm[i]] = i.
 std::vector<std::int64_t> invert_permutation(const std::vector<std::int64_t>& perm);
 

@@ -119,13 +119,13 @@ void run_group(pc::Communicator& comm, pc::GroupId gid) {
     expect_near(one[0], static_cast<float>(G), "all_reduce after zero-sized ops");
   }
 
-  // scalar reductions: both exact (the sum folds 0.0 + v_0 + ... + v_{G-1}
-  // in member order on every backend).
+  // scalar reductions: both exact (one-element all-reduces, folded
+  // v_0 + v_1 + ... + v_{G-1} in member order on every backend).
   const double mx = comm.all_reduce_max_scalar(gid, static_cast<double>(g_rank));
   expect(mx == static_cast<double>(g.members.back()), "scalar max gid=" + std::to_string(gid));
   const double sum = comm.all_reduce_sum_scalar(gid, 1.5);
-  double want_sum = 0.0;
-  for (int m = 0; m < G; ++m) want_sum += 1.5;
+  double want_sum = 1.5;
+  for (int m = 1; m < G; ++m) want_sum += 1.5;
   expect(sum == want_sum, "scalar sum gid=" + std::to_string(gid));
 
   comm.barrier(gid);
@@ -220,9 +220,8 @@ void run_end_to_end_training(int size) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Initialises MPI (requesting MPI_THREAD_MULTIPLE) and downgrades the comm
-  // thread budget to whatever the runtime actually provides — the same hook
-  // the plexus_train mpi driver uses.
+  // Initialises MPI (requesting MPI_THREAD_SERIALIZED; inline mode when the
+  // runtime grants less) — the same hook the plexus_train mpi driver uses.
   const pc::MpiRuntime rt = pc::mpi_runtime_init(&argc, &argv);
   g_rank = rt.rank;
   const int size = rt.size;

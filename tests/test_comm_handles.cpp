@@ -1,16 +1,22 @@
 // CommHandle lifecycle and nonblocking-collective semantics: overlap-derived
 // exposed/hidden accounting (exact under any wait order via stall-interval
-// tracking), link serialisation of in-flight collectives, concurrent
-// per-group channels, wait-twice, drop-without-wait, comm-thread exception
-// propagation, and inline-mode (PLEXUS_COMM_THREADS=0) equivalence of the
-// sim-time math.
+// tracking), link serialisation of in-flight collectives, wait-twice,
+// drop-without-wait, comm-thread exception propagation, group-uniform scalar
+// reductions, inline-mode (PLEXUS_COMM_THREADS=0) equivalence of the sim-time
+// math, and the strict PLEXUS_COMM_THREADS parse.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -132,41 +138,6 @@ TEST(CommHandles, DisjointGroupsOverlapInSimTime) {
   });
 }
 
-TEST(CommHandles, ConcurrentChannelsMakeCrossGroupProgress) {
-  // Rank 0 posts on g1 (members {0,1}) and then g2 (members {0,2}), but rank
-  // 1 refuses to post its g1 op until rank 2 has *completed* the g2 op. With
-  // the old single-FIFO comm thread rank 0's g2 op could never start (its
-  // g1 op blocks the queue waiting for rank 1) — a deadlock. With per-group
-  // channels (budget 2; gids 1 and 2 map to different channels) the g2 op
-  // proceeds concurrently and the dependency resolves.
-  pc::ScopedCommThreads scoped(2);
-  pc::World world(3);
-  const auto g1 = world.create_group({0, 1});
-  const auto g2 = world.create_group({0, 2});
-  std::atomic<bool> g2_done{false};
-  psim::run_cluster(world, psim::Machine::test_machine(), [&](psim::RankContext& ctx) {
-    std::vector<float> buf{static_cast<float>(ctx.rank() + 1)};
-    if (ctx.rank() == 0) {
-      auto h1 = ctx.comm.iall_reduce_sum<float>(g1, buf);
-      std::vector<float> buf2{10.0f};
-      auto h2 = ctx.comm.iall_reduce_sum<float>(g2, buf2);
-      h2.wait();
-      h1.wait();
-      EXPECT_EQ(buf[0], 3.0f);    // 1 + 2 over {0,1}
-      EXPECT_EQ(buf2[0], 13.0f);  // 10 + 3 over {0,2}
-    } else if (ctx.rank() == 1) {
-      while (!g2_done.load(std::memory_order_acquire)) std::this_thread::yield();
-      ctx.comm.all_reduce_sum<float>(g1, buf);
-      EXPECT_EQ(buf[0], 3.0f);
-    } else {
-      std::vector<float> buf2{3.0f};
-      ctx.comm.all_reduce_sum<float>(g2, buf2);
-      EXPECT_EQ(buf2[0], 13.0f);
-      g2_done.store(true, std::memory_order_release);
-    }
-  });
-}
-
 TEST(CommHandles, OutOfOrderWaitMatchesFifoAccountingExactly) {
   // Stall-interval tracking makes hidden/exposed attribution independent of
   // wait order: the same post-and-compute schedule waited FIFO and waited
@@ -256,7 +227,7 @@ TEST(CommHandles, TestPollsWithoutCharging) {
   });
 }
 
-TEST(CommHandles, WaitTwiceChargesOnceAndReturnsCachedScalar) {
+TEST(CommHandles, WaitTwiceChargesOnce) {
   spmd(2, [](psim::RankContext& ctx) {
     std::vector<float> buf(128, 1.0f);
     auto h = ctx.comm.iall_reduce_sum<float>(ctx.comm.world().world_group(), buf);
@@ -373,12 +344,11 @@ TEST(CommHandles, PipelinedBlocksMatchBlockingBitwise) {
   }
 }
 
-TEST(CommHandles, SimTimeIsIdenticalForAnyChannelCount) {
+TEST(CommHandles, SimTimeIsIdenticalInlineAndOnTheCommThread) {
   // The sim-time math is derived from post clocks + the cost model, never
-  // from real execution order: inline mode (budget 0), the single-FIFO comm
-  // thread (1) and concurrent per-group channels (2, 4) must produce
-  // identical clocks and stats on a schedule that mixes two groups with
-  // partially-hidden collectives.
+  // from real execution order: inline mode (budget 0) and the FIFO comm
+  // thread (1) must produce identical clocks and stats on a schedule that
+  // mixes two groups with partially-hidden collectives.
   auto run = [](int budget, double* clock_out, pc::CommStats* stats_out) {
     pc::ScopedCommThreads scoped(budget);
     pc::World world(2);
@@ -401,18 +371,15 @@ TEST(CommHandles, SimTimeIsIdenticalForAnyChannelCount) {
     });
   };
   double clock_ref = 0.0;
+  double clock_inline = 0.0;
   pc::CommStats stats_ref;
+  pc::CommStats stats_inline;
   run(1, &clock_ref, &stats_ref);
-  for (const int budget : {0, 2, 4}) {
-    double clock = 0.0;
-    pc::CommStats stats;
-    run(budget, &clock, &stats);
-    EXPECT_DOUBLE_EQ(clock, clock_ref) << "budget " << budget;
-    EXPECT_DOUBLE_EQ(stats.total_seconds(), stats_ref.total_seconds()) << "budget " << budget;
-    EXPECT_DOUBLE_EQ(stats.total_hidden_seconds(), stats_ref.total_hidden_seconds())
-        << "budget " << budget;
-    EXPECT_EQ(stats.total_bytes(), stats_ref.total_bytes()) << "budget " << budget;
-  }
+  run(0, &clock_inline, &stats_inline);
+  EXPECT_DOUBLE_EQ(clock_inline, clock_ref);
+  EXPECT_DOUBLE_EQ(stats_inline.total_seconds(), stats_ref.total_seconds());
+  EXPECT_DOUBLE_EQ(stats_inline.total_hidden_seconds(), stats_ref.total_hidden_seconds());
+  EXPECT_EQ(stats_inline.total_bytes(), stats_ref.total_bytes());
 }
 
 TEST(CommHandles, TimelineRecordsComputeInFlightAndExposedSpans) {
@@ -432,8 +399,8 @@ TEST(CommHandles, TimelineRecordsComputeInFlightAndExposedSpans) {
 }
 
 TEST(CommHandles, ScalarReductionsAndBlockingOpsShareTheHandlePath) {
-  // Scalar reductions return through wait(); a straggler's clock still
-  // dominates, exactly as in the blocking-only design.
+  // Scalar reductions are one-element all-reduces on the handle path; a
+  // straggler's clock still dominates, exactly as in the blocking-only design.
   spmd(2, [](psim::RankContext& ctx) {
     if (ctx.rank() == 1) ctx.comm.charge_compute(2.0);
     const double mx =
@@ -443,6 +410,38 @@ TEST(CommHandles, ScalarReductionsAndBlockingOpsShareTheHandlePath) {
         pc::collective_time(pc::Collective::AllReduce, 8, 2, ctx.comm.world().group(0).link);
     EXPECT_NEAR(ctx.clock.time(), 2.0 + t_coll, 1e-12);
   });
+}
+
+TEST(CommHandles, ScalarReductionsAreGroupUniform) {
+  // Every member folds the same contributions member 0 first, so the scalar
+  // reductions return the same bits on every member — also where max depends
+  // on the fold order bit for bit (signed zeros, a NaN input).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> cases = {
+      {-0.0, +0.0}, {1.0, nan}, {+0.0, -0.0, +0.0}, {nan, 1.0, 2.0}};
+  for (const auto& in : cases) {
+    const std::size_t size = in.size();
+    std::vector<std::uint64_t> mx(size), sum(size);
+    spmd(static_cast<int>(size), [&](psim::RankContext& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      const pc::GroupId wg = ctx.comm.world().world_group();
+      mx[r] = std::bit_cast<std::uint64_t>(ctx.comm.all_reduce_max_scalar(wg, in[r]));
+      sum[r] = std::bit_cast<std::uint64_t>(ctx.comm.all_reduce_sum_scalar(wg, in[r]));
+    });
+    // The serial left fold the data all-reduces use: acc = v0; acc op= v1; ...
+    double want_max = in[0];
+    double want_sum = in[0];
+    for (std::size_t m = 1; m < size; ++m) {
+      want_max = std::max(want_max, in[m]);
+      want_sum += in[m];
+    }
+    for (std::size_t r = 0; r < size; ++r) {
+      EXPECT_EQ(mx[r], std::bit_cast<std::uint64_t>(want_max))
+          << "max, case of " << size << " ranks starting " << in[0] << ", rank " << r;
+      EXPECT_EQ(sum[r], std::bit_cast<std::uint64_t>(want_sum))
+          << "sum, case of " << size << " ranks starting " << in[0] << ", rank " << r;
+    }
+  }
 }
 
 TEST(CommHandles, ResetLinkTimeAllowsWorldReuse) {
@@ -493,4 +492,40 @@ TEST(CommHandles, WaitOnEmptyHandleThrows) {
   EXPECT_FALSE(h.valid());
   EXPECT_FALSE(h.test());
   EXPECT_THROW(h.wait(), std::runtime_error);
+}
+
+TEST(CommThreads, MalformedEnvIsIgnored) {
+  // PLEXUS_COMM_THREADS is 0 (inline) or 1 (the comm thread). Anything else —
+  // a larger count, trailing garbage, a sign, a leading space — logs a
+  // warning and reads as the default 1 instead of being clamped or read as a
+  // prefix.
+  ASSERT_EQ(pc::comm_thread_override(), -1);
+  const char* prev = std::getenv("PLEXUS_COMM_THREADS");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
+  for (const auto& [value, want] : {std::pair{"0", 0}, std::pair{"1", 1}}) {
+    ::setenv("PLEXUS_COMM_THREADS", value, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(pc::comm_thread_budget(), want) << value;
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "") << value;
+  }
+  for (const char* bad : {"4", "1x", "-1", " 1"}) {
+    ::setenv("PLEXUS_COMM_THREADS", bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(pc::comm_thread_budget(), 1) << bad;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("PLEXUS_COMM_THREADS"),
+              std::string::npos)
+        << bad;
+  }
+  // An explicit override still wins over the environment.
+  {
+    pc::ScopedCommThreads scoped(0);
+    EXPECT_EQ(pc::comm_thread_budget(), 0);
+  }
+  EXPECT_EQ(pc::comm_thread_override(), -1);
+  if (saved) {
+    ::setenv("PLEXUS_COMM_THREADS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("PLEXUS_COMM_THREADS");
+  }
 }

@@ -1,6 +1,5 @@
-// Tests for the partitioners (Fennel/METIS surrogate, nnz-balanced/GVB
-// surrogate) and the boundary statistics the cost models' structural
-// curves are measured with.
+// Tests for the partitioners (Fennel/METIS surrogate, random) and the
+// boundary statistics the cost models' structural curves are measured with.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -50,25 +49,6 @@ TEST_P(PartCounts, FennelBeatsRandomOnEdgeCut) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, PartCounts, ::testing::Values(2, 4, 8, 16));
-
-TEST(Partition, NnzBalanced) {
-  const auto g = pg::make_proxy(pg::dataset_info("ogbn-products"), 3000, 4);
-  const auto adj = g.adjacency();
-  const auto p = pp::nnz_balanced_partition(adj, 8);
-  // Contiguous and nnz-balanced: per-part nnz within 2x of each other even on
-  // a power-law graph (uniform row blocks would be far worse).
-  std::vector<std::int64_t> nnz(8, 0);
-  for (std::int64_t v = 0; v < adj.rows(); ++v) {
-    nnz[static_cast<std::size_t>(p.assignment[static_cast<std::size_t>(v)])] += adj.row_nnz(v);
-    if (v > 0) {
-      EXPECT_GE(p.assignment[static_cast<std::size_t>(v)],
-                p.assignment[static_cast<std::size_t>(v - 1)]);  // contiguous
-    }
-  }
-  const auto mx = *std::max_element(nnz.begin(), nnz.end());
-  const auto mn = *std::min_element(nnz.begin(), nnz.end());
-  EXPECT_LT(static_cast<double>(mx), 2.5 * static_cast<double>(std::max<std::int64_t>(mn, 1)));
-}
 
 TEST(Partition, EdgeCutOfTrivialPartitionIsZero) {
   const auto g = community_test_graph();

@@ -133,30 +133,6 @@ TEST(PerfModel, GridToString) {
   EXPECT_EQ(pp::grid_to_string({2, 8, 1}), "X2Y8Z1");
 }
 
-TEST(PerfModel, ChoosePipelineDepthTracksCommIntensity) {
-  const auto& m = psim::Machine::perlmutter_a100();
-  const auto w = products_stats();
-  // Degenerate cases: nothing to pipeline.
-  EXPECT_EQ(pp::choose_pipeline_depth(m, w, {8, 1, 1}, 0, 1), 1);
-  EXPECT_EQ(pp::choose_pipeline_depth(m, w, {1, 8, 1}, 0, 8), 1);  // P extent 1: free ring
-  // With a real P group the choice is a valid pipeline depth.
-  const int d = pp::choose_pipeline_depth(m, w, {4, 2, 2}, 0, 8);
-  EXPECT_GE(d, 2);
-  EXPECT_LE(d, 8);
-  // A machine with a far slower interconnect needs at least as much lookahead.
-  psim::Machine slow = m;
-  slow.beta_intra /= 64.0;
-  slow.beta_inter /= 64.0;
-  EXPECT_GE(pp::choose_pipeline_depth(slow, w, {4, 2, 2}, 0, 8), d);
-  // Per-layer choices may differ (that is the point of the per-layer knob),
-  // but every layer's choice is in range.
-  for (int l = 0; l < w.num_layers(); ++l) {
-    const int dl = pp::choose_pipeline_depth(m, w, {4, 2, 2}, l, 8);
-    EXPECT_GE(dl, 1);
-    EXPECT_LE(dl, 8);
-  }
-}
-
 TEST(PerfModel, EstimatePerGpuBytesPinnedValue) {
   // Tiny single-layer workload on one GPU: every term is computable by hand.
   pp::WorkloadStats w;

@@ -1,9 +1,9 @@
 // Transport conformance: the Sim byte transport must deliver exactly what a
 // serial reference computes. The same collective schedules run under both
-// wire formats and every channel budget, and every output must match bit for
-// bit — reductions included, because the transport folds contributions in
-// canonical member order (acc = c0; acc += c1; ...). Plus the topology-aware
-// channel routing (line-family keys) and the backend registry.
+// wire formats, inline and on the comm thread, and every output must match
+// bit for bit — reductions included, because the transport folds
+// contributions in canonical member order (acc = c0; acc += c1; ...). Plus
+// the backend registry.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -144,10 +144,10 @@ Streams run_schedule(pc::WirePrecision wire) {
 }  // namespace
 
 TEST(TransportConformance, PayloadsBitwiseEqualSerialReference) {
-  // Inline (budget 0), one FIFO channel and per-group channels, under the
-  // verbatim and the bf16 wire.
+  // Inline (budget 0) and on the FIFO comm thread (1), under the verbatim
+  // and the bf16 wire.
   for (const auto wire : {pc::WirePrecision::Fp32, pc::WirePrecision::Bf16}) {
-    for (const int budget : {0, 1, 2, 4}) {
+    for (const int budget : {0, 1}) {
       pc::ScopedCommThreads scoped(budget);
       const Streams s = run_schedule(wire);
       for (std::size_t r = 0; r < 8; ++r) {
@@ -226,44 +226,6 @@ TEST(TransportConformance, ZeroSizedPayloadsAreSafe) {
     ASSERT_EQ(out[static_cast<std::size_t>(r)].size(), 1u) << "rank " << r;
     EXPECT_EQ(out[static_cast<std::size_t>(r)][0], 10.0f) << "rank " << r;
   }
-}
-
-TEST(ChannelRouting, LineFamiliesMapToDistinctChannels) {
-  // Topology-aware routing: each rank's X/Y/Z line groups carry their family
-  // (0/1/2) as the routing key, so with a channel budget >= 3 a rank's own
-  // line groups can never collide on one channel.
-  pc::World world(8);
-  pcore::Grid3D grid(world, {2, 2, 2}, psim::Machine::test_machine());
-  for (int r = 0; r < 8; ++r) {
-    const auto gx = grid.group_along(pcore::Axis::X, r);
-    const auto gy = grid.group_along(pcore::Axis::Y, r);
-    const auto gz = grid.group_along(pcore::Axis::Z, r);
-    EXPECT_EQ(pc::channel_route(world.group(gx), gx), 0);
-    EXPECT_EQ(pc::channel_route(world.group(gy), gy), 1);
-    EXPECT_EQ(pc::channel_route(world.group(gz), gz), 2);
-  }
-}
-
-TEST(ChannelRouting, FamiliesShareKeysAcrossLinesOfOneDimension) {
-  // Different lines of the same family share the key by design: per rank
-  // they are different *ranks'* groups, and a rank posts on only one line
-  // per family, so the family key still guarantees no self-collision.
-  pc::World world(8);
-  pcore::Grid3D grid(world, {2, 2, 2}, psim::Machine::test_machine());
-  const auto g0 = grid.group_along(pcore::Axis::X, 0);
-  const auto g1 = grid.group_along(pcore::Axis::X, 1);
-  EXPECT_NE(g0, g1);  // distinct line groups...
-  EXPECT_EQ(pc::channel_route(world.group(g0), g0),
-            pc::channel_route(world.group(g1), g1));  // ...same family key
-}
-
-TEST(ChannelRouting, UntaggedGroupsKeepGroupIdRouting) {
-  pc::World world(4);
-  const auto ga = world.create_group({0, 1});
-  const auto gb = world.create_group({2, 3});
-  EXPECT_EQ(pc::channel_route(world.group(ga), ga), ga);
-  EXPECT_EQ(pc::channel_route(world.group(gb), gb), gb);
-  EXPECT_EQ(pc::channel_route(world.group(0), 0), 0);  // world group
 }
 
 TEST(BackendRegistry, NamesParseRoundTrip) {
