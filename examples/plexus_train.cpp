@@ -204,6 +204,15 @@ int main(int argc, char** argv) {
   opt.checkpoint_every = checkpoint_every;
   if (rss_budget_mb >= 0) opt.rss_budget_bytes = rss_budget_mb << 20;
   if (prefetch_depth > 0) opt.prefetch_depth = prefetch_depth;
+  // The block cache exists only for --stream-dir. Its budget resolves as in
+  // the trainer: the flag, else PLEXUS_RSS_MB, else unbounded.
+  std::string budget_label = "none (resident adjacency)";
+  if (!stream_dir.empty()) {
+    const std::int64_t budget = opt.rss_budget_bytes >= 0
+                                    ? opt.rss_budget_bytes
+                                    : plexus::core::env_rss_budget_bytes();
+    budget_label = budget >= 0 ? std::to_string(budget >> 20) + " MiB" : "unbounded";
+  }
 
   if (!write_shards_dir.empty()) {
     if (distributed) {
@@ -254,8 +263,7 @@ int main(int argc, char** argv) {
     std::printf(
         "streaming %s out-of-core on a %dx%dx%d grid, %d epochs, budget %s, "
         "%s transport, %s wire, %s simd\n",
-        stream_dir.c_str(), gx, gy, gz, epochs,
-        rss_budget_mb >= 0 ? (std::to_string(rss_budget_mb) + " MB").c_str() : "unbounded",
+        stream_dir.c_str(), gx, gy, gz, epochs, budget_label.c_str(),
         plexus::comm::backend_name(backend), wire_label, simd_label);
     result = plexus::core::train_plexus_streaming(stream_dir, opt);
   } else if (!distributed) {
@@ -312,6 +320,11 @@ int main(int argc, char** argv) {
           e + 1 + static_cast<std::size_t>(result.first_epoch), s.loss, s.train_accuracy,
           s.epoch_seconds * 1e3, s.spmm_seconds * 1e3, s.gemm_seconds * 1e3,
           s.wait_seconds() * 1e3, s.comm_wire_bytes / 1e6);
+      if (e == 0) {
+        std::printf("workspace %.1f MiB per rank x %d ranks, block-cache budget %s\n",
+                    static_cast<double>(result.workspace_bytes) / (1 << 20), volume,
+                    budget_label.c_str());
+      }
     }
     std::printf("validation accuracy %.3f | avg epoch %.2f ms on %s\n", result.val_accuracy,
                 result.avg_epoch_seconds(2) * 1e3, machine.name.c_str());

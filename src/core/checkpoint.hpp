@@ -18,7 +18,8 @@
 ///    unchanged.
 ///
 /// save_checkpoint is rank-0-writes: call DistGcn::gather_state on every
-/// rank (it runs world-group collectives), then write from one rank only.
+/// rank (it runs world-group collectives), then write from rank 0, the only
+/// rank it assembles the global state on.
 
 #include <string>
 
@@ -29,9 +30,10 @@
 
 namespace plexus::core {
 
-/// Everything DistGcn::gather_state assembles: the global model state plus
-/// the global (padded_nodes x padded_feature_dim) trained feature matrix
-/// (written back as the checkpoint's feature blocks, not into model.plx).
+/// Everything DistGcn::gather_state assembles on rank 0: the global model
+/// state plus the global (padded_nodes x padded_feature_dim) trained feature
+/// matrix (written back as the checkpoint's feature blocks, not into
+/// model.plx). Other ranks get the spec fields only.
 struct CheckpointData {
   io::ModelState model;
   dense::Matrix features;

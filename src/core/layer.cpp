@@ -97,9 +97,15 @@ void DistGcnLayer::restore_state(std::span<const float> w, std::span<const float
   adam_.set_state(m, v, adam_t);
 }
 
-comm::CommHandle DistGcnLayer::igathered_weights(sim::RankContext& ctx, dense::Matrix& w_block) {
-  w_block = dense::Matrix(din_q_, dout_p_);
-  return ctx.comm.iall_gather<float>(r_group_, w_slice_, w_block.flat());
+comm::CommHandle DistGcnLayer::igather_weights(sim::RankContext& ctx) {
+  w_block_.ensure_shape(din_q_, dout_p_);
+  return ctx.comm.iall_gather<float>(r_group_, w_slice_, w_block_.flat());
+}
+
+std::int64_t DistGcnLayer::workspace_bytes() const {
+  const std::int64_t floats =
+      h_.size() + q_.size() + w_block_.size() + dw_rev_.size() + df_in_.size() + dw_block_.size();
+  return floats * static_cast<std::int64_t>(sizeof(float));
 }
 
 namespace {
@@ -268,8 +274,9 @@ void DistGcnLayer::aggregate(sim::RankContext& ctx, const AggPass& pass, KernelT
   drain_pipeline(inflight);
 }
 
-dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
-                                    std::uint64_t epoch_seed, KernelTimers& timers) {
+const dense::Matrix& DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in,
+                                           bool last, std::uint64_t epoch_seed,
+                                           KernelTimers& timers) {
   PLEXUS_CHECK(f_in.rows() == rows_p_ && f_in.cols() == din_q_, "forward input block shape");
   const sim::Machine& m = *ctx.machine;
 
@@ -283,9 +290,8 @@ dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& 
   // The weight gather over R depends only on w_slice_, so it is posted before
   // the aggregation and retired just before the combination GEMM: on the sim
   // timeline it hides behind the SpMM blocks instead of charging full latency.
-  h_ = dense::Matrix(rows_r_, din_q_);
-  dense::Matrix w_block;
-  comm::CommHandle w_gather = igathered_weights(ctx, w_block);
+  h_.ensure_shape(rows_r_, din_q_);
+  comm::CommHandle w_gather = igather_weights(ctx);
   aggregate(ctx,
             {.a = adj_ != nullptr ? &adj_->a : nullptr,
              .transpose = false,
@@ -301,40 +307,39 @@ dense::Matrix DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& 
 
   // ---- Step 2: combination Q = SGEMM(H, W), all-reduced over the Q group.
   w_gather.wait();
-  q_pre_ = dense::matmul(h_, w_block);
+  q_.ensure_shape(rows_r_, dout_p_);
+  dense::gemm(dense::Trans::N, dense::Trans::N, 1.0f, h_, w_block_, /*beta=*/0.0f, q_);
   const double t_gemm = sim::gemm_time(m, rows_r_, dout_p_, din_q_, dense::Trans::N,
                                        dense::Trans::N);
   ctx.comm.charge_compute(t_gemm);
   timers.gemm += t_gemm;
-  ctx.comm.all_reduce_sum<float>(q_group_, q_pre_.flat());
+  ctx.comm.all_reduce_sum<float>(q_group_, q_.flat());
 
-  // ---- Step 3: activation.
-  if (last) return q_pre_;
-  dense::Matrix f_out = dense::relu(q_pre_);
-  const double t_act = sim::elementwise_time(m, q_pre_.size());
+  // ---- Step 3: activation, in place. relu(q) > 0 exactly where q > 0, so
+  // the saved output gives relu_backward the pre-activation's mask.
+  if (last) return q_;
+  dense::relu(q_, q_);
+  const double t_act = sim::elementwise_time(m, q_.size());
   ctx.comm.charge_compute(t_act);
   timers.elementwise += t_act;
-  return f_out;
+  return q_;
 }
 
-dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix& df_out,
-                                     bool last, KernelTimers& timers,
-                                     std::span<float> grad_slice) {
+dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last,
+                                      KernelTimers& timers, std::span<float> grad_slice) {
   PLEXUS_CHECK(df_out.rows() == rows_r_ && df_out.cols() == dout_p_, "backward input shape");
   const sim::Machine& m = *ctx.machine;
 
   // W is needed only for the dH GEMM: post the R-group gather now so it
   // overlaps relu' and the dW GEMM (a blocking gather here used to charge its
   // full latency every backward pass).
-  dense::Matrix w_block;
-  comm::CommHandle w_gather = igathered_weights(ctx, w_block);
+  comm::CommHandle w_gather = igather_weights(ctx);
 
-  // dQ = dF_out (last layer: loss grad) or dF_out ⊙ relu'(Q) (eq. 2.4).
-  dense::Matrix dq(rows_r_, dout_p_);
-  if (last) {
-    dq = df_out;
-  } else {
-    dense::relu_backward(q_pre_, df_out, dq);
+  // dQ = dF_out (last layer: the loss gradient, used as is) or
+  // dF_out ⊙ relu'(Q) (eq. 2.4), formed in place over dF_out.
+  dense::Matrix& dq = df_out;
+  if (!last) {
+    dense::relu_backward(q_, df_out, dq);
     const double t = sim::elementwise_time(m, dq.size(), 3.0);
     ctx.comm.charge_compute(t);
     timers.elementwise += t;
@@ -344,15 +349,21 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
   // Section 5.3 tuning replaces the slow transpose-first GEMM by the reversed
   // order (SGEMM(dQ^T, H))^T, which dispatches in the fast mode. The
   // reduce-scatter result is not needed until apply_grad, so it is posted
-  // asynchronously and hides behind the rest of the backward pass.
+  // asynchronously and hides behind the rest of the backward pass. Dropping
+  // the previous handle completes a reduce-scatter that apply_grad never
+  // retired before dw_block_ is overwritten.
+  dw_handle_ = {};
+  dw_block_.ensure_shape(din_q_, dout_p_);
   if (opts_.gemm_dw_tuning) {
-    dw_block_ = dense::matmul(dq, h_, dense::Trans::T, dense::Trans::N).transposed();
+    dw_rev_.ensure_shape(dout_p_, din_q_);
+    dense::gemm(dense::Trans::T, dense::Trans::N, 1.0f, dq, h_, /*beta=*/0.0f, dw_rev_);
+    dw_rev_.transpose_into(dw_block_);
     const double t = sim::gemm_time(m, din_q_, dout_p_, rows_r_, dense::Trans::N, dense::Trans::T) +
                      sim::elementwise_time(m, dw_block_.size());
     ctx.comm.charge_compute(t);
     timers.gemm += t;
   } else {
-    dw_block_ = dense::matmul(h_, dq, dense::Trans::T, dense::Trans::N);
+    dense::gemm(dense::Trans::T, dense::Trans::N, 1.0f, h_, dq, /*beta=*/0.0f, dw_block_);
     const double t = sim::gemm_time(m, din_q_, dout_p_, rows_r_, dense::Trans::T, dense::Trans::N);
     ctx.comm.charge_compute(t);
     timers.gemm += t;
@@ -360,8 +371,10 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
   dw_handle_ = ctx.comm.ireduce_scatter_sum<float>(r_group_, dw_block_.flat(), dw_slice_);
 
   // dH = dQ W^T (eq. 2.6), all-reduced over the P group (Alg. 2 lines 4-6).
+  // It goes into H's buffer: same shape, and H is dead once dW is formed.
   w_gather.wait();
-  dense::Matrix dh = dense::matmul(dq, w_block, dense::Trans::N, dense::Trans::T);
+  dense::Matrix& dh = h_;
+  dense::gemm(dense::Trans::N, dense::Trans::T, 1.0f, dq, w_block_, /*beta=*/0.0f, dh);
   {
     const double t = sim::gemm_time(m, rows_r_, din_q_, dout_p_, dense::Trans::N, dense::Trans::T);
     ctx.comm.charge_compute(t);
@@ -374,7 +387,7 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
   // next block's SpMM: per-block all-reduces for the hidden layers, or (layer
   // 0) per-block reduce-scatters whose R-aligned row blocks land directly on
   // the caller's resharded flat gradient slice.
-  dense::Matrix df_in(rows_p_, din_q_);
+  df_in_.ensure_shape(rows_p_, din_q_);
   const int nb = std::max(1, opts_.agg_row_blocks);
   const bool scatter = layer_ == 0;
   if (scatter) {
@@ -385,7 +398,7 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
             {.a = adj_ != nullptr ? &adj_->a_t : nullptr,
              .transpose = true,
              .in = dh,
-             .out = df_in,
+             .out = df_in_,
              .bounds = scatter ? sparse::block_bounds_aligned(rows_p_, nb, ext_r_)
                                : sparse::block_bounds(rows_p_, nb),
              .gid = r_group_,
@@ -394,8 +407,7 @@ dense::Matrix DistGcnLayer::backward(sim::RankContext& ctx, const dense::Matrix&
              .depth = &bwd_depth_,
              .io_depth = &bwd_io_depth_},
             timers);
-  if (scatter) return {};
-  return df_in;
+  return df_in_;
 }
 
 void DistGcnLayer::apply_grad(sim::RankContext& ctx, KernelTimers& timers) {

@@ -7,7 +7,10 @@
 /// reversed-order dL/dW GEMM (5.3).
 ///
 /// A layer owns its weight shard (the (Din/Q x Dout/P) block, flat-sharded
-/// across the R-parallel group) and that shard's Adam state. All simulated
+/// across the R-parallel group) and that shard's Adam state, plus the epoch's
+/// workspace: H (reused for dH), Q (ReLU applied in place), the gathered W
+/// block, dW and dF_in. Each buffer is sized on first use and reused every
+/// epoch after, so a steady epoch allocates none of them. All simulated
 /// kernel time is charged onto the rank's clock; collectives charge and
 /// synchronise through the communicator.
 
@@ -86,24 +89,27 @@ class DistGcnLayer {
                const LayerStreamPlan* stream_plan = nullptr);
 
   /// Forward: f_in is the (N/P x Din/Q) input block (layer 0's flat-sharded
-  /// features must be gathered by the caller). Applies ReLU unless `last`.
-  /// `epoch_seed` feeds the per-kernel variability model.
-  dense::Matrix forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
-                        std::uint64_t epoch_seed, KernelTimers& timers);
+  /// features must be gathered by the caller). Applies ReLU, in place, unless
+  /// `last`. `epoch_seed` feeds the per-kernel variability model. Returns the
+  /// layer's own Q buffer, valid until the next forward.
+  const dense::Matrix& forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
+                               std::uint64_t epoch_seed, KernelTimers& timers);
 
   /// Backward: df_out is the gradient w.r.t. this layer's output (same block
-  /// layout as the forward output, replicated over Q). The final R-group
-  /// collective over the partial dF_in block is pipelined against the
-  /// blocked dF = SpMM(A^T, dH) (the backward mirror of section 5.2):
+  /// layout as the forward output, replicated over Q); dQ is formed in place
+  /// over it. The final R-group collective over the partial dF_in block is
+  /// pipelined against the blocked dF = SpMM(A^T, dH) (the backward mirror of
+  /// section 5.2):
   ///  * layers > 0 all-reduce each block and return the *reduced* dF_in;
   ///  * layer 0 (trainable input features, section 3.2) aligns its row
   ///    blocks to the R extent and reduce-scatters each block onto
-  ///    `grad_slice`, the caller's row-major-resharded flat gradient slice,
-  ///    and returns an empty matrix.
+  ///    `grad_slice`, the caller's row-major-resharded flat gradient slice;
+  ///    the buffer it returns holds only this rank's unreduced partials.
+  /// Returns the layer's own dF_in buffer, valid until the next backward.
   /// Stores dW internally; its reduce-scatter is posted asynchronously and
   /// retired in apply_grad().
-  dense::Matrix backward(sim::RankContext& ctx, const dense::Matrix& df_out, bool last,
-                         KernelTimers& timers, std::span<float> grad_slice = {});
+  dense::Matrix& backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last,
+                          KernelTimers& timers, std::span<float> grad_slice = {});
 
   /// Adam step on the local weight slice using the gradient from backward().
   /// Waits for the asynchronous dW reduce-scatter posted there.
@@ -112,6 +118,10 @@ class DistGcnLayer {
   const LayerRoles& roles() const { return roles_; }
   bool streaming() const { return stream_ != nullptr; }
   comm::GroupId r_group() const { return r_group_; }
+
+  /// Bytes of the workspace buffers this layer owns (zero before the first
+  /// forward sizes them).
+  std::int64_t workspace_bytes() const;
 
   /// This rank's flat weight slice and its optimizer state (checkpointing).
   std::span<const float> weight_slice() const { return w_slice_; }
@@ -124,8 +134,8 @@ class DistGcnLayer {
 
  private:
   /// Post the R-group all-gather assembling the (Din/Q x Dout/P) weight block
-  /// into `w_block`; the caller waits the handle before reading it.
-  comm::CommHandle igathered_weights(sim::RankContext& ctx, dense::Matrix& w_block);
+  /// into w_block_; the caller waits the handle before reading it.
+  comm::CommHandle igather_weights(sim::RankContext& ctx);
 
   /// One direction of blocked aggregation (section 5.2): out = SpMM(adjacency,
   /// in) row block by row block, each block's collective in flight behind the
@@ -195,11 +205,15 @@ class DistGcnLayer {
   std::vector<float> dw_slice_;
   dense::Adam adam_;
 
-  // Saved forward state.
-  dense::Matrix h_;      ///< aggregated H block (N'/R x Din'/Q)
-  dense::Matrix q_pre_;  ///< pre-activation combination output
+  // Workspace, sized on first use. A handle that reads or writes one of
+  // these buffers is retired before the buffer's next write.
+  dense::Matrix h_;        ///< aggregated H (N'/R x Din'/Q); backward reuses it for dH
+  dense::Matrix q_;        ///< combination output Q (N'/R x Dout'/P), ReLU'd in place
+  dense::Matrix w_block_;  ///< R-gathered weight block (Din'/Q x Dout'/P)
+  dense::Matrix dw_rev_;   ///< gemm_dw_tuning only: the reversed product dW^T
+  dense::Matrix df_in_;    ///< dF_in (N'/P x Din'/Q)
 
-  // In-flight backward state: the full dW block must stay alive until its
+  // In-flight backward state: the dW block stays untouched until its
   // reduce-scatter (posted in backward, hidden behind the remaining backward
   // compute) is retired in apply_grad.
   dense::Matrix dw_block_;

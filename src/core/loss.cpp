@@ -1,5 +1,7 @@
 #include "core/loss.hpp"
 
+#include <span>
+
 #include "core/roles.hpp"
 #include "core/shard.hpp"
 #include "dense/ops.hpp"
@@ -11,7 +13,7 @@ namespace plexus::core {
 LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int last_layer,
                                   const DatasetView& view, const dense::Matrix& logits_block,
                                   const std::vector<std::uint8_t>& mask, double norm,
-                                  bool want_grad) {
+                                  std::vector<float>& gathered, dense::Matrix* dlogits) {
   const LayerRoles roles = roles_for_layer(last_layer);
   const Coords c = grid.coords_of(ctx.rank());
   const int ext_p = grid.extent(roles.p);
@@ -27,31 +29,20 @@ LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int
   const Slice row_slice = uniform_slice(view.padded_nodes(), ext_r, coord_r);
   PLEXUS_CHECK(rows == row_slice.size(), "logits block rows mismatch");
 
-  // Gather the class dimension across the P-group and reassemble column blocks.
-  std::vector<float> gathered(static_cast<std::size_t>(rows * padded_classes));
+  // Gather the class dimension across the P-group: member p's block lands as
+  // the p-th (rows x C'/P) column block, which the kernel reads in place.
+  gathered.resize(static_cast<std::size_t>(rows * padded_classes));
   ctx.comm.all_gather<float>(p_group, logits_block.flat(), gathered);
-  dense::Matrix full(rows, view.num_classes());
-  for (int p = 0; p < ext_p; ++p) {
-    const float* src = gathered.data() + static_cast<std::size_t>(p) * rows * cols_block;
-    const std::int64_t col0 = p * cols_block;
-    if (col0 >= view.num_classes()) break;
-    const std::int64_t ncols = std::min(cols_block, view.num_classes() - col0);
-    for (std::int64_t i = 0; i < rows; ++i) {
-      std::copy(src + i * cols_block, src + i * cols_block + ncols, full.row(i) + col0);
-    }
-  }
 
-  // Row-local labels/mask.
-  std::vector<std::int32_t> labels(static_cast<std::size_t>(rows));
-  std::vector<std::uint8_t> row_mask(static_cast<std::size_t>(rows));
-  for (std::int64_t i = 0; i < rows; ++i) {
-    labels[static_cast<std::size_t>(i)] = view.labels()[static_cast<std::size_t>(row_slice.begin + i)];
-    row_mask[static_cast<std::size_t>(i)] = mask[static_cast<std::size_t>(row_slice.begin + i)];
-  }
-
-  dense::Matrix grad_full(rows, view.num_classes());
-  const auto ce = dense::softmax_cross_entropy(full, labels, row_mask, norm,
-                                               want_grad ? &grad_full : nullptr);
+  // Labels and mask of this rank's rows, read in place.
+  const auto row_span = [&](const auto& v) {
+    return std::span(v).subspan(static_cast<std::size_t>(row_slice.begin),
+                                static_cast<std::size_t>(rows));
+  };
+  if (dlogits != nullptr) dlogits->ensure_shape(rows, cols_block);
+  const auto ce = dense::softmax_cross_entropy_blocks(
+      gathered, rows, cols_block, view.num_classes(), row_span(view.labels()), row_span(mask),
+      norm, dlogits, static_cast<std::int64_t>(coord_p) * cols_block);
   const double t = sim::elementwise_time(*ctx.machine, rows * padded_classes, 4.0);
   ctx.comm.charge_compute(t);
 
@@ -65,19 +56,6 @@ LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int
       ctx.comm.all_reduce_sum_scalar(r_group, static_cast<double>(ce.count));
   out.loss = total_count > 0 ? total_loss / total_count : 0.0;
   out.accuracy = total_count > 0 ? total_correct / total_count : 0.0;
-
-  if (want_grad) {
-    // Slice this rank's class-column block; padded columns get zero gradient.
-    out.dlogits = dense::Matrix(rows, cols_block);
-    const std::int64_t col0 = static_cast<std::int64_t>(coord_p) * cols_block;
-    const std::int64_t ncols = std::max<std::int64_t>(
-        0, std::min(cols_block, view.num_classes() - col0));
-    for (std::int64_t i = 0; i < rows; ++i) {
-      if (ncols > 0) {
-        std::copy(grad_full.row(i) + col0, grad_full.row(i) + col0 + ncols, out.dlogits.row(i));
-      }
-    }
-  }
   return out;
 }
 

@@ -79,12 +79,12 @@ DistGcn::DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& g
   f_adam_ = dense::Adam(f_slice_.size(), spec_.options.adam);
 }
 
-dense::Matrix DistGcn::gather_input_features(sim::RankContext& ctx) {
+void DistGcn::gather_input_features(sim::RankContext& ctx) {
   // One all-gather per aggregation row block: member m's sub-slice of block k
   // lands exactly on rows [b0 + m*len/R0, b0 + (m+1)*len/R0) — the reshard
   // layout — so the gathers reassemble the row-major block in place. Posting
   // all blocks before waiting pipelines them on the R0 ring.
-  dense::Matrix block(f_block_rows_, f_block_cols_);
+  f_in_.ensure_shape(f_block_rows_, f_block_cols_);
   const auto gid = layers_[0]->r_group();
   std::vector<comm::CommHandle> inflight;
   inflight.reserve(f_bounds_.size());
@@ -95,25 +95,32 @@ dense::Matrix DistGcn::gather_input_features(sim::RankContext& ctx) {
     if (len == 0) continue;  // bounds are grid-derived, identical on all members
     const std::size_t n = static_cast<std::size_t>(len / f_r_ext_ * f_block_cols_);
     std::span<const float> in{f_slice_.data() + off, n};
-    std::span<float> out{block.row(b0), static_cast<std::size_t>(len * f_block_cols_)};
+    std::span<float> out{f_in_.row(b0), static_cast<std::size_t>(len * f_block_cols_)};
     inflight.push_back(ctx.comm.iall_gather<float>(gid, in, out));
     off += n;
   }
   for (auto& h : inflight) h.wait();
-  return block;
 }
 
-dense::Matrix DistGcn::forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
-                                   KernelTimers& timers) {
+const dense::Matrix& DistGcn::forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
+                                          KernelTimers& timers) {
   // Alg. 1 line 3: layer 0 all-gathers the flat-sharded features across Z (R0);
   // later layers receive full blocks from the previous layer (section 3.2).
-  dense::Matrix f = gather_input_features(ctx);
+  gather_input_features(ctx);
+  const dense::Matrix* f = &f_in_;
   const int L = spec_.num_layers();
   for (int l = 0; l < L; ++l) {
-    f = layers_[static_cast<std::size_t>(l)]->forward(ctx, f, /*last=*/l == L - 1, epoch_seed,
-                                                      timers);
+    f = &layers_[static_cast<std::size_t>(l)]->forward(ctx, *f, /*last=*/l == L - 1, epoch_seed,
+                                                       timers);
   }
-  return f;
+  return *f;
+}
+
+std::int64_t DistGcn::workspace_bytes() const {
+  std::int64_t bytes = (f_in_.size() + dlogits_.size()) * static_cast<std::int64_t>(sizeof(float)) +
+                       static_cast<std::int64_t>(logits_gathered_.size() * sizeof(float));
+  for (const auto& layer : layers_) bytes += layer->workspace_bytes();
+  return bytes;
 }
 
 EpochStats DistGcn::train_epoch(sim::RankContext& ctx, int epoch) {
@@ -125,22 +132,23 @@ EpochStats DistGcn::train_epoch(sim::RankContext& ctx, int epoch) {
   const std::uint64_t epoch_seed = util::hash_combine(spec_.seed, 0xe90c000 + epoch);
   const int L = spec_.num_layers();
 
-  const dense::Matrix logits = forward_all(ctx, epoch_seed, timers);
+  const dense::Matrix& logits = forward_all(ctx, epoch_seed, timers);
 
-  LossResult loss = distributed_softmax_ce(ctx, *grid_, L - 1, *view_, logits,
-                                           view_->mask(Split::Train),
-                                           static_cast<double>(view_->train_total()));
+  const LossResult loss = distributed_softmax_ce(
+      ctx, *grid_, L - 1, *view_, logits, view_->mask(Split::Train),
+      static_cast<double>(view_->train_total()), logits_gathered_, &dlogits_);
 
   // Backward sweep (Alg. 2 per layer). Between layers the partial dF_in is
   // all-reduced over that layer's R group — fused into the layer's blocked
   // dF SpMM so the per-block collective pipelines behind compute; at layer 0
   // it is reduce-scattered per block onto the resharded trainable feature
   // slices instead (section 3.2), riding the same pipeline.
-  dense::Matrix df = std::move(loss.dlogits);
+  // Each layer forms dQ in place over the dF it is handed and returns its own
+  // dF_in buffer; layer 0's dF lands on df_slice_.
+  dense::Matrix* df = &dlogits_;
   for (int l = L - 1; l >= 0; --l) {
-    // Layer 0 returns an empty matrix: its dF landed on df_slice_.
-    df = layers_[static_cast<std::size_t>(l)]->backward(ctx, df, /*last=*/l == L - 1, timers,
-                                                        df_slice_);
+    df = &layers_[static_cast<std::size_t>(l)]->backward(ctx, *df, /*last=*/l == L - 1, timers,
+                                                         df_slice_);
   }
 
   // Optimizer step.
@@ -171,6 +179,7 @@ CheckpointData DistGcn::gather_state(sim::RankContext& ctx) {
   const comm::GroupId wg = grid.world_group();
   const int world = grid.size();
   const int L = spec_.num_layers();
+  const bool root = ctx.rank() == 0;
 
   CheckpointData out;
   io::ModelState& s = out.model;
@@ -181,96 +190,104 @@ CheckpointData DistGcn::gather_state(sim::RankContext& ctx) {
   s.pipeline_depth = spec_.options.pipeline_depth;
   s.adam = spec_.options.adam;
 
-  // Per-layer weights + Adam moments. Every rank holds an equal-size flat
-  // slice (dims are padded to the grid volume), so one world-group all-gather
-  // per buffer suffices; each rank then re-scatters every member's slice into
-  // the global row-major matrix using that member's (deterministic) layout —
-  // the (q, p, r) coordinates tile the matrix exactly once.
+  // Every rank holds an equal-size flat slice of each sharded buffer (dims
+  // are padded to the grid volume), so one world-group all-gather per buffer
+  // suffices. The buffers go one at a time through one receive buffer, and
+  // only rank 0 re-scatters every member's slice into the global copy.
+  std::vector<float> gathered;
+  const auto gather = [&](std::span<const float> slice) {
+    gathered.resize(slice.size() * static_cast<std::size_t>(world));
+    ctx.comm.all_gather<float>(wg, slice, gathered);
+  };
+
+  // Per-layer weights + Adam moments, each member's slice re-scattered with
+  // that member's (deterministic) layout — the (q, p, r) coordinates tile the
+  // matrix exactly once.
   for (int l = 0; l < L; ++l) {
     auto& layer = *layers_[static_cast<std::size_t>(l)];
     const std::int64_t rows = padded_dims_[static_cast<std::size_t>(l)];
     const std::int64_t cols = padded_dims_[static_cast<std::size_t>(l) + 1];
+    const std::size_t slice = layer.weight_slice().size();
+    const LayerRoles& roles = layer.roles();
+    const auto rescatter = [&](std::vector<float>& dst) {
+      dst.assign(static_cast<std::size_t>(rows * cols), 0.0f);
+      for (int r = 0; r < world; ++r) {
+        const Coords c = grid.coords_of(r);
+        const Slice wr = uniform_slice(rows, grid.extent(roles.q), Grid3D::coord(c, roles.q));
+        const Slice wc = uniform_slice(cols, grid.extent(roles.p), Grid3D::coord(c, roles.p));
+        const Slice fs = flat_slice_range(wr.size() * wc.size(), grid.extent(roles.r),
+                                          Grid3D::coord(c, roles.r));
+        PLEXUS_CHECK(static_cast<std::size_t>(fs.size()) == slice,
+                     "gather_state: weight slice size mismatch");
+        const std::size_t base = static_cast<std::size_t>(r) * slice;
+        for (std::int64_t i = 0; i < fs.size(); ++i) {
+          const std::int64_t flat = fs.begin + i;
+          dst[static_cast<std::size_t>((wr.begin + flat / wc.size()) * cols + wc.begin +
+                                       flat % wc.size())] =
+              gathered[base + static_cast<std::size_t>(i)];
+        }
+      }
+    };
     io::LayerState ls;
     ls.rows = rows;
     ls.cols = cols;
     ls.adam_t = layer.optimizer().t();  // identical on all ranks
-    const std::size_t total = static_cast<std::size_t>(rows * cols);
-    ls.w.assign(total, 0.0f);
-    ls.m.assign(total, 0.0f);
-    ls.v.assign(total, 0.0f);
-
-    const std::size_t slice = layer.weight_slice().size();
-    std::vector<float> gw(slice * static_cast<std::size_t>(world));
-    std::vector<float> gm(gw.size());
-    std::vector<float> gv(gw.size());
-    ctx.comm.all_gather<float>(wg, layer.weight_slice(), gw);
-    ctx.comm.all_gather<float>(wg, layer.optimizer().m(), gm);
-    ctx.comm.all_gather<float>(wg, layer.optimizer().v(), gv);
-
-    const LayerRoles& roles = layer.roles();
-    for (int r = 0; r < world; ++r) {
-      const Coords c = grid.coords_of(r);
-      const Slice wr = uniform_slice(rows, grid.extent(roles.q), Grid3D::coord(c, roles.q));
-      const Slice wc = uniform_slice(cols, grid.extent(roles.p), Grid3D::coord(c, roles.p));
-      const Slice fs =
-          flat_slice_range(wr.size() * wc.size(), grid.extent(roles.r), Grid3D::coord(c, roles.r));
-      PLEXUS_CHECK(static_cast<std::size_t>(fs.size()) == slice,
-                   "gather_state: weight slice size mismatch");
-      const std::size_t base = static_cast<std::size_t>(r) * slice;
-      for (std::int64_t i = 0; i < fs.size(); ++i) {
-        const std::int64_t flat = fs.begin + i;
-        const std::size_t dst = static_cast<std::size_t>(
-            (wr.begin + flat / wc.size()) * cols + wc.begin + flat % wc.size());
-        ls.w[dst] = gw[base + static_cast<std::size_t>(i)];
-        ls.m[dst] = gm[base + static_cast<std::size_t>(i)];
-        ls.v[dst] = gv[base + static_cast<std::size_t>(i)];
-      }
-    }
-    s.layers.push_back(std::move(ls));
+    gather(layer.weight_slice());
+    if (root) rescatter(ls.w);
+    gather(layer.optimizer().m());
+    if (root) rescatter(ls.m);
+    gather(layer.optimizer().v());
+    if (root) rescatter(ls.v);
+    if (root) s.layers.push_back(std::move(ls));
   }
 
   // Trainable features + their Adam moments: same gather-then-re-scatter,
   // but through the layer-0 reshard layout (matrix_shard block, R0-aligned
   // aggregation row blocks, r-th sub-range of each block — mirrors the ctor).
-  s.feat_rows = view_->padded_nodes();
-  s.feat_cols = padded_dims_[0];
-  s.feat_t = f_adam_.t();
-  out.features = dense::Matrix(s.feat_rows, s.feat_cols);
-  const std::size_t ftotal = static_cast<std::size_t>(s.feat_rows * s.feat_cols);
-  s.feat_m.assign(ftotal, 0.0f);
-  s.feat_v.assign(ftotal, 0.0f);
-
+  const std::int64_t feat_rows = view_->padded_nodes();
+  const std::int64_t feat_cols = padded_dims_[0];
   const std::size_t fslice = f_slice_.size();
-  std::vector<float> gf(fslice * static_cast<std::size_t>(world));
-  std::vector<float> gfm(gf.size());
-  std::vector<float> gfv(gf.size());
-  ctx.comm.all_gather<float>(wg, f_slice_, gf);
-  ctx.comm.all_gather<float>(wg, f_adam_.m(), gfm);
-  ctx.comm.all_gather<float>(wg, f_adam_.v(), gfv);
-
   const LayerRoles r0 = roles_for_layer(0);
   const int nb = std::max(1, spec_.options.agg_row_blocks);
-  for (int r = 0; r < world; ++r) {
-    const Coords c = grid.coords_of(r);
-    const auto blk = matrix_shard(s.feat_rows, s.feat_cols, grid, c, r0.p, r0.q);
-    const int ext_r = grid.extent(r0.r);
-    const int rc = Grid3D::coord(c, r0.r);
-    const auto bounds = sparse::block_bounds_aligned(blk.rows.size(), nb, ext_r);
-    const std::int64_t bcols = blk.cols.size();
-    std::size_t off = static_cast<std::size_t>(r) * fslice;
-    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-      const std::int64_t sub = (bounds[k + 1] - bounds[k]) / ext_r;
-      for (std::int64_t i = 0; i < sub; ++i) {
-        const std::int64_t grow = blk.rows.begin + bounds[k] + rc * sub + i;
-        const std::size_t dst = static_cast<std::size_t>(grow * s.feat_cols + blk.cols.begin);
-        std::copy_n(gf.data() + off, bcols, out.features.row(grow) + blk.cols.begin);
-        std::copy_n(gfm.data() + off, bcols, s.feat_m.data() + dst);
-        std::copy_n(gfv.data() + off, bcols, s.feat_v.data() + dst);
-        off += static_cast<std::size_t>(bcols);
+  const auto rescatter_features = [&](float* dst) {
+    for (int r = 0; r < world; ++r) {
+      const Coords c = grid.coords_of(r);
+      const auto blk = matrix_shard(feat_rows, feat_cols, grid, c, r0.p, r0.q);
+      const int ext_r = grid.extent(r0.r);
+      const int rc = Grid3D::coord(c, r0.r);
+      const auto bounds = sparse::block_bounds_aligned(blk.rows.size(), nb, ext_r);
+      const std::int64_t bcols = blk.cols.size();
+      std::size_t off = static_cast<std::size_t>(r) * fslice;
+      for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+        const std::int64_t sub = (bounds[k + 1] - bounds[k]) / ext_r;
+        for (std::int64_t i = 0; i < sub; ++i) {
+          const std::int64_t grow = blk.rows.begin + bounds[k] + rc * sub + i;
+          std::copy_n(gathered.data() + off, bcols, dst + grow * feat_cols + blk.cols.begin);
+          off += static_cast<std::size_t>(bcols);
+        }
       }
+      PLEXUS_CHECK(off == static_cast<std::size_t>(r + 1) * fslice,
+                   "gather_state: feature slice size mismatch");
     }
-    PLEXUS_CHECK(off == static_cast<std::size_t>(r + 1) * fslice,
-                 "gather_state: feature slice size mismatch");
+  };
+  const std::size_t ftotal = static_cast<std::size_t>(feat_rows * feat_cols);
+  gather(f_slice_);
+  if (root) {
+    s.feat_rows = feat_rows;
+    s.feat_cols = feat_cols;
+    s.feat_t = f_adam_.t();
+    out.features = dense::Matrix(feat_rows, feat_cols);
+    rescatter_features(out.features.data());
+  }
+  gather(f_adam_.m());
+  if (root) {
+    s.feat_m.assign(ftotal, 0.0f);
+    rescatter_features(s.feat_m.data());
+  }
+  gather(f_adam_.v());
+  if (root) {
+    s.feat_v.assign(ftotal, 0.0f);
+    rescatter_features(s.feat_v.data());
   }
   return out;
 }
@@ -338,10 +355,10 @@ dense::Matrix DistGcn::forward_logits(sim::RankContext& ctx) {
 
 double DistGcn::evaluate(sim::RankContext& ctx, const std::vector<std::uint8_t>& mask) {
   KernelTimers timers;
-  const dense::Matrix logits = forward_all(ctx, /*epoch_seed=*/0, timers);
+  const dense::Matrix& logits = forward_all(ctx, /*epoch_seed=*/0, timers);
   const LossResult r = distributed_softmax_ce(ctx, *grid_, spec_.num_layers() - 1, *view_, logits,
                                               mask, static_cast<double>(view_->train_total()),
-                                              /*want_grad=*/false);
+                                              logits_gathered_, /*dlogits=*/nullptr);
   return r.accuracy;
 }
 

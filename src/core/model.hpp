@@ -86,13 +86,22 @@ class DistGcn {
   int num_layers() const { return spec_.num_layers(); }
   const std::vector<std::int64_t>& padded_dims() const { return padded_dims_; }
 
+  /// Bytes of the epoch workspace this rank's model owns: every layer's
+  /// buffers plus the gathered input block, the P-gathered logits and the
+  /// logits gradient. Buffers are sized on first use, so this is the steady
+  /// figure once one epoch has run (zero before). Weight and feature slices
+  /// and their Adam moments are not workspace.
+  std::int64_t workspace_bytes() const;
+
   /// Assemble the global model state for checkpointing: one world-group
-  /// all-gather per sharded buffer (weights, Adam moments, features), then a
+  /// all-gather per sharded buffer (weights, Adam moments, features), one
+  /// buffer at a time into one reused receive buffer, then on rank 0 a
   /// deterministic local re-scatter of every rank's slice into the global
-  /// matrices. SPMD — every rank must call it and gets an identical result;
-  /// the caller picks one rank to write. The trainer-owned ModelState fields
-  /// (scheme, preprocess_seed, pad_multiple, epochs_completed) are left at
-  /// their defaults for the caller to fill.
+  /// matrices. SPMD — every rank must call it (the gathers are collectives),
+  /// but only rank 0 gets the global layers, features and moments, and so
+  /// only rank 0 can write; the other ranks get the spec fields alone. The
+  /// trainer-owned ModelState fields (scheme, preprocess_seed, pad_multiple,
+  /// epochs_completed) are left at their defaults for the caller to fill.
   CheckpointData gather_state(sim::RankContext& ctx);
 
   /// Inverse of gather_state, purely local: re-extract this rank's weight and
@@ -103,9 +112,11 @@ class DistGcn {
   void restore_state(const io::ModelState& s);
 
  private:
-  dense::Matrix gather_input_features(sim::RankContext& ctx);
-  dense::Matrix forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
-                            KernelTimers& timers);
+  /// All-gather the layer-0 input block into f_in_.
+  void gather_input_features(sim::RankContext& ctx);
+  /// Forward through every layer; returns the last layer's Q (the logits).
+  const dense::Matrix& forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
+                                   KernelTimers& timers);
 
   const DatasetView* view_;
   const Grid3D* grid_;
@@ -133,6 +144,11 @@ class DistGcn {
   std::vector<std::int64_t> f_bounds_;  ///< R0-aligned aggregation row blocks
   int f_r_ext_ = 1;                     ///< R0 extent (reshard parts)
   int f_r_coord_ = 0;                   ///< this rank's R0 coordinate
+
+  // Workspace outside the layers, sized on first use.
+  dense::Matrix f_in_;                  ///< gathered layer-0 input block (N'/P0 x D0'/Q0)
+  std::vector<float> logits_gathered_;  ///< P-gathered logits, P column blocks
+  dense::Matrix dlogits_;               ///< this rank's logits gradient block
 };
 
 }  // namespace plexus::core

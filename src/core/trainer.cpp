@@ -103,13 +103,17 @@ void train_rank_body(sim::RankContext& ctx, const DatasetView& view, const Grid3
   const bool checkpointing = !opt.checkpoint_dir.empty();
   for (int e = plan.start_epoch; e < opt.epochs; ++e) {
     const EpochStats s = reduce_epoch_stats(ctx.comm, wg, model.train_epoch(ctx, e));
-    if (result != nullptr) result->epochs[static_cast<std::size_t>(e - plan.start_epoch)] = s;
+    if (result != nullptr) {
+      result->epochs[static_cast<std::size_t>(e - plan.start_epoch)] = s;
+      if (e == plan.start_epoch) result->workspace_bytes = model.workspace_bytes();
+    }
     if (checkpointing &&
         (e + 1 == opt.epochs || (opt.checkpoint_every > 0 && (e + 1) % opt.checkpoint_every == 0))) {
-      // The gathers run on every rank (collectives); only rank 0 writes. A
-      // trailing barrier keeps the directory complete before any rank races
-      // into the next epoch or process exit. State-neutral: nothing training
-      // reads is touched, so checkpointed and plain runs stay bitwise equal.
+      // The gathers run on every rank (collectives); only rank 0 assembles
+      // the global state and writes it. A trailing barrier keeps the
+      // directory complete before any rank races into the next epoch or
+      // process exit. State-neutral: nothing training reads is touched, so
+      // checkpointed and plain runs stay bitwise equal.
       CheckpointData data = model.gather_state(ctx);
       data.model.scheme = static_cast<std::int32_t>(view.scheme());
       data.model.preprocess_seed = opt.preprocess_seed;

@@ -134,6 +134,10 @@ struct TrainResult {
   /// Absolute index of epochs[0] (non-zero for resumed runs: a resume that
   /// continues at epoch k records epochs [k, opt.epochs) only).
   int first_epoch = 0;
+  /// One rank's DistGcn::workspace_bytes() after the run's first epoch. Every
+  /// rank's blocks have the same shape, so the ranks together hold
+  /// grid volume x this.
+  std::int64_t workspace_bytes = 0;
 
   /// Mean epoch time skipping the first `skip` epochs ("average performance of
   /// the last eight epochs to account for initial fluctuations", section 6.2).

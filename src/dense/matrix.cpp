@@ -14,6 +14,10 @@ Matrix::Matrix(std::int64_t rows, std::int64_t cols, float fill)
 
 void Matrix::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
+void Matrix::ensure_shape(std::int64_t rows, std::int64_t cols) {
+  if (rows != rows_ || cols != cols_) *this = Matrix(rows, cols);
+}
+
 Matrix Matrix::block(std::int64_t r0, std::int64_t r1, std::int64_t c0, std::int64_t c1) const {
   PLEXUS_CHECK(0 <= r0 && r0 <= r1 && r1 <= rows_, "bad row range");
   PLEXUS_CHECK(0 <= c0 && c0 <= c1 && c1 <= cols_, "bad col range");
@@ -26,10 +30,15 @@ Matrix Matrix::block(std::int64_t r0, std::int64_t r1, std::int64_t c0, std::int
 
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
+  transpose_into(out);
+  return out;
+}
+
+void Matrix::transpose_into(Matrix& out) const {
+  PLEXUS_CHECK(out.rows_ == cols_ && out.cols_ == rows_, "transpose_into shape mismatch");
   for (std::int64_t r = 0; r < rows_; ++r) {
     for (std::int64_t c = 0; c < cols_; ++c) out.at(c, r) = at(r, c);
   }
-  return out;
 }
 
 void Matrix::set_block(std::int64_t r0, std::int64_t c0, const Matrix& src) {

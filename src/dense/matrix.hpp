@@ -50,11 +50,18 @@ class Matrix {
   void fill(float v);
   void zero() { fill(0.0f); }
 
+  /// Workspace sizing: reallocate (zero-filled) only when the shape differs,
+  /// so a buffer sized on first use keeps its storage, and its old contents,
+  /// on every later call. Callers overwrite what they read back.
+  void ensure_shape(std::int64_t rows, std::int64_t cols);
+
   /// Copy of rows [r0, r1) and columns [c0, c1).
   Matrix block(std::int64_t r0, std::int64_t r1, std::int64_t c0, std::int64_t c1) const;
 
   /// Out-of-place transpose.
   Matrix transposed() const;
+  /// Transpose into `out`, which must already be (cols x rows).
+  void transpose_into(Matrix& out) const;
 
   /// Write `src` into this matrix starting at (r0, c0).
   void set_block(std::int64_t r0, std::int64_t c0, const Matrix& src);

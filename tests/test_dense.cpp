@@ -1,8 +1,12 @@
 // Unit tests for dense: matrix container, GEMM transpose modes, NN ops, Adam.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "dense/gemm.hpp"
 #include "dense/matrix.hpp"
@@ -193,6 +197,57 @@ TEST(Ops, SoftmaxCrossEntropyGradMatchesFiniteDifference) {
       const double fd = (up.loss_sum - dn.loss_sum) / (2.0 * eps) / 3.0;
       EXPECT_NEAR(grad.at(i, j), fd, 2e-3) << "at (" << i << "," << j << ")";
     }
+  }
+}
+
+TEST(Ops, SoftmaxCrossEntropyColumnBlocksMatchOneBlock) {
+  // 7 classes split unevenly into 2 and 3 column blocks, so the last block
+  // carries padding columns; 300 rows span two of the kernel's row chunks.
+  const std::int64_t n = 300;
+  const std::int64_t c = 7;
+  const auto logits = random_matrix(n, c, 50);
+  std::vector<std::int32_t> labels(static_cast<std::size_t>(n));
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    labels[static_cast<std::size_t>(i)] = static_cast<std::int32_t>((i * 5) % c);
+    mask[static_cast<std::size_t>(i)] = i % 3 != 0 ? 1 : 0;
+  }
+  const double norm = 17.0;
+  pd::Matrix want_grad(n, c);
+  const auto want = pd::softmax_cross_entropy(logits, labels, mask, norm, &want_grad);
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+
+  for (const std::int64_t p : {1, 2, 3}) {
+    const std::int64_t bc = (c + p - 1) / p;
+    // Padding columns hold NaN: the kernel must never read them.
+    std::vector<float> blocks(static_cast<std::size_t>(p * n * bc),
+                              std::numeric_limits<float>::quiet_NaN());
+    for (std::int64_t b = 0; b < p; ++b) {
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = b * bc; j < std::min(c, (b + 1) * bc); ++j) {
+          blocks[static_cast<std::size_t>((b * n + i) * bc + j - b * bc)] = logits.at(i, j);
+        }
+      }
+    }
+    for (std::int64_t w = 0; w < p; ++w) {
+      pd::Matrix grad(n, bc, 123.0f);  // stale contents must be overwritten
+      const auto got = pd::softmax_cross_entropy_blocks(blocks, n, bc, c, labels, mask, norm,
+                                                        &grad, w * bc);
+      EXPECT_EQ(got.loss_sum, want.loss_sum) << "P " << p << " window " << w;
+      EXPECT_EQ(got.count, want.count);
+      EXPECT_EQ(got.correct, want.correct);
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t jj = 0; jj < bc; ++jj) {
+          const std::int64_t j = w * bc + jj;
+          const float expect = j < c ? want_grad.at(i, j) : 0.0f;
+          ASSERT_EQ(bits(grad.at(i, jj)), bits(expect))
+              << "P " << p << " window " << w << " row " << i << " class " << j;
+        }
+      }
+    }
+    const auto no_grad =
+        pd::softmax_cross_entropy_blocks(blocks, n, bc, c, labels, mask, norm, nullptr);
+    EXPECT_EQ(no_grad.loss_sum, want.loss_sum) << "P " << p;
   }
 }
 
