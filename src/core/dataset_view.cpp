@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/shard.hpp"
-#include "loader/mapped_block.hpp"
 #include "util/error.hpp"
 
 namespace plexus::core {
@@ -77,28 +76,46 @@ sparse::Csr ShardedDatasetView::adjacency_block(int version, std::int64_t r0, st
   // Only the owning rank thread calls this on a plain view, so it may count
   // into the unsynchronised stats_.
   return io::load_adjacency_window(dir_, prefix(version), meta_, r0, r1, c0, c1,
-                                   [this](const std::string& path) {
-                                     auto block = io::MappedBlock::open(path);
+                                   io::Orientation::Rows,
+                                   io::fresh_block_opener([this](const io::MappedBlock& file) {
                                      stats_.files_opened++;
-                                     stats_.bytes_read += block->size_bytes();
-                                     return block;
-                                   });
+                                     stats_.bytes_read += file.size_bytes();
+                                   }));
 }
 
 sparse::Csr ShardedDatasetView::adjacency_block_counted(int version, std::int64_t r0,
                                                         std::int64_t r1, std::int64_t c0,
                                                         std::int64_t c1,
                                                         std::int64_t* io_bytes) const {
+  return counted_window(version, r0, r1, c0, c1, io::Orientation::Rows, io_bytes);
+}
+
+sparse::Csr ShardedDatasetView::transposed_block_counted(int version, std::int64_t r0,
+                                                         std::int64_t r1, std::int64_t c0,
+                                                         std::int64_t c1,
+                                                         std::int64_t* io_bytes) const {
+  return counted_window(version, r0, r1, c0, c1, io::Orientation::Transposed, io_bytes);
+}
+
+sparse::Csr ShardedDatasetView::counted_window(int version, std::int64_t r0, std::int64_t r1,
+                                               std::int64_t c0, std::int64_t c1,
+                                               io::Orientation orientation,
+                                               std::int64_t* io_bytes) const {
   // Runs on prefetch workers: count into the caller's slot, never stats_.
   if (io_bytes != nullptr) *io_bytes = 0;
-  return io::load_adjacency_window(
-      dir_, prefix(version), meta_, r0, r1, c0, c1,
-      [&](const std::string& path) -> std::shared_ptr<const io::MappedBlock> {
-        if (cache_ != nullptr) return cache_->get(path, io_bytes);
-        auto block = io::MappedBlock::open(path);
-        if (io_bytes != nullptr) *io_bytes += block->size_bytes();
-        return block;
-      });
+  if (cache_ == nullptr) {
+    return io::load_adjacency_window(dir_, prefix(version), meta_, r0, r1, c0, c1, orientation,
+                                     io::fresh_block_opener([io_bytes](const io::MappedBlock& f) {
+                                       if (io_bytes != nullptr) *io_bytes += f.size_bytes();
+                                     }));
+  }
+  auto window = io::load_adjacency_window(
+      dir_, prefix(version), meta_, r0, r1, c0, c1, orientation,
+      [&](const std::string& path, io::Orientation o) { return cache_->get(path, o, io_bytes); });
+  // The walk has dropped its pins: reclaim what the budget no longer covers
+  // now rather than at the next admission.
+  cache_->trim();
+  return window;
 }
 
 dense::Matrix ShardedDatasetView::feature_block(std::int64_t r0, std::int64_t r1,

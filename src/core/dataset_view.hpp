@@ -84,6 +84,16 @@ class DatasetView {
     return adjacency_block(version, r0, r1, c0, c1);
   }
 
+  /// Rows [c0, c1) of A^T over its columns [r0, r1): the transpose of
+  /// adjacency_block_counted's window, which the backward pass streams, with
+  /// the same `io_bytes` accounting. The default transposes that window;
+  /// ShardedDatasetView assembles it from transposed blocks instead.
+  virtual sparse::Csr transposed_block_counted(int version, std::int64_t r0, std::int64_t r1,
+                                               std::int64_t c0, std::int64_t c1,
+                                               std::int64_t* io_bytes) const {
+    return adjacency_block_counted(version, r0, r1, c0, c1, io_bytes).transposed();
+  }
+
  protected:
   std::int64_t num_nodes_ = 0;
   std::int64_t padded_nodes_ = 0;
@@ -118,17 +128,19 @@ class InMemoryDatasetView final : public DatasetView {
 /// the accumulated `load_stats()` are not synchronised across threads.
 ///
 /// The budgeted constructor turns the view into a *streaming* provider: one
-/// view shared by every rank thread, adjacency windows served out of a
-/// memory-mapped LRU BlockCache bounded by `rss_budget_bytes` (< 0 =
-/// unlimited). The streamed read path is thread-safe and never touches
-/// `load_stats()`; cache_stats() carries the accounting instead.
+/// view shared by every rank thread, adjacency windows assembled from the
+/// parsed blocks of an LRU BlockCache bounded by `rss_budget_bytes` (< 0 =
+/// unlimited): forward row windows from the blocks' file form, backward A^T
+/// windows from transposed forms the cache derives once per admission. The
+/// streamed read path is thread-safe and never touches `load_stats()`;
+/// cache_stats() carries the accounting instead.
 class ShardedDatasetView final : public DatasetView {
  public:
   explicit ShardedDatasetView(std::string dir);
 
   /// Streaming-mode view: adjacency windows go through a BlockCache holding
-  /// at most `rss_budget_bytes` of unpinned block files. Produces windows
-  /// bitwise-identical to the plain constructor's.
+  /// at most `rss_budget_bytes` of unpinned blocks, in either orientation.
+  /// Produces windows bitwise-identical to the plain constructor's.
   ShardedDatasetView(std::string dir, std::int64_t rss_budget_bytes);
 
   sparse::Csr adjacency_block(int version, std::int64_t r0, std::int64_t r1, std::int64_t c0,
@@ -143,6 +155,9 @@ class ShardedDatasetView final : public DatasetView {
   sparse::Csr adjacency_block_counted(int version, std::int64_t r0, std::int64_t r1,
                                       std::int64_t c0, std::int64_t c1,
                                       std::int64_t* io_bytes) const override;
+  sparse::Csr transposed_block_counted(int version, std::int64_t r0, std::int64_t r1,
+                                       std::int64_t c0, std::int64_t c1,
+                                       std::int64_t* io_bytes) const override;
 
   const std::string& dir() const { return dir_; }
 
@@ -156,6 +171,11 @@ class ShardedDatasetView final : public DatasetView {
 
  private:
   const char* prefix(int version) const;
+  /// One window of `version` through the cache, or over freshly opened
+  /// files without one, counting disk bytes into `io_bytes`.
+  sparse::Csr counted_window(int version, std::int64_t r0, std::int64_t r1, std::int64_t c0,
+                             std::int64_t c1, io::Orientation orientation,
+                             std::int64_t* io_bytes) const;
 
   std::string dir_;
   io::ShardedMeta meta_;

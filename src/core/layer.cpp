@@ -104,7 +104,8 @@ comm::CommHandle DistGcnLayer::igather_weights(sim::RankContext& ctx) {
 
 std::int64_t DistGcnLayer::workspace_bytes() const {
   const std::int64_t floats =
-      h_.size() + q_.size() + w_block_.size() + dw_rev_.size() + df_in_.size() + dw_block_.size();
+      h_.size() + q_.size() + w_block_.size() + w_t_.size() + dw_rev_.size() + df_in_.size() +
+      dw_block_.size();
   return floats * static_cast<std::int64_t>(sizeof(float));
 }
 
@@ -213,8 +214,8 @@ void DistGcnLayer::aggregate(sim::RankContext& ctx, const AggPass& pass, KernelT
       const std::int64_t b1 = bounds[static_cast<std::size_t>(k) + 1];
       if (b0 == b1) continue;
       // Rows [b0, b1) of A^T are the column window [b0, b1) of A; the IO
-      // worker transposes it (same canonical source-row order as the
-      // resident transpose), so the counting sort hides behind compute too.
+      // worker assembles them from transposed blocks, in the same ascending
+      // source-row order as the resident transpose.
       loads.push_back(pass.transpose
                           ? stream_->post(splan_->version, splan_->rows.begin, splan_->rows.end,
                                           splan_->cols.begin + b0, splan_->cols.begin + b1,
@@ -372,9 +373,13 @@ dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_o
 
   // dH = dQ W^T (eq. 2.6), all-reduced over the P group (Alg. 2 lines 4-6).
   // It goes into H's buffer: same shape, and H is dead once dW is formed.
+  // W^T is copied into its own workspace so the GEMM reads B in place, row
+  // by row; the charge stays that of the (N, T) GEMM it computes.
   w_gather.wait();
+  w_t_.ensure_shape(dout_p_, din_q_);
+  w_block_.transpose_into(w_t_);
   dense::Matrix& dh = h_;
-  dense::gemm(dense::Trans::N, dense::Trans::T, 1.0f, dq, w_block_, /*beta=*/0.0f, dh);
+  dense::gemm(dense::Trans::N, dense::Trans::N, 1.0f, dq, w_t_, /*beta=*/0.0f, dh);
   {
     const double t = sim::gemm_time(m, rows_r_, din_q_, dout_p_, dense::Trans::N, dense::Trans::T);
     ctx.comm.charge_compute(t);

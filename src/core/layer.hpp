@@ -144,8 +144,8 @@ class DistGcnLayer {
     /// Block source: the resident shard (A forward, A^T backward), read in
     /// place; null = windows loaded through the ShardStream prefetch pipeline.
     const sparse::Csr* a;
-    /// Streamed source only: load the column window of A and transpose it on
-    /// the IO worker (backward's rows of A^T) instead of the row window.
+    /// Streamed source only: load rows of A^T (backward's column window of
+    /// A, assembled transposed on the IO worker) instead of rows of A.
     bool transpose;
     const dense::Matrix& in;            ///< dense operand: F_in or dH
     dense::Matrix& out;                 ///< H or dF_in, written block by block
@@ -210,6 +210,7 @@ class DistGcnLayer {
   dense::Matrix h_;        ///< aggregated H (N'/R x Din'/Q); backward reuses it for dH
   dense::Matrix q_;        ///< combination output Q (N'/R x Dout'/P), ReLU'd in place
   dense::Matrix w_block_;  ///< R-gathered weight block (Din'/Q x Dout'/P)
+  dense::Matrix w_t_;      ///< its transpose, the dH GEMM's B operand
   dense::Matrix dw_rev_;   ///< gemm_dw_tuning only: the reversed product dW^T
   dense::Matrix df_in_;    ///< dF_in (N'/P x Din'/Q)
 

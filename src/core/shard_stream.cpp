@@ -53,9 +53,10 @@ void ShardStream::worker() {
     }
     try {
       BlockLoad bl;
-      bl.csr = view_->adjacency_block_counted(job.version, job.r0, job.r1, job.c0, job.c1,
-                                              &bl.bytes_read);
-      if (job.transpose) bl.csr = bl.csr.transposed();
+      bl.csr = job.transpose ? view_->transposed_block_counted(job.version, job.r0, job.r1,
+                                                               job.c0, job.c1, &bl.bytes_read)
+                             : view_->adjacency_block_counted(job.version, job.r0, job.r1,
+                                                              job.c0, job.c1, &bl.bytes_read);
       job.promise.set_value(std::move(bl));
     } catch (...) {
       job.promise.set_exception(std::current_exception());

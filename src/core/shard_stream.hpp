@@ -44,8 +44,8 @@ class ShardStream {
 
   /// Enqueue a load of adjacency window [r0, r1) x [c0, c1) of `version`.
   /// With `transpose` set the worker returns the transposed window — the
-  /// backward pass's A^T block — computed off the rank thread so the
-  /// counting sort also hides behind compute.
+  /// backward pass's A^T block, DatasetView::transposed_block_counted —
+  /// assembled off the rank thread so it hides behind compute too.
   std::future<BlockLoad> post(int version, std::int64_t r0, std::int64_t r1, std::int64_t c0,
                               std::int64_t c1, bool transpose);
 

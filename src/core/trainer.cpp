@@ -248,7 +248,7 @@ TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOpti
   // One budgeted view shared by every rank thread: the shared BlockCache is
   // what makes the budget a bound on the whole process, not per rank. Block
   // loads go through each rank's ShardStream worker; BlockCache::get is
-  // thread-safe and mmap/read happens outside its lock.
+  // thread-safe and reads, parses and transposes blocks outside its lock.
   const ShardedDatasetView view(shard_dir, budget);
   return run_threaded(view, opt, ResumePlan{});
 }

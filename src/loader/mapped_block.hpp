@@ -4,9 +4,10 @@
 /// or streamed, opens its file through here. A MappedBlock is one block file
 /// held read-only in memory — mmap with a MADV_WILLNEED hint where the
 /// platform has it, a plain (hookable) stdio read everywhere else. Blocks
-/// are immutable once opened and reference counted: the shared_ptr a caller
-/// holds is also the BlockCache's pin, so an in-flight prefetch can never be
-/// unmapped underneath the SpMM that is about to consume it.
+/// are immutable once opened and reference counted: the parsed
+/// io::AdjacencyBlock viewing one holds a reference, so a block the
+/// BlockCache still pins, or a window is still being assembled from, can
+/// never be unmapped underneath it.
 ///
 /// ByteReader is the sequential typed cursor io::parse_adjacency_block reads
 /// headers and arrays with; every advance is bounds-checked against the

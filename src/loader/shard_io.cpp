@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
 
 #include "loader/file_io.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/partition2d.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -20,61 +20,171 @@ std::string feature_block_path(const std::string& dir, int r) {
   return dir + "/feat_" + std::to_string(r) + ".plx";
 }
 
-AdjacencyBlock parse_adjacency_block(const MappedBlock& block) {
-  const std::string& path = block.path();
-  ByteReader in(block);
+std::shared_ptr<const AdjacencyBlock> parse_adjacency_block(
+    std::shared_ptr<const MappedBlock> file) {
+  const std::string& path = file->path();
+  ByteReader in(*file);
   PLEXUS_CHECK(in.pod<std::uint64_t>() == kPlxMagic, "bad magic in " + path);
-  AdjacencyBlock b;
-  b.row0 = in.pod<std::int64_t>();
-  b.col0 = in.pod<std::int64_t>();
-  b.rows = in.pod<std::int64_t>();
-  b.cols = in.pod<std::int64_t>();
+  auto b = std::make_shared<AdjacencyBlock>();
+  b->row0 = in.pod<std::int64_t>();
+  b->col0 = in.pod<std::int64_t>();
+  b->rows = in.pod<std::int64_t>();
+  b->cols = in.pod<std::int64_t>();
   const auto nnz = in.pod<std::int64_t>();
-  PLEXUS_CHECK(b.row0 >= 0 && b.col0 >= 0 && b.rows >= 0 && b.cols >= 0 && nnz >= 0,
+  PLEXUS_CHECK(b->row0 >= 0 && b->col0 >= 0 && b->rows >= 0 && b->cols >= 0 && nnz >= 0,
                "corrupt block header in " + path);
-  b.row_ptr = in.array<std::int64_t>(static_cast<std::size_t>(b.rows) + 1);
-  b.col_idx = in.array<std::int32_t>(static_cast<std::size_t>(nnz));
-  b.vals = in.array<float>(static_cast<std::size_t>(nnz));
-  bool monotone = b.row_ptr.front() == 0 && b.row_ptr.back() == nnz;
-  for (std::size_t i = 1; monotone && i < b.row_ptr.size(); ++i) {
-    monotone = b.row_ptr[i] >= b.row_ptr[i - 1];
-  }
+  b->row_ptr = in.array<std::int64_t>(static_cast<std::size_t>(b->rows) + 1);
+  b->col_idx = in.array<std::int32_t>(static_cast<std::size_t>(nnz));
+  b->vals = in.array<float>(static_cast<std::size_t>(nnz));
+  const auto rp = b->row_ptr;
+  bool monotone = rp.front() == 0 && rp.back() == nnz;
+  for (std::size_t i = 1; monotone && i < rp.size(); ++i) monotone = rp[i] >= rp[i - 1];
   PLEXUS_CHECK(monotone, "corrupt row pointer in " + path);
+  for (std::size_t i = 0; i + 1 < rp.size(); ++i) {
+    std::int64_t prev = -1;
+    const auto end = static_cast<std::size_t>(rp[i + 1]);
+    for (auto k = static_cast<std::size_t>(rp[i]); k < end; ++k) {
+      const std::int64_t c = b->col_idx[k];
+      PLEXUS_CHECK(c >= 0 && c < b->cols, "corrupt column index in " + path);
+      PLEXUS_CHECK(c > prev, "unsorted or duplicate column index in " + path);
+      prev = c;
+    }
+  }
+  b->path = path;
+  b->bytes = file->size_bytes();
+  b->storage = std::move(file);
   return b;
+}
+
+std::shared_ptr<const AdjacencyBlock> transpose_adjacency_block(const AdjacencyBlock& block) {
+  const auto nnz = block.col_idx.size();
+  std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(block.cols) + 1, 0);
+  for (const std::int32_t c : block.col_idx) row_ptr[static_cast<std::size_t>(c) + 1]++;
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+  std::vector<std::int32_t> col_idx(nnz);
+  std::vector<float> vals(nnz);
+  std::vector<std::int64_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  // Scanning source rows in order keeps each output row strictly ascending.
+  for (std::size_t r = 0; r + 1 < block.row_ptr.size(); ++r) {
+    for (auto k = static_cast<std::size_t>(block.row_ptr[r]);
+         k < static_cast<std::size_t>(block.row_ptr[r + 1]); ++k) {
+      const auto c = static_cast<std::size_t>(block.col_idx[k]);
+      const auto pos = static_cast<std::size_t>(cursor[c]++);
+      col_idx[pos] = static_cast<std::int32_t>(r);
+      vals[pos] = block.vals[k];
+    }
+  }
+  auto arrays = std::make_shared<const sparse::Csr>(sparse::Csr::from_parts(
+      block.cols, block.rows, std::move(row_ptr), std::move(col_idx), std::move(vals)));
+  auto t = std::make_shared<AdjacencyBlock>();
+  t->row0 = block.col0;
+  t->col0 = block.row0;
+  t->rows = block.cols;
+  t->cols = block.rows;
+  t->row_ptr = arrays->row_ptr();
+  t->col_idx = arrays->col_idx();
+  t->vals = arrays->vals();
+  t->path = block.path;
+  t->bytes = static_cast<std::int64_t>(t->row_ptr.size_bytes() + t->col_idx.size_bytes() +
+                                       t->vals.size_bytes());
+  t->storage = std::move(arrays);
+  return t;
+}
+
+BlockOpener fresh_block_opener(std::function<void(const MappedBlock&)> on_open) {
+  return [on_open = std::move(on_open)](const std::string& path, Orientation orientation) {
+    auto file = MappedBlock::open(path);
+    if (on_open) on_open(*file);
+    auto block = parse_adjacency_block(std::move(file));
+    return orientation == Orientation::Rows ? block : transpose_adjacency_block(*block);
+  };
 }
 
 sparse::Csr load_adjacency_window(const std::string& dir, const std::string& prefix,
                                   const ShardedMeta& meta, std::int64_t r0, std::int64_t r1,
-                                  std::int64_t c0, std::int64_t c1, const BlockOpener& open) {
+                                  std::int64_t c0, std::int64_t c1, Orientation orientation,
+                                  const BlockOpener& open) {
+  // Work in output coordinates: rows [o0, o1) and columns [p0, p1) of A, or
+  // of A^T, whose block (i, j) is the transpose of file block (j, i).
+  const bool t = orientation == Orientation::Transposed;
   const auto rb = sparse::block_bounds(meta.num_nodes, meta.grid_rows);
   const auto cb = sparse::block_bounds(meta.num_nodes, meta.grid_cols);
-  sparse::Coo coo;
-  coo.num_rows = r1 - r0;
-  coo.num_cols = c1 - c0;
-  for (std::size_t r = 0; r + 1 < rb.size(); ++r) {
-    if (rb[r + 1] <= r0 || rb[r] >= r1) continue;
-    for (std::size_t c = 0; c + 1 < cb.size(); ++c) {
-      if (cb[c + 1] <= c0 || cb[c] >= c1) continue;
-      const auto file =
-          open(adjacency_block_path(dir, prefix, static_cast<int>(r), static_cast<int>(c)));
-      const auto blk = parse_adjacency_block(*file);
-      PLEXUS_CHECK(blk.row0 == rb[r] && blk.rows == rb[r + 1] - rb[r] && blk.col0 == cb[c] &&
-                       blk.cols == cb[c + 1] - cb[c],
-                   "corrupt block header in " + file->path() + " (not its grid block)");
-      for (std::int64_t gr = std::max(r0, rb[r]); gr < std::min(r1, rb[r + 1]); ++gr) {
-        const auto lr = static_cast<std::size_t>(gr - blk.row0);
-        for (auto k = static_cast<std::size_t>(blk.row_ptr[lr]);
-             k < static_cast<std::size_t>(blk.row_ptr[lr + 1]); ++k) {
-          const std::int64_t lc = blk.col_idx[k];
-          PLEXUS_CHECK(lc >= 0 && lc < blk.cols, "corrupt column index in " + file->path());
-          const auto gc = blk.col0 + lc;
-          if (gc < c0 || gc >= c1) continue;
-          coo.push(gr - r0, gc - c0, blk.vals[k]);
+  const auto& ob = t ? cb : rb;
+  const auto& pb = t ? rb : cb;
+  const std::int64_t o0 = t ? c0 : r0, o1 = t ? c1 : r1;
+  const std::int64_t p0 = t ? r0 : c0, p1 = t ? r1 : c1;
+  const auto intersecting = [](const std::vector<std::int64_t>& b, std::int64_t lo,
+                               std::int64_t hi) {
+    std::size_t first = 0;
+    while (first + 1 < b.size() && b[first + 1] <= lo) ++first;
+    std::size_t last = first;
+    while (last + 1 < b.size() && b[last] < hi) ++last;
+    return std::pair{first, last};  // blocks [first, last)
+  };
+  const auto [i0, i1] = intersecting(ob, o0, o1);
+  const auto [j0, j1] = intersecting(pb, p0, p1);
+
+  // Pin every intersecting block for both passes, block row by block row.
+  const std::size_t nj = j1 - j0;
+  std::vector<std::shared_ptr<const AdjacencyBlock>> blocks;
+  blocks.reserve((i1 - i0) * nj);
+  for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t j = j0; j < j1; ++j) {
+      const int fr = static_cast<int>(t ? j : i);
+      const int fc = static_cast<int>(t ? i : j);
+      auto blk = open(adjacency_block_path(dir, prefix, fr, fc), orientation);
+      PLEXUS_CHECK(blk->row0 == ob[i] && blk->rows == ob[i + 1] - ob[i] &&
+                       blk->col0 == pb[j] && blk->cols == pb[j + 1] - pb[j],
+                   "corrupt block header in " + blk->path + " (not its grid block)");
+      blocks.push_back(std::move(blk));
+    }
+  }
+
+  // Entries [first, last) of local row `lr` of `blk` whose columns fall in
+  // [p0, p1); a binary search only where the window cuts the block.
+  const auto piece = [&](const AdjacencyBlock& blk, std::int64_t lr) {
+    const auto* begin = blk.col_idx.data() + blk.row_ptr[static_cast<std::size_t>(lr)];
+    const auto* end = blk.col_idx.data() + blk.row_ptr[static_cast<std::size_t>(lr) + 1];
+    if (p0 > blk.col0) {
+      begin = std::lower_bound(begin, end, static_cast<std::int32_t>(p0 - blk.col0));
+    }
+    if (p1 < blk.col0 + blk.cols) {
+      end = std::lower_bound(begin, end, static_cast<std::int32_t>(p1 - blk.col0));
+    }
+    return std::pair{static_cast<std::size_t>(begin - blk.col_idx.data()),
+                     static_cast<std::size_t>(end - blk.col_idx.data())};
+  };
+  // Visit every output row's pieces in block-column order.
+  const auto walk = [&](const auto& fn) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      const auto* row_blocks = blocks.data() + (i - i0) * nj;
+      for (std::int64_t g = std::max(o0, ob[i]); g < std::min(o1, ob[i + 1]); ++g) {
+        for (std::size_t j = 0; j < nj; ++j) {
+          const AdjacencyBlock& blk = *row_blocks[j];
+          const auto [first, last] = piece(blk, g - blk.row0);
+          fn(g - o0, blk, first, last);
         }
       }
     }
-  }
-  return sparse::Csr::from_coo(coo, false);
+  };
+
+  std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(o1 - o0) + 1, 0);
+  walk([&](std::int64_t row, const AdjacencyBlock&, std::size_t first, std::size_t last) {
+    row_ptr[static_cast<std::size_t>(row) + 1] += static_cast<std::int64_t>(last - first);
+  });
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+  std::vector<std::int32_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<float> vals(col_idx.size());
+  std::size_t out = 0;
+  walk([&](std::int64_t, const AdjacencyBlock& blk, std::size_t first, std::size_t last) {
+    const auto shift = static_cast<std::int32_t>(blk.col0 - p0);
+    for (std::size_t k = first; k < last; ++k, ++out) {
+      col_idx[out] = blk.col_idx[k] + shift;
+      vals[out] = blk.vals[k];
+    }
+  });
+  return sparse::Csr::from_parts(o1 - o0, p1 - p0, std::move(row_ptr), std::move(col_idx),
+                                 std::move(vals));
 }
 
 void write_adjacency_block(const std::string& path, std::int64_t row0, std::int64_t col0,
@@ -227,15 +337,14 @@ sparse::Csr load_adjacency_block(const std::string& dir, std::int64_t r0, std::i
   util::WallTimer timer;
   std::int64_t buffered = 0;
   auto csr = load_adjacency_window(
-      dir, prefix, read_meta(dir), r0, r1, c0, c1, [&](const std::string& path) {
-        auto block = MappedBlock::open(path);
-        buffered += block->size_bytes();
+      dir, prefix, read_meta(dir), r0, r1, c0, c1, Orientation::Rows,
+      fresh_block_opener([&](const MappedBlock& file) {
+        buffered += file.size_bytes();
         if (stats != nullptr) {
           stats->files_opened++;
-          stats->bytes_read += block->size_bytes();
+          stats->bytes_read += file.size_bytes();
         }
-        return block;
-      });
+      }));
   if (stats != nullptr) {
     stats->peak_host_bytes = std::max(stats->peak_host_bytes, buffered);
     stats->seconds += timer.seconds();

@@ -5,9 +5,9 @@
 ///
 /// Preprocessing writes the adjacency as an R x C grid of CSR block files and
 /// the features as R row-block files. A rank that needs rows [r0, r1) and
-/// columns [c0, c1) of the adjacency opens only the intersecting block files,
-/// merges them, and extracts its exact shard — instead of loading the whole
-/// dataset into host memory first (the naive loader, also provided for the
+/// columns [c0, c1) of the adjacency opens only the intersecting block files
+/// and concatenates its exact shard out of their rows — instead of loading
+/// the whole dataset into host memory first (the naive loader, also provided for the
 /// comparison the paper reports: 146 GB -> 9 GB and 139 s -> 7 s for
 /// ogbn-papers100M on 64 GPUs with 16 x 16 shards).
 ///
@@ -64,8 +64,15 @@ struct ShardedMasks {
   std::vector<std::uint8_t> test;
 };
 
-/// One parsed adjacency block file: the header plus zero-copy views of the
-/// CSR arrays inside the MappedBlock it came from (which must outlive it).
+/// Orientation of an adjacency block or window: rows of A as the files
+/// store them, or rows of A^T (the backward pass's source).
+enum class Orientation { Rows, Transposed };
+
+/// One validated adjacency block in one orientation: its place in A (Rows)
+/// or in A^T (Transposed) and its CSR arrays, whose column indices are
+/// block-local and strictly ascending within each row. Copies share
+/// `storage`, which keeps the spans valid: the file mapping for a Rows block,
+/// the arrays transpose_adjacency_block built for a Transposed one.
 struct AdjacencyBlock {
   std::int64_t row0 = 0;
   std::int64_t col0 = 0;
@@ -74,25 +81,46 @@ struct AdjacencyBlock {
   std::span<const std::int64_t> row_ptr;  ///< rows + 1 entries, 0 .. nnz
   std::span<const std::int32_t> col_idx;  ///< block-local columns
   std::span<const float> vals;
+  std::string path;  ///< the block file, for error messages
+  /// Bytes held in memory: the file size (Rows), the owned arrays (Transposed).
+  std::int64_t bytes = 0;
+  std::shared_ptr<const void> storage;
 };
 
 /// Parse and validate one `<prefix>_<r>_<c>.plx` file: the magic, non-negative
-/// header fields, arrays inside the file and row pointers running from 0 to
-/// nnz without decreasing. Throws an error naming the file otherwise.
-AdjacencyBlock parse_adjacency_block(const MappedBlock& block);
+/// header fields, arrays inside the file, row pointers running from 0 to nnz
+/// without decreasing, and every row's column indices inside the block and
+/// strictly ascending. Throws an error naming the file otherwise. Both
+/// writers emit blocks this way, and the window walk relies on it: block rows
+/// concatenated in block order are already sorted.
+std::shared_ptr<const AdjacencyBlock> parse_adjacency_block(
+    std::shared_ptr<const MappedBlock> file);
 
-/// Source of adjacency block files for load_adjacency_window: a plain open,
-/// a counting open, or a BlockCache lookup.
-using BlockOpener = std::function<std::shared_ptr<const MappedBlock>(const std::string& path)>;
+/// The Transposed form of a validated Rows block: A^T's block with rows and
+/// columns swapped, built by one counting sort into owned arrays.
+std::shared_ptr<const AdjacencyBlock> transpose_adjacency_block(const AdjacencyBlock& block);
 
-/// Merge the `prefix` blocks intersecting [r0, r1) x [c0, c1) into one CSR.
-/// Entries are emitted block row, block column, row, entry, which keeps the
-/// result bitwise-equal whichever opener serves the bytes. Each block's
-/// header must match its place in the grid, and every column index in the
-/// rows read must lie inside its block.
+/// Source of validated adjacency blocks for load_adjacency_window: freshly
+/// opened files (fresh_block_opener) or a BlockCache lookup.
+using BlockOpener = std::function<std::shared_ptr<const AdjacencyBlock>(const std::string& path,
+                                                                        Orientation orientation)>;
+
+/// Opener that maps, parses and (for Transposed) transposes each file anew.
+/// `on_open`, when set, sees every mapped file first (byte accounting).
+BlockOpener fresh_block_opener(std::function<void(const MappedBlock&)> on_open = {});
+
+/// Assemble the window [r0, r1) x [c0, c1) of A (Rows) or its transpose, A^T's
+/// rows [c0, c1) over columns [r0, r1) (Transposed), from the `prefix` blocks
+/// it intersects. A counting pass sizes the CSR exactly; each output row then
+/// concatenates its pieces of the blocks in block order, shifted by the
+/// block's column offset. That is sorted without a sort under the block
+/// contract above, so the result is bitwise-equal whichever opener serves
+/// the blocks, and the Transposed window equals the Rows window's
+/// Csr::transposed(). Each block's header must match its place in the grid.
 sparse::Csr load_adjacency_window(const std::string& dir, const std::string& prefix,
                                   const ShardedMeta& meta, std::int64_t r0, std::int64_t r1,
-                                  std::int64_t c0, std::int64_t c1, const BlockOpener& open);
+                                  std::int64_t c0, std::int64_t c1, Orientation orientation,
+                                  const BlockOpener& open);
 
 /// Write one adjacency block file: `row_ptr.size() - 1` rows starting at
 /// global row `row0`, `cols` columns starting at `col0`, block-local
@@ -136,8 +164,8 @@ PlexusShardMeta read_plexus_meta(const std::string& dir);
 
 ShardedMasks load_masks(const std::string& dir);
 
-/// Parallel loader: merge only the blocks intersecting [r0, r1) x [c0, c1)
-/// (load_adjacency_window over freshly opened files).
+/// Parallel loader: assemble only the blocks intersecting [r0, r1) x
+/// [c0, c1) (load_adjacency_window over freshly opened files).
 /// `prefix` selects the adjacency version ("adj" = the primary matrix).
 sparse::Csr load_adjacency_block(const std::string& dir, std::int64_t r0, std::int64_t r1,
                                  std::int64_t c0, std::int64_t c1, LoadStats* stats = nullptr,

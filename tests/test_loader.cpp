@@ -1,16 +1,22 @@
 // Tests for the sharded dataset format and the parallel loader (section 5.4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "core/dataset_view.hpp"
 #include "graph/datasets.hpp"
 #include "loader/mapped_block.hpp"
 #include "loader/shard_io.hpp"
 #include "sparse/csr.hpp"
 
+namespace pc = plexus::core;
 namespace pio = plexus::io;
 namespace pg = plexus::graph;
 namespace ps = plexus::sparse;
@@ -28,6 +34,16 @@ class LoaderTest : public ::testing::Test {
                                /*grid_rows=*/4, /*grid_cols=*/4);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// Add the trainer metadata and masks a ShardedDatasetView reads.
+  void make_view_readable() {
+    const std::vector<std::uint8_t> none(256, 0);
+    pio::write_masks(dir_.string(), pio::ShardedMasks{none, none, none});
+    pio::PlexusShardMeta m;
+    m.valid_nodes = 256;
+    m.valid_feature_dim = 8;
+    pio::write_plexus_meta(dir_.string(), m);
+  }
 
   std::filesystem::path dir_;
   pg::Graph g_;
@@ -53,6 +69,12 @@ std::string error_of(Fn&& fn) {
     return e.what();
   }
   return "";
+}
+
+/// Same shape, pattern and value bits.
+bool bitwise_equal(const ps::Csr& a, const ps::Csr& b) {
+  return ps::Csr::equal(a, b) &&
+         std::memcmp(a.vals().data(), b.vals().data(), a.vals().size_bytes()) == 0;
 }
 
 // Adjacency block layout: magic, row0, col0, rows, cols, nnz (8 bytes each),
@@ -245,4 +267,99 @@ TEST_F(LoaderTest, ByteReaderRejectsArraysLongerThanTheFile) {
   pio::ByteReader in(*block);
   EXPECT_THROW(in.array<std::int64_t>(std::size_t{1} << 61), std::runtime_error);
   EXPECT_EQ(in.array<std::int64_t>(2).size(), 2u);
+}
+
+TEST_F(LoaderTest, UnsortedColumnsAreRejected) {
+  // The window walk concatenates block rows without sorting, so a block whose
+  // row is out of order or repeats a column must be refused, naming the file,
+  // by the plain loader and by the cache's admission alike.
+  make_view_readable();
+  const auto blk = adj_.block(0, 64, 0, 64);  // what adj_0_0.plx holds
+  std::int64_t row = 0;
+  while (blk.row_nnz(row) < 2) ++row;
+  const long k = static_cast<long>(blk.row_ptr()[static_cast<std::size_t>(row)]);
+  const auto first = blk.col_idx()[static_cast<std::size_t>(k)];
+  const auto second = blk.col_idx()[static_cast<std::size_t>(k) + 1];
+  const auto path = dir_ / "adj_0_0.plx";
+  const long col_idx = kRowPtrOffset + 65 * 8;  // col_idx[0] of a 64-row block
+  const auto check = [&] {
+    const auto what = error_of([&] { pio::load_adjacency_block(dir_.string(), 0, 64, 0, 64); });
+    EXPECT_NE(what.find("column index"), std::string::npos) << what;
+    EXPECT_NE(what.find("adj_0_0.plx"), std::string::npos) << what;
+    const pc::ShardedDatasetView view(dir_.string(), /*rss_budget_bytes=*/1 << 20);
+    const auto streamed =
+        error_of([&] { view.adjacency_block_counted(0, 0, 64, 0, 64, nullptr); });
+    EXPECT_NE(streamed.find("adj_0_0.plx"), std::string::npos) << streamed;
+    const auto transposed =
+        error_of([&] { view.transposed_block_counted(0, 0, 64, 0, 64, nullptr); });
+    EXPECT_NE(transposed.find("adj_0_0.plx"), std::string::npos) << transposed;
+  };
+  {
+    SCOPED_TRACE("swapped");
+    poke(path, col_idx + 4 * k, second);
+    poke(path, col_idx + 4 * (k + 1), first);
+    check();
+  }
+  pio::write_adjacency_blocks(dir_.string(), "adj", adj_, 4, 4);
+  {
+    SCOPED_TRACE("duplicated");
+    poke(path, col_idx + 4 * (k + 1), first);
+    check();
+  }
+}
+
+TEST_F(LoaderTest, ConcurrentWindowsShareOneCache) {
+  // Four threads read one window spanning 2 x 4 blocks in both orientations
+  // through one budgeted view: every thread sees the same bits, the cache
+  // never holds a block twice, and once the last pin drops it is back under
+  // its budget.
+  make_view_readable();
+  constexpr std::int64_t r0 = 10, r1 = 100, c0 = 33, c1 = 200;
+  const auto want = adj_.block(r0, r1, c0, c1);
+  const auto want_t = want.transposed();
+  // Every distinct entry the window can admit: the 8 files, and each one's
+  // transposed form, whose arrays are the file less its 48-byte header
+  // (square 64 x 64 blocks).
+  std::int64_t distinct = 0;
+  std::int64_t largest = 0;
+  for (int r = 0; r < 2; ++r) {
+    for (int c = 0; c < 4; ++c) {
+      const auto size = static_cast<std::int64_t>(
+          std::filesystem::file_size(pio::adjacency_block_path(dir_.string(), "adj", r, c)));
+      distinct += size + (size - 48);
+      largest = std::max(largest, size);
+    }
+  }
+  for (const std::int64_t budget : {std::int64_t{0}, largest}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const pc::ShardedDatasetView view(dir_.string(), budget);
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    std::vector<std::vector<ps::Csr>> got(kThreads);
+    std::vector<std::string> errors(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        errors[t] = error_of([&] {
+          for (int i = 0; i < kRounds; ++i) {
+            got[t].push_back(view.adjacency_block_counted(0, r0, r1, c0, c1, nullptr));
+            got[t].push_back(view.transposed_block_counted(0, r0, r1, c0, c1, nullptr));
+          }
+        });
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(errors[t], "") << "thread " << t;
+      ASSERT_EQ(got[t].size(), 2u * kRounds);
+      for (int i = 0; i < kRounds; ++i) {
+        EXPECT_TRUE(bitwise_equal(got[t][2 * i], want)) << "thread " << t;
+        EXPECT_TRUE(bitwise_equal(got[t][2 * i + 1], want_t)) << "thread " << t;
+      }
+    }
+    const auto cs = view.cache_stats();
+    EXPECT_GT(cs.misses, 0);
+    EXPECT_LE(cs.peak_resident_bytes, distinct);
+    EXPECT_LE(cs.resident_bytes, budget);
+  }
 }

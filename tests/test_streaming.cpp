@@ -2,7 +2,8 @@
 // ShardedDatasetView + ShardStream path must be a pure memory/scheduling
 // knob — bitwise-identical losses, accuracies and simulated clocks against
 // the fully resident run — while holding the block cache under the RSS
-// budget. Plus the LRU BlockCache unit contract and the loader fault-
+// budget, with forward and transposed windows equal to the plain view's.
+// Plus the LRU BlockCache unit contract and the loader fault-
 // injection seam: short reads, EINTR interruptions and mid-epoch truncation
 // must surface as clean diagnostics (or, for EINTR, not at all).
 #include <gtest/gtest.h>
@@ -12,9 +13,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/dataset_view.hpp"
 #include "core/preprocess.hpp"
@@ -22,6 +23,7 @@
 #include "graph/datasets.hpp"
 #include "loader/block_cache.hpp"
 #include "loader/file_hooks.hpp"
+#include "loader/shard_io.hpp"
 #include "sim/machine.hpp"
 #include "sparse/partition2d.hpp"
 
@@ -37,10 +39,18 @@ std::string fresh_dir(const std::string& tag) {
   return dir;
 }
 
-void write_file(const std::string& path, std::size_t bytes) {
-  std::ofstream out(path, std::ios::binary);
-  const std::string chunk(bytes, 'x');
-  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+/// Write a valid one-row adjacency block file of exactly `bytes` bytes (the
+/// cache parses what it admits): the 48-byte header, two row pointers, then
+/// eight bytes (column, value) per entry.
+void write_block(const std::string& path, std::int64_t bytes) {
+  const std::int64_t nnz = (bytes - 64) / 8;
+  ASSERT_EQ(64 + 8 * nnz, bytes);
+  const std::vector<std::int64_t> row_ptr{0, nnz};
+  std::vector<std::int32_t> cols(static_cast<std::size_t>(nnz));
+  for (std::int32_t c = 0; c < nnz; ++c) cols[static_cast<std::size_t>(c)] = c;
+  const std::vector<float> vals(cols.size(), 1.0f);
+  io::write_adjacency_block(path, 0, 0, nnz, row_ptr, cols, vals);
+  ASSERT_EQ(static_cast<std::int64_t>(fs::file_size(path)), bytes);
 }
 
 /// Small ogbn-products proxy preprocessed for a volume-4 grid, written as a
@@ -105,9 +115,9 @@ TEST(BlockCache, LruEvictionOrder) {
   const auto a = dir + "/a.plx";
   const auto b = dir + "/b.plx";
   const auto c = dir + "/c.plx";
-  write_file(a, 1000);
-  write_file(b, 1000);
-  write_file(c, 1000);
+  write_block(a, 1000);
+  write_block(b, 1000);
+  write_block(c, 1000);
 
   io::BlockCache cache(2000);
   { auto p = cache.get(a); }
@@ -133,9 +143,9 @@ TEST(BlockCache, PinnedBlocksSurviveBudgetZero) {
   const auto a = dir + "/a.plx";
   const auto b = dir + "/b.plx";
   const auto c = dir + "/c.plx";
-  write_file(a, 1000);
-  write_file(b, 1000);
-  write_file(c, 1000);
+  write_block(a, 1000);
+  write_block(b, 1000);
+  write_block(c, 1000);
 
   io::BlockCache cache(0);
   auto pin = cache.get(a);  // held across the whole test: never evictable
@@ -146,15 +156,15 @@ TEST(BlockCache, PinnedBlocksSurviveBudgetZero) {
   EXPECT_GE(s.evictions, 1);
   { auto p = cache.get(a); }  // still resident, still this mapping
   EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(pin->size_bytes(), 1000);
+  EXPECT_EQ(pin->bytes, 1000);
 }
 
 TEST(BlockCache, BudgetZeroKeepsNothingUnpinned) {
   const auto dir = fresh_dir("zero");
   const auto a = dir + "/a.plx";
   const auto b = dir + "/b.plx";
-  write_file(a, 1000);
-  write_file(b, 1000);
+  write_block(a, 1000);
+  write_block(b, 1000);
 
   io::BlockCache cache(0);
   { auto p = cache.get(a); }  // pinned by the return value during its own trim
@@ -171,16 +181,16 @@ TEST(BlockCache, MissBytesAccumulate) {
   const auto dir = fresh_dir("bytes");
   const auto a = dir + "/a.plx";
   const auto b = dir + "/b.plx";
-  write_file(a, 700);
-  write_file(b, 300);
+  write_block(a, 696);  // block sizes are whole 8-byte words
+  write_block(b, 304);
 
   io::BlockCache cache(-1);  // unlimited
   std::int64_t bytes = 0;
-  { auto p = cache.get(a, &bytes); }
-  EXPECT_EQ(bytes, 700);
-  { auto p = cache.get(a, &bytes); }  // hit: adds nothing
-  EXPECT_EQ(bytes, 700);
-  { auto p = cache.get(b, &bytes); }  // accumulates, does not overwrite
+  { auto p = cache.get(a, io::Orientation::Rows, &bytes); }
+  EXPECT_EQ(bytes, 696);
+  { auto p = cache.get(a, io::Orientation::Rows, &bytes); }  // hit: adds nothing
+  EXPECT_EQ(bytes, 696);
+  { auto p = cache.get(b, io::Orientation::Rows, &bytes); }  // accumulates, does not overwrite
   EXPECT_EQ(bytes, 1000);
   EXPECT_EQ(cache.stats().evictions, 0);
   EXPECT_EQ(cache.stats().resident_bytes, 1000);
@@ -194,35 +204,50 @@ TEST(Streaming, BudgetedViewMatchesPlainViewBitwise) {
   const auto ds = make_dataset();
   const auto dir = write_shards(ds, "view");
   const core::ShardedDatasetView plain(dir);
-  const core::ShardedDatasetView budgeted(dir, /*rss_budget_bytes=*/64 << 20);
-  ASSERT_TRUE(budgeted.streaming());
   ASSERT_FALSE(plain.streaming());
-  EXPECT_EQ(budgeted.adjacency_nnz(), ds.adj_even.nnz());
-
   const std::int64_t n = plain.padded_nodes();
   const auto bounds = sparse::block_bounds(n, 3);  // misaligned with the 4x4 file grid
-  for (const int version : {0, 1}) {
-    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-      for (std::size_t j = 0; j + 1 < bounds.size(); ++j) {
-        std::int64_t io_bytes = -1;
-        const auto got = budgeted.adjacency_block_counted(version, bounds[i], bounds[i + 1],
-                                                          bounds[j], bounds[j + 1], &io_bytes);
-        const auto want = plain.adjacency_block(version, bounds[i], bounds[i + 1], bounds[j],
-                                                bounds[j + 1]);
-        ASSERT_GE(io_bytes, 0);
-        expect_csr_eq(got, want);
+
+  constexpr std::int64_t kRoomy = std::int64_t{64} << 20;  // holds every block
+  for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{1} << 20, kRoomy}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const core::ShardedDatasetView budgeted(dir, budget);
+    ASSERT_TRUE(budgeted.streaming());
+    EXPECT_EQ(budgeted.adjacency_nnz(), ds.adj_even.nnz());
+    for (const int version : {0, 1}) {
+      for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+        for (std::size_t j = 0; j + 1 < bounds.size(); ++j) {
+          const auto r0 = bounds[i], r1 = bounds[i + 1], c0 = bounds[j], c1 = bounds[j + 1];
+          const auto want = plain.adjacency_block(version, r0, r1, c0, c1);
+          std::int64_t io_bytes = -1;
+          expect_csr_eq(budgeted.adjacency_block_counted(version, r0, r1, c0, c1, &io_bytes),
+                        want);
+          ASSERT_GE(io_bytes, 0);
+          io_bytes = -1;
+          expect_csr_eq(budgeted.transposed_block_counted(version, r0, r1, c0, c1, &io_bytes),
+                        want.transposed());
+          ASSERT_GE(io_bytes, 0);
+          // The window's row forms were just admitted; with room for them the
+          // transposed forms derive from the cache, not the disk.
+          if (budget == kRoomy) {
+            EXPECT_EQ(io_bytes, 0);
+          }
+        }
       }
     }
+    if (budget != kRoomy) continue;
+    // Everything fits under 64 MB: a repeat read is served from the cache and
+    // reports zero bytes pulled from disk.
+    std::int64_t again = 0;
+    budgeted.adjacency_block_counted(0, 0, n, 0, n, &again);
+    EXPECT_EQ(again, 0);
+    budgeted.transposed_block_counted(1, 0, n, 0, n, &again);
+    EXPECT_EQ(again, 0);
+    const auto cs = budgeted.cache_stats();
+    EXPECT_GT(cs.hits, 0);
+    EXPECT_GT(cs.bytes_loaded, 0);
+    EXPECT_EQ(cs.evictions, 0);
   }
-  // Everything fits under 64 MB: a repeat read is served from the cache and
-  // reports zero bytes pulled from disk.
-  std::int64_t again = 0;
-  budgeted.adjacency_block_counted(0, 0, n, 0, n, &again);
-  EXPECT_EQ(again, 0);
-  const auto cs = budgeted.cache_stats();
-  EXPECT_GT(cs.hits, 0);
-  EXPECT_GT(cs.bytes_loaded, 0);
-  EXPECT_EQ(cs.evictions, 0);
   fs::remove_all(dir);
 }
 

@@ -3,9 +3,10 @@
 // workspace. A counting global operator new records each allocation of
 // 64 KiB or more, from any thread, made while the ranks run epochs 2..N of a
 // resident run; the count must be zero. Smaller allocations (comm handles,
-// block-bound vectors, per-chunk softmax rows, gemm's copy of a weight-sized
-// B^T) are not counted. DistGcn::workspace_bytes is pinned against buffer
-// shapes worked out by hand.
+// block-bound vectors, per-chunk softmax rows) are not counted; the
+// single-rank hidden-128 case makes every weight-sized buffer 64 KiB, so a
+// per-epoch copy of W or W^T would show. DistGcn::workspace_bytes is pinned
+// against buffer shapes worked out by hand.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 
 #include "comm/world.hpp"
 #include "core/dataset_view.hpp"
@@ -67,16 +69,27 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 
 namespace {
 
+/// One resident run shape: the grid and the hidden widths.
+struct RunShape {
+  psim::GridShape grid;
+  std::int64_t hidden;
+};
+
+void PrintTo(const RunShape& run, std::ostream* os) {
+  *os << run.grid.x << "x" << run.grid.y << "x" << run.grid.z << " hidden " << run.hidden;
+}
+
 /// Allocations of 64 KiB or more made by all threads over `epochs - 1`
-/// steady resident epochs (4096-node products proxy, 2x1x2 grid, hidden
-/// {64, 64}, 4 aggregation row blocks).
-std::int64_t steady_large_allocations(int intra_rank_threads, bool gemm_dw_tuning, int epochs) {
+/// steady resident epochs (4096-node products proxy, hidden {h, h}, 4
+/// aggregation row blocks).
+std::int64_t steady_large_allocations(int intra_rank_threads, bool gemm_dw_tuning,
+                                      const RunShape& run, int epochs) {
   const pg::Graph g = pg::make_proxy(pg::dataset_info("ogbn-products"), 4096, /*seed=*/1);
   pc::GcnSpec spec;
-  spec.hidden_dims = {64, 64};
+  spec.hidden_dims = {run.hidden, run.hidden};
   spec.options.agg_row_blocks = 4;
   spec.options.gemm_dw_tuning = gemm_dw_tuning;
-  const psim::GridShape shape{2, 1, 2};
+  const psim::GridShape shape = run.grid;
   const pc::TrainOptions defaults;
   const auto ds = pc::preprocess_graph(g, defaults.scheme, spec.num_layers(), shape.size(),
                                        defaults.preprocess_seed);
@@ -106,16 +119,19 @@ std::int64_t steady_large_allocations(int intra_rank_threads, bool gemm_dw_tunin
 
 }  // namespace
 
-class SteadyEpoch : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+class SteadyEpoch : public ::testing::TestWithParam<std::tuple<int, bool, RunShape>> {};
 
 TEST_P(SteadyEpoch, MakesNoLargeAllocation) {
-  const auto [threads, tuning] = GetParam();
-  EXPECT_EQ(steady_large_allocations(threads, tuning, /*epochs=*/4), 0)
-      << "intra_rank_threads " << threads << ", gemm_dw_tuning " << tuning;
+  const auto [threads, tuning, run] = GetParam();
+  EXPECT_EQ(steady_large_allocations(threads, tuning, run, /*epochs=*/4), 0)
+      << "intra_rank_threads " << threads << ", gemm_dw_tuning " << tuning << ", grid "
+      << ::testing::PrintToString(run);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadsAndDwTuning, SteadyEpoch,
-                         ::testing::Combine(::testing::Values(1, 2), ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndDwTuning, SteadyEpoch,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::Bool(),
+                       ::testing::Values(RunShape{{2, 1, 2}, 64}, RunShape{{1, 1, 1}, 128})));
 
 TEST(Workspace, BytesPinnedValue) {
   // 120 nodes, 12 features, 4 classes, hidden {8}, grid x=2, y=1, z=2: no
@@ -131,12 +147,12 @@ TEST(Workspace, BytesPinnedValue) {
   const auto& machine = psim::Machine::test_machine();
 
   // Layer 0, roles (P, Q, R) = (X, Y, Z), extents (2, 1, 2):
-  //   H 60x12 + Q 60x4 + W 12x4 + dW 12x4 + dF_in 60x12            = 1776
+  //   H 60x12 + Q 60x4 + W 12x4 + W^T 4x12 + dW 12x4 + dF_in 60x12 = 1824
   // Layer 1, roles (Z, X, Y), extents (2, 2, 1):
-  //   H 120x4 + Q 120x2 + W 4x2 + dW 4x2 + dF_in 60x4              =  976
+  //   H 120x4 + Q 120x2 + W 4x2 + W^T 2x4 + dW 4x2 + dF_in 60x4    =  984
   // Model: input block 60x12 + gathered logits 120x(2*2) + dlogits 120x2
   //                                                                  = 1440
-  const std::int64_t floats = 1776 + 976 + 1440;
+  const std::int64_t floats = 1824 + 984 + 1440;
   // gemm_dw_tuning adds each layer's reversed dW^T: 4x12 + 2x4 = 56.
   for (const bool tuning : {false, true}) {
     spec.options.gemm_dw_tuning = tuning;
