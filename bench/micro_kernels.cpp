@@ -233,7 +233,7 @@ void BM_SpmmSimdVsScalar(benchmark::State& state) {
       state,
       [&](const plexus::simd::Kernels& k) {
         k.spmm_rows(a.row_ptr().data(), a.col_idx().data(), a.vals().data(), b.data(), b.cols(),
-                    c.data(), c.cols(), 0, a.rows(), b.cols(), /*accumulate=*/false);
+                    c.data(), c.cols(), 0, a.rows(), b.cols());
       },
       c, a.nnz() * b.cols() * 2);
 }

@@ -27,7 +27,7 @@
 // materialising the graph in memory (graph::rmat_to_shards) and exits;
 // --stream-dir=DIR then trains out of that directory, streaming adjacency
 // blocks through an LRU cache bounded by --rss-budget=MB (default:
-// PLEXUS_RSS_MB, else unbounded) with an IO prefetch pipeline of
+// unbounded) with an IO prefetch pipeline of
 // --prefetch-depth blocks (default: adaptive). Epoch losses are
 // bitwise-identical to the in-memory run over the same proxy.
 #include <cstdio>
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
                 "train out-of-core from a sharded dataset directory (losses bitwise-equal "
                 "to the in-memory run)");
   args.add_flag("rss-budget", "MB",
-                "streaming block-cache budget in MB (default: PLEXUS_RSS_MB, else unbounded)");
+                "streaming block-cache budget in MB (default: unbounded)");
   args.add_flag("prefetch-depth", "n",
                 "streaming IO prefetch depth (default: adaptive from the perf model)");
 
@@ -204,14 +204,11 @@ int main(int argc, char** argv) {
   opt.checkpoint_every = checkpoint_every;
   if (rss_budget_mb >= 0) opt.rss_budget_bytes = rss_budget_mb << 20;
   if (prefetch_depth > 0) opt.prefetch_depth = prefetch_depth;
-  // The block cache exists only for --stream-dir. Its budget resolves as in
-  // the trainer: the flag, else PLEXUS_RSS_MB, else unbounded.
+  // The block cache budget matters only for --stream-dir: the flag, else
+  // unbounded.
   std::string budget_label = "none (resident adjacency)";
   if (!stream_dir.empty()) {
-    const std::int64_t budget = opt.rss_budget_bytes >= 0
-                                    ? opt.rss_budget_bytes
-                                    : plexus::core::env_rss_budget_bytes();
-    budget_label = budget >= 0 ? std::to_string(budget >> 20) + " MiB" : "unbounded";
+    budget_label = rss_budget_mb >= 0 ? std::to_string(rss_budget_mb) + " MiB" : "unbounded";
   }
 
   if (!write_shards_dir.empty()) {
@@ -305,9 +302,9 @@ int main(int argc, char** argv) {
     plexus::core::ShardedDatasetView view(dir);
     result = plexus::core::train_plexus_rank(view, opt, rt.rank);
     if (rt.rank == 0) {
-      const auto& st = view.load_stats();
+      const auto st = view.cache_stats();
       std::printf("rank 0 streamed %lld bytes from %lld block files (shard-local IO)\n",
-                  static_cast<long long>(st.bytes_read), static_cast<long long>(st.files_opened));
+                  static_cast<long long>(st.bytes_loaded), static_cast<long long>(st.misses));
     }
   }
 

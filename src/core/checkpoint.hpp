@@ -8,8 +8,8 @@
 /// spec, per-layer weights/optimizer moments, feature optimizer moments and
 /// the epoch counter. That layout buys three consumers with one format:
 ///
-///  * **resume** — ShardedDatasetView(dir) / load_checkpoint_dataset(dir) is
-///    a valid dataset whose features are the trained embeddings;
+///  * **resume** — ShardedDatasetView(dir) reads the directory in place as a
+///    valid dataset whose features are the trained embeddings;
 ///    DistGcn::restore_state re-slices weights + optimizer state and
 ///    training continues bitwise (the epoch seed keys on the absolute epoch
 ///    index, which model.plx preserves);
@@ -49,9 +49,8 @@ void save_checkpoint(const std::string& dir, const DatasetView& view,
 io::ModelState load_model_state(const std::string& dir);
 
 /// Materialise the checkpoint's dataset in memory (features are the trained
-/// embeddings). For the threaded in-process trainer; one-process-per-rank
-/// resume should use a per-rank ShardedDatasetView(dir) instead so each
-/// process streams only its own shard's blocks.
+/// embeddings), for the serial server and tools that want it whole. Resume
+/// does not: it reads the directory in place through ShardedDatasetView(dir).
 PlexusDataset load_checkpoint_dataset(const std::string& dir);
 
 }  // namespace plexus::core

@@ -42,7 +42,17 @@ const std::vector<std::uint8_t>& InMemoryDatasetView::mask(Split split) const {
 }
 
 ShardedDatasetView::ShardedDatasetView(std::string dir)
-    : dir_(std::move(dir)), meta_(io::read_meta(dir_)) {
+    : ShardedDatasetView(std::move(dir), 0, /*streaming=*/false) {}
+
+ShardedDatasetView::ShardedDatasetView(std::string dir, std::int64_t rss_budget_bytes)
+    : ShardedDatasetView(std::move(dir), rss_budget_bytes, /*streaming=*/true) {}
+
+ShardedDatasetView::ShardedDatasetView(std::string dir, std::int64_t rss_budget_bytes,
+                                       bool streaming)
+    : dir_(std::move(dir)),
+      meta_(io::read_meta(dir_)),
+      streaming_(streaming),
+      cache_(std::make_unique<io::BlockCache>(rss_budget_bytes)) {
   const io::PlexusShardMeta pm = io::read_plexus_meta(dir_);
   padded_nodes_ = meta_.num_nodes;
   padded_feature_dim_ = meta_.feature_dim;
@@ -61,26 +71,13 @@ ShardedDatasetView::ShardedDatasetView(std::string dir)
                "sharded dataset: labels/masks do not cover the padded nodes");
 }
 
-ShardedDatasetView::ShardedDatasetView(std::string dir, std::int64_t rss_budget_bytes)
-    : ShardedDatasetView(std::move(dir)) {
-  cache_ = std::make_unique<io::BlockCache>(rss_budget_bytes);
-}
-
 const char* ShardedDatasetView::prefix(int version) const {
   return version % 2 != 0 && adjacency_versions_ > 1 ? "adjo" : "adj";
 }
 
 sparse::Csr ShardedDatasetView::adjacency_block(int version, std::int64_t r0, std::int64_t r1,
                                                std::int64_t c0, std::int64_t c1) const {
-  if (cache_ != nullptr) return adjacency_block_counted(version, r0, r1, c0, c1, nullptr);
-  // Only the owning rank thread calls this on a plain view, so it may count
-  // into the unsynchronised stats_.
-  return io::load_adjacency_window(dir_, prefix(version), meta_, r0, r1, c0, c1,
-                                   io::Orientation::Rows,
-                                   io::fresh_block_opener([this](const io::MappedBlock& file) {
-                                     stats_.files_opened++;
-                                     stats_.bytes_read += file.size_bytes();
-                                   }));
+  return counted_window(version, r0, r1, c0, c1, io::Orientation::Rows, nullptr);
 }
 
 sparse::Csr ShardedDatasetView::adjacency_block_counted(int version, std::int64_t r0,
@@ -101,14 +98,7 @@ sparse::Csr ShardedDatasetView::counted_window(int version, std::int64_t r0, std
                                                std::int64_t c0, std::int64_t c1,
                                                io::Orientation orientation,
                                                std::int64_t* io_bytes) const {
-  // Runs on prefetch workers: count into the caller's slot, never stats_.
   if (io_bytes != nullptr) *io_bytes = 0;
-  if (cache_ == nullptr) {
-    return io::load_adjacency_window(dir_, prefix(version), meta_, r0, r1, c0, c1, orientation,
-                                     io::fresh_block_opener([io_bytes](const io::MappedBlock& f) {
-                                       if (io_bytes != nullptr) *io_bytes += f.size_bytes();
-                                     }));
-  }
   auto window = io::load_adjacency_window(
       dir_, prefix(version), meta_, r0, r1, c0, c1, orientation,
       [&](const std::string& path, io::Orientation o) { return cache_->get(path, o, io_bytes); });
@@ -120,14 +110,10 @@ sparse::Csr ShardedDatasetView::counted_window(int version, std::int64_t r0, std
 
 dense::Matrix ShardedDatasetView::feature_block(std::int64_t r0, std::int64_t r1,
                                                std::int64_t c0, std::int64_t c1) const {
-  // In streaming mode the view is shared across rank threads; don't touch
-  // the unsynchronised stats_.
-  return io::load_feature_block(dir_, r0, r1, c0, c1, cache_ != nullptr ? nullptr : &stats_);
+  return io::load_feature_block(dir_, r0, r1, c0, c1);
 }
 
-io::BlockCache::Stats ShardedDatasetView::cache_stats() const {
-  return cache_ != nullptr ? cache_->stats() : io::BlockCache::Stats{};
-}
+io::BlockCache::Stats ShardedDatasetView::cache_stats() const { return cache_->stats(); }
 
 const std::vector<std::int32_t>& ShardedDatasetView::labels() const { return labels_; }
 

@@ -10,10 +10,10 @@
 ///    this process (the threaded `run_cluster` path: one dataset shared by
 ///    every rank thread).
 ///  * `ShardedDatasetView` — backed by a directory of block files written by
-///    `write_sharded_plexus_dataset`. Block requests open only the files
+///    `write_sharded_plexus_dataset`. Block requests read only the files
 ///    intersecting the window (loader/shard_io), so a one-process-per-rank
 ///    launch (the MPI backend) never materialises the full graph anywhere
-///    but rank 0's preprocess step. `load_stats()` proves it.
+///    but rank 0's preprocess step. `cache_stats()` proves it.
 ///
 /// Both providers hand out bitwise-identical blocks (the sharded round trip
 /// is exact binary CSR/float IO), which is what lets `mpirun`ed training
@@ -124,23 +124,22 @@ class InMemoryDatasetView final : public DatasetView {
 
 /// View over a `write_sharded_plexus_dataset` directory. The constructor
 /// reads only the metadata, labels and masks; adjacency/feature block
-/// requests stream exactly the intersecting block files. One view per rank —
-/// the accumulated `load_stats()` are not synchronised across threads.
-///
-/// The budgeted constructor turns the view into a *streaming* provider: one
-/// view shared by every rank thread, adjacency windows assembled from the
-/// parsed blocks of an LRU BlockCache bounded by `rss_budget_bytes` (< 0 =
-/// unlimited): forward row windows from the blocks' file form, backward A^T
-/// windows from transposed forms the cache derives once per admission. The
-/// streamed read path is thread-safe and never touches `load_stats()`;
-/// cache_stats() carries the accounting instead.
+/// requests read exactly the intersecting block files. Every view reads
+/// adjacency through one path, its own LRU BlockCache: windows are assembled
+/// from the cache's parsed blocks, forward row windows from the blocks' file
+/// form, backward A^T windows from transposed forms the cache derives once
+/// per admission. All reads are thread-safe, so one view may be shared by
+/// every rank thread, and cache_stats() is the one IO account.
 class ShardedDatasetView final : public DatasetView {
  public:
+  /// Plain view: a budget-0 cache, which keeps no block once its window is
+  /// built. The model materialises each rank's adjacency shard once.
   explicit ShardedDatasetView(std::string dir);
 
-  /// Streaming-mode view: adjacency windows go through a BlockCache holding
-  /// at most `rss_budget_bytes` of unpinned blocks, in either orientation.
-  /// Produces windows bitwise-identical to the plain constructor's.
+  /// Streaming view: the model re-reads adjacency windows every epoch, and
+  /// the cache keeps at most `rss_budget_bytes` of unpinned blocks (< 0 =
+  /// unlimited), in either orientation. Produces windows bitwise-identical
+  /// to the plain constructor's.
   ShardedDatasetView(std::string dir, std::int64_t rss_budget_bytes);
 
   sparse::Csr adjacency_block(int version, std::int64_t r0, std::int64_t r1, std::int64_t c0,
@@ -150,7 +149,7 @@ class ShardedDatasetView final : public DatasetView {
   const std::vector<std::int32_t>& labels() const override;
   const std::vector<std::uint8_t>& mask(Split split) const override;
 
-  bool streaming() const override { return cache_ != nullptr; }
+  bool streaming() const override { return streaming_; }
   std::int64_t adjacency_nnz() const override { return meta_.adjacency_nnz; }
   sparse::Csr adjacency_block_counted(int version, std::int64_t r0, std::int64_t r1,
                                       std::int64_t c0, std::int64_t c1,
@@ -161,29 +160,28 @@ class ShardedDatasetView final : public DatasetView {
 
   const std::string& dir() const { return dir_; }
 
-  /// Bytes/files this view has streamed so far — the evidence that a rank
-  /// loaded only its own shard's blocks. Not meaningful (and not written)
-  /// in streaming mode; see cache_stats().
-  const io::LoadStats& load_stats() const { return stats_; }
-
-  /// Block-cache accounting of the streaming mode (all zeros otherwise).
+  /// Adjacency accounting of the view's cache: `misses` counts block files
+  /// read (and transposed forms built), `bytes_loaded` the bytes read from
+  /// disk — the evidence that a rank loaded only its own shard's blocks.
   io::BlockCache::Stats cache_stats() const;
 
  private:
+  ShardedDatasetView(std::string dir, std::int64_t rss_budget_bytes, bool streaming);
+
   const char* prefix(int version) const;
-  /// One window of `version` through the cache, or over freshly opened
-  /// files without one, counting disk bytes into `io_bytes`.
+  /// One window of `version` through the cache, counting disk bytes into
+  /// `io_bytes`.
   sparse::Csr counted_window(int version, std::int64_t r0, std::int64_t r1, std::int64_t c0,
                              std::int64_t c1, io::Orientation orientation,
                              std::int64_t* io_bytes) const;
 
   std::string dir_;
   io::ShardedMeta meta_;
+  bool streaming_ = false;
   std::int32_t adjacency_versions_ = 1;
   std::vector<std::int32_t> labels_;
   io::ShardedMasks masks_;
   std::unique_ptr<io::BlockCache> cache_;
-  mutable io::LoadStats stats_;
 };
 
 /// Write `ds` into `dir` as a parts x parts block-file grid readable by

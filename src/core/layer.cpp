@@ -79,13 +79,15 @@ DistGcnLayer::DistGcnLayer(std::int64_t padded_nodes, const Grid3D& grid, int ra
                  "stream plan does not match layer roles");
   }
 
-  // W block (rows = Q slice of Din, cols = P slice of Dout), flat 1/R slice.
-  const Slice wrows = uniform_slice(in_dim_padded, ext_q_, coord_q_);
-  const Slice wcols = uniform_slice(out_dim_padded, ext_p_, coord_p_);
-  const dense::Matrix w_block = init_weight_block(seed, layer_index, wrows.begin, wcols.begin,
-                                                  wrows.size(), wcols.size(), in_dim_valid,
-                                                  out_dim_valid);
-  w_slice_ = flat_slice(w_block, ext_r_, coord_r_);
+  // This rank's flat 1/R slice of its W block (rows = Q slice of Din, cols =
+  // P slice of Dout), each element initialised at its global coordinates.
+  w_slice_.reserve(static_cast<std::size_t>(din_q_ * dout_p_ / ext_r_));
+  for (const SliceRun& run : weight_slice_runs(in_dim_padded, out_dim_padded, grid, roles_, c)) {
+    for (std::int64_t k = run.offset; k < run.offset + run.length; ++k) {
+      w_slice_.push_back(weight_init_value(seed, layer_index, k / out_dim_padded,
+                                           k % out_dim_padded, in_dim_valid, out_dim_valid));
+    }
+  }
   dw_slice_.assign(w_slice_.size(), 0.0f);
   adam_ = dense::Adam(w_slice_.size(), opts.adam);
 }

@@ -55,25 +55,26 @@ DistGcn::DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& g
   // across R0 because the trainable embeddings carry Adam state (section
   // 3.1). The slice is resharded row-major against the R0-aligned aggregation
   // row blocks (see model.hpp) so the layer-0 gradient reduce-scatter and the
-  // input gather both run per block and join the software pipeline.
+  // input gather both run per block and join the software pipeline. The
+  // slice map names the slice's global elements; they are read out of this
+  // rank's feature block.
   const LayerRoles r0 = roles_for_layer(0);
   const Coords c = grid.coords_of(ctx.rank());
-  const auto blk = matrix_shard(view.padded_nodes(), padded_dims_[0], grid, c, r0.p, r0.q);
+  const std::int64_t feat_cols = padded_dims_[0];
+  const auto blk = matrix_shard(view.padded_nodes(), feat_cols, grid, c, r0.p, r0.q);
   f_block_rows_ = blk.rows.size();
   f_block_cols_ = blk.cols.size();
   const dense::Matrix f_block =
       view.feature_block(blk.rows.begin, blk.rows.end, blk.cols.begin, blk.cols.end);
   f_r_ext_ = grid.extent(r0.r);
-  f_r_coord_ = Grid3D::coord(c, r0.r);
-  const int nb = std::max(1, spec_.options.agg_row_blocks);
-  f_bounds_ = sparse::block_bounds_aligned(f_block_rows_, nb, f_r_ext_);
+  f_bounds_ = sparse::block_bounds_aligned(f_block_rows_, std::max(1, spec_.options.agg_row_blocks),
+                                           f_r_ext_);
   f_slice_.reserve(static_cast<std::size_t>(f_block_rows_ / f_r_ext_ * f_block_cols_));
-  for (std::size_t k = 0; k + 1 < f_bounds_.size(); ++k) {
-    const std::int64_t len = f_bounds_[k + 1] - f_bounds_[k];
-    const std::int64_t sub = len / f_r_ext_;
-    const std::int64_t r0_row = f_bounds_[k] + f_r_coord_ * sub;
-    const float* src = f_block.row(r0_row);
-    f_slice_.insert(f_slice_.end(), src, src + sub * f_block_cols_);
+  for (const SliceRun& run : feature_slice_runs(view.padded_nodes(), feat_cols, grid, c,
+                                                spec_.options.agg_row_blocks)) {
+    const float* src = f_block.row(run.offset / feat_cols - blk.rows.begin) +
+                       (run.offset % feat_cols - blk.cols.begin);
+    f_slice_.insert(f_slice_.end(), src, src + run.length);
   }
   df_slice_.assign(f_slice_.size(), 0.0f);
   f_adam_ = dense::Adam(f_slice_.size(), spec_.options.adam);
@@ -192,103 +193,74 @@ CheckpointData DistGcn::gather_state(sim::RankContext& ctx) {
 
   // Every rank holds an equal-size flat slice of each sharded buffer (dims
   // are padded to the grid volume), so one world-group all-gather per buffer
-  // suffices. The buffers go one at a time through one receive buffer, and
-  // only rank 0 re-scatters every member's slice into the global copy.
+  // suffices. The buffers go one at a time through one receive buffer. Rank
+  // 0 then lays each member's slice down through that member's slice runs,
+  // which tile the global buffer exactly once, into a global buffer it
+  // allocates only after the gather.
   std::vector<float> gathered;
+  std::vector<std::vector<SliceRun>> member_runs(root ? static_cast<std::size_t>(world) : 0);
+  const auto map_members = [&](std::size_t slice, const auto& runs_of) {
+    for (int m = 0; m < static_cast<int>(member_runs.size()); ++m) {
+      auto& runs = member_runs[static_cast<std::size_t>(m)];
+      runs = runs_of(grid.coords_of(m));
+      PLEXUS_CHECK(runs_length(runs) == static_cast<std::int64_t>(slice),
+                   "gather_state: slice runs do not match the slice length");
+    }
+  };
   const auto gather = [&](std::span<const float> slice) {
     gathered.resize(slice.size() * static_cast<std::size_t>(world));
     ctx.comm.all_gather<float>(wg, slice, gathered);
   };
+  const auto lay_down = [&](float* dst) {
+    const float* src = gathered.data();
+    for (const auto& runs : member_runs) {
+      for (const SliceRun& run : runs) {
+        std::copy_n(src, run.length, dst + run.offset);
+        src += run.length;
+      }
+    }
+  };
+  const auto sized = [](std::vector<float>& v, std::int64_t n) {
+    v.assign(static_cast<std::size_t>(n), 0.0f);
+    return v.data();
+  };
 
-  // Per-layer weights + Adam moments, each member's slice re-scattered with
-  // that member's (deterministic) layout — the (q, p, r) coordinates tile the
-  // matrix exactly once.
   for (int l = 0; l < L; ++l) {
     auto& layer = *layers_[static_cast<std::size_t>(l)];
-    const std::int64_t rows = padded_dims_[static_cast<std::size_t>(l)];
-    const std::int64_t cols = padded_dims_[static_cast<std::size_t>(l) + 1];
-    const std::size_t slice = layer.weight_slice().size();
-    const LayerRoles& roles = layer.roles();
-    const auto rescatter = [&](std::vector<float>& dst) {
-      dst.assign(static_cast<std::size_t>(rows * cols), 0.0f);
-      for (int r = 0; r < world; ++r) {
-        const Coords c = grid.coords_of(r);
-        const Slice wr = uniform_slice(rows, grid.extent(roles.q), Grid3D::coord(c, roles.q));
-        const Slice wc = uniform_slice(cols, grid.extent(roles.p), Grid3D::coord(c, roles.p));
-        const Slice fs = flat_slice_range(wr.size() * wc.size(), grid.extent(roles.r),
-                                          Grid3D::coord(c, roles.r));
-        PLEXUS_CHECK(static_cast<std::size_t>(fs.size()) == slice,
-                     "gather_state: weight slice size mismatch");
-        const std::size_t base = static_cast<std::size_t>(r) * slice;
-        for (std::int64_t i = 0; i < fs.size(); ++i) {
-          const std::int64_t flat = fs.begin + i;
-          dst[static_cast<std::size_t>((wr.begin + flat / wc.size()) * cols + wc.begin +
-                                       flat % wc.size())] =
-              gathered[base + static_cast<std::size_t>(i)];
-        }
-      }
-    };
     io::LayerState ls;
-    ls.rows = rows;
-    ls.cols = cols;
+    ls.rows = padded_dims_[static_cast<std::size_t>(l)];
+    ls.cols = padded_dims_[static_cast<std::size_t>(l) + 1];
     ls.adam_t = layer.optimizer().t();  // identical on all ranks
+    map_members(layer.weight_slice().size(), [&](const Coords& c) {
+      return weight_slice_runs(ls.rows, ls.cols, grid, layer.roles(), c);
+    });
     gather(layer.weight_slice());
-    if (root) rescatter(ls.w);
+    if (root) lay_down(sized(ls.w, ls.rows * ls.cols));
     gather(layer.optimizer().m());
-    if (root) rescatter(ls.m);
+    if (root) lay_down(sized(ls.m, ls.rows * ls.cols));
     gather(layer.optimizer().v());
-    if (root) rescatter(ls.v);
+    if (root) lay_down(sized(ls.v, ls.rows * ls.cols));
     if (root) s.layers.push_back(std::move(ls));
   }
 
-  // Trainable features + their Adam moments: same gather-then-re-scatter,
-  // but through the layer-0 reshard layout (matrix_shard block, R0-aligned
-  // aggregation row blocks, r-th sub-range of each block — mirrors the ctor).
+  // Trainable features + their Adam moments, through the features' slice map.
   const std::int64_t feat_rows = view_->padded_nodes();
   const std::int64_t feat_cols = padded_dims_[0];
-  const std::size_t fslice = f_slice_.size();
-  const LayerRoles r0 = roles_for_layer(0);
-  const int nb = std::max(1, spec_.options.agg_row_blocks);
-  const auto rescatter_features = [&](float* dst) {
-    for (int r = 0; r < world; ++r) {
-      const Coords c = grid.coords_of(r);
-      const auto blk = matrix_shard(feat_rows, feat_cols, grid, c, r0.p, r0.q);
-      const int ext_r = grid.extent(r0.r);
-      const int rc = Grid3D::coord(c, r0.r);
-      const auto bounds = sparse::block_bounds_aligned(blk.rows.size(), nb, ext_r);
-      const std::int64_t bcols = blk.cols.size();
-      std::size_t off = static_cast<std::size_t>(r) * fslice;
-      for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
-        const std::int64_t sub = (bounds[k + 1] - bounds[k]) / ext_r;
-        for (std::int64_t i = 0; i < sub; ++i) {
-          const std::int64_t grow = blk.rows.begin + bounds[k] + rc * sub + i;
-          std::copy_n(gathered.data() + off, bcols, dst + grow * feat_cols + blk.cols.begin);
-          off += static_cast<std::size_t>(bcols);
-        }
-      }
-      PLEXUS_CHECK(off == static_cast<std::size_t>(r + 1) * fslice,
-                   "gather_state: feature slice size mismatch");
-    }
-  };
-  const std::size_t ftotal = static_cast<std::size_t>(feat_rows * feat_cols);
+  map_members(f_slice_.size(), [&](const Coords& c) {
+    return feature_slice_runs(feat_rows, feat_cols, grid, c, spec_.options.agg_row_blocks);
+  });
   gather(f_slice_);
   if (root) {
     s.feat_rows = feat_rows;
     s.feat_cols = feat_cols;
     s.feat_t = f_adam_.t();
     out.features = dense::Matrix(feat_rows, feat_cols);
-    rescatter_features(out.features.data());
+    lay_down(out.features.data());
   }
   gather(f_adam_.m());
-  if (root) {
-    s.feat_m.assign(ftotal, 0.0f);
-    rescatter_features(s.feat_m.data());
-  }
+  if (root) lay_down(sized(s.feat_m, feat_rows * feat_cols));
   gather(f_adam_.v());
-  if (root) {
-    s.feat_v.assign(ftotal, 0.0f);
-    rescatter_features(s.feat_v.data());
-  }
+  if (root) lay_down(sized(s.feat_v, feat_rows * feat_cols));
   return out;
 }
 
@@ -300,6 +272,18 @@ void DistGcn::restore_state(const io::ModelState& s) {
   PLEXUS_CHECK(s.feat_rows == view_->padded_nodes() && s.feat_cols == padded_dims_[0],
                "restore_state: checkpoint feature shape does not match the dataset");
   const Coords c = grid.coords_of(rank_);
+  // This rank's slice of a global buffer: its runs, read back in slice order.
+  const auto read_runs = [](const std::vector<float>& global, const std::vector<SliceRun>& runs) {
+    std::vector<float> slice;
+    slice.reserve(static_cast<std::size_t>(runs_length(runs)));
+    for (const SliceRun& run : runs) {
+      PLEXUS_CHECK(run.offset + run.length <= static_cast<std::int64_t>(global.size()),
+                   "restore_state: checkpoint buffer is smaller than its slice map");
+      slice.insert(slice.end(), global.begin() + run.offset,
+                   global.begin() + run.offset + run.length);
+    }
+    return slice;
+  };
 
   for (int l = 0; l < L; ++l) {
     auto& layer = *layers_[static_cast<std::size_t>(l)];
@@ -307,45 +291,19 @@ void DistGcn::restore_state(const io::ModelState& s) {
     PLEXUS_CHECK(ls.rows == padded_dims_[static_cast<std::size_t>(l)] &&
                      ls.cols == padded_dims_[static_cast<std::size_t>(l) + 1],
                  "restore_state: layer dims do not match");
-    const LayerRoles& roles = layer.roles();
-    const Slice wr = uniform_slice(ls.rows, grid.extent(roles.q), Grid3D::coord(c, roles.q));
-    const Slice wc = uniform_slice(ls.cols, grid.extent(roles.p), Grid3D::coord(c, roles.p));
-    const Slice fs =
-        flat_slice_range(wr.size() * wc.size(), grid.extent(roles.r), Grid3D::coord(c, roles.r));
-    std::vector<float> w(static_cast<std::size_t>(fs.size()));
-    std::vector<float> m(w.size());
-    std::vector<float> v(w.size());
-    for (std::int64_t i = 0; i < fs.size(); ++i) {
-      const std::int64_t flat = fs.begin + i;
-      const std::size_t src = static_cast<std::size_t>(
-          (wr.begin + flat / wc.size()) * ls.cols + wc.begin + flat % wc.size());
-      w[static_cast<std::size_t>(i)] = ls.w[src];
-      m[static_cast<std::size_t>(i)] = ls.m[src];
-      v[static_cast<std::size_t>(i)] = ls.v[src];
-    }
-    layer.restore_state(w, m, v, ls.adam_t);
+    const auto runs = weight_slice_runs(ls.rows, ls.cols, grid, layer.roles(), c);
+    layer.restore_state(read_runs(ls.w, runs), read_runs(ls.m, runs), read_runs(ls.v, runs),
+                        ls.adam_t);
   }
 
-  // Feature Adam moments, re-sliced through the ctor's reshard layout. The
-  // features themselves were already loaded from the view (the checkpoint's
-  // feature blocks are the trained embeddings).
-  std::vector<float> fm(f_slice_.size());
-  std::vector<float> fv(f_slice_.size());
-  const LayerRoles r0 = roles_for_layer(0);
-  const auto blk = matrix_shard(s.feat_rows, s.feat_cols, grid, c, r0.p, r0.q);
-  std::size_t off = 0;
-  for (std::size_t k = 0; k + 1 < f_bounds_.size(); ++k) {
-    const std::int64_t sub = (f_bounds_[k + 1] - f_bounds_[k]) / f_r_ext_;
-    for (std::int64_t i = 0; i < sub; ++i) {
-      const std::int64_t grow = blk.rows.begin + f_bounds_[k] + f_r_coord_ * sub + i;
-      const std::size_t src = static_cast<std::size_t>(grow * s.feat_cols + blk.cols.begin);
-      std::copy_n(s.feat_m.data() + src, f_block_cols_, fm.data() + off);
-      std::copy_n(s.feat_v.data() + src, f_block_cols_, fv.data() + off);
-      off += static_cast<std::size_t>(f_block_cols_);
-    }
-  }
-  PLEXUS_CHECK(off == f_slice_.size(), "restore_state: feature slice size mismatch");
-  f_adam_.set_state(fm, fv, s.feat_t);
+  // Feature Adam moments only. The features themselves were already loaded
+  // from the view (the checkpoint's feature blocks are the trained
+  // embeddings).
+  const auto runs =
+      feature_slice_runs(s.feat_rows, s.feat_cols, grid, c, spec_.options.agg_row_blocks);
+  PLEXUS_CHECK(runs_length(runs) == static_cast<std::int64_t>(f_slice_.size()),
+               "restore_state: feature slice size mismatch");
+  f_adam_.set_state(read_runs(s.feat_m, runs), read_runs(s.feat_v, runs), s.feat_t);
 }
 
 dense::Matrix DistGcn::forward_logits(sim::RankContext& ctx) {

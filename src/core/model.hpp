@@ -69,10 +69,10 @@ struct EpochStats {
 
 class DistGcn {
  public:
-  /// Build the per-rank model from any DatasetView — the shared in-memory
-  /// dataset (threaded clusters) or a rank-private ShardedDatasetView (one
-  /// process per rank; only this rank's block files are ever opened). The
-  /// view must outlive the model.
+  /// Build the per-rank model from any DatasetView — an in-memory dataset or
+  /// a ShardedDatasetView, shared by the rank threads of a threaded cluster
+  /// or private to one process per rank (either way this rank reads only its
+  /// own shard's block files). The view must outlive the model.
   DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& grid, GcnSpec spec);
 
   EpochStats train_epoch(sim::RankContext& ctx, int epoch);
@@ -143,7 +143,6 @@ class DistGcn {
   std::int64_t f_block_cols_ = 0;
   std::vector<std::int64_t> f_bounds_;  ///< R0-aligned aggregation row blocks
   int f_r_ext_ = 1;                     ///< R0 extent (reshard parts)
-  int f_r_coord_ = 0;                   ///< this rank's R0 coordinate
 
   // Workspace outside the layers, sized on first use.
   dense::Matrix f_in_;                  ///< gathered layer-0 input block (N'/P0 x D0'/Q0)

@@ -1,7 +1,9 @@
 #include "core/shard.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "sparse/partition2d.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -27,14 +29,45 @@ dense::Matrix extract_block(const dense::Matrix& global, const Slice& rows, cons
   return global.block(rows.begin, rows.end, cols.begin, cols.end);
 }
 
-Slice flat_slice_range(std::int64_t total_elems, int parts, int idx) {
-  return uniform_slice(total_elems, parts, idx);
+std::vector<SliceRun> weight_slice_runs(std::int64_t rows, std::int64_t cols, const Grid3D& grid,
+                                        const LayerRoles& roles, const Coords& c) {
+  const BlockShard blk = matrix_shard(rows, cols, grid, c, roles.q, roles.p);
+  const std::int64_t width = blk.cols.size();
+  const Slice flat = uniform_slice(blk.rows.size() * width, grid.extent(roles.r),
+                                   Grid3D::coord(c, roles.r));
+  std::vector<SliceRun> runs;
+  for (std::int64_t k = flat.begin; k < flat.end;) {
+    const std::int64_t len = std::min(width - k % width, flat.end - k);
+    runs.push_back({(blk.rows.begin + k / width) * cols + blk.cols.begin + k % width, len});
+    k += len;
+  }
+  return runs;
 }
 
-std::vector<float> flat_slice(const dense::Matrix& block, int parts, int idx) {
-  const Slice s = flat_slice_range(block.size(), parts, idx);
-  const auto flat = block.flat();
-  return {flat.begin() + s.begin, flat.begin() + s.end};
+std::vector<SliceRun> feature_slice_runs(std::int64_t rows, std::int64_t cols,
+                                         const Grid3D& grid, const Coords& c,
+                                         int agg_row_blocks) {
+  const LayerRoles r0 = roles_for_layer(0);
+  const BlockShard blk = matrix_shard(rows, cols, grid, c, r0.p, r0.q);
+  const int ext_r = grid.extent(r0.r);
+  const int coord_r = Grid3D::coord(c, r0.r);
+  const auto bounds =
+      sparse::block_bounds_aligned(blk.rows.size(), std::max(1, agg_row_blocks), ext_r);
+  std::vector<SliceRun> runs;
+  for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+    const std::int64_t sub = (bounds[k + 1] - bounds[k]) / ext_r;
+    for (std::int64_t i = 0; i < sub; ++i) {
+      const std::int64_t row = blk.rows.begin + bounds[k] + coord_r * sub + i;
+      runs.push_back({row * cols + blk.cols.begin, blk.cols.size()});
+    }
+  }
+  return runs;
+}
+
+std::int64_t runs_length(const std::vector<SliceRun>& runs) {
+  std::int64_t n = 0;
+  for (const SliceRun& run : runs) n += run.length;
+  return n;
 }
 
 float weight_init_value(std::uint64_t seed, int layer, std::int64_t r, std::int64_t c,

@@ -1,12 +1,11 @@
 #pragma once
 /// \file shard.hpp
 /// Shard geometry helpers: uniform 1D slices, 2D block shards addressed by
-/// grid axes, flat (1/R) slices for the extra sharding of weights and input
+/// grid axes, the slice map of the extra 1/R sharding of weights and input
 /// features, and the deterministic weight initialisation shared by the serial
 /// reference and every distributed configuration.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/grid.hpp"
@@ -36,11 +35,35 @@ BlockShard matrix_shard(std::int64_t rows, std::int64_t cols, const Grid3D& grid
 /// Dense copy of a global matrix's (rows x cols) sub-block.
 dense::Matrix extract_block(const dense::Matrix& global, const Slice& rows, const Slice& cols);
 
-/// The idx-th of `parts` equal slices of a row-major block's flat buffer (the
-/// "further shard across the Z-parallel group" of weights / input features:
-/// contiguous flat slices all-gather back into the row-major block).
-std::vector<float> flat_slice(const dense::Matrix& block, int parts, int idx);
-Slice flat_slice_range(std::int64_t total_elems, int parts, int idx);
+/// One contiguous piece of a rank's flat slice inside the row-major global
+/// buffer: `length` elements from global flat offset `offset`.
+struct SliceRun {
+  std::int64_t offset = 0;
+  std::int64_t length = 0;
+};
+
+/// The slice map: which elements of a row-major global buffer a rank's flat
+/// slice holds, as runs in slice order, one per row piece. It is the one
+/// place that layout is computed; model init, checkpoint assembly and restore
+/// all go through it. Dims must be padded to the grid volume.
+///
+/// Weights of a layer with `roles`, (rows x cols): the (rows/Q x cols/P)
+/// block at the rank's (Q, P) coordinates, whose row-major flat buffer is cut
+/// into R equal contiguous slices (the "further shard across the Z-parallel
+/// group": the R group's slices all-gather back into the block).
+std::vector<SliceRun> weight_slice_runs(std::int64_t rows, std::int64_t cols, const Grid3D& grid,
+                                        const LayerRoles& roles, const Coords& c);
+
+/// Trainable input features (rows x cols): the layer-0 (P0 x Q0) block, cut
+/// into `agg_row_blocks` R0-aligned aggregation row blocks; the rank holds the
+/// R0-th sub-range of rows of each, so the per-block input gathers and
+/// feature-gradient reduce-scatters reassemble the block in place.
+std::vector<SliceRun> feature_slice_runs(std::int64_t rows, std::int64_t cols,
+                                         const Grid3D& grid, const Coords& c,
+                                         int agg_row_blocks);
+
+/// Total elements the runs cover: the length of the slice they map.
+std::int64_t runs_length(const std::vector<SliceRun>& runs);
 
 /// Deterministic Glorot value of element (r, c) of layer `layer`'s weight
 /// matrix with *active* shape (valid_rows x valid_cols). Elements in the

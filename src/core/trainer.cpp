@@ -1,13 +1,10 @@
 #include "core/trainer.hpp"
 
-#include <cstdlib>
-#include <mutex>
+#include <algorithm>
 
 #include "comm/world.hpp"
 #include "sim/cluster.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
-#include "util/parse.hpp"
 
 namespace plexus::core {
 
@@ -46,22 +43,8 @@ GcnSpec resolve_options(const TrainOptions& opt) {
   GcnSpec spec = opt.model;
   if (opt.pipeline_depth >= 0) spec.options.pipeline_depth = opt.pipeline_depth;
   if (opt.prefetch_depth >= 0) spec.options.prefetch_depth = opt.prefetch_depth;
-  const std::int64_t budget =
-      opt.rss_budget_bytes >= 0 ? opt.rss_budget_bytes : env_rss_budget_bytes();
-  if (budget >= 0) spec.options.rss_budget_bytes = budget;
+  if (opt.rss_budget_bytes >= 0) spec.options.rss_budget_bytes = opt.rss_budget_bytes;
   return spec;
-}
-
-std::int64_t env_rss_budget_bytes() {
-  const char* env = std::getenv("PLEXUS_RSS_MB");
-  if (env == nullptr || *env == '\0') return -1;
-  std::int64_t mb = -1;
-  if (!util::parse_int64(env, mb) || mb < 0 || mb > kMaxRssBudgetMb) {
-    PLEXUS_LOG(Warn) << "PLEXUS_RSS_MB=" << env << " is not a megabyte count in [0, "
-                     << kMaxRssBudgetMb << "]; ignoring it";
-    return -1;
-  }
-  return mb << 20;
 }
 
 GcnSpec spec_from_model_state(const io::ModelState& s) {
@@ -224,11 +207,9 @@ TrainResult train_plexus_rank(const DatasetView& view, const TrainOptions& opt, 
 TrainResult resume_plexus(const std::string& checkpoint_dir, const TrainOptions& opt) {
   const io::ModelState state = load_model_state(checkpoint_dir);
   const TrainOptions ropt = options_for_resume(opt, state);
-  // The threaded cluster shares one view across rank threads, so the
-  // checkpoint dataset is materialised in memory (ShardedDatasetView is
-  // per-rank: its streaming stats are not synchronised).
-  const PlexusDataset ds = load_checkpoint_dataset(checkpoint_dir);
-  const InMemoryDatasetView view(ds);
+  // One view over the checkpoint directory, shared by every rank thread:
+  // each rank reads only its own shard's blocks, through the view's cache.
+  const ShardedDatasetView view(checkpoint_dir);
   return run_threaded(view, ropt,
                       ResumePlan{&state, static_cast<int>(state.epochs_completed)});
 }
@@ -243,13 +224,11 @@ TrainResult resume_plexus_rank(const std::string& checkpoint_dir, const TrainOpt
 }
 
 TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOptions& opt) {
-  const std::int64_t budget =
-      opt.rss_budget_bytes >= 0 ? opt.rss_budget_bytes : env_rss_budget_bytes();
   // One budgeted view shared by every rank thread: the shared BlockCache is
   // what makes the budget a bound on the whole process, not per rank. Block
   // loads go through each rank's ShardStream worker; BlockCache::get is
   // thread-safe and reads, parses and transposes blocks outside its lock.
-  const ShardedDatasetView view(shard_dir, budget);
+  const ShardedDatasetView view(shard_dir, opt.rss_budget_bytes);
   return run_threaded(view, opt, ResumePlan{});
 }
 

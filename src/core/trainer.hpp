@@ -65,11 +65,10 @@ struct TrainOptions {
   int prefetch_depth = -1;
   /// RSS budget in bytes for the streaming block cache (see
   /// PlexusOptions::rss_budget_bytes and loader::BlockCache). < 0 (default)
-  /// defers to the PLEXUS_RSS_MB environment variable (unset = unbounded
-  /// cache); >= 0 overrides. Only consulted by train_plexus_streaming (it
-  /// sizes the budgeted ShardedDatasetView) and by the layers' adaptive
-  /// prefetch-depth clamp. Pure memory knob: losses are bitwise-identical
-  /// for any budget.
+  /// = unbounded cache; >= 0 bounds it. Only consulted by
+  /// train_plexus_streaming (it sizes the budgeted ShardedDatasetView) and by
+  /// the layers' adaptive prefetch-depth clamp. Pure memory knob: losses are
+  /// bitwise-identical for any budget.
   std::int64_t rss_budget_bytes = -1;
   /// Ignored; see core::Aggregation.
   std::optional<Aggregation> aggregation;
@@ -105,21 +104,15 @@ struct TrainOptions {
 /// Resolve the effective per-layer options from TrainOptions — THE one place
 /// trainer-level overrides meet GcnSpec, shared by every driver (threaded,
 /// one-process-per-rank, resume) and by serve/, so all of them configure the
-/// model identically. Contract, uniform across knobs:
-///   * pipeline_depth:  opt.pipeline_depth >= 0 overrides, < 0 (default)
-///     inherits model.options.pipeline_depth.
-/// Everything else passes through opt.model untouched.
+/// model identically. Contract, uniform across knobs: opt.pipeline_depth,
+/// opt.prefetch_depth and opt.rss_budget_bytes override the model option of
+/// the same name when >= 0; < 0 (default) inherits model.options. Everything
+/// else passes through opt.model untouched.
 GcnSpec resolve_options(const TrainOptions& opt);
 
 /// Largest RSS budget in megabytes whose byte count (`mb << 20`) fits in
 /// int64.
 inline constexpr std::int64_t kMaxRssBudgetMb = std::numeric_limits<std::int64_t>::max() >> 20;
-
-/// PLEXUS_RSS_MB parsed to bytes (megabytes << 20), or -1 when the variable
-/// is unset, or when it is not a whole decimal number in
-/// [0, kMaxRssBudgetMb] (then it also logs a warning). The environment-level
-/// default behind TrainOptions::rss_budget_bytes.
-std::int64_t env_rss_budget_bytes();
 
 /// Rebuild the GcnSpec a checkpoint was trained with (exactly what
 /// gather_state flattened into the ModelState spec fields). Rejects a
@@ -160,8 +153,7 @@ EpochStats reduce_epoch_stats(comm::Communicator& comm, comm::GroupId wg, EpochS
 
 /// Train against any DatasetView on the threaded in-process cluster. The one
 /// view is shared by every rank thread, so it must be thread-safe for reads
-/// (InMemoryDatasetView is; ShardedDatasetView is per-rank and is not — use
-/// train_plexus_rank for sharded views).
+/// (InMemoryDatasetView and ShardedDatasetView both are).
 TrainResult train_plexus(const DatasetView& view, const TrainOptions& opt);
 
 /// Convenience: preprocess `g` (padding to the grid volume) and train.
@@ -171,8 +163,8 @@ TrainResult train_plexus(const graph::Graph& g, const TrainOptions& opt);
 /// `shard_dir` (a graph::rmat_to_shards / save_checkpoint-layout directory)
 /// through ONE budgeted ShardedDatasetView shared by every rank thread, so
 /// adjacency blocks are memory-mapped/read on demand through an LRU
-/// BlockCache whose resident bytes never exceed the resolved RSS budget
-/// (opt.rss_budget_bytes, else PLEXUS_RSS_MB, else unbounded). Losses and
+/// BlockCache whose resident bytes never exceed opt.rss_budget_bytes
+/// (unbounded when negative). Losses and
 /// simulated clocks are bitwise-identical to an in-memory train_plexus run
 /// over the same directory — streaming is a pure memory/scheduling knob.
 TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOptions& opt);
@@ -189,8 +181,9 @@ TrainResult train_plexus_streaming(const std::string& shard_dir, const TrainOpti
 TrainResult train_plexus_rank(const DatasetView& view, const TrainOptions& opt, int my_rank);
 
 /// Resume training from a checkpoint directory on the threaded in-process
-/// cluster: loads the checkpoint's dataset (trained features) and model
-/// state, restores weights/optimizer moments, and trains epochs
+/// cluster: reads the directory in place through one ShardedDatasetView that
+/// every rank thread shares (its feature blocks are the trained features),
+/// restores weights/optimizer moments from its model state, and trains epochs
 /// [epochs_completed, opt.epochs). Epoch seeds key on the absolute epoch
 /// index, so the resumed losses are bitwise-identical to an uninterrupted
 /// run's (tests/test_checkpoint.cpp). The checkpoint is authoritative for

@@ -1,7 +1,7 @@
 #pragma once
 /// \file block_cache.hpp
 /// LRU cache of parsed adjacency blocks, bounded by the training RSS budget
-/// (TrainOptions::rss_budget_bytes / --rss-budget / PLEXUS_RSS_MB). The
+/// (TrainOptions::rss_budget_bytes / --rss-budget). The
 /// cache is what turns "stream every block from disk" into "stream each
 /// block once per eviction window": a streaming epoch touches the same
 /// adjacency blocks every layer and every epoch, and whatever fits under

@@ -12,18 +12,19 @@ namespace plexus::sparse {
 namespace {
 
 /// The one row-range worker every SpMM entry point funnels through: rows
-/// [r0, r1) of A*B into the same rows of C, overwriting (zero-fill) or
-/// accumulating. Each output row is touched by exactly one call, so any
+/// [r0, r1) of A*B, each output row zero-filled first, into the same rows of
+/// the row-major output at `c`, whose row stride is b.cols() (callers check
+/// the output shape). Each output row is touched by exactly one call, so any
 /// partition of the row space yields bitwise-identical results; the
 /// runtime-dispatched SIMD kernel (util/simd.hpp) vectorizes over the feature
 /// dimension only, so every target is bitwise-identical to the scalar loop.
-void spmm_row_range(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std::int64_t r0,
-                    std::int64_t r1, bool accumulate) {
+void spmm_row_range(const Csr& a, const dense::Matrix& b, float* c, std::int64_t r0,
+                    std::int64_t r1) {
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto va = a.vals();
-  simd::active_kernels().spmm_rows(rp.data(), ci.data(), va.data(), b.data(), b.cols(), c.data(),
-                                   c.cols(), r0, r1, b.cols(), accumulate);
+  simd::active_kernels().spmm_rows(rp.data(), ci.data(), va.data(), b.data(), b.cols(), c,
+                                   b.cols(), r0, r1, b.cols());
 }
 
 /// Splits [r0, r1) into `parts` ranges of roughly equal nnz (prefix search
@@ -50,9 +51,10 @@ std::vector<std::int64_t> nnz_balanced_bounds(const Csr& a, std::int64_t r0, std
   return bounds;
 }
 
-/// Parallel dispatch over an nnz-balanced partition of [r0, r1).
-void spmm_range_dispatch(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std::int64_t r0,
-                         std::int64_t r1, bool accumulate) {
+/// Parallel dispatch over an nnz-balanced partition of [r0, r1), writing
+/// through the output base pointer `c` like spmm_row_range.
+void spmm_range_dispatch(const Csr& a, const dense::Matrix& b, float* c, std::int64_t r0,
+                         std::int64_t r1) {
   // The blocked-aggregation loop hits this path once per row block per
   // layer, so small blocks must not pay a pool dispatch.
   const auto rp = a.row_ptr();
@@ -60,7 +62,7 @@ void spmm_range_dispatch(const Csr& a, const dense::Matrix& b, dense::Matrix& c,
   if (t <= 1 || r1 - r0 <= 1 ||
       (rp[static_cast<std::size_t>(r1)] - rp[static_cast<std::size_t>(r0)]) * b.cols() <
           util::kSerialWorkCutoff) {
-    spmm_row_range(a, b, c, r0, r1, accumulate);
+    spmm_row_range(a, b, c, r0, r1);
     return;
   }
   const auto bounds = nnz_balanced_bounds(a, r0, r1, t);
@@ -69,7 +71,7 @@ void spmm_range_dispatch(const Csr& a, const dense::Matrix& b, dense::Matrix& c,
       [&](std::int64_t, std::int64_t p0, std::int64_t p1) {
         for (std::int64_t p = p0; p < p1; ++p) {
           spmm_row_range(a, b, c, bounds[static_cast<std::size_t>(p)],
-                         bounds[static_cast<std::size_t>(p) + 1], accumulate);
+                         bounds[static_cast<std::size_t>(p) + 1]);
         }
       });
 }
@@ -86,14 +88,14 @@ void spmm_rows(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std::int6
                std::int64_t r1) {
   check_shapes(a, b, c, "spmm");
   PLEXUS_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows(), "spmm_rows: bad row range");
-  spmm_range_dispatch(a, b, c, r0, r1, /*accumulate=*/false);
+  spmm_range_dispatch(a, b, c.data(), r0, r1);
 }
 
 void spmm_rows_serial(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std::int64_t r0,
-                      std::int64_t r1, bool accumulate) {
+                      std::int64_t r1) {
   check_shapes(a, b, c, "spmm_rows_serial");
   PLEXUS_CHECK(0 <= r0 && r0 <= r1 && r1 <= a.rows(), "spmm_rows_serial: bad row range");
-  spmm_row_range(a, b, c, r0, r1, accumulate);
+  spmm_row_range(a, b, c.data(), r0, r1);
 }
 
 void spmm_into_rows(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std::int64_t out_r0) {
@@ -101,30 +103,7 @@ void spmm_into_rows(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std:
   PLEXUS_CHECK(c.cols() == b.cols(), "spmm_into_rows: output shape mismatch");
   PLEXUS_CHECK(0 <= out_r0 && out_r0 + a.rows() <= c.rows(),
                "spmm_into_rows: output window out of range");
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto va = a.vals();
-  // Same dispatch policy as spmm_range_dispatch, with the output pointer
-  // offset to the window start (the SIMD kernel's ldc is independent of the
-  // row index range).
-  float* out = c.data() + out_r0 * c.cols();
-  const auto run = [&](std::int64_t r0, std::int64_t r1) {
-    simd::active_kernels().spmm_rows(rp.data(), ci.data(), va.data(), b.data(), b.cols(), out,
-                                     c.cols(), r0, r1, b.cols(), /*accumulate=*/false);
-  };
-  const int t = util::intra_rank_threads();
-  if (t <= 1 || a.rows() <= 1 || a.nnz() * b.cols() < util::kSerialWorkCutoff) {
-    run(0, a.rows());
-    return;
-  }
-  const auto bounds = nnz_balanced_bounds(a, 0, a.rows(), t);
-  util::parallel_for_grain(0, static_cast<std::int64_t>(bounds.size()) - 1, 1,
-                           [&](std::int64_t, std::int64_t p0, std::int64_t p1) {
-                             for (std::int64_t p = p0; p < p1; ++p) {
-                               run(bounds[static_cast<std::size_t>(p)],
-                                   bounds[static_cast<std::size_t>(p) + 1]);
-                             }
-                           });
+  spmm_range_dispatch(a, b, c.row(out_r0), 0, a.rows());
 }
 
 void spmm(const Csr& a, const dense::Matrix& b, dense::Matrix& c) {
@@ -135,11 +114,6 @@ dense::Matrix spmm(const Csr& a, const dense::Matrix& b) {
   dense::Matrix c(a.rows(), b.cols());
   spmm(a, b, c);
   return c;
-}
-
-void spmm_accumulate(const Csr& a, const dense::Matrix& b, dense::Matrix& c) {
-  check_shapes(a, b, c, "spmm_accumulate");
-  spmm_range_dispatch(a, b, c, 0, a.rows(), /*accumulate=*/true);
 }
 
 std::int64_t spmm_flops(const Csr& a, std::int64_t dense_cols) {

@@ -25,11 +25,10 @@ void spmm_rows(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std::int6
                std::int64_t r1);
 
 /// Single-threaded reference worker shared by all entry points: rows [r0, r1)
-/// of A * B into C, zero-filling each output row first, or accumulating into
-/// it when `accumulate` is set. Kept public as the baseline the threaded
-/// paths are tested (and benchmarked) against.
+/// of A * B into C, zero-filling each output row first. Kept public as the
+/// baseline the threaded paths are tested (and benchmarked) against.
 void spmm_rows_serial(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std::int64_t r0,
-                      std::int64_t r1, bool accumulate = false);
+                      std::int64_t r1);
 
 /// Window variant for streamed shards: A is a *block* of some larger matrix
 /// (its row 0 corresponds to global row `out_r0`); computes all of A * B into
@@ -40,10 +39,6 @@ void spmm_into_rows(const Csr& a, const dense::Matrix& b, dense::Matrix& c, std:
 
 /// Convenience allocation wrapper.
 dense::Matrix spmm(const Csr& a, const dense::Matrix& b);
-
-/// C += A * B (used by stage-accumulating distributed SpMM algorithms such as
-/// CAGNET's 1D/1.5D, which sum per-stage partial products).
-void spmm_accumulate(const Csr& a, const dense::Matrix& b, dense::Matrix& c);
 
 /// FLOP count of spmm(a, b): 2 * nnz * n.
 std::int64_t spmm_flops(const Csr& a, std::int64_t dense_cols);

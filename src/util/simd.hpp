@@ -52,12 +52,12 @@ Target active_target();
 /// Kernel table of one target. All function pointers are non-null; every
 /// target's results are bitwise-identical to the Scalar entry.
 struct Kernels {
-  /// SpMM rows [r0, r1): C[r,:] (+)= sum_k va[k] * B[ci[k],:], row pointers
-  /// `rp`, leading dimensions in elements. `accumulate` false zero-fills
-  /// each output row first.
+  /// SpMM rows [r0, r1): C[r,:] = sum_k va[k] * B[ci[k],:], summed from
+  /// +0.0 in nonzero order, row pointers `rp`, leading dimensions in
+  /// elements.
   void (*spmm_rows)(const std::int64_t* rp, const std::int32_t* ci, const float* va,
                     const float* b, std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t r0,
-                    std::int64_t r1, std::int64_t n, bool accumulate);
+                    std::int64_t r1, std::int64_t n);
   /// GEMM accumulate tile: C[i,:] += (alpha * op(A)[i,kk]) * B[kk,:] for
   /// i in [i0, i1), kk in [k0, k1) ascending, where op(A)[i,kk] is
   /// `a[i * a_rs + kk * a_ks]`: (lda, 1) reads A, (1, lda) reads A^T in

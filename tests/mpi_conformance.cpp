@@ -212,7 +212,7 @@ void run_end_to_end_training(int size) {
                " sim=" + std::to_string(ref.epochs[i].loss));
     expect(got.epochs[i].epoch_seconds > 0.0, "e2e sim clock epoch " + std::to_string(i));
   }
-  expect(view.load_stats().files_opened > 0, "e2e shard IO happened");
+  expect(view.cache_stats().misses > 0, "e2e shard IO happened");
   MPI_Barrier(MPI_COMM_WORLD);
   if (g_rank == 0) std::filesystem::remove_all(dir);
 }

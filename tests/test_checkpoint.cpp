@@ -5,7 +5,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
@@ -42,29 +45,49 @@ class CheckpointTest : public ::testing::Test {
 }  // namespace
 
 TEST_F(CheckpointTest, ResumeReproducesUninterruptedRunBitwise) {
-  // Reference: 5 epochs straight through, no checkpointing.
-  const auto straight = pc::train_plexus(g_, options(5));
+  // Every 2- and 4-rank grid, 2x2x2 and an uneven 3x2x1, with plain and
+  // blocked aggregation: checkpoint assembly and restore must lay every
+  // rank's slices down and read them back through the layout training uses.
+  const std::vector<plexus::sim::GridShape> shapes = {
+      {2, 1, 1}, {1, 2, 1}, {1, 1, 2}, {4, 1, 1}, {1, 4, 1}, {1, 1, 4},
+      {2, 2, 1}, {2, 1, 2}, {1, 2, 2}, {2, 2, 2}, {3, 2, 1}};
+  for (const auto& shape : shapes) {
+    for (const int agg_row_blocks : {1, 4}) {
+      SCOPED_TRACE(std::to_string(shape.x) + "x" + std::to_string(shape.y) + "x" +
+                   std::to_string(shape.z) + ", agg_row_blocks " +
+                   std::to_string(agg_row_blocks));
+      std::filesystem::remove_all(dir_);
+      const auto at = [&](int epochs) {
+        auto opt = options(epochs);
+        opt.grid = shape;
+        opt.model.options.agg_row_blocks = agg_row_blocks;
+        return opt;
+      };
+      // Reference: 5 epochs straight through, no checkpointing.
+      const auto straight = pc::train_plexus(g_, at(5));
 
-  // Interrupted: 2 epochs + checkpoint, then resume to 5.
-  auto first = options(2);
-  first.checkpoint_dir = dir_.string();
-  const auto head = pc::train_plexus(g_, first);
-  EXPECT_EQ(head.first_epoch, 0);
-  ASSERT_EQ(head.epochs.size(), 2u);
+      // Interrupted: 2 epochs + checkpoint, then resume to 5.
+      auto first = at(2);
+      first.checkpoint_dir = dir_.string();
+      const auto head = pc::train_plexus(g_, first);
+      EXPECT_EQ(head.first_epoch, 0);
+      ASSERT_EQ(head.epochs.size(), 2u);
 
-  const auto tail = pc::resume_plexus(dir_.string(), options(5));
-  EXPECT_EQ(tail.first_epoch, 2);
-  ASSERT_EQ(tail.epochs.size(), 3u);
+      const auto tail = pc::resume_plexus(dir_.string(), at(5));
+      EXPECT_EQ(tail.first_epoch, 2);
+      ASSERT_EQ(tail.epochs.size(), 3u);
 
-  // Bitwise: epoch seeds key on the absolute epoch index and the checkpoint
-  // round-trips every weight/moment exactly, so losses and accuracies must
-  // be EQ, not NEAR.
-  for (std::size_t e = 0; e < head.epochs.size(); ++e) {
-    EXPECT_EQ(head.epochs[e].loss, straight.epochs[e].loss) << "epoch " << e;
-  }
-  for (std::size_t e = 0; e < tail.epochs.size(); ++e) {
-    EXPECT_EQ(tail.epochs[e].loss, straight.epochs[e + 2].loss) << "epoch " << e + 2;
-    EXPECT_EQ(tail.epochs[e].train_accuracy, straight.epochs[e + 2].train_accuracy);
+      // Bitwise: epoch seeds key on the absolute epoch index and the
+      // checkpoint round-trips every weight/moment exactly, so losses and
+      // accuracies must be EQ, not NEAR.
+      for (std::size_t e = 0; e < head.epochs.size(); ++e) {
+        EXPECT_EQ(head.epochs[e].loss, straight.epochs[e].loss) << "epoch " << e;
+      }
+      for (std::size_t e = 0; e < tail.epochs.size(); ++e) {
+        EXPECT_EQ(tail.epochs[e].loss, straight.epochs[e + 2].loss) << "epoch " << e + 2;
+        EXPECT_EQ(tail.epochs[e].train_accuracy, straight.epochs[e + 2].train_accuracy);
+      }
+    }
   }
 }
 

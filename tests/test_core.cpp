@@ -1,11 +1,12 @@
-// Tests for core building blocks: grid/groups, role rotation, shard geometry,
-// preprocessing (permutation schemes), adjacency store, weight init.
+// Tests for core building blocks: grid/groups, role rotation, shard geometry
+// and the slice map, preprocessing (permutation schemes), adjacency store,
+// weight init.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "comm/world.hpp"
 #include "core/adjacency_store.hpp"
@@ -100,18 +101,65 @@ TEST(Grid, LineGroupsContainVaryingAxisOnly) {
   }
 }
 
-TEST(Shard, UniformSliceAndFlatSlice) {
+TEST(Shard, UniformSlice) {
   const auto s = pc::uniform_slice(12, 3, 1);
   EXPECT_EQ(s.begin, 4);
   EXPECT_EQ(s.end, 8);
   EXPECT_THROW(pc::uniform_slice(10, 3, 0), std::runtime_error);  // not divisible
+}
 
-  plexus::dense::Matrix block(2, 6);
-  for (std::int64_t i = 0; i < 12; ++i) block.flat()[static_cast<std::size_t>(i)] = static_cast<float>(i);
-  const auto sl = pc::flat_slice(block, 4, 2);
-  ASSERT_EQ(sl.size(), 3u);
-  EXPECT_EQ(sl[0], 6.0f);  // flat elements 6, 7, 8
-  EXPECT_EQ(sl[2], 8.0f);
+TEST(Shard, SliceRunsTileEachBufferOnce) {
+  // Over every 2- and 4-rank grid, 2x2x2 and an uneven 3x2x1, the ranks'
+  // slice runs must cover each layer's weight (all three role rotations) and
+  // the trainable features exactly once, each rank's runs must sum to its
+  // slice length, and each rank's offsets must ascend (the R group's slices
+  // all-gather back into row-major blocks).
+  const std::vector<plexus::sim::GridShape> shapes = {
+      {2, 1, 1}, {1, 2, 1}, {1, 1, 2}, {4, 1, 1}, {1, 4, 1}, {1, 1, 4},
+      {2, 2, 1}, {2, 1, 2}, {1, 2, 2}, {2, 2, 2}, {3, 2, 1}};
+  for (const auto& shape : shapes) {
+    const int volume = shape.size();
+    SCOPED_TRACE(std::to_string(shape.x) + "x" + std::to_string(shape.y) + "x" +
+                 std::to_string(shape.z));
+    plexus::comm::World world(volume);
+    const pc::Grid3D grid(world, shape, plexus::sim::Machine::test_machine());
+    const auto pad = [&](std::int64_t d) { return (d + volume - 1) / volume * volume; };
+    // Tiles `rows x cols` once with the runs_of(coords) of every rank, whose
+    // slices hold `slice_len` elements each.
+    const auto expect_tiles = [&](std::int64_t rows, std::int64_t cols, std::int64_t slice_len,
+                                  const auto& runs_of) {
+      std::vector<int> hits(static_cast<std::size_t>(rows * cols), 0);
+      for (int r = 0; r < volume; ++r) {
+        const std::vector<pc::SliceRun> runs = runs_of(grid.coords_of(r));
+        EXPECT_EQ(pc::runs_length(runs), slice_len) << "rank " << r;
+        std::int64_t prev_end = 0;
+        for (const pc::SliceRun& run : runs) {
+          ASSERT_GE(run.offset, prev_end) << "rank " << r;
+          ASSERT_LE(run.offset + run.length, rows * cols) << "rank " << r;
+          for (std::int64_t k = run.offset; k < run.offset + run.length; ++k) {
+            ++hits[static_cast<std::size_t>(k)];
+          }
+          prev_end = run.offset + run.length;
+        }
+      }
+      EXPECT_TRUE(std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }));
+    };
+    for (int layer = 0; layer < 3; ++layer) {
+      SCOPED_TRACE("layer " + std::to_string(layer));
+      const pc::LayerRoles roles = pc::roles_for_layer(layer);
+      const std::int64_t rows = pad(13), cols = pad(7);
+      expect_tiles(rows, cols, rows * cols / volume, [&](const pc::Coords& c) {
+        return pc::weight_slice_runs(rows, cols, grid, roles, c);
+      });
+    }
+    for (const int agg_row_blocks : {1, 3, 8}) {
+      SCOPED_TRACE("agg_row_blocks " + std::to_string(agg_row_blocks));
+      const std::int64_t rows = pad(50), cols = pad(6);
+      expect_tiles(rows, cols, rows * cols / volume, [&](const pc::Coords& c) {
+        return pc::feature_slice_runs(rows, cols, grid, c, agg_row_blocks);
+      });
+    }
+  }
 }
 
 TEST(Shard, WeightInitIndependentOfPadding) {
@@ -279,27 +327,10 @@ TEST(ResolveOptions, EverythingElsePassesThrough) {
   EXPECT_EQ(spec.options.pipeline_depth, 1);
 }
 
-TEST(ResolveOptions, MalformedRssBudgetEnvIsIgnored) {
-  // PLEXUS_RSS_MB must be a whole megabyte count whose byte size fits in
-  // int64. Anything else is ignored (-1, no budget) instead of being read
-  // as a prefix ("16MB" -> 16) or wrapping negative on the << 20.
-  const char* prev = std::getenv("PLEXUS_RSS_MB");
-  const std::optional<std::string> saved =
-      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
-  const std::string too_big = std::to_string(pc::kMaxRssBudgetMb + 1);
-  for (const char* bad : {"1e3", "16.5", "16MB", " 16", "-5", "99999999999999", too_big.c_str()}) {
-    ::setenv("PLEXUS_RSS_MB", bad, 1);
-    EXPECT_EQ(pc::env_rss_budget_bytes(), -1) << bad;
-    EXPECT_EQ(pc::resolve_options(options_with_model_defaults()).options.rss_budget_bytes, -1)
-        << bad;
-  }
-  ::setenv("PLEXUS_RSS_MB", "16", 1);
-  EXPECT_EQ(pc::env_rss_budget_bytes(), std::int64_t{16} << 20);
-  ::setenv("PLEXUS_RSS_MB", std::to_string(pc::kMaxRssBudgetMb).c_str(), 1);
-  EXPECT_EQ(pc::env_rss_budget_bytes(), pc::kMaxRssBudgetMb << 20);
-  if (saved) {
-    ::setenv("PLEXUS_RSS_MB", saved->c_str(), 1);
-  } else {
-    ::unsetenv("PLEXUS_RSS_MB");
-  }
+TEST(ResolveOptions, RssBudgetOverridesWhenNonNegative) {
+  auto opt = options_with_model_defaults();
+  opt.model.options.rss_budget_bytes = 7;
+  EXPECT_EQ(pc::resolve_options(opt).options.rss_budget_bytes, 7);  // -1 inherits
+  opt.rss_budget_bytes = 0;
+  EXPECT_EQ(pc::resolve_options(opt).options.rss_budget_bytes, 0);
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -310,9 +311,10 @@ TEST_F(LoaderTest, UnsortedColumnsAreRejected) {
 
 TEST_F(LoaderTest, ConcurrentWindowsShareOneCache) {
   // Four threads read one window spanning 2 x 4 blocks in both orientations
-  // through one budgeted view: every thread sees the same bits, the cache
-  // never holds a block twice, and once the last pin drops it is back under
-  // its budget.
+  // through one shared view, plain (a budget-0 cache) or budgeted: every
+  // thread sees the same bits, the cache never holds a block twice, and once
+  // the last pin drops it is back under its budget — empty for the plain
+  // view.
   make_view_readable();
   constexpr std::int64_t r0 = 10, r1 = 100, c0 = 33, c1 = 200;
   const auto want = adj_.block(r0, r1, c0, c1);
@@ -330,9 +332,11 @@ TEST_F(LoaderTest, ConcurrentWindowsShareOneCache) {
       largest = std::max(largest, size);
     }
   }
-  for (const std::int64_t budget : {std::int64_t{0}, largest}) {
+  // Budget -1 stands for the plain constructor.
+  for (const std::int64_t budget : {std::int64_t{-1}, std::int64_t{0}, largest}) {
     SCOPED_TRACE("budget " + std::to_string(budget));
-    const pc::ShardedDatasetView view(dir_.string(), budget);
+    const auto view = budget < 0 ? std::make_unique<pc::ShardedDatasetView>(dir_.string())
+                                 : std::make_unique<pc::ShardedDatasetView>(dir_.string(), budget);
     constexpr int kThreads = 4;
     constexpr int kRounds = 3;
     std::vector<std::vector<ps::Csr>> got(kThreads);
@@ -342,8 +346,8 @@ TEST_F(LoaderTest, ConcurrentWindowsShareOneCache) {
       threads.emplace_back([&, t] {
         errors[t] = error_of([&] {
           for (int i = 0; i < kRounds; ++i) {
-            got[t].push_back(view.adjacency_block_counted(0, r0, r1, c0, c1, nullptr));
-            got[t].push_back(view.transposed_block_counted(0, r0, r1, c0, c1, nullptr));
+            got[t].push_back(view->adjacency_block_counted(0, r0, r1, c0, c1, nullptr));
+            got[t].push_back(view->transposed_block_counted(0, r0, r1, c0, c1, nullptr));
           }
         });
       });
@@ -357,9 +361,10 @@ TEST_F(LoaderTest, ConcurrentWindowsShareOneCache) {
         EXPECT_TRUE(bitwise_equal(got[t][2 * i + 1], want_t)) << "thread " << t;
       }
     }
-    const auto cs = view.cache_stats();
+    const auto cs = view->cache_stats();
     EXPECT_GT(cs.misses, 0);
     EXPECT_LE(cs.peak_resident_bytes, distinct);
-    EXPECT_LE(cs.resident_bytes, budget);
+    EXPECT_LE(cs.resident_bytes, std::max<std::int64_t>(budget, 0));
+    EXPECT_EQ(view->streaming(), budget >= 0);
   }
 }

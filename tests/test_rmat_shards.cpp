@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/dataset_view.hpp"
 #include "core/preprocess.hpp"
 #include "graph/datasets.hpp"
@@ -83,7 +85,9 @@ void expect_dirs_identical(const std::string& got_dir, const std::string& want_d
 }
 
 std::string fresh_dir(const std::string& tag) {
-  const auto dir = (fs::temp_directory_path() / ("plexus_rmat_shards_" + tag)).string();
+  const auto dir =
+      (fs::temp_directory_path() / ("plexus_rmat_shards_" + tag + "_" + std::to_string(::getpid())))
+          .string();
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

@@ -99,18 +99,16 @@ TEST(SimdKernels, SpmmRowsBitwiseAcrossTargetsAndWidths) {
   widths.insert(widths.end(), {200, 256});
   for (const std::int64_t n : widths) {
     const auto b = random_floats(static_cast<std::size_t>(bro * n), 13);
+    // Prior output contents must be overwritten, not summed into.
     const auto seed_c = random_floats(static_cast<std::size_t>(rows * n), 17);
-    for (const bool accumulate : {false, true}) {
-      std::vector<float> want = seed_c;
-      ps::kernels(ps::Target::Scalar)
-          .spmm_rows(rp.data(), ci.data(), va.data(), b.data(), n, want.data(), n, 0, rows, n,
-                     accumulate);
-      for (const ps::Target t : supported_targets()) {
-        std::vector<float> got = seed_c;
-        ps::kernels(t).spmm_rows(rp.data(), ci.data(), va.data(), b.data(), n, got.data(), n, 0,
-                                 rows, n, accumulate);
-        expect_bitwise_equal(got, want, accumulate ? "spmm+=" : "spmm", t, n);
-      }
+    std::vector<float> want = seed_c;
+    ps::kernels(ps::Target::Scalar)
+        .spmm_rows(rp.data(), ci.data(), va.data(), b.data(), n, want.data(), n, 0, rows, n);
+    for (const ps::Target t : supported_targets()) {
+      std::vector<float> got = seed_c;
+      ps::kernels(t).spmm_rows(rp.data(), ci.data(), va.data(), b.data(), n, got.data(), n, 0,
+                               rows, n);
+      expect_bitwise_equal(got, want, "spmm", t, n);
     }
   }
 }
@@ -143,7 +141,7 @@ TEST(SimdKernels, SpmmRowsMatchesSerialReferenceThroughCsr) {
     for (const ps::Target t : supported_targets()) {
       plexus::dense::Matrix got(rows, n);
       ps::kernels(t).spmm_rows(a.row_ptr().data(), a.col_idx().data(), a.vals().data(), b.data(),
-                               b.cols(), got.data(), got.cols(), 0, rows, n, false);
+                               b.cols(), got.data(), got.cols(), 0, rows, n);
       for (std::int64_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(got.flat()[static_cast<std::size_t>(i)],
                   want.flat()[static_cast<std::size_t>(i)])

@@ -2,7 +2,8 @@
 //   - spmm agrees with a dense triple-loop reference on random CSR inputs
 //   - spmm_rows over a partition of the row space stitches to the full spmm
 //     (the blocked-aggregation invariant of paper section 5.2)
-//   - spmm_accumulate is additive: C0 + sum_i A_i*B == accumulate over stages
+//   - the threaded paths, spmm_into_rows' streamed windows included, match
+//     the serial worker bitwise
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -115,27 +116,6 @@ TEST(SpmmProperties, RowRangesStitchToFullProduct) {
       << "union of row ranges must equal the one-shot kernel bit-for-bit";
 }
 
-TEST(SpmmProperties, AccumulateIsAdditive) {
-  const std::int64_t k = 30, n = 7, m = 25;
-  const ps::Csr a1 = random_csr(m, k, 120, 11);
-  const ps::Csr a2 = random_csr(m, k, 90, 12);
-  const pd::Matrix b = random_dense(k, n, 13);
-
-  // C = C0; C += A1*B; C += A2*B  must equal  C0 + spmm(A1,B) + spmm(A2,B).
-  pd::Matrix c = random_dense(m, n, 14);
-  pd::Matrix expected = c;
-  ps::spmm_accumulate(a1, b, c);
-  ps::spmm_accumulate(a2, b, c);
-
-  const pd::Matrix p1 = ps::spmm(a1, b);
-  const pd::Matrix p2 = ps::spmm(a2, b);
-  for (std::int64_t i = 0; i < m * n; ++i) {
-    expected.flat()[static_cast<std::size_t>(i)] +=
-        p1.flat()[static_cast<std::size_t>(i)] + p2.flat()[static_cast<std::size_t>(i)];
-  }
-  EXPECT_LT(pd::Matrix::max_abs_diff(c, expected), 1e-5f);
-}
-
 TEST(SpmmProperties, FlopCount) {
   const ps::Csr a = random_csr(20, 20, 55, 5);
   EXPECT_EQ(ps::spmm_flops(a, 16), 2 * a.nnz() * 16);
@@ -158,41 +138,31 @@ TEST(SpmmProperties, ThreadedMatchesSerialWorkerBitwise) {
   }
 }
 
-TEST(SpmmProperties, ThreadedAccumulateMatchesSerialWorkerBitwise) {
-  const ps::Csr a = random_csr(500, 200, 8000, 23);
-  const pd::Matrix b = random_dense(200, 16, 24);
-  const pd::Matrix c0 = random_dense(500, 16, 25);
-
-  pd::Matrix serial = c0;
-  ps::spmm_rows_serial(a, b, serial, 0, a.rows(), /*accumulate=*/true);
-
-  for (const int threads : {2, 4, 8}) {
+TEST(SpmmProperties, IntoRowsMatchesAssembledRowsBitwise) {
+  // A streamed window (rows [r0, r1) of A as its own CSR) lands on the same
+  // output rows as spmm_rows over the assembled matrix, on the serial and
+  // the threaded path alike, and leaves every other output row alone.
+  const ps::Csr a = random_csr(600, 300, 9000, 29);
+  const pd::Matrix b = random_dense(300, 16, 30);
+  const std::int64_t r0 = 200, r1 = 500;
+  pd::Matrix want(a.rows(), b.cols());
+  ps::spmm_rows_serial(a, b, want, r0, r1);
+  for (const int threads : {1, 4}) {
     pu::ScopedIntraRankThreads scope(threads);
-    pd::Matrix c = c0;
-    ps::spmm_accumulate(a, b, c);
-    EXPECT_EQ(pd::Matrix::max_abs_diff(c, serial), 0.0f) << "threads=" << threads;
+    pd::Matrix got(a.rows(), b.cols());
+    ps::spmm_into_rows(a.block(r0, r1, 0, a.cols()), b, got, r0);
+    EXPECT_EQ(pd::Matrix::max_abs_diff(got, want), 0.0f) << "threads=" << threads;
   }
 }
 
-TEST(SpmmProperties, SerialWorkerZeroFillVsAccumulateFlag) {
-  // The shared row-range worker: accumulate=false must zero-fill (ignore
-  // prior C contents); accumulate=true must add on top of them.
+TEST(SpmmProperties, SerialWorkerOverwritesPriorOutput) {
+  // The shared row-range worker zero-fills each output row: prior C
+  // contents must not leak into the product.
   const ps::Csr a = random_csr(40, 30, 200, 26);
   const pd::Matrix b = random_dense(30, 6, 27);
   const pd::Matrix prior = random_dense(40, 6, 28);
 
   pd::Matrix overwrite = prior;
-  ps::spmm_rows_serial(a, b, overwrite, 0, a.rows(), /*accumulate=*/false);
+  ps::spmm_rows_serial(a, b, overwrite, 0, a.rows());
   EXPECT_EQ(pd::Matrix::max_abs_diff(overwrite, ps::spmm(a, b)), 0.0f);
-
-  // accumulate=true folds the products into the prior value as it goes, so
-  // it matches prior + overwrite only up to float re-association.
-  pd::Matrix accum = prior;
-  ps::spmm_rows_serial(a, b, accum, 0, a.rows(), /*accumulate=*/true);
-  for (std::int64_t i = 0; i < accum.size(); ++i) {
-    EXPECT_NEAR(accum.flat()[static_cast<std::size_t>(i)],
-                prior.flat()[static_cast<std::size_t>(i)] +
-                    overwrite.flat()[static_cast<std::size_t>(i)],
-                1e-5f);
-  }
 }

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/dataset_view.hpp"
 #include "core/preprocess.hpp"
 #include "core/trainer.hpp"
@@ -33,7 +35,9 @@ using namespace plexus;
 namespace {
 
 std::string fresh_dir(const std::string& tag) {
-  const auto dir = (fs::temp_directory_path() / ("plexus_streaming_" + tag)).string();
+  const auto dir =
+      (fs::temp_directory_path() / ("plexus_streaming_" + tag + "_" + std::to_string(::getpid())))
+          .string();
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
