@@ -318,9 +318,18 @@ int main(int argc, char** argv) {
           s.epoch_seconds * 1e3, s.spmm_seconds * 1e3, s.gemm_seconds * 1e3,
           s.wait_seconds() * 1e3, s.comm_wire_bytes / 1e6);
       if (e == 0) {
-        std::printf("workspace %.1f MiB per rank x %d ranks, block-cache budget %s\n",
-                    static_cast<double>(result.workspace_bytes) / (1 << 20), volume,
-                    budget_label.c_str());
+        // Beside the measured workspace, the memory model's price for it:
+        // the activation term of perf::estimate_per_gpu_bytes at this run's
+        // own node count and layer dims.
+        plexus::perf::WorkloadStats run_shape;
+        run_shape.num_nodes = result.padded_nodes;
+        run_shape.layer_dims = result.padded_dims;
+        std::printf(
+            "workspace %.1f MiB per rank x %d ranks (memory model's activation term %.1f MiB), "
+            "block-cache budget %s\n",
+            static_cast<double>(result.workspace_bytes) / (1 << 20), volume,
+            plexus::perf::estimate_activation_bytes(run_shape, opt.grid) / (1 << 20),
+            budget_label.c_str());
       }
     }
     std::printf("validation accuracy %.3f | avg epoch %.2f ms on %s\n", result.val_accuracy,

@@ -106,9 +106,9 @@ comm::CommHandle DistGcnLayer::igather_weights(sim::RankContext& ctx) {
 
 std::int64_t DistGcnLayer::workspace_bytes() const {
   const std::int64_t floats =
-      h_.size() + q_.size() + w_block_.size() + w_t_.size() + dw_rev_.size() + df_in_.size() +
-      dw_block_.size();
-  return floats * static_cast<std::int64_t>(sizeof(float));
+      h_.size() + q_.size() + w_block_.size() + w_t_.size() + dw_rev_.size() + dw_block_.size();
+  return floats * static_cast<std::int64_t>(sizeof(float)) +
+         static_cast<std::int64_t>(relu_mask_.size() * sizeof(std::uint64_t));
 }
 
 namespace {
@@ -277,9 +277,8 @@ void DistGcnLayer::aggregate(sim::RankContext& ctx, const AggPass& pass, KernelT
   drain_pipeline(inflight);
 }
 
-const dense::Matrix& DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in,
-                                           bool last, std::uint64_t epoch_seed,
-                                           KernelTimers& timers) {
+dense::Matrix& DistGcnLayer::forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
+                                     std::uint64_t epoch_seed, KernelTimers& timers) {
   PLEXUS_CHECK(f_in.rows() == rows_p_ && f_in.cols() == din_q_, "forward input block shape");
   const sim::Machine& m = *ctx.machine;
 
@@ -318,19 +317,24 @@ const dense::Matrix& DistGcnLayer::forward(sim::RankContext& ctx, const dense::M
   timers.gemm += t_gemm;
   ctx.comm.all_reduce_sum<float>(q_group_, q_.flat());
 
-  // ---- Step 3: activation, in place. relu(q) > 0 exactly where q > 0, so
-  // the saved output gives relu_backward the pre-activation's mask.
+  // ---- Step 3: activation, in place. The same pass keeps relu'(Q) as bits,
+  // all that backward needs of Q, so the layer above may overwrite Q with its
+  // dF_in.
   if (last) return q_;
-  dense::relu(q_, q_);
+  relu_mask_.resize(static_cast<std::size_t>(dense::relu_mask_words(q_.size())));
+  dense::relu(q_, q_, relu_mask_);
   const double t_act = sim::elementwise_time(m, q_.size());
   ctx.comm.charge_compute(t_act);
   timers.elementwise += t_act;
   return q_;
 }
 
-dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last,
-                                      KernelTimers& timers, std::span<float> grad_slice) {
+void DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last,
+                            dense::Matrix& df_in, KernelTimers& timers,
+                            std::span<float> grad_slice) {
   PLEXUS_CHECK(df_out.rows() == rows_r_ && df_out.cols() == dout_p_, "backward input shape");
+  PLEXUS_CHECK(df_in.rows() == rows_p_ && df_in.cols() == din_q_ && &df_in != &df_out,
+               "backward output shape");
   const sim::Machine& m = *ctx.machine;
 
   // W is needed only for the dH GEMM: post the R-group gather now so it
@@ -339,10 +343,11 @@ dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_o
   comm::CommHandle w_gather = igather_weights(ctx);
 
   // dQ = dF_out (last layer: the loss gradient, used as is) or
-  // dF_out ⊙ relu'(Q) (eq. 2.4), formed in place over dF_out.
+  // dF_out ⊙ relu'(Q) (eq. 2.4), formed in place over dF_out from the
+  // forward's mask bits.
   dense::Matrix& dq = df_out;
   if (!last) {
-    dense::relu_backward(q_, df_out, dq);
+    dense::relu_backward(relu_mask_, df_out, dq);
     const double t = sim::elementwise_time(m, dq.size(), 3.0);
     ctx.comm.charge_compute(t);
     timers.elementwise += t;
@@ -393,8 +398,8 @@ dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_o
   // mirror of section 5.2. The final R-group collective pipelines behind the
   // next block's SpMM: per-block all-reduces for the hidden layers, or (layer
   // 0) per-block reduce-scatters whose R-aligned row blocks land directly on
-  // the caller's resharded flat gradient slice.
-  df_in_.ensure_shape(rows_p_, din_q_);
+  // the caller's resharded flat gradient slice. Every block's collective is
+  // retired before aggregate returns, so the caller may read df_in at once.
   const int nb = std::max(1, opts_.agg_row_blocks);
   const bool scatter = layer_ == 0;
   if (scatter) {
@@ -405,7 +410,7 @@ dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_o
             {.a = adj_ != nullptr ? &adj_->a_t : nullptr,
              .transpose = true,
              .in = dh,
-             .out = df_in_,
+             .out = df_in,
              .bounds = scatter ? sparse::block_bounds_aligned(rows_p_, nb, ext_r_)
                                : sparse::block_bounds(rows_p_, nb),
              .gid = r_group_,
@@ -414,7 +419,6 @@ dense::Matrix& DistGcnLayer::backward(sim::RankContext& ctx, dense::Matrix& df_o
              .depth = &bwd_depth_,
              .io_depth = &bwd_io_depth_},
             timers);
-  return df_in_;
 }
 
 void DistGcnLayer::apply_grad(sim::RankContext& ctx, KernelTimers& timers) {

@@ -8,11 +8,13 @@
 ///
 /// A layer owns its weight shard (the (Din/Q x Dout/P) block, flat-sharded
 /// across the R-parallel group) and that shard's Adam state, plus the epoch's
-/// workspace: H (reused for dH), Q (ReLU applied in place), the gathered W
-/// block, dW and dF_in. Each buffer is sized on first use and reused every
-/// epoch after, so a steady epoch allocates none of them. All simulated
-/// kernel time is charged onto the rank's clock; collectives charge and
-/// synchronise through the communicator.
+/// workspace: H (reused for dH), Q (ReLU applied in place), relu'(Q) as
+/// bits, the gathered W block and dW. dF_in has no buffer of its own: it
+/// overwrites the caller's forward input, which is dead by then. Each buffer
+/// is sized on first use and reused every epoch after, so a steady epoch
+/// allocates none of them. All simulated kernel time is charged onto the
+/// rank's clock; collectives charge and synchronise through the
+/// communicator.
 
 #include <cstdint>
 #include <optional>
@@ -89,27 +91,36 @@ class DistGcnLayer {
                const LayerStreamPlan* stream_plan = nullptr);
 
   /// Forward: f_in is the (N/P x Din/Q) input block (layer 0's flat-sharded
-  /// features must be gathered by the caller). Applies ReLU, in place, unless
-  /// `last`. `epoch_seed` feeds the per-kernel variability model. Returns the
-  /// layer's own Q buffer, valid until the next forward.
-  const dense::Matrix& forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
-                               std::uint64_t epoch_seed, KernelTimers& timers);
+  /// features must be gathered by the caller). Unless `last`, applies ReLU
+  /// in place and keeps relu'(Q) as bits for backward. `epoch_seed` feeds
+  /// the per-kernel variability model. Returns the layer's own Q buffer,
+  /// mutable because once the next layer's forward (or the loss's P-gather)
+  /// has read it, Q is dead and the caller writes a gradient over it: the
+  /// next layer's dF_in, or for the last layer the loss gradient. No handle
+  /// on Q is in flight when forward returns (its all-reduce blocks), nor
+  /// after the reader returns (aggregate drains its per-block collectives;
+  /// the P-gather blocks). Valid until the next forward.
+  dense::Matrix& forward(sim::RankContext& ctx, const dense::Matrix& f_in, bool last,
+                         std::uint64_t epoch_seed, KernelTimers& timers);
 
   /// Backward: df_out is the gradient w.r.t. this layer's output (same block
   /// layout as the forward output, replicated over Q); dQ is formed in place
-  /// over it. The final R-group collective over the partial dF_in block is
-  /// pipelined against the blocked dF = SpMM(A^T, dH) (the backward mirror of
-  /// section 5.2):
-  ///  * layers > 0 all-reduce each block and return the *reduced* dF_in;
+  /// over it. `df_in` receives dF_in: pass the buffer that was this layer's
+  /// forward `f_in`, which has dF_in's (N/P x Din/Q) shape and is dead by
+  /// now (nothing reads it after the forward aggregation, which drained its
+  /// collectives; layer 0's input gathers were waited before forward). It
+  /// must not alias df_out. The final R-group collective over the partial
+  /// dF_in block is pipelined against the blocked dF = SpMM(A^T, dH) (the
+  /// backward mirror of section 5.2) and drained before return:
+  ///  * layers > 0 all-reduce each block, leaving the *reduced* dF_in;
   ///  * layer 0 (trainable input features, section 3.2) aligns its row
   ///    blocks to the R extent and reduce-scatters each block onto
   ///    `grad_slice`, the caller's row-major-resharded flat gradient slice;
-  ///    the buffer it returns holds only this rank's unreduced partials.
-  /// Returns the layer's own dF_in buffer, valid until the next backward.
+  ///    `df_in` is left holding only this rank's unreduced partials.
   /// Stores dW internally; its reduce-scatter is posted asynchronously and
   /// retired in apply_grad().
-  dense::Matrix& backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last,
-                          KernelTimers& timers, std::span<float> grad_slice = {});
+  void backward(sim::RankContext& ctx, dense::Matrix& df_out, bool last, dense::Matrix& df_in,
+                KernelTimers& timers, std::span<float> grad_slice = {});
 
   /// Adam step on the local weight slice using the gradient from backward().
   /// Waits for the asynchronous dW reduce-scatter posted there.
@@ -164,6 +175,8 @@ class DistGcnLayer {
   /// The one pipelined aggregation loop, for both directions and both block
   /// sources. The streamed source waits for block k's load, reposts the
   /// prefetch window, then runs the SpMM, so the IO worker never idles.
+  /// Every block's collective is retired before it returns, so the caller
+  /// may overwrite `in` and `out` at once.
   void aggregate(sim::RankContext& ctx, const AggPass& pass, KernelTimers& timers);
 
   /// Pipeline depth of one aggregation pass: the fixed PlexusOptions value,
@@ -208,11 +221,15 @@ class DistGcnLayer {
   // Workspace, sized on first use. A handle that reads or writes one of
   // these buffers is retired before the buffer's next write.
   dense::Matrix h_;        ///< aggregated H (N'/R x Din'/Q); backward reuses it for dH
-  dense::Matrix q_;        ///< combination output Q (N'/R x Dout'/P), ReLU'd in place
+  /// Combination output Q (N'/R x Dout'/P), ReLU'd in place. The caller
+  /// overwrites it during backward (see forward()).
+  dense::Matrix q_;
+  /// Hidden layers: relu'(Q) as bits, written by the forward ReLU and read
+  /// by backward in place of Q (dense::relu_mask_words(Q) words).
+  std::vector<std::uint64_t> relu_mask_;
   dense::Matrix w_block_;  ///< R-gathered weight block (Din'/Q x Dout'/P)
   dense::Matrix w_t_;      ///< its transpose, the dH GEMM's B operand
   dense::Matrix dw_rev_;   ///< gemm_dw_tuning only: the reversed product dW^T
-  dense::Matrix df_in_;    ///< dF_in (N'/P x Din'/Q)
 
   // In-flight backward state: the dW block stays untouched until its
   // reduce-scatter (posted in backward, hidden behind the remaining backward

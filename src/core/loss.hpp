@@ -32,7 +32,9 @@ struct LossResult {
 /// stay consistent). `gathered` is the caller's reused buffer for the
 /// P-gathered logits. `dlogits`, when given, receives this rank's
 /// (N/R x C'/P) gradient block; pass null to skip the gradient (evaluation).
-/// Both buffers are sized on first use and reused after.
+/// Both buffers are sized on first use and reused after. `dlogits` may alias
+/// `logits_block`: the block is read only by the P-gather, which blocks until
+/// it completes, and the gradient kernel reads `gathered` alone.
 LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int last_layer,
                                   const DatasetView& view, const dense::Matrix& logits_block,
                                   const std::vector<std::uint8_t>& mask, double norm,

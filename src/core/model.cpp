@@ -78,6 +78,7 @@ DistGcn::DistGcn(sim::RankContext& ctx, const DatasetView& view, const Grid3D& g
   }
   df_slice_.assign(f_slice_.size(), 0.0f);
   f_adam_ = dense::Adam(f_slice_.size(), spec_.options.adam);
+  layer_in_.assign(static_cast<std::size_t>(L), nullptr);
 }
 
 void DistGcn::gather_input_features(sim::RankContext& ctx) {
@@ -103,14 +104,15 @@ void DistGcn::gather_input_features(sim::RankContext& ctx) {
   for (auto& h : inflight) h.wait();
 }
 
-const dense::Matrix& DistGcn::forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
-                                          KernelTimers& timers) {
+dense::Matrix& DistGcn::forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
+                                    KernelTimers& timers) {
   // Alg. 1 line 3: layer 0 all-gathers the flat-sharded features across Z (R0);
   // later layers receive full blocks from the previous layer (section 3.2).
   gather_input_features(ctx);
-  const dense::Matrix* f = &f_in_;
+  dense::Matrix* f = &f_in_;
   const int L = spec_.num_layers();
   for (int l = 0; l < L; ++l) {
+    layer_in_[static_cast<std::size_t>(l)] = f;
     f = &layers_[static_cast<std::size_t>(l)]->forward(ctx, *f, /*last=*/l == L - 1, epoch_seed,
                                                        timers);
   }
@@ -118,7 +120,7 @@ const dense::Matrix& DistGcn::forward_all(sim::RankContext& ctx, std::uint64_t e
 }
 
 std::int64_t DistGcn::workspace_bytes() const {
-  std::int64_t bytes = (f_in_.size() + dlogits_.size()) * static_cast<std::int64_t>(sizeof(float)) +
+  std::int64_t bytes = f_in_.size() * static_cast<std::int64_t>(sizeof(float)) +
                        static_cast<std::int64_t>(logits_gathered_.size() * sizeof(float));
   for (const auto& layer : layers_) bytes += layer->workspace_bytes();
   return bytes;
@@ -133,23 +135,29 @@ EpochStats DistGcn::train_epoch(sim::RankContext& ctx, int epoch) {
   const std::uint64_t epoch_seed = util::hash_combine(spec_.seed, 0xe90c000 + epoch);
   const int L = spec_.num_layers();
 
-  const dense::Matrix& logits = forward_all(ctx, epoch_seed, timers);
-
+  // The loss gradient overwrites the logits: the loss reads them only
+  // through its blocking P-gather, which returns before the gradient is
+  // written.
+  dense::Matrix& logits = forward_all(ctx, epoch_seed, timers);
   const LossResult loss = distributed_softmax_ce(
       ctx, *grid_, L - 1, *view_, logits, view_->mask(Split::Train),
-      static_cast<double>(view_->train_total()), logits_gathered_, &dlogits_);
+      static_cast<double>(view_->train_total()), logits_gathered_, &logits);
 
   // Backward sweep (Alg. 2 per layer). Between layers the partial dF_in is
   // all-reduced over that layer's R group — fused into the layer's blocked
   // dF SpMM so the per-block collective pipelines behind compute; at layer 0
   // it is reduce-scattered per block onto the resharded trainable feature
   // slices instead (section 3.2), riding the same pipeline.
-  // Each layer forms dQ in place over the dF it is handed and returns its own
-  // dF_in buffer; layer 0's dF lands on df_slice_.
-  dense::Matrix* df = &dlogits_;
+  // Each layer forms dQ in place over the dF it is handed and writes dF_in
+  // over the input its forward read, dead since that forward: layer l-1's Q
+  // (whose ReLU mask the layer keeps as bits), or at layer 0 the gathered
+  // input block, whose reduce-scatters land dF on df_slice_.
+  dense::Matrix* df = &logits;
   for (int l = L - 1; l >= 0; --l) {
-    df = &layers_[static_cast<std::size_t>(l)]->backward(ctx, *df, /*last=*/l == L - 1, timers,
-                                                         df_slice_);
+    dense::Matrix& df_in = *layer_in_[static_cast<std::size_t>(l)];
+    layers_[static_cast<std::size_t>(l)]->backward(ctx, *df, /*last=*/l == L - 1, df_in, timers,
+                                                   df_slice_);
+    df = &df_in;
   }
 
   // Optimizer step.

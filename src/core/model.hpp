@@ -87,10 +87,13 @@ class DistGcn {
   const std::vector<std::int64_t>& padded_dims() const { return padded_dims_; }
 
   /// Bytes of the epoch workspace this rank's model owns: every layer's
-  /// buffers plus the gathered input block, the P-gathered logits and the
-  /// logits gradient. Buffers are sized on first use, so this is the steady
-  /// figure once one epoch has run (zero before). Weight and feature slices
-  /// and their Adam moments are not workspace.
+  /// buffers plus the gathered input block and the P-gathered logits. There
+  /// is no gradient buffer: the loss gradient overwrites the last layer's Q
+  /// (the logits), and each layer's dF_in overwrites the input its forward
+  /// read (layer 0: the gathered input block; layer l > 0: layer l-1's Q).
+  /// Buffers are sized on first use, so this is the steady figure once one
+  /// epoch has run (zero before). Weight and feature slices and their Adam
+  /// moments are not workspace.
   std::int64_t workspace_bytes() const;
 
   /// Assemble the global model state for checkpointing: one world-group
@@ -114,9 +117,11 @@ class DistGcn {
  private:
   /// All-gather the layer-0 input block into f_in_.
   void gather_input_features(sim::RankContext& ctx);
-  /// Forward through every layer; returns the last layer's Q (the logits).
-  const dense::Matrix& forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
-                                   KernelTimers& timers);
+  /// Forward through every layer, recording each layer's input in
+  /// layer_in_; returns the last layer's Q (the logits), which the loss
+  /// may overwrite with its gradient.
+  dense::Matrix& forward_all(sim::RankContext& ctx, std::uint64_t epoch_seed,
+                             KernelTimers& timers);
 
   const DatasetView* view_;
   const Grid3D* grid_;
@@ -145,9 +150,13 @@ class DistGcn {
   int f_r_ext_ = 1;                     ///< R0 extent (reshard parts)
 
   // Workspace outside the layers, sized on first use.
-  dense::Matrix f_in_;                  ///< gathered layer-0 input block (N'/P0 x D0'/Q0)
+  /// Gathered layer-0 input block (N'/P0 x D0'/Q0); layer 0's backward
+  /// writes its dF_in partials over it.
+  dense::Matrix f_in_;
   std::vector<float> logits_gathered_;  ///< P-gathered logits, P column blocks
-  dense::Matrix dlogits_;               ///< this rank's logits gradient block
+  /// The buffer each layer's forward read (f_in_, then each layer's Q): its
+  /// backward writes dF_in there.
+  std::vector<dense::Matrix*> layer_in_;
 };
 
 }  // namespace plexus::core

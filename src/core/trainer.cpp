@@ -88,7 +88,11 @@ void train_rank_body(sim::RankContext& ctx, const DatasetView& view, const Grid3
     const EpochStats s = reduce_epoch_stats(ctx.comm, wg, model.train_epoch(ctx, e));
     if (result != nullptr) {
       result->epochs[static_cast<std::size_t>(e - plan.start_epoch)] = s;
-      if (e == plan.start_epoch) result->workspace_bytes = model.workspace_bytes();
+      if (e == plan.start_epoch) {
+        result->workspace_bytes = model.workspace_bytes();
+        result->padded_nodes = view.padded_nodes();
+        result->padded_dims = model.padded_dims();
+      }
     }
     if (checkpointing &&
         (e + 1 == opt.epochs || (opt.checkpoint_every > 0 && (e + 1) % opt.checkpoint_every == 0))) {

@@ -131,6 +131,11 @@ struct TrainResult {
   /// rank's blocks have the same shape, so the ranks together hold
   /// grid volume x this.
   std::int64_t workspace_bytes = 0;
+  /// The shapes that workspace is sized from: the padded node count and the
+  /// padded layer dims [D', hidden'..., C'], so a caller can price the same
+  /// run with perf::estimate_activation_bytes.
+  std::int64_t padded_nodes = 0;
+  std::vector<std::int64_t> padded_dims;
 
   /// Mean epoch time skipping the first `skip` epochs ("average performance of
   /// the last eight epochs to account for initial fluctuations", section 6.2).

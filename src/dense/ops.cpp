@@ -9,16 +9,21 @@
 
 namespace plexus::dense {
 
-void relu(const Matrix& x, Matrix& out) {
+void relu(const Matrix& x, Matrix& out, std::span<std::uint64_t> mask) {
   PLEXUS_CHECK(x.same_shape(out), "relu shape mismatch");
-  const auto in = x.flat();
-  auto o = out.flat();
-  const auto n = static_cast<std::int64_t>(in.size());
+  const std::int64_t n = x.size();
+  PLEXUS_CHECK(mask.empty() || static_cast<std::int64_t>(mask.size()) == relu_mask_words(n),
+               "relu mask size mismatch");
+  const float* in = x.data();
+  float* o = out.data();
+  std::uint64_t* bits = mask.empty() ? nullptr : mask.data();
   const auto& kernels = simd::active_kernels();
   util::parallel_for(
-      0, n,
-      [&](std::int64_t i0, std::int64_t i1) {
-        kernels.relu(in.data() + i0, o.data() + i0, i1 - i0);
+      0, relu_mask_words(n),
+      [&](std::int64_t w0, std::int64_t w1) {
+        const std::int64_t i0 = w0 * 64;
+        kernels.relu(in + i0, o + i0, std::min(n, w1 * 64) - i0,
+                     bits == nullptr ? nullptr : bits + w0);
       },
       /*work_estimate=*/n);
 }
@@ -29,18 +34,19 @@ Matrix relu(const Matrix& x) {
   return out;
 }
 
-void relu_backward(const Matrix& pre_activation, const Matrix& dy, Matrix& dx) {
-  PLEXUS_CHECK(pre_activation.same_shape(dy), "relu_backward shape mismatch");
-  PLEXUS_CHECK(pre_activation.same_shape(dx), "relu_backward shape mismatch");
-  const auto q = pre_activation.flat();
-  const auto g = dy.flat();
-  auto o = dx.flat();
-  const auto n = static_cast<std::int64_t>(q.size());
+void relu_backward(std::span<const std::uint64_t> mask, const Matrix& dy, Matrix& dx) {
+  PLEXUS_CHECK(dy.same_shape(dx), "relu_backward shape mismatch");
+  const std::int64_t n = dy.size();
+  PLEXUS_CHECK(static_cast<std::int64_t>(mask.size()) == relu_mask_words(n),
+               "relu_backward mask size mismatch");
+  const float* g = dy.data();
+  float* o = dx.data();
   const auto& kernels = simd::active_kernels();
   util::parallel_for(
-      0, n,
-      [&](std::int64_t i0, std::int64_t i1) {
-        kernels.relu_backward(q.data() + i0, g.data() + i0, o.data() + i0, i1 - i0);
+      0, relu_mask_words(n),
+      [&](std::int64_t w0, std::int64_t w1) {
+        const std::int64_t i0 = w0 * 64;
+        kernels.relu_backward(mask.data() + w0, g + i0, o + i0, std::min(n, w1 * 64) - i0);
       },
       /*work_estimate=*/n);
 }

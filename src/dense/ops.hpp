@@ -11,12 +11,19 @@
 
 namespace plexus::dense {
 
-/// out = max(x, 0), elementwise (out may alias x).
-void relu(const Matrix& x, Matrix& out);
+/// Words of a ReLU derivative mask over n elements: one bit per element.
+constexpr std::int64_t relu_mask_words(std::int64_t n) { return (n + 63) / 64; }
+
+/// out = max(x, 0), elementwise: x > 0 ? x : +0 (out may alias x). A
+/// non-empty `mask` (relu_mask_words(x.size()) words) also receives relu'(x)
+/// as bits in flat row-major order: bit i % 64 of word i / 64 is x[i] > 0.
+/// Threads split on whole words, so no two write one word.
+void relu(const Matrix& x, Matrix& out, std::span<std::uint64_t> mask = {});
 Matrix relu(const Matrix& x);
 
-/// dx = dy * 1[pre_activation > 0], elementwise.
-void relu_backward(const Matrix& pre_activation, const Matrix& dy, Matrix& dx);
+/// dx = dy where the forward relu's `mask` bit is set, else +0 (dx may alias
+/// dy): bitwise `x > 0 ? dy : 0` on the forward's input x.
+void relu_backward(std::span<const std::uint64_t> mask, const Matrix& dy, Matrix& dx);
 
 /// Result of a masked softmax cross-entropy evaluation over a *row slice* of
 /// the logits; losses/counts are sums so distributed shards can be all-reduced.

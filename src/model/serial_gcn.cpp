@@ -46,8 +46,8 @@ struct SerialModel {
   }
 
   struct ForwardState {
-    std::vector<dense::Matrix> h;      // aggregation outputs per layer
-    std::vector<dense::Matrix> q_pre;  // pre-activations per layer
+    std::vector<dense::Matrix> h;                        // aggregation outputs per layer
+    std::vector<std::vector<std::uint64_t>> relu_masks;  // relu'(Q) bits per hidden layer
     dense::Matrix logits;
   };
 
@@ -60,11 +60,13 @@ struct SerialModel {
       dense::Matrix q = dense::matmul(h, weights[static_cast<std::size_t>(l)]);  // eq. 2.2
       st.h.push_back(std::move(h));
       if (l == L - 1) {
-        st.logits = q;
+        st.logits = std::move(q);
       } else {
-        f = dense::relu(q);  // eq. 2.3
+        std::vector<std::uint64_t> mask(static_cast<std::size_t>(dense::relu_mask_words(q.size())));
+        dense::relu(q, q, mask);  // eq. 2.3
+        st.relu_masks.push_back(std::move(mask));
+        f = std::move(q);
       }
-      st.q_pre.push_back(std::move(q));
     }
     return st;
   }
@@ -86,9 +88,8 @@ struct SerialModel {
                                                 dw.flat());
       if (l > 0) {
         // eq. 2.4 for the layer below
-        dense::Matrix next_dq(df.rows(), df.cols());
-        dense::relu_backward(st.q_pre[static_cast<std::size_t>(l - 1)], df, next_dq);
-        dq = std::move(next_dq);
+        dense::relu_backward(st.relu_masks[static_cast<std::size_t>(l - 1)], df, df);
+        dq = std::move(df);
       } else {
         f_adam.step(features.flat(), df.flat());
       }
@@ -150,9 +151,8 @@ SerialGrads serial_loss_and_grads(const graph::Graph& g, const core::GcnSpec& sp
                       dense::Trans::T);
     dense::Matrix df = sparse::spmm(model.adj_t, dh);
     if (l > 0) {
-      dense::Matrix next_dq(df.rows(), df.cols());
-      dense::relu_backward(st.q_pre[static_cast<std::size_t>(l - 1)], df, next_dq);
-      dq = std::move(next_dq);
+      dense::relu_backward(st.relu_masks[static_cast<std::size_t>(l - 1)], df, df);
+      dq = std::move(df);
     } else {
       out.df = std::move(df);
     }

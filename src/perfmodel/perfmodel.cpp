@@ -197,6 +197,14 @@ EpochPrediction predict_epoch(const sim::Machine& machine, const WorkloadStats& 
   return out;
 }
 
+double estimate_activation_bytes(const WorkloadStats& w, const sim::GridShape& g,
+                                 double elem_bytes) {
+  double dim_sum = 0.0;
+  for (const auto d : w.layer_dims) dim_sum += static_cast<double>(d);
+  const double gpus = static_cast<double>(g.x) * g.y * g.z;
+  return 4.0 * static_cast<double>(w.num_nodes) * dim_sum / gpus * elem_bytes;
+}
+
 double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
                               int adjacency_versions, double elem_bytes) {
   PLEXUS_CHECK(adjacency_versions >= 1, "estimate_per_gpu_bytes: bad version count");
@@ -218,11 +226,7 @@ double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
     adjacency += static_cast<double>(adjacency_versions) * 2.0 * csr;
   }
 
-  // Activations + gradients: H, dH, the forward stash and the aggregation
-  // scratch — 4 live (N * dim / gpus) blocks over the layer dim sum.
-  double dim_sum = 0.0;
-  for (const auto d : w.layer_dims) dim_sum += static_cast<double>(d);
-  const double activations = 4.0 * n * dim_sum / gpus * elem_bytes;
+  const double activations = estimate_activation_bytes(w, g, elem_bytes);
 
   // Trainable features plus their two Adam moments.
   const double features =

@@ -78,8 +78,7 @@ EpochPrediction predict_epoch(const sim::Machine& machine, const WorkloadStats& 
 ///     permutation, times 2 for the stored transpose), in CSR bytes
 ///     (nnz * (4 + elem) + (rows + 1) * 8 under the uniform-shard-density
 ///     assumption of section 5.1);
-///   * activations + gradients: 4 live (N * dim / gpus) blocks per layer sum
-///     (H, dH, plus the forward stash and the aggregation scratch);
+///   * activations + gradients: estimate_activation_bytes;
 ///   * trainable input features with their two Adam moments (3x the flat
 ///     feature slice).
 /// `elem_bytes` prices the dense element (4 = fp32). Streaming mode drops the
@@ -87,6 +86,13 @@ EpochPrediction predict_epoch(const sim::Machine& machine, const WorkloadStats& 
 /// fully resident mode.
 double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
                               int adjacency_versions = 2, double elem_bytes = 4.0);
+
+/// The activation + gradient term of estimate_per_gpu_bytes: 4 live
+/// (N * dim / gpus) blocks over the layer dim sum (H, dH, plus the forward
+/// stash and the aggregation scratch). This is the model's price for what
+/// DistGcn::workspace_bytes() measures.
+double estimate_activation_bytes(const WorkloadStats& w, const sim::GridShape& g,
+                                 double elem_bytes = 4.0);
 
 /// All factorisations x*y*z == gpus.
 std::vector<sim::GridShape> enumerate_grids(int gpus);

@@ -1,25 +1,11 @@
 #include "serve/inference_server.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace plexus::serve {
-
-namespace {
-
-double percentile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      std::llround(q * static_cast<double>(xs.size() - 1)));
-  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(idx), xs.end());
-  return xs[idx];
-}
-
-}  // namespace
 
 InferenceServer::InferenceServer(const ServedModel& model, ServeOptions opt)
     : model_(&model), opt_(opt) {
@@ -99,16 +85,12 @@ void InferenceServer::answer_batch(std::vector<Request>& batch) {
       /*work_estimate=*/n * model_->num_classes());
 
   const auto now = std::chrono::steady_clock::now();
-  std::vector<double> lats;
-  lats.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(results[i]);
-    lats.push_back(
-        std::chrono::duration<double, std::micro>(now - batch[i].enqueued).count());
-  }
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].promise.set_value(results[i]);
 
   std::lock_guard<std::mutex> lk(stats_mutex_);
-  latencies_us_.insert(latencies_us_.end(), lats.begin(), lats.end());
+  for (const Request& r : batch) {
+    latencies_us_.record(std::chrono::duration<double, std::micro>(now - r.enqueued).count());
+  }
   ++batches_;
   max_batch_size_ = std::max(max_batch_size_, n);
 }
@@ -125,14 +107,14 @@ void InferenceServer::stop() {
 ServeStats InferenceServer::stats() const {
   std::lock_guard<std::mutex> lk(stats_mutex_);
   ServeStats s;
-  s.served = static_cast<std::int64_t>(latencies_us_.size());
+  s.served = latencies_us_.count();
   s.rejected = rejected_;
   s.batches = batches_;
   s.max_queue_depth = max_queue_depth_;
   s.max_batch_size = max_batch_size_;
-  s.mean_latency_us = util::summarize(latencies_us_).mean;
-  s.p50_latency_us = percentile(latencies_us_, 0.50);
-  s.p99_latency_us = percentile(latencies_us_, 0.99);
+  s.mean_latency_us = latencies_us_.mean();
+  s.p50_latency_us = latencies_us_.percentile(0.50);
+  s.p99_latency_us = latencies_us_.percentile(0.99);
   return s;
 }
 

@@ -14,7 +14,11 @@
 ///
 /// Counters: per-request latency (enqueue -> promise fulfilled) feeding
 /// p50/p99/mean, served/rejected/batch counts, and the high-water queue
-/// depth. `stats()` snapshots them at any time; `stats_table()` renders the
+/// depth. Latencies go into a fixed log-bucket histogram (util::LogHistogram),
+/// so a long-running server's counters stay the same size however many
+/// requests it answers; the percentiles are bucket midpoints, within
+/// util::LogHistogram::kRelativeError of the exact order statistics.
+/// `stats()` snapshots them at any time; `stats_table()` renders the
 /// standard util::Table the CLI and bench print.
 
 #include <chrono>
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "serve/served_model.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace plexus::serve {
@@ -38,7 +43,8 @@ struct ServeOptions {
   int max_queue = 4096;           ///< admission bound; beyond -> reject
 };
 
-/// Snapshot of the server's counters (percentiles computed on demand).
+/// Snapshot of the server's counters (percentiles read off the latency
+/// histogram on demand).
 struct ServeStats {
   std::int64_t served = 0;
   std::int64_t rejected = 0;
@@ -90,7 +96,7 @@ class InferenceServer {
   bool stopping_ = false;
 
   mutable std::mutex stats_mutex_;
-  std::vector<double> latencies_us_;
+  util::LogHistogram latencies_us_;
   std::int64_t rejected_ = 0;
   std::int64_t batches_ = 0;
   std::int64_t max_queue_depth_ = 0;

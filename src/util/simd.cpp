@@ -35,17 +35,139 @@ namespace plexus::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Elementwise kernels. Plain loops cloned per target attribute: every
-// operation is one correctly-rounded mul/add/div/sqrt per element, so any
-// vectorization of the loop is bitwise-identical to the scalar run.
+// ReLU and its bit-mask derivative. Each target walks 64-element words and
+// builds a word from its lanes' compare masks (AVX-512 `cmp_ps_mask`, AVX2
+// `movemask`), so no store reinterprets a mask register as memory. The
+// compares are ordered (`_CMP_GT_OQ`), false for NaN like the scalar `>`;
+// lanes past n are loaded as zero, which leaves their bits clear.
 
-#define PLEXUS_DEFINE_ELEMENTWISE(SUFFIX, ATTR)                                                    \
-  ATTR void relu_##SUFFIX(const float* x, float* y, std::int64_t n) {                              \
-    for (std::int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;                         \
-  }                                                                                                \
-  ATTR void relu_backward_##SUFFIX(const float* q, const float* dy, float* dx, std::int64_t n) {   \
-    for (std::int64_t i = 0; i < n; ++i) dx[i] = q[i] > 0.0f ? dy[i] : 0.0f;                       \
-  }                                                                                                \
+PLEXUS_SCALAR_ATTR void relu_scalar(const float* x, float* y, std::int64_t n,
+                                    std::uint64_t* mask) {
+  for (std::int64_t i0 = 0; i0 < n; i0 += 64) {
+    const std::int64_t len = std::min<std::int64_t>(64, n - i0);
+    std::uint64_t bits = 0;
+    for (std::int64_t j = 0; j < len; ++j) {
+      const float v = x[i0 + j];
+      const bool pos = v > 0.0f;
+      y[i0 + j] = pos ? v : 0.0f;
+      bits |= static_cast<std::uint64_t>(pos) << j;
+    }
+    if (mask != nullptr) mask[i0 / 64] = bits;
+  }
+}
+
+PLEXUS_SCALAR_ATTR void relu_backward_scalar(const std::uint64_t* mask, const float* dy,
+                                             float* dx, std::int64_t n) {
+  for (std::int64_t i0 = 0; i0 < n; i0 += 64) {
+    const std::int64_t len = std::min<std::int64_t>(64, n - i0);
+    const std::uint64_t bits = mask[i0 / 64];
+    for (std::int64_t j = 0; j < len; ++j) dx[i0 + j] = (bits >> j) & 1u ? dy[i0 + j] : 0.0f;
+  }
+}
+
+#if PLEXUS_SIMD_X86
+
+#define PLEXUS_AVX2_ATTR __attribute__((target("avx2")))
+#define PLEXUS_AVX512_ATTR __attribute__((target("avx512f")))
+
+/// Lanes [0, left) of an 8-lane vector, all of them when left >= 8.
+PLEXUS_AVX2_ATTR inline __m256i lanes_avx2(std::int64_t left) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(std::min<std::int64_t>(left, 8))),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+PLEXUS_AVX2_ATTR void relu_avx2(const float* x, float* y, std::int64_t n, std::uint64_t* mask) {
+  for (std::int64_t i0 = 0; i0 < n; i0 += 64) {
+    std::uint64_t bits = 0;
+    for (std::int64_t j = 0; j < 64 && i0 + j < n; j += 8) {
+      const std::int64_t left = n - i0 - j;
+      __m256 v;
+      if (left >= 8) {
+        v = _mm256_loadu_ps(x + i0 + j);
+      } else {
+        v = _mm256_maskload_ps(x + i0 + j, lanes_avx2(left));
+      }
+      const __m256 pos = _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ);
+      const __m256 out = _mm256_and_ps(v, pos);
+      if (left >= 8) {
+        _mm256_storeu_ps(y + i0 + j, out);
+      } else {
+        _mm256_maskstore_ps(y + i0 + j, lanes_avx2(left), out);
+      }
+      bits |= static_cast<std::uint64_t>(static_cast<unsigned>(_mm256_movemask_ps(pos))) << j;
+    }
+    if (mask != nullptr) mask[i0 / 64] = bits;
+  }
+}
+
+PLEXUS_AVX2_ATTR void relu_backward_avx2(const std::uint64_t* mask, const float* dy, float* dx,
+                                         std::int64_t n) {
+  // Lane k keeps dy when bit k of the byte is set: broadcast the byte, AND
+  // each lane with its own bit and compare, which expands bits into lanes.
+  const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  for (std::int64_t i0 = 0; i0 < n; i0 += 64) {
+    const std::uint64_t bits = mask[i0 / 64];
+    for (std::int64_t j = 0; j < 64 && i0 + j < n; j += 8) {
+      const auto byte = static_cast<int>((bits >> j) & 0xffu);
+      const __m256 keep = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+          _mm256_and_si256(_mm256_set1_epi32(byte), lane_bit), lane_bit));
+      const std::int64_t left = n - i0 - j;
+      if (left >= 8) {
+        _mm256_storeu_ps(dx + i0 + j, _mm256_and_ps(_mm256_loadu_ps(dy + i0 + j), keep));
+      } else {
+        const __m256i lanes = lanes_avx2(left);
+        _mm256_maskstore_ps(dx + i0 + j, lanes,
+                            _mm256_and_ps(_mm256_maskload_ps(dy + i0 + j, lanes), keep));
+      }
+    }
+  }
+}
+
+/// Lanes [0, left) of a 16-lane vector, all of them when left >= 16.
+PLEXUS_AVX512_ATTR inline __mmask16 lanes_avx512(std::int64_t left) {
+  return left >= 16 ? static_cast<__mmask16>(0xffffu)
+                    : static_cast<__mmask16>((1u << static_cast<unsigned>(left)) - 1u);
+}
+
+PLEXUS_AVX512_ATTR void relu_avx512(const float* x, float* y, std::int64_t n,
+                                    std::uint64_t* mask) {
+  for (std::int64_t i0 = 0; i0 < n; i0 += 64) {
+    std::uint64_t bits = 0;
+    for (std::int64_t j = 0; j < 64 && i0 + j < n; j += 16) {
+      const __mmask16 lanes = lanes_avx512(n - i0 - j);
+      const __m512 v = _mm512_maskz_loadu_ps(lanes, x + i0 + j);
+      const __mmask16 pos = _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
+      _mm512_mask_storeu_ps(y + i0 + j, lanes, _mm512_maskz_mov_ps(pos, v));
+      bits |= static_cast<std::uint64_t>(pos) << j;
+    }
+    if (mask != nullptr) mask[i0 / 64] = bits;
+  }
+}
+
+PLEXUS_AVX512_ATTR void relu_backward_avx512(const std::uint64_t* mask, const float* dy,
+                                             float* dx, std::int64_t n) {
+  for (std::int64_t i0 = 0; i0 < n; i0 += 64) {
+    const std::uint64_t bits = mask[i0 / 64];
+    for (std::int64_t j = 0; j < 64 && i0 + j < n; j += 16) {
+      const __mmask16 lanes = lanes_avx512(n - i0 - j);
+      const auto keep = static_cast<__mmask16>(bits >> j);
+      const __m512 g = _mm512_maskz_loadu_ps(lanes, dy + i0 + j);
+      _mm512_mask_storeu_ps(dx + i0 + j, lanes, _mm512_maskz_mov_ps(keep, g));
+    }
+  }
+}
+
+#undef PLEXUS_AVX2_ATTR
+#undef PLEXUS_AVX512_ATTR
+
+#endif  // PLEXUS_SIMD_X86
+
+// ---------------------------------------------------------------------------
+// Adam. A plain loop cloned per target attribute: every operation is one
+// correctly-rounded mul/add/div/sqrt per element, so any vectorization of
+// the loop is bitwise-identical to the scalar run.
+
+#define PLEXUS_DEFINE_ADAM(SUFFIX, ATTR)                                                           \
   ATTR void adam_step_##SUFFIX(float* p, const float* g, float* m, float* v, std::int64_t n,       \
                                float beta1, float beta2, float lr, float eps, float weight_decay,  \
                                float bc1, float bc2) {                                             \
@@ -71,12 +193,12 @@ namespace {
     }                                                                                              \
   }
 
-PLEXUS_DEFINE_ELEMENTWISE(scalar, PLEXUS_SCALAR_ATTR)
+PLEXUS_DEFINE_ADAM(scalar, PLEXUS_SCALAR_ATTR)
 #if PLEXUS_SIMD_X86
-PLEXUS_DEFINE_ELEMENTWISE(avx2, __attribute__((target("avx2"))))
-PLEXUS_DEFINE_ELEMENTWISE(avx512, __attribute__((target("avx512f"))))
+PLEXUS_DEFINE_ADAM(avx2, __attribute__((target("avx2"))))
+PLEXUS_DEFINE_ADAM(avx512, __attribute__((target("avx512f"))))
 #endif
-#undef PLEXUS_DEFINE_ELEMENTWISE
+#undef PLEXUS_DEFINE_ADAM
 
 // ---------------------------------------------------------------------------
 // Row kernels: the register-blocked GEMM and SpMM of simd_rows.inc, compiled

@@ -67,10 +67,15 @@ struct Kernels {
                     std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t i0,
                     std::int64_t i1, std::int64_t k0, std::int64_t k1, std::int64_t n,
                     float alpha);
-  /// y[i] = x[i] > 0 ? x[i] : 0.
-  void (*relu)(const float* x, float* y, std::int64_t n);
-  /// dx[i] = q[i] > 0 ? dy[i] : 0.
-  void (*relu_backward)(const float* q, const float* dy, float* dx, std::int64_t n);
+  /// y[i] = x[i] > 0 ? x[i] : +0 (y may alias x). A non-null `mask` also
+  /// receives relu'(x) as ceil(n / 64) words: bit i % 64 of mask[i / 64] is
+  /// x[i] > 0 (clear for NaN), and the last word's bits past n are clear.
+  /// Serving passes null.
+  void (*relu)(const float* x, float* y, std::int64_t n, std::uint64_t* mask);
+  /// dx[i] = bit i of `mask` ? dy[i] : +0 (dx may alias dy), for a mask the
+  /// forward relu wrote. Equal to `x[i] > 0 ? dy[i] : 0` for every x,
+  /// NaN, +-0 and +-inf included.
+  void (*relu_backward)(const std::uint64_t* mask, const float* dy, float* dx, std::int64_t n);
   /// One Adam update over n parameters; bc1/bc2 are the precomputed bias
   /// corrections 1 - beta^t.
   void (*adam_step)(float* p, const float* g, float* m, float* v, std::int64_t n, float beta1,

@@ -33,6 +33,39 @@ double max_over_mean(const std::vector<double>& xs) {
   return s.max / s.mean;
 }
 
+int LogHistogram::bucket_of(double x) {
+  if (!(x >= std::ldexp(1.0, kMinExp))) return 0;  // also negatives and NaN
+  if (x >= std::ldexp(1.0, kMaxExp)) return kBuckets - 1;
+  int exp = 0;
+  const double m = std::frexp(x, &exp);  // x = m * 2^exp, m in [0.5, 1)
+  // x lies in octave exp - 1; (2m - 1) * kSubBuckets is exact in double.
+  const int sub = static_cast<int>((2.0 * m - 1.0) * kSubBuckets);
+  return (exp - 1 - kMinExp) * kSubBuckets + sub;
+}
+
+void LogHistogram::record(double x) {
+  ++counts_[static_cast<std::size_t>(bucket_of(x))];
+  min_ = count_ == 0 ? x : std::min(min_, x);
+  max_ = count_ == 0 ? x : std::max(max_, x);
+  ++count_;
+  sum_ += x;
+}
+
+double LogHistogram::percentile(double q) const {
+  if (count_ == 0) return 0.0;
+  const auto rank = static_cast<std::int64_t>(std::llround(q * static_cast<double>(count_ - 1)));
+  std::int64_t seen = 0;
+  for (int i = 0; i < kBuckets; ++i) {
+    seen += counts_[static_cast<std::size_t>(i)];
+    if (seen > rank) {
+      const double mid = std::ldexp(1.0 + (i % kSubBuckets + 0.5) / kSubBuckets,
+                                    i / kSubBuckets + kMinExp);
+      return std::clamp(mid, min_, max_);
+    }
+  }
+  return max_;
+}
+
 std::vector<double> solve_linear_system(std::vector<double> A, std::vector<double> b,
                                         std::size_t n) {
   PLEXUS_CHECK(A.size() == n * n && b.size() == n, "solve_linear_system: bad shapes");

@@ -5,6 +5,7 @@
 /// performance model (section 4.1 of the paper fits a 3-term linear model and
 /// reports train/test R^2 and RMSE over random splits).
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +23,41 @@ Summary summarize(const std::vector<double>& xs);
 
 /// Ratio of max to mean; the paper's load-imbalance metric (Table 3).
 double max_over_mean(const std::vector<double>& xs);
+
+/// Fixed log-bucket histogram of non-negative samples, for counters that
+/// must not grow with the number of samples (serve latencies). Each octave
+/// [2^e, 2^(e+1)), kMinExp <= e < kMaxExp, is split into kSubBuckets equal
+/// buckets held in a member array, so record() never allocates. Samples below
+/// 2^kMinExp share the first bucket, samples at or above 2^kMaxExp the last.
+/// count() and sum() are exact. percentile(q) finds the sample of rank
+/// round(q * (count - 1)) in sorted order (what std::nth_element at that
+/// index returns) and reports its bucket's midpoint, clamped to the observed
+/// [min, max]: within kRelativeError of the sample when the sample lies in
+/// [2^kMinExp, 2^kMaxExp).
+class LogHistogram {
+ public:
+  static constexpr int kMinExp = -4;
+  static constexpr int kMaxExp = 36;
+  static constexpr int kSubBuckets = 64;
+  static constexpr double kRelativeError = 0.5 / kSubBuckets;
+
+  void record(double x);
+  std::int64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
+  /// q in [0, 1]; 0 when empty.
+  double percentile(double q) const;
+
+ private:
+  static constexpr int kBuckets = (kMaxExp - kMinExp) * kSubBuckets;
+  static int bucket_of(double x);
+
+  std::array<std::int64_t, kBuckets> counts_{};
+  std::int64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+};
 
 /// Ordinary least squares: fit y ~ X * beta (+ intercept if add_intercept).
 /// X is row-major, n rows of k features. Returns beta of size k (+1 leading

@@ -13,6 +13,7 @@
 #include "dense/ops.hpp"
 #include "dense/optim.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pd = plexus::dense;
 
@@ -149,12 +150,58 @@ TEST(Ops, ReluForwardBackward) {
   EXPECT_EQ(y.at(0, 0), 0.0f);
   EXPECT_EQ(y.at(0, 2), 2.0f);
 
+  // The training form also writes relu'(x) as bits: only x[2] > 0.
+  std::vector<std::uint64_t> mask(static_cast<std::size_t>(pd::relu_mask_words(x.size())));
+  ASSERT_EQ(mask.size(), 1u);
+  pd::Matrix y_masked(1, 4);
+  pd::relu(x, y_masked, mask);
+  EXPECT_EQ(mask[0], std::uint64_t{0b0100});
+  EXPECT_EQ(pd::Matrix::max_abs_diff(y_masked, y), 0.0f);
+
   pd::Matrix dy(1, 4, 1.0f);
   pd::Matrix dx(1, 4);
-  pd::relu_backward(x, dy, dx);
+  pd::relu_backward(mask, dy, dx);
   EXPECT_EQ(dx.at(0, 0), 0.0f);
   EXPECT_EQ(dx.at(0, 1), 0.0f);  // gradient 0 at non-positive pre-activation
   EXPECT_EQ(dx.at(0, 2), 1.0f);
+}
+
+TEST(Ops, ReluMaskThreadedMatchesSerial) {
+  // 301 x 229 = 68,929 elements: above the serial-work cutoff, so the pool
+  // really splits the words, and one element past a whole word, so the last
+  // word is partial. Each run is in place, as the layers run it.
+  const auto x = random_matrix(301, 229, 91);
+  const auto dy = random_matrix(301, 229, 92);
+  const auto words = static_cast<std::size_t>(pd::relu_mask_words(x.size()));
+  ASSERT_NE(x.size() % 64, 0);
+  ASSERT_GT(x.size(), plexus::util::kSerialWorkCutoff);
+  const auto run = [&](int threads, pd::Matrix& y, std::vector<std::uint64_t>& mask,
+                       pd::Matrix& dx) {
+    plexus::util::ScopedIntraRankThreads scope(threads);
+    y = x;
+    mask.assign(words, ~std::uint64_t{0});
+    pd::relu(y, y, mask);
+    dx = dy;
+    pd::relu_backward(mask, dx, dx);
+  };
+  pd::Matrix y1, dx1;
+  std::vector<std::uint64_t> mask1;
+  run(1, y1, mask1, dx1);
+  EXPECT_EQ(mask1.back() >> (x.size() % 64), 0u) << "bits past the last element must be clear";
+  for (const int threads : {2, 4}) {
+    pd::Matrix y, dx;
+    std::vector<std::uint64_t> mask;
+    run(threads, y, mask, dx);
+    EXPECT_EQ(mask, mask1) << threads << " threads";
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(y.flat()[static_cast<std::size_t>(i)]),
+                std::bit_cast<std::uint32_t>(y1.flat()[static_cast<std::size_t>(i)]))
+          << threads << " threads, relu element " << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(dx.flat()[static_cast<std::size_t>(i)]),
+                std::bit_cast<std::uint32_t>(dx1.flat()[static_cast<std::size_t>(i)]))
+          << threads << " threads, relu_backward element " << i;
+    }
+  }
 }
 
 TEST(Ops, SoftmaxCrossEntropyValuesAndMask) {

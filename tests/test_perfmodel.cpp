@@ -143,6 +143,7 @@ TEST(PerfModel, EstimatePerGpuBytesPinnedValue) {
   const double adjacency = 2.0 * 2.0 * (1000.0 * 8.0 + 101.0 * 8.0);
   const double activations = 4.0 * 100.0 * (8.0 + 4.0) * 4.0;
   const double features = 3.0 * 100.0 * 8.0 * 4.0;
+  EXPECT_EQ(pp::estimate_activation_bytes(w, {1, 1, 1}), activations);
   EXPECT_NEAR(pp::estimate_per_gpu_bytes(w, {1, 1, 1}), adjacency + activations + features,
               1e-6);
   // A single adjacency version halves exactly the adjacency term.

@@ -12,6 +12,7 @@
 // error everywhere else (round-to-nearest-even), and sign/inf/NaN handling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -252,9 +253,12 @@ TEST(SimdKernels, ElementwiseAndAdamBitwiseAcrossTargetsAndWidths) {
     const auto m0 = random_floats(sz, 59, -0.1f, 0.1f);
     auto v0 = random_floats(sz, 61, 0.0f, 0.1f);
 
+    const auto words = static_cast<std::size_t>((n + 63) / 64);
     std::vector<float> relu_want(sz), dx_want(sz);
-    ps::kernels(ps::Target::Scalar).relu(x.data(), relu_want.data(), n);
-    ps::kernels(ps::Target::Scalar).relu_backward(x.data(), dy.data(), dx_want.data(), n);
+    std::vector<std::uint64_t> mask_want(words);
+    ps::kernels(ps::Target::Scalar).relu(x.data(), relu_want.data(), n, mask_want.data());
+    ps::kernels(ps::Target::Scalar)
+        .relu_backward(mask_want.data(), dy.data(), dx_want.data(), n);
     std::vector<float> pw = p0, mw = m0, vw = v0;
     ps::kernels(ps::Target::Scalar)
         .adam_step(pw.data(), g.data(), mw.data(), vw.data(), n, 0.9f, 0.999f, 1e-2f, 1e-8f,
@@ -262,9 +266,12 @@ TEST(SimdKernels, ElementwiseAndAdamBitwiseAcrossTargetsAndWidths) {
 
     for (const ps::Target t : supported_targets()) {
       std::vector<float> relu_got(sz), dx_got(sz);
-      ps::kernels(t).relu(x.data(), relu_got.data(), n);
-      ps::kernels(t).relu_backward(x.data(), dy.data(), dx_got.data(), n);
+      std::vector<std::uint64_t> mask_got(words);
+      ps::kernels(t).relu(x.data(), relu_got.data(), n, mask_got.data());
+      ps::kernels(t).relu_backward(mask_got.data(), dy.data(), dx_got.data(), n);
       expect_bitwise_equal(relu_got, relu_want, "relu", t, n);
+      EXPECT_EQ(mask_got, mask_want) << "relu mask: target " << ps::target_name(t) << ", width "
+                                     << n;
       expect_bitwise_equal(dx_got, dx_want, "relu_backward", t, n);
       std::vector<float> pg = p0, mg = m0, vg = v0;
       ps::kernels(t).adam_step(pg.data(), g.data(), mg.data(), vg.data(), n, 0.9f, 0.999f, 1e-2f,
@@ -272,6 +279,63 @@ TEST(SimdKernels, ElementwiseAndAdamBitwiseAcrossTargetsAndWidths) {
       expect_bitwise_equal(pg, pw, "adam p", t, n);
       expect_bitwise_equal(mg, mw, "adam m", t, n);
       expect_bitwise_equal(vg, vw, "adam v", t, n);
+    }
+  }
+}
+
+TEST(SimdKernels, ReluMaskBitwiseAcrossTargets) {
+  // Lengths around the 8- and 16-lane vectors and the 64-element mask word.
+  // Inputs mix random values with NaN of both signs, +-0, +-inf, denormals
+  // and the smallest normals; dy carries its own NaN and inf so that the
+  // backward's `bit ? dy : +0` must pass dy's bits through unchanged.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();
+  const float specials[] = {nan,  -nan,    0.0f,  -0.0f, inf,   -inf,
+                            denorm, -denorm, 0x1p-140f, -0x1p-140f, tiny, -tiny};
+  const auto bits_of = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+  for (const std::int64_t n : {1, 7, 8, 15, 16, 17, 63, 64, 65, 1000, 4099}) {
+    const auto sz = static_cast<std::size_t>(n);
+    auto x = random_floats(sz, 97);
+    auto dy = random_floats(sz, 101);
+    for (std::size_t i = 0; i < sz; i += 3) x[i] = specials[(i / 3) % std::size(specials)];
+    for (std::size_t i = 1; i < sz; i += 5) dy[i] = specials[(i / 5) % std::size(specials)];
+    const auto words = static_cast<std::size_t>((n + 63) / 64);
+
+    std::vector<float> y_want(sz), dx_want(sz);
+    std::vector<std::uint64_t> mask_want(words);
+    ps::kernels(ps::Target::Scalar).relu(x.data(), y_want.data(), n, mask_want.data());
+    ps::kernels(ps::Target::Scalar)
+        .relu_backward(mask_want.data(), dy.data(), dx_want.data(), n);
+    for (std::size_t i = 0; i < sz; ++i) {
+      const bool pos = x[i] > 0.0f;
+      ASSERT_EQ(bits_of(y_want[i]), bits_of(pos ? x[i] : 0.0f)) << "n " << n << ", element " << i;
+      ASSERT_EQ((mask_want[i / 64] >> (i % 64)) & 1u, pos ? 1u : 0u)
+          << "n " << n << ", element " << i;
+      ASSERT_EQ(bits_of(dx_want[i]), bits_of(pos ? dy[i] : 0.0f))
+          << "n " << n << ", element " << i;
+    }
+    if (n % 64 != 0) {
+      EXPECT_EQ(mask_want.back() >> (n % 64), 0u) << "n " << n;
+    }
+
+    for (const ps::Target t : supported_targets()) {
+      std::vector<float> y(sz), dx(sz);
+      std::vector<std::uint64_t> mask(words, ~std::uint64_t{0});
+      ps::kernels(t).relu(x.data(), y.data(), n, mask.data());
+      ps::kernels(t).relu_backward(mask.data(), dy.data(), dx.data(), n);
+      expect_bitwise_equal(y, y_want, "relu", t, n);
+      EXPECT_EQ(mask, mask_want) << "relu mask: target " << ps::target_name(t) << ", n " << n;
+      expect_bitwise_equal(dx, dx_want, "relu_backward", t, n);
+
+      // In place, as the layers run them; serving passes no mask.
+      std::vector<float> inplace = x;
+      ps::kernels(t).relu(inplace.data(), inplace.data(), n, nullptr);
+      expect_bitwise_equal(inplace, y_want, "relu in place, no mask", t, n);
+      inplace = dy;
+      ps::kernels(t).relu_backward(mask_want.data(), inplace.data(), inplace.data(), n);
+      expect_bitwise_equal(inplace, dx_want, "relu_backward in place", t, n);
     }
   }
 }

@@ -1,7 +1,12 @@
 // Unit tests for util: deterministic RNG, permutations, statistics, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <type_traits>
+#include <vector>
 
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -133,6 +138,40 @@ TEST(Stats, PowerLawFit) {
   const auto [a, b] = pu::fit_power_law(x, y);
   EXPECT_NEAR(a, 2.5, 1e-6);
   EXPECT_NEAR(b, 1.7, 1e-9);
+}
+
+TEST(Stats, LogHistogramPercentilesCountAndFootprint) {
+  // All of the histogram's state is inline: a trivially copyable, trivially
+  // destructible type owns no heap storage, so recording cannot grow it.
+  static_assert(std::is_trivially_copyable_v<pu::LogHistogram>);
+  static_assert(std::is_trivially_destructible_v<pu::LogHistogram>);
+  pu::LogHistogram h;
+  EXPECT_EQ(h.count(), 0);
+  EXPECT_EQ(h.percentile(0.5), 0.0);
+
+  // Serve-like latencies in microseconds, plus exact powers of two (the
+  // lower edge of an octave, where the midpoint error is largest).
+  std::mt19937_64 rng(7);
+  std::lognormal_distribution<double> latency(std::log(120.0), 1.2);
+  std::vector<double> xs;
+  double sum = 0.0;
+  constexpr int kSamples = 100000;
+  for (int i = 0; i < kSamples; ++i) {
+    const double x = i % 50 == 0 ? std::ldexp(1.0, i % 20) : latency(rng);
+    xs.push_back(x);
+    h.record(x);
+    sum += x;
+  }
+  EXPECT_EQ(h.count(), kSamples);
+  EXPECT_EQ(h.sum(), sum);
+  EXPECT_EQ(h.mean(), sum / kSamples);
+  for (const double q : {0.0, 0.001, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const auto idx = static_cast<std::size_t>(std::llround(q * (kSamples - 1)));
+    std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(idx), xs.end());
+    const double want = xs[idx];
+    EXPECT_LE(std::abs(h.percentile(q) - want), pu::LogHistogram::kRelativeError * want)
+        << "q " << q << ": exact " << want << ", histogram " << h.percentile(q);
+  }
 }
 
 TEST(Table, FormatsCounts) {

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <new>
 #include <ostream>
+#include <vector>
 
 #include "comm/world.hpp"
 #include "core/dataset_view.hpp"
@@ -133,39 +134,69 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2), ::testing::Bool(),
                        ::testing::Values(RunShape{{2, 1, 2}, 64}, RunShape{{1, 1, 1}, 128})));
 
-TEST(Workspace, BytesPinnedValue) {
-  // 120 nodes, 12 features, 4 classes, hidden {8}, grid x=2, y=1, z=2: no
-  // dimension needs padding, so N' = 120 and the dims are 12 -> 8 -> 4.
-  const pg::Graph g = pg::make_test_graph(120, 6.0, 12, 4, 1234);
-  pc::GcnSpec spec;
-  spec.hidden_dims = {8};
-  const psim::GridShape shape{2, 1, 2};
-  const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::None, spec.num_layers(),
-                                       shape.size(), 7);
-  ASSERT_EQ(ds.padded_nodes, 120);
-  const pc::InMemoryDatasetView view(ds);
-  const auto& machine = psim::Machine::test_machine();
+/// One pinned workspace case: the run shape and its hand-derived total.
+struct PinnedWorkspace {
+  psim::GridShape grid;
+  std::vector<std::int64_t> hidden;
+  std::int64_t floats;          ///< float buffers, gemm_dw_tuning off
+  std::int64_t mask_words;      ///< 64-bit relu'(Q) words, one per 64 elements of each hidden Q
+  std::int64_t dw_rev_floats;   ///< what gemm_dw_tuning adds: each layer's dW^T
+};
 
-  // Layer 0, roles (P, Q, R) = (X, Y, Z), extents (2, 1, 2):
-  //   H 60x12 + Q 60x4 + W 12x4 + W^T 4x12 + dW 12x4 + dF_in 60x12 = 1824
-  // Layer 1, roles (Z, X, Y), extents (2, 2, 1):
-  //   H 120x4 + Q 120x2 + W 4x2 + W^T 2x4 + dW 4x2 + dF_in 60x4    =  984
-  // Model: input block 60x12 + gathered logits 120x(2*2) + dlogits 120x2
-  //                                                                  = 1440
-  const std::int64_t floats = 1824 + 984 + 1440;
-  // gemm_dw_tuning adds each layer's reversed dW^T: 4x12 + 2x4 = 56.
-  for (const bool tuning : {false, true}) {
-    spec.options.gemm_dw_tuning = tuning;
-    const std::int64_t want = (floats + (tuning ? 56 : 0)) * 4;
-    plexus::comm::World world(shape.size());
-    pc::Grid3D grid(world, shape, machine);
-    psim::run_cluster(world, machine, [&](psim::RankContext& ctx) {
-      pc::DistGcn model(ctx, view, grid, spec);
-      EXPECT_EQ(model.workspace_bytes(), 0);  // sized on first use
-      model.train_epoch(ctx, 0);
-      EXPECT_EQ(model.workspace_bytes(), want) << "rank " << ctx.rank();
-      model.train_epoch(ctx, 1);
-      EXPECT_EQ(model.workspace_bytes(), want) << "rank " << ctx.rank();
-    });
+TEST(Workspace, BytesPinnedValue) {
+  // 120 nodes, 12 features, 4 classes, preprocessed without permutation. No
+  // dimension needs padding on either grid, so N' = 120. Every layer's
+  // dF_in overwrites the input its forward read and the loss gradient
+  // overwrites the logits, so neither has a buffer of its own.
+  const PinnedWorkspace cases[] = {
+      // hidden {8}, grid x=2, y=1, z=2; dims 12 -> 8 -> 4.
+      // Layer 0, roles (P, Q, R) = (X, Y, Z), extents (2, 1, 2):
+      //   H 60x12 + Q 60x4 + W 12x4 + W^T 4x12 + dW 12x4        = 1104
+      //   relu'(Q): 240 bits -> 4 words
+      // Layer 1, roles (Z, X, Y), extents (2, 2, 1):
+      //   H 120x4 + Q 120x2 + W 4x2 + W^T 2x4 + dW 4x2          =  744
+      // Model: input block 60x12 + gathered logits 120x(2*2)    = 1200
+      // gemm_dw_tuning: dW^T 4x12 + 2x4                          =   56
+      {{2, 1, 2}, {8}, 1104 + 744 + 1200, 4, 56},
+      // hidden {8, 8}, grid x=2, y=2, z=1; dims 12 -> 8 -> 8 -> 4.
+      // Layer 0, roles (X, Y, Z), extents (2, 2, 1):
+      //   H 120x6 + Q 120x4 + W 6x4 + W^T 4x6 + dW 6x4         = 1272
+      //   relu'(Q): 480 bits -> 8 words
+      // Layer 1, roles (Z, X, Y), extents (1, 2, 2):
+      //   H 60x4 + Q 60x8 + W 4x8 + W^T 8x4 + dW 4x8           =  816
+      //   relu'(Q): 480 bits -> 8 words
+      // Layer 2, roles (Y, Z, X), extents (2, 1, 2):
+      //   H 60x8 + Q 60x2 + W 8x2 + W^T 2x8 + dW 8x2           =  648
+      // Model: input block 60x6 + gathered logits 60x(2*2)     =  600
+      // gemm_dw_tuning: dW^T 4x6 + 8x4 + 2x8                    =   72
+      {{2, 2, 1}, {8, 8}, 1272 + 816 + 648 + 600, 16, 72},
+  };
+  const pg::Graph g = pg::make_test_graph(120, 6.0, 12, 4, 1234);
+  const auto& machine = psim::Machine::test_machine();
+  for (const PinnedWorkspace& c : cases) {
+    pc::GcnSpec spec;
+    spec.hidden_dims = c.hidden;
+    const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::None, spec.num_layers(),
+                                         c.grid.size(), 7);
+    ASSERT_EQ(ds.padded_nodes, 120);
+    const pc::InMemoryDatasetView view(ds);
+    for (const bool tuning : {false, true}) {
+      spec.options.gemm_dw_tuning = tuning;
+      const std::int64_t want = (c.floats + (tuning ? c.dw_rev_floats : 0)) * 4 + c.mask_words * 8;
+      plexus::comm::World world(c.grid.size());
+      pc::Grid3D grid(world, c.grid, machine);
+      psim::run_cluster(world, machine, [&](psim::RankContext& ctx) {
+        pc::DistGcn model(ctx, view, grid, spec);
+        EXPECT_EQ(model.workspace_bytes(), 0);  // sized on first use
+        model.train_epoch(ctx, 0);
+        EXPECT_EQ(model.workspace_bytes(), want)
+            << "hidden layers " << c.hidden.size() << ", tuning " << tuning << ", rank "
+            << ctx.rank();
+        model.train_epoch(ctx, 1);
+        EXPECT_EQ(model.workspace_bytes(), want)
+            << "hidden layers " << c.hidden.size() << ", tuning " << tuning << ", rank "
+            << ctx.rank();
+      });
+    }
   }
 }
