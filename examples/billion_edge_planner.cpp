@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <string>
 
+#include <unistd.h>
+
 #include "core/dataset_view.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
@@ -63,7 +65,9 @@ int plan() {
   // then each rank loads only its window (section 5.4).
   const auto proxy = plexus::graph::make_proxy(info, 30'000, 11);
   const auto adj = plexus::sparse::normalize_adjacency(proxy.adjacency(), proxy.num_nodes);
-  const auto dir = std::filesystem::temp_directory_path() / "plexus_planner_demo";
+  // Suffixed with the pid, so two planner runs at once never share it.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("plexus_planner_demo_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   plexus::io::write_sharded_dataset(dir.string(), adj, proxy.features, proxy.labels,
                                     proxy.num_classes, 8, 8);

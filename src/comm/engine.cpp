@@ -10,15 +10,6 @@
 
 namespace plexus::comm {
 
-namespace detail {
-
-std::vector<unsigned char>& op_scratch() {
-  static thread_local std::vector<unsigned char> buf;
-  return buf;
-}
-
-}  // namespace detail
-
 CommEngine::~CommEngine() {
   {
     std::lock_guard<std::mutex> lock(m_);

@@ -32,7 +32,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "comm/cost.hpp"
 
@@ -83,11 +82,6 @@ struct CommOp {
     return finished;
   }
 };
-
-/// Per-executing-thread accumulation scratch for in-place reductions. Each
-/// comm thread (and each posting thread in inline mode) owns its own buffer,
-/// so the ranks' concurrent ops never race on scratch.
-std::vector<unsigned char>& op_scratch();
 
 }  // namespace detail
 

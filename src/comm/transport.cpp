@@ -25,10 +25,24 @@ void Transport::alltoallv(GroupShared&, const CollArgs&,
 
 namespace {
 
-/// The historic shared-slot movement: peers read each other's published
-/// buffers directly. Kept bit-for-bit identical to the pre-transport
-/// Communicator loops — same memcpy pattern, same canonical (member 0..G-1)
-/// float summation order — so every existing determinism test pins it.
+/// The shared-slot movement: peers read each other's published buffers
+/// directly, and reductions fold in canonical member order (member 0, 1, …,
+/// G-1), so every determinism test pins it.
+///
+/// An all-reduce is a reduce-scatter of slices followed by an all-gather of
+/// the folded slices, inside the protocol's two barriers. In the read phase
+/// member m folds its slice (`detail::fold_slice`) of every contribution
+/// into `g.fold[m]`; after the completion barrier `finalize` copies the G
+/// folded slices into its own buffer. That is safe without further
+/// synchronisation:
+///  * only member m resizes or writes `fold[m]`, and only inside `move`, so
+///    before the completion barrier;
+///  * peers read `fold[m]` only in `finalize`, after that barrier;
+///  * member m writes `fold[m]` next in the next op's `move`, after that op's
+///    first barrier, and no peer reaches that barrier before it has finished
+///    this op's `finalize` (each rank runs its ops in order on one thread).
+/// A one-member fp32 all-reduce is the identity and touches nothing; under a
+/// compressed wire it still widens its packed contribution through the fold.
 class SimTransport final : public Transport {
  public:
   Backend backend() const override { return Backend::Sim; }
@@ -50,7 +64,7 @@ class SimTransport final : public Transport {
         if (nb == 0) return;
         const std::size_t off = static_cast<std::size_t>(a.pos) * nb;
         const auto* first = static_cast<const unsigned char*>(g.slots[0]);
-        detail::assign_chunk(a, a.recv, first + off);
+        detail::assign_chunk(a, a.recv, first + off, a.count);
         for (int m = 1; m < g.size(); ++m) {
           const auto* src =
               static_cast<const unsigned char*>(g.slots[static_cast<std::size_t>(m)]) + off;
@@ -59,14 +73,24 @@ class SimTransport final : public Transport {
         return;
       }
       case Collective::AllReduce: {
-        if (nb == 0) return;
-        auto& scratch = detail::op_scratch();
-        scratch.resize(a.count * a.accumulator_elem());
-        detail::assign_chunk(a, scratch.data(), g.slots[0]);
+        if (identity(g, a)) return;
+        const detail::FoldSlice s = detail::fold_slice(a.count, a.pos, g.size());
+        if (s.size() == 0) return;
+        // Grown to the group's largest slice and never shrunk, so a steady
+        // epoch neither allocates nor zero-fills it.
+        auto& fold = g.fold[static_cast<std::size_t>(a.pos)];
+        const std::size_t bytes = s.size() * a.accumulator_elem();
+        if (fold.size() < bytes) fold.resize(bytes);
+        const std::size_t off = s.begin * a.elem;
+        detail::assign_chunk(a, fold.data(), static_cast<const unsigned char*>(g.slots[0]) + off,
+                             s.size());
         for (int m = 1; m < g.size(); ++m) {
-          a.accumulate(scratch.data(), g.slots[static_cast<std::size_t>(m)], a.count);
+          a.accumulate(fold.data(),
+                       static_cast<const unsigned char*>(g.slots[static_cast<std::size_t>(m)]) +
+                           off,
+                       s.size());
         }
-        return;  // copy-back happens in finalize(), after the completion barrier
+        return;  // the slices land in recv in finalize(), after the completion barrier
       }
       case Collective::Barrier:
         return;
@@ -78,12 +102,25 @@ class SimTransport final : public Transport {
     PLEXUS_CHECK(false, std::string("sim transport: nothing posts ") + collective_name(a.kind));
   }
 
-  void finalize(GroupShared&, const CollArgs& a) override {
-    if (a.kind != Collective::AllReduce) return;
-    if (a.count * a.elem == 0) return;
+  void finalize(GroupShared& g, const CollArgs& a) override {
+    if (a.kind != Collective::AllReduce || identity(g, a)) return;
     // The in-place result: peers read the original buffer during the read
-    // phase, so the reduced scratch lands only after the completion barrier.
-    std::memcpy(a.recv, detail::op_scratch().data(), a.count * a.accumulator_elem());
+    // phase, so the folded slices land only after the completion barrier.
+    auto* dst = static_cast<unsigned char*>(a.recv);
+    const std::size_t acc = a.accumulator_elem();
+    for (int m = 0; m < g.size(); ++m) {
+      const detail::FoldSlice s = detail::fold_slice(a.count, m, g.size());
+      if (s.size() == 0) continue;
+      std::memcpy(dst + s.begin * acc, g.fold[static_cast<std::size_t>(m)].data(),
+                  s.size() * acc);
+    }
+  }
+
+ private:
+  /// All-reduces that leave `recv` as it is: empty ones, and one-member ones
+  /// whose wire and accumulator types agree (the buffer already is the sum).
+  static bool identity(const GroupShared& g, const CollArgs& a) {
+    return a.count == 0 || (g.size() == 1 && a.assign == nullptr);
   }
 };
 

@@ -18,15 +18,22 @@
 ///    publishes its buffer pointer and peers read it directly. Reductions
 ///    fold contributions in canonical member order (member 0, 1, …, G-1), a
 ///    left-fold pinned against a serial reference by the transport
-///    conformance test.
+///    conformance test. An all-reduce folds each element once: member m
+///    folds its slice [count·m/G, count·(m+1)/G) of every contribution into
+///    `GroupShared::fold[m]`, and every member copies the G folded slices
+///    out after the completion barrier. A one-member fp32 all-reduce is the
+///    identity and moves nothing.
 ///  * `Backend::Mpi` — optional, compiled behind the `PLEXUS_WITH_MPI` CMake
 ///    option: maps each CommHandle onto MPI collectives on a per-group
 ///    sub-communicator (`MPI_Comm_create_group` over the group's member
-///    list). One process per rank. Reductions gather every contribution and
-///    fold locally in canonical member order (never `MPI_SUM`, whose order
-///    is implementation-defined), so float results are bitwise-identical to
-///    Sim. Supports the SimClock: each op piggybacks one max-allreduce of
-///    its posted clock on the collective, which is all the completion math
+///    list). One process per rank. Reductions exchange the same slices
+///    (`MPI_Alltoall`/`MPI_Alltoallv`), fold the member's own slice locally
+///    in canonical member order (never `MPI_SUM`, whose order is
+///    implementation-defined), and an all-reduce then all-gathers the
+///    folded slices (`MPI_Allgatherv`): 2(G−1)/G·N bytes received per
+///    process, ring volume, and float results bitwise-identical to Sim.
+///    Supports the SimClock: each op piggybacks one max-allreduce of its
+///    posted clock on the collective, which is all the completion math
 ///    needs (see docs/COMM.md).
 ///
 /// The launcher fixes the transport: a Communicator or `sim::run_cluster`
@@ -110,10 +117,10 @@ struct CollArgs {
   /// (`elem` bytes each) while `acc` stays a fp32 accumulator — the function
   /// widens as it folds, so precision is lost only once per contribution.
   void (*accumulate)(void* acc, const void* src, std::size_t n) = nullptr;
-  /// Reduction-accumulator initialisation `acc[i] = widen(src[i])` over
-  /// `count` elements, for wire formats narrower than the accumulator. Null
-  /// means the wire and accumulator types agree: plain `memcpy` of
-  /// `count * elem` bytes (the historic behaviour, bit-for-bit).
+  /// Reduction-accumulator initialisation `acc[i] = widen(src[i])` over `n`
+  /// elements, for wire formats narrower than the accumulator. Null means
+  /// the wire and accumulator types agree: plain `memcpy` of `n * elem`
+  /// bytes (the historic behaviour, bit-for-bit).
   void (*assign)(void* acc, const void* src, std::size_t n) = nullptr;
   /// Element size of the reduction accumulator (and of `recv` for reducing
   /// collectives). 0 means `elem` — wire and accumulator types agree.
@@ -153,7 +160,7 @@ class Transport {
   virtual void move(GroupShared& g, const CollArgs& a);
 
   /// Trailing writes to the member's *own* buffers, run after the protocol's
-  /// completion barrier (e.g. the all-reduce copy-back from scratch). The
+  /// completion barrier (e.g. the all-reduce copy of the folded slices). The
   /// next op's first barrier orders these writes before any peer reads.
   virtual void finalize(GroupShared& g, const CollArgs& a);
 
@@ -209,16 +216,32 @@ void mpi_runtime_finalize();
 
 namespace detail {
 
-/// Initialise a reduction accumulator from the first contribution: the
-/// wire-format `assign` hook when set, else the historic memcpy of the raw
-/// chunk. Every backend seeds its canonical left-fold through this.
-inline void assign_chunk(const CollArgs& a, void* acc, const void* src) {
+/// Initialise a reduction accumulator of `n` elements from the first
+/// contribution: the wire-format `assign` hook when set, else the historic
+/// memcpy of the raw elements. Every backend seeds its canonical left-fold
+/// through this.
+inline void assign_chunk(const CollArgs& a, void* acc, const void* src, std::size_t n) {
   if (a.assign != nullptr) {
-    a.assign(acc, src, a.count);
+    a.assign(acc, src, n);
     return;
   }
-  const std::size_t nb = a.count * a.elem;
+  const std::size_t nb = n * a.elem;
   if (nb > 0) std::memcpy(acc, src, nb);
+}
+
+/// Element range [begin, end) of an all-reduce of `count` elements that
+/// member `m` of a `size`-member group folds: [count·m/size,
+/// count·(m+1)/size). The slices tile the buffer in member order; a slice is
+/// empty when count < size.
+struct FoldSlice {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t size() const { return end - begin; }
+};
+inline FoldSlice fold_slice(std::size_t count, int m, int size) {
+  const auto g = static_cast<std::size_t>(size);
+  const auto k = static_cast<std::size_t>(m);
+  return {count * k / g, count * (k + 1) / g};
 }
 
 #ifdef PLEXUS_WITH_MPI

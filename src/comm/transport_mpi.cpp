@@ -14,17 +14,23 @@
 ///
 ///   iall_gather        -> MPI_Iallgatherv  (equal counts, exact copies)
 ///   barrier            -> MPI_Ibarrier
-///   ireduce_scatter    -> MPI_Allgather of the full inputs + canonical fold
-///   iall_reduce_sum    -> MPI_Allgather of the contributions + canonical fold
+///   ireduce_scatter    -> MPI_Alltoall of the per-member chunks + canonical
+///                         fold of the own chunk
+///   iall_reduce_sum    -> MPI_Alltoallv of the fold slices + canonical fold
+///                         of the own slice + MPI_Allgatherv of the folded
+///                         slices (in place into the result buffer)
 ///   scalar reductions  -> the same, over one double (max or sum fold)
 ///
 /// Reductions deliberately avoid `MPI_SUM`: MPI leaves the reduction order
 /// implementation-defined, while the transport conformance contract requires
 /// contributions folded with `CollArgs::accumulate` in canonical member order
-/// (member 0, 1, …, G−1 — exactly what SimTransport::move does). Gathering
-/// every contribution and folding locally costs extra wire volume but makes
-/// float results bitwise-identical to the in-process backends, which is what
-/// lets `mpirun`ed training gate its losses against the `sim` backend.
+/// (member 0, 1, …, G−1 — exactly what SimTransport::move does). Each member
+/// folds only its own slice ([count·m/G, count·(m+1)/G), `detail::fold_slice`,
+/// the split SimTransport uses), so a process receives 2(G−1)/G·N bytes per
+/// all-reduce — the ring volume the cost model charges — and float results
+/// stay bitwise-identical to the in-process backends, which is what lets
+/// `mpirun`ed training gate its losses against the `sim` backend. A
+/// one-member fp32 all-reduce is the identity and makes no MPI call.
 ///
 /// The request is posted and completed on the op's executing thread (the
 /// rank's comm thread, or the posting thread in inline mode), so CommHandle
@@ -76,6 +82,16 @@ unsigned char g_zero_payload_dummy = 0;
 const void* nn(const void* p) { return p != nullptr ? p : &g_zero_payload_dummy; }
 void* nn(void* p) { return p != nullptr ? p : static_cast<void*>(&g_zero_payload_dummy); }
 
+/// `v` as an MPI count or displacement. MPI-3 counts and displacements are
+/// int, so every message's values are checked, turning an overflow into a
+/// clean error instead of silent corruption. (Large-count MPI-4 `*_c`
+/// variants are a follow-on.)
+int mpi_int(std::uint64_t v, const char* what) {
+  PLEXUS_CHECK(v <= static_cast<std::uint64_t>(std::numeric_limits<int>::max()),
+               std::string("MPI transport: ") + what + " exceeds MPI int counts");
+  return static_cast<int>(v);
+}
+
 class MpiTransport final : public Transport {
  public:
   ~MpiTransport() override {
@@ -89,20 +105,19 @@ class MpiTransport final : public Transport {
   bool supports_clock() const override { return true; }
 
   void execute(GroupShared& g, const CollArgs& a, detail::CommOp& op) override {
-    MPI_Comm comm = comm_for(g, a.gid);
     check_rank_identity(g, a);
     const int G = g.size();
+    if (a.kind == Collective::AllReduce && G == 1 && a.assign == nullptr) {
+      // One member whose wire and accumulator types agree: the buffer already
+      // is the sum, and a one-process clock sync returns the posted clock.
+      finish(g, op, op.posted_clock);
+      return;
+    }
+    MPI_Comm comm = comm_for(g, a.gid);
     MPI_Request req = MPI_REQUEST_NULL;
-    // MPI-3 counts and displacements are int: reject payloads whose per-chunk
-    // size or whose largest displacement (G-1 chunks in) would overflow,
-    // turning silent corruption into a clean error. (Large-count MPI-4
-    // *_c variants are a follow-on.)
     const std::uint64_t chunk_bytes =
         static_cast<std::uint64_t>(a.count) * static_cast<std::uint64_t>(a.elem);
-    PLEXUS_CHECK(chunk_bytes * static_cast<std::uint64_t>(G) <=
-                     static_cast<std::uint64_t>(std::numeric_limits<int>::max()),
-                 "MPI transport: payload exceeds MPI int counts/displacements");
-    const auto nb = static_cast<int>(chunk_bytes);
+    const auto ug = static_cast<std::size_t>(G);
     switch (a.kind) {
       case Collective::Barrier: {
         const double max_posted = clock_sync(comm, op);
@@ -113,9 +128,12 @@ class MpiTransport final : public Transport {
       }
       case Collective::AllGather: {
         const double max_posted = clock_sync(comm, op);
-        counts_.assign(static_cast<std::size_t>(G), nb);
-        displs_.resize(static_cast<std::size_t>(G));
-        for (int m = 0; m < G; ++m) displs_[static_cast<std::size_t>(m)] = m * nb;
+        const int nb = mpi_int(chunk_bytes, "all_gather chunk");
+        counts_.assign(ug, nb);
+        displs_.resize(ug);
+        for (std::size_t m = 0; m < ug; ++m) {
+          displs_[m] = mpi_int(m * chunk_bytes, "all_gather displacement");
+        }
         mpi_check(MPI_Iallgatherv(nn(a.send), nb, MPI_BYTE, nn(a.recv), counts_.data(),
                                   displs_.data(), MPI_BYTE, comm, &req),
                   "MPI_Iallgatherv");
@@ -124,47 +142,68 @@ class MpiTransport final : public Transport {
         return;
       }
       case Collective::ReduceScatter: {
-        // Gather every member's full input, then fold this member's chunk in
-        // canonical order — bitwise-identical to SimTransport's read phase.
+        // Member j receives chunk j of every member's input, then folds them
+        // in canonical order — bitwise-identical to SimTransport's read phase.
         const double max_posted = clock_sync(comm, op);
-        const std::uint64_t full = chunk_bytes * static_cast<std::uint64_t>(G);
-        PLEXUS_CHECK(full * static_cast<std::uint64_t>(G) <=
-                         static_cast<std::uint64_t>(std::numeric_limits<int>::max()),
-                     "MPI transport: reduce_scatter gather exceeds MPI int counts");
+        const int nb = mpi_int(chunk_bytes, "reduce_scatter chunk");
         auto& buf = gather_buf_;
-        buf.resize(full * static_cast<std::uint64_t>(G));
-        mpi_check(MPI_Allgather(nn(a.send), static_cast<int>(full), MPI_BYTE, nn(buf.data()),
-                                static_cast<int>(full), MPI_BYTE, comm),
-                  "MPI_Allgather(reduce_scatter)");
+        buf.resize(chunk_bytes * ug);
+        mpi_check(MPI_Alltoall(nn(a.send), nb, MPI_BYTE, nn(buf.data()), nb, MPI_BYTE, comm),
+                  "MPI_Alltoall(reduce_scatter)");
         if (chunk_bytes > 0) {
-          const std::uint64_t off = static_cast<std::uint64_t>(a.pos) * chunk_bytes;
-          detail::assign_chunk(a, a.recv, buf.data() + off);
-          for (int m = 1; m < G; ++m) {
-            a.accumulate(a.recv, buf.data() + static_cast<std::uint64_t>(m) * full + off,
-                         a.count);
+          detail::assign_chunk(a, a.recv, buf.data(), a.count);
+          for (std::size_t m = 1; m < ug; ++m) {
+            a.accumulate(a.recv, buf.data() + m * chunk_bytes, a.count);
           }
         }
         finish(g, op, max_posted);
         return;
       }
       case Collective::AllReduce: {
+        // Member j receives slice j of every member's *published*
+        // contribution (the packed wire buffer under a compressed wire
+        // format, else the in-place buffer) and folds it member 0 first,
+        // then 1..G-1 — SimTransport's fold of `fold[j]`, verbatim — into
+        // slice j of `recv`. Then every member gathers the G folded slices.
         const double max_posted = clock_sync(comm, op);
-        // Gather every member's *published* contribution (the packed wire
-        // buffer under a compressed wire format, else the in-place buffer),
-        // fold member 0 first then 1..G-1 — SimTransport's scratch fold,
-        // verbatim.
+        const std::size_t acc = a.accumulator_elem();
+        const detail::FoldSlice own = detail::fold_slice(a.count, a.pos, G);
+        const std::uint64_t own_bytes = own.size() * a.elem;
+        counts_.resize(ug);
+        displs_.resize(ug);
+        recv_counts_.resize(ug);
+        recv_displs_.resize(ug);
+        for (std::size_t m = 0; m < ug; ++m) {
+          const detail::FoldSlice s = detail::fold_slice(a.count, static_cast<int>(m), G);
+          counts_[m] = mpi_int(s.size() * a.elem, "all_reduce slice");
+          displs_[m] = mpi_int(s.begin * a.elem, "all_reduce slice displacement");
+          recv_counts_[m] = mpi_int(own_bytes, "all_reduce slice");
+          recv_displs_[m] = mpi_int(m * own_bytes, "all_reduce slice displacement");
+        }
         auto& buf = gather_buf_;
-        buf.resize(chunk_bytes * static_cast<std::uint64_t>(G));
+        buf.resize(own_bytes * ug);
         const void* contrib = a.send != nullptr ? a.send : a.recv;
-        mpi_check(MPI_Allgather(nn(contrib), nb, MPI_BYTE, nn(buf.data()), nb, MPI_BYTE, comm),
-                  "MPI_Allgather(all_reduce)");
-        if (chunk_bytes > 0) {
-          detail::assign_chunk(a, a.recv, buf.data());
-          for (int m = 1; m < G; ++m) {
-            a.accumulate(a.recv, buf.data() + static_cast<std::uint64_t>(m) * chunk_bytes,
-                         a.count);
+        mpi_check(MPI_Alltoallv(nn(contrib), counts_.data(), displs_.data(), MPI_BYTE,
+                                nn(buf.data()), recv_counts_.data(), recv_displs_.data(),
+                                MPI_BYTE, comm),
+                  "MPI_Alltoallv(all_reduce)");
+        // The own contribution has left: its slice of `recv` takes the fold.
+        auto* out = static_cast<unsigned char*>(a.recv);
+        if (own.size() > 0) {
+          void* folded = out + own.begin * acc;
+          detail::assign_chunk(a, folded, buf.data(), own.size());
+          for (std::size_t m = 1; m < ug; ++m) {
+            a.accumulate(folded, buf.data() + m * own_bytes, own.size());
           }
         }
+        for (std::size_t m = 0; m < ug; ++m) {
+          const detail::FoldSlice s = detail::fold_slice(a.count, static_cast<int>(m), G);
+          counts_[m] = mpi_int(s.size() * acc, "all_reduce folded slice");
+          displs_[m] = mpi_int(s.begin * acc, "all_reduce folded slice displacement");
+        }
+        mpi_check(MPI_Allgatherv(MPI_IN_PLACE, 0, MPI_BYTE, nn(a.recv), counts_.data(),
+                                 displs_.data(), MPI_BYTE, comm),
+                  "MPI_Allgatherv(all_reduce)");
         finish(g, op, max_posted);
         return;
       }
@@ -251,15 +290,20 @@ class MpiTransport final : public Transport {
 
   std::mutex m_;
   std::unordered_map<GroupId, MPI_Comm> comms_;
-  // Reused count/displacement/gather scratch. The comm thread and, in inline
-  // mode, the posting thread both execute ops, so keep them per-thread.
+  // Reused count/displacement/receive scratch. The comm thread and, in
+  // inline mode, the posting thread both execute ops, so keep them
+  // per-thread.
   static thread_local std::vector<int> counts_;
   static thread_local std::vector<int> displs_;
+  static thread_local std::vector<int> recv_counts_;
+  static thread_local std::vector<int> recv_displs_;
   static thread_local std::vector<unsigned char> gather_buf_;
 };
 
 thread_local std::vector<int> MpiTransport::counts_;
 thread_local std::vector<int> MpiTransport::displs_;
+thread_local std::vector<int> MpiTransport::recv_counts_;
+thread_local std::vector<int> MpiTransport::recv_displs_;
 thread_local std::vector<unsigned char> MpiTransport::gather_buf_;
 
 }  // namespace

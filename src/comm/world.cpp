@@ -24,6 +24,7 @@ GroupId World::create_group(std::vector<int> members, LinkParams link) {
   g->barrier = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(g->members.size()));
   g->slots.assign(g->members.size(), nullptr);
   g->clock_slots.assign(g->members.size(), 0.0);
+  g->fold.resize(g->members.size());
   groups_.push_back(std::move(g));
   return static_cast<GroupId>(groups_.size() - 1);
 }

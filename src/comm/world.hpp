@@ -40,6 +40,12 @@ struct GroupShared {
   /// group member 0 in each op's read phase, read by members when publishing
   /// the next op — the two accesses are separated by the op barriers.
   double link_busy_until = 0.0;
+  /// Sim all-reduce accumulators, one per member: `fold[m]` holds member m's
+  /// folded slice [count·m/G, count·(m+1)/G) of the op's sum. Member m alone
+  /// resizes and writes it, in its read phase; peers copy it out only after
+  /// the completion barrier (SimTransport in transport.cpp). Sized by the
+  /// largest slice the group has reduced, and reused after.
+  std::vector<std::vector<unsigned char>> fold;
 
   int size() const { return static_cast<int>(members.size()); }
 

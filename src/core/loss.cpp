@@ -30,9 +30,15 @@ LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int
   PLEXUS_CHECK(rows == row_slice.size(), "logits block rows mismatch");
 
   // Gather the class dimension across the P-group: member p's block lands as
-  // the p-th (rows x C'/P) column block, which the kernel reads in place.
-  gathered.resize(static_cast<std::size_t>(rows * padded_classes));
-  ctx.comm.all_gather<float>(p_group, logits_block.flat(), gathered);
+  // the p-th (rows x C'/P) column block, which the kernel reads in place. A
+  // one-member P-group already holds every class: the kernel reads the
+  // logits block itself, and the gather (0 sim time, 0 wire bytes) is skipped.
+  std::span<const float> logits = logits_block.flat();
+  if (ext_p > 1) {
+    gathered.resize(static_cast<std::size_t>(rows * padded_classes));
+    ctx.comm.all_gather<float>(p_group, logits_block.flat(), gathered);
+    logits = gathered;
+  }
 
   // Labels and mask of this rank's rows, read in place.
   const auto row_span = [&](const auto& v) {
@@ -41,7 +47,7 @@ LossResult distributed_softmax_ce(sim::RankContext& ctx, const Grid3D& grid, int
   };
   if (dlogits != nullptr) dlogits->ensure_shape(rows, cols_block);
   const auto ce = dense::softmax_cross_entropy_blocks(
-      gathered, rows, cols_block, view.num_classes(), row_span(view.labels()), row_span(mask),
+      logits, rows, cols_block, view.num_classes(), row_span(view.labels()), row_span(mask),
       norm, dlogits, static_cast<std::int64_t>(coord_p) * cols_block);
   const double t = sim::elementwise_time(*ctx.machine, rows * padded_classes, 4.0);
   ctx.comm.charge_compute(t);

@@ -135,9 +135,9 @@ EpochStats DistGcn::train_epoch(sim::RankContext& ctx, int epoch) {
   const std::uint64_t epoch_seed = util::hash_combine(spec_.seed, 0xe90c000 + epoch);
   const int L = spec_.num_layers();
 
-  // The loss gradient overwrites the logits: the loss reads them only
-  // through its blocking P-gather, which returns before the gradient is
-  // written.
+  // The loss gradient overwrites the logits: the loss reads them through its
+  // blocking P-gather, which returns before the gradient is written, or at
+  // P = 1 in place, each row before that row's gradient.
   dense::Matrix& logits = forward_all(ctx, epoch_seed, timers);
   const LossResult loss = distributed_softmax_ce(
       ctx, *grid_, L - 1, *view_, logits, view_->mask(Split::Train),

@@ -87,7 +87,8 @@ class DistGcn {
   const std::vector<std::int64_t>& padded_dims() const { return padded_dims_; }
 
   /// Bytes of the epoch workspace this rank's model owns: every layer's
-  /// buffers plus the gathered input block and the P-gathered logits. There
+  /// buffers plus the gathered input block and, when the last layer's P > 1,
+  /// the P-gathered logits. There
   /// is no gradient buffer: the loss gradient overwrites the last layer's Q
   /// (the logits), and each layer's dF_in overwrites the input its forward
   /// read (layer 0: the gathered input block; layer l > 0: layer l-1's Q).
@@ -153,7 +154,10 @@ class DistGcn {
   /// Gathered layer-0 input block (N'/P0 x D0'/Q0); layer 0's backward
   /// writes its dF_in partials over it.
   dense::Matrix f_in_;
-  std::vector<float> logits_gathered_;  ///< P-gathered logits, P column blocks
+  /// P-gathered logits, P column blocks. Stays empty when the last layer's
+  /// P-group has one member: the loss then reads the logits (the last
+  /// layer's Q) in place and writes its gradient over them row by row.
+  std::vector<float> logits_gathered_;
   /// The buffer each layer's forward read (f_in_, then each layer's Q): its
   /// backward writes dF_in there.
   std::vector<dense::Matrix*> layer_in_;

@@ -69,10 +69,7 @@ CrossEntropyResult softmax_cross_entropy_blocks(std::span<const float> logits, s
   PLEXUS_CHECK(static_cast<std::int64_t>(labels.size()) == n, "labels size");
   PLEXUS_CHECK(static_cast<std::int64_t>(mask.size()) == n, "mask size");
   PLEXUS_CHECK(norm > 0.0, "softmax_cross_entropy: norm must be positive");
-  if (grad != nullptr) {
-    PLEXUS_CHECK(grad->rows() == n && grad_col0 >= 0, "grad shape");
-    grad->zero();
-  }
+  if (grad != nullptr) PLEXUS_CHECK(grad->rows() == n && grad_col0 >= 0, "grad shape");
   CrossEntropyResult res;
   if (n == 0) return res;
   PLEXUS_CHECK(c > 0 && block_cols > 0, "softmax_cross_entropy: empty class blocks");
@@ -94,15 +91,21 @@ CrossEntropyResult softmax_cross_entropy_blocks(std::span<const float> logits, s
     std::vector<float> probs(static_cast<std::size_t>(c));
     float* row = row_buf.data();
     for (std::int64_t i = i0; i < i1; ++i) {
-      if (mask[static_cast<std::size_t>(i)] == 0) continue;
+      const bool counted = mask[static_cast<std::size_t>(i)] != 0;
+      // Reassemble the row from its column blocks. Row i of `grad` is cleared
+      // only after that, so `grad` may alias one-block logits.
+      if (counted) {
+        for (std::int64_t b = 0; b < blocks; ++b) {
+          const std::int64_t j0 = b * block_cols;
+          std::copy_n(logits.data() + (b * n + i) * block_cols, std::min(block_cols, c - j0),
+                      row + j0);
+        }
+      }
+      float* grow = grad != nullptr ? grad->row(i) : nullptr;
+      if (grow != nullptr) std::fill_n(grow, grad->cols(), 0.0f);
+      if (!counted) continue;
       const std::int32_t label = labels[static_cast<std::size_t>(i)];
       PLEXUS_CHECK(label >= 0 && label < c, "label out of range");
-      // Reassemble the row from its column blocks.
-      for (std::int64_t b = 0; b < blocks; ++b) {
-        const std::int64_t j0 = b * block_cols;
-        std::copy_n(logits.data() + (b * n + i) * block_cols, std::min(block_cols, c - j0),
-                    row + j0);
-      }
       float mx = row[0];
       for (std::int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
       double denom = 0.0;
@@ -120,8 +123,7 @@ CrossEntropyResult softmax_cross_entropy_blocks(std::span<const float> logits, s
       }
       if (argmax == label) local.correct += 1;
 
-      if (grad != nullptr) {
-        float* grow = grad->row(i);
+      if (grow != nullptr) {
         const auto inv = static_cast<float>(1.0 / (denom * norm));
         for (std::int64_t j = grad_col0; j < g1; ++j) {
           grow[j - grad_col0] = probs[static_cast<std::size_t>(j)] * inv;

@@ -52,7 +52,9 @@ CrossEntropyResult softmax_cross_entropy(const Matrix& logits,
 /// gradient's columns [grad_col0, grad_col0 + grad->cols()); columns at or
 /// past `classes` and masked-out rows get zero. Each row's loss, argmax and
 /// gradient are bitwise-equal to the one-block call on the reassembled
-/// (n x classes) matrix.
+/// (n x classes) matrix. `grad` may alias one-block logits (`block_cols ==
+/// grad->cols()`, `grad_col0 == 0`): each row's logits are read before its
+/// gradient row is written, and no row reads another.
 CrossEntropyResult softmax_cross_entropy_blocks(std::span<const float> logits, std::int64_t n,
                                                 std::int64_t block_cols, std::int64_t classes,
                                                 std::span<const std::int32_t> labels,

@@ -199,10 +199,30 @@ EpochPrediction predict_epoch(const sim::Machine& machine, const WorkloadStats& 
 
 double estimate_activation_bytes(const WorkloadStats& w, const sim::GridShape& g,
                                  double elem_bytes) {
-  double dim_sum = 0.0;
-  for (const auto d : w.layer_dims) dim_sum += static_cast<double>(d);
-  const double gpus = static_cast<double>(g.x) * g.y * g.z;
-  return 4.0 * static_cast<double>(w.num_nodes) * dim_sum / gpus * elem_bytes;
+  const double n = static_cast<double>(w.num_nodes);
+  const int L = w.num_layers();
+  const auto dim = [&](int l) {
+    return static_cast<double>(w.layer_dims[static_cast<std::size_t>(l)]);
+  };
+  double elems = 0.0;
+  double mask_bytes = 0.0;
+  for (int l = 0; l < L; ++l) {
+    const LayerRoles roles = roles_for_layer(l);
+    const double rows = n / extent(g, roles.r);
+    const double din_q = dim(l) / extent(g, roles.q);
+    const double dout_p = dim(l + 1) / extent(g, roles.p);
+    // H, Q, and the weight block with its transpose and dW.
+    elems += rows * din_q + rows * dout_p + 3.0 * din_q * dout_p;
+    // Hidden layers keep relu'(Q) as bits, in whole 64-bit words.
+    if (l + 1 < L) mask_bytes += 8.0 * std::ceil(rows * dout_p / 64.0);
+  }
+  // Layer 0's gathered input block (N/P0 x D0/Q0).
+  const LayerRoles first = roles_for_layer(0);
+  elems += n / extent(g, first.p) * dim(0) / extent(g, first.q);
+  // The P-gathered logits (N/R x C); at P = 1 the loss reads Q in place.
+  const LayerRoles last = roles_for_layer(L - 1);
+  if (extent(g, last.p) > 1) elems += n / extent(g, last.r) * dim(L);
+  return elems * elem_bytes + mask_bytes;
 }
 
 double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,

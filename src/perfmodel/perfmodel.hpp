@@ -87,10 +87,15 @@ EpochPrediction predict_epoch(const sim::Machine& machine, const WorkloadStats& 
 double estimate_per_gpu_bytes(const WorkloadStats& w, const sim::GridShape& g,
                               int adjacency_versions = 2, double elem_bytes = 4.0);
 
-/// The activation + gradient term of estimate_per_gpu_bytes: 4 live
-/// (N * dim / gpus) blocks over the layer dim sum (H, dH, plus the forward
-/// stash and the aggregation scratch). This is the model's price for what
-/// DistGcn::workspace_bytes() measures.
+/// The activation + gradient term of estimate_per_gpu_bytes: the buffers a
+/// rank's DistGcn holds, at each layer's role extents (P, Q, R):
+///   * per layer H (N/R x Din/Q), Q (N/R x Dout/P), and the weight block,
+///     its transpose and dW (Din/Q x Dout/P, three times);
+///   * each hidden layer's relu'(Q) bits, in whole 64-bit words;
+///   * layer 0's gathered input block (N/P0 x D0/Q0);
+///   * the P-gathered logits (N/R x C) when the last layer's P > 1.
+/// Gradients overwrite dead buffers and add nothing. At padded dims this
+/// equals DistGcn::workspace_bytes() without gemm_dw_tuning.
 double estimate_activation_bytes(const WorkloadStats& w, const sim::GridShape& g,
                                  double elem_bytes = 4.0);
 

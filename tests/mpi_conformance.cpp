@@ -7,8 +7,10 @@
 // collective, member), so each collective's output is checked locally with
 // no reference process. All-gather copies must match exactly; reductions
 // must too, because the MPI transport never uses MPI_SUM (implementation-
-// defined order) — it gathers every contribution and folds in canonical
-// member order 0..G-1, exactly like the in-process backends. The CommHandle lifecycle (post / test /
+// defined order) — each member folds its slice of every contribution in
+// canonical member order 0..G-1, exactly like the in-process backends, so
+// all-reduces also run at sizes the slice split leaves uneven (count % G !=
+// 0, count < G) and under the bf16 wire. The CommHandle lifecycle (post / test /
 // out-of-order wait / drop) and the stats accounting are exercised too,
 // and an end-to-end block trains the full model over the MPI backend from a
 // sharded dataset directory, gating its losses bitwise against the
@@ -34,6 +36,7 @@
 #include "graph/datasets.hpp"
 #include "sim/machine.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace pc = plexus::comm;
 
@@ -106,6 +109,21 @@ void run_group(pc::Communicator& comm, pc::GroupId gid) {
     expect(ar[i] == want, "all_reduce gid=" + std::to_string(gid) + " i=" + std::to_string(i));
   }
 
+  // all-reduce at sizes the slice split leaves uneven: count % G != 0, and
+  // count < G, where some members fold an empty slice.
+  for (const std::size_t len :
+       {static_cast<std::size_t>(G) * 5 + 1, static_cast<std::size_t>(G) - 1}) {
+    std::vector<float> buf(len);
+    for (std::size_t i = 0; i < len; ++i) buf[i] = payload(gid, 3, g_rank, i);
+    comm.all_reduce_sum<float>(gid, buf);
+    for (std::size_t i = 0; i < len; ++i) {
+      float want = payload(gid, 3, g.members[0], i);
+      for (int m = 1; m < G; ++m) want += payload(gid, 3, g.members[m], i);
+      expect(buf[i] == want, "all_reduce gid=" + std::to_string(gid) + " count=" +
+                                 std::to_string(len) + " i=" + std::to_string(i));
+    }
+  }
+
   // zero-sized payloads: every collective must tolerate null/empty buffers
   // (MPI may reject null pointers even with zero counts — the transport
   // substitutes a dummy address).
@@ -129,6 +147,30 @@ void run_group(pc::Communicator& comm, pc::GroupId gid) {
   expect(sum == want_sum, "scalar sum gid=" + std::to_string(gid));
 
   comm.barrier(gid);
+}
+
+/// All-reduce under the bf16 wire (`comm` must carry it): every contribution
+/// is rounded once to bf16, widened, and folded in fp32 in canonical member
+/// order, so the result is exact against that fold.
+void run_group_bf16(pc::Communicator& comm, pc::GroupId gid) {
+  auto& g = comm.world().group(gid);
+  const int G = g.size();
+  bool member = false;
+  for (const int m : g.members) member |= (m == g_rank);
+  if (!member) return;
+  const auto wired = [](float x) {
+    return plexus::simd::f32_from_bf16(plexus::simd::bf16_from_f32(x));
+  };
+  const std::size_t n = static_cast<std::size_t>(G) * 9 + 2;
+  std::vector<float> ar(n);
+  for (std::size_t i = 0; i < n; ++i) ar[i] = payload(gid, 4, g_rank, i);
+  comm.all_reduce_sum<float>(gid, ar);
+  for (std::size_t i = 0; i < n; ++i) {
+    float want = wired(payload(gid, 4, g.members[0], i));
+    for (int m = 1; m < G; ++m) want += wired(payload(gid, 4, g.members[m], i));
+    expect(ar[i] == want, "bf16 all_reduce gid=" + std::to_string(gid) + " i=" +
+                              std::to_string(i));
+  }
 }
 
 void run_handle_lifecycle(pc::Communicator& comm) {
@@ -238,11 +280,20 @@ int main(int argc, char** argv) {
       gids.push_back(world.create_group(halves));
       gids.push_back(world.create_group({0, size - 1}));
     }
+    // One-member groups: an fp32 all-reduce there makes no MPI call.
+    for (int r = 0; r < size; ++r) gids.push_back(world.create_group({r}));
 
     pc::Communicator comm(world, g_rank, /*clock=*/nullptr,
                           &pc::transport_for(pc::Backend::Mpi));
     for (const auto gid : gids) run_group(comm, gid);
     run_handle_lifecycle(comm);
+    // A second Communicator carries the bf16 wire (fixed before its first
+    // op). Its ops run only while `comm` has none in flight, so one thread at
+    // a time makes MPI calls.
+    pc::Communicator bf16(world, g_rank, /*clock=*/nullptr,
+                          &pc::transport_for(pc::Backend::Mpi));
+    bf16.set_wire_precision(pc::WirePrecision::Bf16);
+    for (const auto gid : gids) run_group_bf16(bf16, gid);
     comm.barrier(world.world_group());
   }
 

@@ -298,6 +298,47 @@ TEST(Ops, SoftmaxCrossEntropyColumnBlocksMatchOneBlock) {
   }
 }
 
+TEST(Ops, SoftmaxCrossEntropyGradientInPlace) {
+  // One block of 8 columns over 7 classes: the last column is padding and
+  // holds NaN. Writing the gradient over the logits themselves must give the
+  // loss, counts and gradient bits of separate buffers. Every third row is
+  // masked out; 1000 rows span four of the kernel's row chunks.
+  const std::int64_t n = 1000;
+  const std::int64_t c = 7;
+  const std::int64_t bc = 8;
+  pd::Matrix logits = random_matrix(n, bc, 61);
+  for (std::int64_t i = 0; i < n; ++i) logits.at(i, c) = std::numeric_limits<float>::quiet_NaN();
+  std::vector<std::int32_t> labels(static_cast<std::size_t>(n));
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    labels[static_cast<std::size_t>(i)] = static_cast<std::int32_t>((i * 3) % c);
+    mask[static_cast<std::size_t>(i)] = i % 3 != 0 ? 1 : 0;
+  }
+  const double norm = 29.0;
+  const auto bits = [](const pd::Matrix& m) {
+    std::vector<std::uint32_t> out;
+    for (const float v : m.flat()) out.push_back(std::bit_cast<std::uint32_t>(v));
+    return out;
+  };
+  for (const int threads : {1, 2, 4}) {
+    plexus::util::ScopedIntraRankThreads scope(threads);
+    pd::Matrix grad(n, bc, 123.0f);
+    const auto want =
+        pd::softmax_cross_entropy_blocks(logits.flat(), n, bc, c, labels, mask, norm, &grad);
+    pd::Matrix in_place = logits;
+    const auto got =
+        pd::softmax_cross_entropy_blocks(in_place.flat(), n, bc, c, labels, mask, norm, &in_place);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.loss_sum), std::bit_cast<std::uint64_t>(want.loss_sum))
+        << threads << " threads";
+    EXPECT_EQ(got.count, want.count) << threads << " threads";
+    EXPECT_EQ(got.correct, want.correct) << threads << " threads";
+    EXPECT_EQ(bits(in_place), bits(grad)) << threads << " threads";
+    EXPECT_EQ(got.count, 666);
+    EXPECT_EQ(grad.at(0, 0), 0.0f) << "masked-out rows get zero gradient";
+    EXPECT_EQ(grad.at(1, c), 0.0f) << "padding columns get zero gradient";
+  }
+}
+
 TEST(Adam, ConvergesOnQuadratic) {
   // Minimise f(x) = sum (x - 3)^2 elementwise.
   std::vector<float> x(8, 0.0f);

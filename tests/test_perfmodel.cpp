@@ -141,7 +141,9 @@ TEST(PerfModel, EstimatePerGpuBytesPinnedValue) {
   w.layer_dims = {8, 4};  // one layer, so one plane in use
   // CSR shard = nnz*(4+4) + (rows+1)*8; two versions, each with transpose.
   const double adjacency = 2.0 * 2.0 * (1000.0 * 8.0 + 101.0 * 8.0);
-  const double activations = 4.0 * 100.0 * (8.0 + 4.0) * 4.0;
+  // H 100x8 + Q 100x4 + W, W^T and dW 8x4 each + input block 100x8 floats;
+  // no hidden layer, so no relu bits, and P = 1, so no gathered logits.
+  const double activations = (800.0 + 400.0 + 3.0 * 32.0 + 800.0) * 4.0;
   const double features = 3.0 * 100.0 * 8.0 * 4.0;
   EXPECT_EQ(pp::estimate_activation_bytes(w, {1, 1, 1}), activations);
   EXPECT_NEAR(pp::estimate_per_gpu_bytes(w, {1, 1, 1}), adjacency + activations + features,

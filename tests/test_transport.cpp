@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -17,6 +19,7 @@
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace pc = plexus::comm;
 namespace pcore = plexus::core;
@@ -225,6 +228,126 @@ TEST(TransportConformance, ZeroSizedPayloadsAreSafe) {
   for (int r = 0; r < 4; ++r) {
     ASSERT_EQ(out[static_cast<std::size_t>(r)].size(), 1u) << "rank " << r;
     EXPECT_EQ(out[static_cast<std::size_t>(r)][0], 10.0f) << "rank " << r;
+  }
+}
+
+TEST(TransportConformance, PipelinedAllReducesReuseFoldSlices) {
+  // Each group member folds one slice of every all-reduce into the group's
+  // fold buffers, and peers copy the slices out after the op. Back-to-back
+  // nonblocking all-reduces on overlapping groups reuse those buffers while
+  // up to 4 handles per rank are in flight, waited newest first. Sizes cycle
+  // through empty, smaller than the group, not a multiple of it, and large;
+  // every result must equal the serial fold bitwise.
+  const std::vector<std::vector<int>> groups = {{0, 1, 2, 3}, {0, 2}, {1, 3}, {2}};
+  const std::size_t sizes[] = {0, 1, 3, 4097, 65541, 2};
+  // Rank `rank`'s input to op `op`: inexact sums, so the fold order shows.
+  const auto input = [](int op, int rank, std::size_t n) {
+    std::vector<float> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = static_cast<float>((op * 31 + rank * 7 + static_cast<int>(i % 4099)) % 97) * 0.37f -
+             11.3f;
+    }
+    return v;
+  };
+  for (const auto wire : {pc::WirePrecision::Fp32, pc::WirePrecision::Bf16}) {
+    for (const int budget : {0, 1}) {
+      pc::ScopedCommThreads scoped(budget);
+      pc::World world(4);
+      std::vector<pc::GroupId> gids;
+      for (const auto& members : groups) gids.push_back(world.create_group(members));
+      Streams s;
+      psim::run_cluster(world, psim::Machine::test_machine(), [&](psim::RankContext& ctx) {
+        ctx.comm.set_wire_precision(wire);
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        struct InFlight {
+          pc::CommHandle handle;
+          std::vector<float> buf;
+          std::vector<float> want;
+        };
+        std::vector<InFlight> inflight;
+        inflight.reserve(4);
+        const auto drain = [&] {
+          for (auto it = inflight.rbegin(); it != inflight.rend(); ++it) {
+            it->handle.wait();
+            s.got[r].insert(s.got[r].end(), it->buf.begin(), it->buf.end());
+            s.want[r].insert(s.want[r].end(), it->want.begin(), it->want.end());
+          }
+          inflight.clear();
+        };
+        int op = 0;
+        for (int rep = 0; rep < 2; ++rep) {
+          for (const std::size_t n : sizes) {
+            for (const pc::GroupId gid : gids) {
+              const int k = op++;
+              const auto& g = ctx.comm.world().group(gid);
+              bool member = false;
+              for (const int m : g.members) member |= (m == ctx.rank());
+              if (!member) continue;
+              std::vector<std::vector<float>> peers;
+              for (const int m : g.members) peers.push_back(input(k, m, n));
+              InFlight& f = inflight.emplace_back();
+              f.buf = input(k, ctx.rank(), n);
+              f.want = serial_fold(peers, 0, n, wire);
+              f.handle = ctx.comm.iall_reduce_sum<float>(gid, f.buf);
+              if (inflight.size() == 4) drain();
+            }
+          }
+        }
+        drain();
+      });
+      for (std::size_t r = 0; r < 4; ++r) {
+        ASSERT_GT(s.got[r].size(), 0u) << "rank " << r << " reduced nothing";
+        EXPECT_EQ(bits(s.got[r]), bits(s.want[r]))
+            << pc::wire_precision_name(wire) << " budget " << budget << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(TransportConformance, OneMemberAllReduceIsIdentity) {
+  // A one-member fp32 all-reduce leaves the buffer as it is, bit for bit:
+  // NaNs of both signs with distinct payloads (quiet and signalling), signed
+  // zeros, denormals and infinities. Under the bf16 wire the member's packed
+  // contribution is still widened back, so the result is the bf16 rounding.
+  const std::uint32_t patterns[] = {
+      0x7fc00001u, 0xffc12345u, 0x7fa00000u, 0xff800123u,  // NaNs
+      0x00000000u, 0x80000000u,                            // +0, -0
+      0x00000001u, 0x807fffffu,                            // denormals
+      0x7f800000u, 0xff800000u,                            // +inf, -inf
+      0x3fc00000u, 0x9e70a3d7u,                            // 1.5, a tiny negative
+  };
+  std::vector<float> input(4099);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = std::bit_cast<float>(patterns[i % std::size(patterns)] ^
+                                    static_cast<std::uint32_t>(i / std::size(patterns) % 2));
+  }
+  std::vector<std::uint16_t> packed(input.size());
+  plexus::simd::bf16_pack(input.data(), packed.data(), static_cast<std::int64_t>(input.size()));
+  std::vector<float> widened(input.size());
+  plexus::simd::bf16_unpack(packed.data(), widened.data(),
+                            static_cast<std::int64_t>(widened.size()));
+
+  for (const auto wire : {pc::WirePrecision::Fp32, pc::WirePrecision::Bf16}) {
+    for (const int budget : {0, 1}) {
+      pc::ScopedCommThreads scoped(budget);
+      pc::World world(2);
+      const pc::GroupId solo[] = {world.create_group({0}), world.create_group({1})};
+      std::vector<std::vector<float>> out(2);
+      std::vector<double> zero(2);
+      psim::run_cluster(world, psim::Machine::test_machine(), [&](psim::RankContext& ctx) {
+        ctx.comm.set_wire_precision(wire);
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        out[r] = input;
+        ctx.comm.all_reduce_sum<float>(solo[r], out[r]);
+        zero[r] = ctx.comm.all_reduce_sum_scalar(solo[r], -0.0);
+      });
+      const auto& want = wire == pc::WirePrecision::Fp32 ? input : widened;
+      for (std::size_t r = 0; r < 2; ++r) {
+        EXPECT_EQ(bits(out[r]), bits(want))
+            << pc::wire_precision_name(wire) << " budget " << budget << " rank " << r;
+        EXPECT_TRUE(std::signbit(zero[r])) << "scalar -0.0 must keep its sign, rank " << r;
+      }
+    }
   }
 }
 

@@ -6,7 +6,8 @@
 // block-bound vectors, per-chunk softmax rows) are not counted; the
 // single-rank hidden-128 case makes every weight-sized buffer 64 KiB, so a
 // per-epoch copy of W or W^T would show. DistGcn::workspace_bytes is pinned
-// against buffer shapes worked out by hand.
+// against buffer shapes worked out by hand, and the memory model's
+// activation term must price exactly those buffers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +25,7 @@
 #include "core/preprocess.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
+#include "perfmodel/perfmodel.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
 
@@ -145,9 +147,11 @@ struct PinnedWorkspace {
 
 TEST(Workspace, BytesPinnedValue) {
   // 120 nodes, 12 features, 4 classes, preprocessed without permutation. No
-  // dimension needs padding on either grid, so N' = 120. Every layer's
-  // dF_in overwrites the input its forward read and the loss gradient
-  // overwrites the logits, so neither has a buffer of its own.
+  // dimension needs padding on any grid, so N' = 120. Every layer's dF_in
+  // overwrites the input its forward read and the loss gradient overwrites
+  // the logits, so neither has a buffer of its own. When the last layer's P
+  // group has one member the loss reads the logits in place, so there are no
+  // gathered logits either.
   const PinnedWorkspace cases[] = {
       // hidden {8}, grid x=2, y=1, z=2; dims 12 -> 8 -> 4.
       // Layer 0, roles (P, Q, R) = (X, Y, Z), extents (2, 1, 2):
@@ -170,6 +174,18 @@ TEST(Workspace, BytesPinnedValue) {
       // Model: input block 60x6 + gathered logits 60x(2*2)     =  600
       // gemm_dw_tuning: dW^T 4x6 + 8x4 + 2x8                    =   72
       {{2, 2, 1}, {8, 8}, 1272 + 816 + 648 + 600, 16, 72},
+      // hidden {8, 8}, grid x=2, y=1, z=2; dims 12 -> 8 -> 8 -> 4.
+      // Layer 0, roles (X, Y, Z), extents (2, 1, 2):
+      //   H 60x12 + Q 60x4 + W 12x4 + W^T 4x12 + dW 12x4        = 1104
+      //   relu'(Q): 240 bits -> 4 words
+      // Layer 1, roles (Z, X, Y), extents (2, 2, 1):
+      //   H 120x4 + Q 120x4 + W 4x4 + W^T 4x4 + dW 4x4          = 1008
+      //   relu'(Q): 480 bits -> 8 words
+      // Layer 2, roles (Y, Z, X), extents (1, 2, 2):
+      //   H 60x4 + Q 60x4 + W 4x4 + W^T 4x4 + dW 4x4            =  528
+      // Model: input block 60x12; P = 1, so no gathered logits  =  720
+      // gemm_dw_tuning: dW^T 4x12 + 4x4 + 4x4                    =   80
+      {{2, 1, 2}, {8, 8}, 1104 + 1008 + 528 + 720, 12, 80},
   };
   const pg::Graph g = pg::make_test_graph(120, 6.0, 12, 4, 1234);
   const auto& machine = psim::Machine::test_machine();
@@ -192,6 +208,14 @@ TEST(Workspace, BytesPinnedValue) {
         EXPECT_EQ(model.workspace_bytes(), want)
             << "hidden layers " << c.hidden.size() << ", tuning " << tuning << ", rank "
             << ctx.rank();
+        if (!tuning) {
+          plexus::perf::WorkloadStats shape;
+          shape.num_nodes = ds.padded_nodes;
+          shape.layer_dims = model.padded_dims();
+          EXPECT_EQ(plexus::perf::estimate_activation_bytes(shape, c.grid),
+                    static_cast<double>(want))
+              << "memory model, hidden layers " << c.hidden.size() << ", rank " << ctx.rank();
+        }
         model.train_epoch(ctx, 1);
         EXPECT_EQ(model.workspace_bytes(), want)
             << "hidden layers " << c.hidden.size() << ", tuning " << tuning << ", rank "
