@@ -19,6 +19,7 @@
 #include "core/dataset_view.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
+#include "graph/generators.hpp"
 #include "graph/rmat_shards.hpp"
 #include "loader/shard_io.hpp"
 #include "perfmodel/perfmodel.hpp"
@@ -26,6 +27,7 @@
 #include "sparse/csr.hpp"
 #include "util/arg_parser.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -115,12 +117,16 @@ int run_proxy(int scale, std::int64_t rss_budget_mb, int epochs, const std::stri
           : keep_dir;
   std::printf("generating scale-%d proxy (%lld nodes) straight to shards in %s ...\n", scale,
               static_cast<long long>(nodes), dir.c_str());
+  const plexus::util::WallTimer gen_timer;
   const auto r = pg::rmat_to_shards(dir, spec);
+  const double gen_s = gen_timer.seconds();
   std::printf("  %lld edges, %lld nnz per version, %.1f MB on disk "
-              "(peak generation buffer %.1f MB)\n",
+              "(peak generation buffer %.1f MB, %lld of %lld R-MAT attempts replayed, "
+              "%.2f s)\n",
               static_cast<long long>(r.num_edges), static_cast<long long>(r.adjacency_nnz),
               static_cast<double>(r.bytes_written) / 1e6,
-              static_cast<double>(r.peak_buffer_bytes) / 1e6);
+              static_cast<double>(r.peak_buffer_bytes) / 1e6, static_cast<long long>(r.attempts),
+              static_cast<long long>(spec.target_edges * pg::RmatAttempts::kCapPerEdge), gen_s);
 
   // Both adjacency versions with transposes would be resident in-memory; the
   // streamed run holds at most the budget.

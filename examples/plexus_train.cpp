@@ -38,6 +38,7 @@
 #include "core/dataset_view.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
+#include "graph/generators.hpp"
 #include "graph/rmat_shards.hpp"
 #include "perfmodel/perfmodel.hpp"
 #include "sim/machine.hpp"
@@ -45,6 +46,7 @@
 #include "util/enum_names.hpp"
 #include "util/parse.hpp"
 #include "util/simd.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -225,14 +227,19 @@ int main(int argc, char** argv) {
     spec.pad_multiple = volume;
     spec.preprocess_seed = opt.preprocess_seed;
     spec.parts = volume;
+    const plexus::util::WallTimer gen_timer;
     const auto r = plexus::graph::rmat_to_shards(write_shards_dir, spec);
+    const double gen_s = gen_timer.seconds();
     std::printf(
         "wrote sharded %s proxy to %s: %lld nodes (%lld padded), %lld edges, %lld nnz per "
-        "version, %.1f MB on disk, %.1f MB peak buffer\n",
+        "version, %.1f MB on disk, %.1f MB peak buffer, %lld of %lld R-MAT attempts "
+        "replayed, %.2f s\n",
         dataset.c_str(), write_shards_dir.c_str(), static_cast<long long>(r.num_nodes),
         static_cast<long long>(r.padded_nodes), static_cast<long long>(r.num_edges),
         static_cast<long long>(r.adjacency_nnz), static_cast<double>(r.bytes_written) / 1e6,
-        static_cast<double>(r.peak_buffer_bytes) / 1e6);
+        static_cast<double>(r.peak_buffer_bytes) / 1e6, static_cast<long long>(r.attempts),
+        static_cast<long long>(spec.target_edges * plexus::graph::RmatAttempts::kCapPerEdge),
+        gen_s);
     return 0;
   }
 

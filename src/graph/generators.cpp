@@ -12,12 +12,6 @@ namespace plexus::graph {
 
 namespace {
 
-/// Key for the dedup set; undirected edges stored with min endpoint first.
-std::uint64_t edge_key(std::int64_t u, std::int64_t v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
-}
-
 /// Convert a set of undirected edges into a symmetric COO (both directions).
 sparse::Coo to_symmetric_coo(std::int64_t num_nodes,
                              const std::vector<std::pair<std::int64_t, std::int64_t>>& edges) {
@@ -41,38 +35,18 @@ sparse::Coo rmat(int scale, std::int64_t target_edges, double a, double b, doubl
   PLEXUS_CHECK(scale >= 1 && scale < 31, "rmat scale out of range");
   PLEXUS_CHECK(std::abs(a + b + c + d - 1.0) < 1e-9, "rmat probabilities must sum to 1");
   const std::int64_t n = std::int64_t{1} << scale;
-  util::SplitMix64 rng(util::hash_combine(seed, 0x27a7));
+  RmatAttempts stream(scale, a, b, c, seed);
 
   std::unordered_set<std::uint64_t> seen;
   seen.reserve(static_cast<std::size_t>(target_edges) * 2);
   std::vector<std::pair<std::int64_t, std::int64_t>> edges;
   edges.reserve(static_cast<std::size_t>(target_edges));
 
-  const std::int64_t max_attempts = target_edges * 8;
+  const std::int64_t max_attempts = target_edges * RmatAttempts::kCapPerEdge;
   std::int64_t attempts = 0;
   while (static_cast<std::int64_t>(edges.size()) < target_edges && attempts < max_attempts) {
     ++attempts;
-    std::int64_t u = 0;
-    std::int64_t v = 0;
-    for (int level = 0; level < scale; ++level) {
-      const double r = rng.next_double();
-      // Quadrant choice with light noise so the recursion doesn't self-repeat.
-      const double aa = a + 0.05 * (rng.next_double() - 0.5);
-      const double bb = b;
-      const double cc = c;
-      u <<= 1;
-      v <<= 1;
-      if (r < aa) {
-        // top-left
-      } else if (r < aa + bb) {
-        v |= 1;
-      } else if (r < aa + bb + cc) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
-    }
+    const auto [u, v] = stream.next();
     if (u == v) continue;
     if (seen.insert(edge_key(u, v)).second) edges.emplace_back(u, v);
   }

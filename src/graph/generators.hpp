@@ -19,15 +19,65 @@
 /// order — permutation experiments rely on that.
 
 #include <cstdint>
+#include <utility>
 
 #include "sparse/coo.hpp"
+#include "util/rng.hpp"
 
 namespace plexus::graph {
 
+/// Dedup key of an undirected edge: min endpoint in the high 32 bits.
+inline std::uint64_t edge_key(std::int64_t u, std::int64_t v) {
+  if (u > v) std::swap(u, v);
+  return (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
+}
+
+/// The R-MAT attempt stream: attempt i is the i-th call of `next`. `rmat`
+/// accepts the first `target_edges` distinct non-loop keys of this stream
+/// within kCapPerEdge * target_edges attempts, and `rmat_to_shards` replays
+/// a prefix of the same stream, so both see the same attempts in the same
+/// order. Every attempt consumes exactly 2 * scale draws, self-loops
+/// included.
+class RmatAttempts {
+ public:
+  static constexpr std::int64_t kCapPerEdge = 8;
+
+  RmatAttempts(int scale, double a, double b, double c, std::uint64_t seed)
+      : scale_(scale), a_(a), b_(b), c_(c), rng_(util::hash_combine(seed, 0x27a7)) {}
+
+  /// The next attempt's endpoints; u == v is a self-loop the callers skip.
+  std::pair<std::int64_t, std::int64_t> next() {
+    std::uint64_t u = 0;
+    std::uint64_t v = 0;
+    for (int level = 0; level < scale_; ++level) {
+      const double r = rng_.next_double();
+      // Quadrant choice with light noise so the recursion doesn't self-repeat.
+      const double aa = a_ + 0.05 * (rng_.next_double() - 0.5);
+      // Top-left if r < aa, else top-right if r < aa + b, else bottom-left if
+      // r < aa + b + c, else bottom-right: the three compares folded into the
+      // two bits without a branch, because a branch on r is unpredictable.
+      const std::uint64_t in_a = r < aa;
+      const std::uint64_t in_ab = r < aa + b_;
+      const std::uint64_t in_abc = r < aa + b_ + c_;
+      u = (u << 1) | ((in_a | in_ab) ^ 1);
+      v = (v << 1) | ((in_a ^ 1) & (in_ab | (in_abc ^ 1)));
+    }
+    return {static_cast<std::int64_t>(u), static_cast<std::int64_t>(v)};
+  }
+
+ private:
+  int scale_;
+  double a_;
+  double b_;
+  double c_;
+  util::SplitMix64 rng_;
+};
+
 /// R-MAT / stochastic-Kronecker generator. `scale` = log2(#nodes); emits
 /// ~`target_edges` unique undirected edges with partition probabilities
-/// (a, b, c, d), a + b + c + d = 1. Natural ordering concentrates hubs at low
-/// indices (power-law head).
+/// (a, b, c, d), a + b + c + d = 1: the first `target_edges` distinct keys
+/// of `RmatAttempts`, or every distinct key within its attempt cap if fewer.
+/// Natural ordering concentrates hubs at low indices (power-law head).
 sparse::Coo rmat(int scale, std::int64_t target_edges, double a, double b, double c, double d,
                  std::uint64_t seed);
 

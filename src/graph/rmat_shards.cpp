@@ -1,12 +1,15 @@
 #include "graph/rmat_shards.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "loader/file_io.hpp"
 #include "loader/shard_io.hpp"
 #include "sparse/partition2d.hpp"
@@ -21,12 +24,6 @@ namespace fs = std::filesystem;
 
 std::int64_t round_up(std::int64_t v, std::int64_t multiple) {
   return (v + multiple - 1) / multiple * multiple;
-}
-
-/// Dedup key, identical to generators.cpp: min endpoint first.
-std::uint64_t edge_key(std::int64_t u, std::int64_t v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
 }
 
 /// One candidate edge: its dedup key and the attempt index that produced it.
@@ -48,25 +45,54 @@ struct DedupByIdx {
   bool operator()(const DedupRec& x, const DedupRec& y) const { return x.idx < y.idx; }
 };
 
-/// One entry of the normalised, permuted adjacency, in padded coordinates.
+/// One entry of the normalised, permuted adjacency: its sort key (BlockKey)
+/// in two 32-bit halves, so the record stays 12 bytes, and its value.
 struct EdgeRec {
-  std::int32_t row = 0;
-  std::int32_t col = 0;
+  std::uint32_t key_hi = 0;
+  std::uint32_t key_lo = 0;
   float val = 0.0f;
+  std::uint64_t key() const { return std::uint64_t{key_hi} << 32 | key_lo; }
 };
 
-/// Orders records (column block, row, column): the concatenation of the
-/// parts x parts block files in column-block-major order, each block holding
-/// its rows in order with columns ascending — exactly the canonical CSR
-/// block layout io::write_adjacency_blocks produces.
 struct EdgeRecLess {
-  std::int64_t col_width = 1;
-  bool operator()(const EdgeRec& x, const EdgeRec& y) const {
-    const std::int64_t xb = x.col / col_width;
-    const std::int64_t yb = y.col / col_width;
-    if (xb != yb) return xb < yb;
-    if (x.row != y.row) return x.row < y.row;
-    return x.col < y.col;
+  bool operator()(const EdgeRec& x, const EdgeRec& y) const { return x.key() < y.key(); }
+};
+
+/// Sort key of an adjacency entry, computed once when the entry is pushed:
+/// column block, row, and column within the block, packed from high bits to
+/// low. Keys order entries as the parts x parts block files concatenate in
+/// column-block-major order, each block holding its rows in order with
+/// columns ascending: exactly the canonical CSR block layout
+/// io::write_adjacency_blocks produces.
+struct BlockKey {
+  std::int64_t width;  ///< rows and columns per block
+  int col_bits;        ///< bits of a column within its block
+  int row_bits;        ///< bits of a row
+
+  BlockKey(std::int64_t padded, int parts)
+      : width(padded / parts),
+        col_bits(std::bit_width(static_cast<std::uint64_t>(width - 1))),
+        row_bits(std::bit_width(static_cast<std::uint64_t>(padded - 1))) {
+    const int block_bits = std::bit_width(static_cast<std::uint64_t>(parts - 1));
+    PLEXUS_CHECK(block_bits + row_bits + col_bits <= 64,
+                 "rmat_to_shards: block key does not fit 64 bits");
+  }
+
+  EdgeRec rec(std::int64_t row, std::int64_t col, float val) const {
+    const std::int64_t cblk = col / width;
+    const std::uint64_t key = static_cast<std::uint64_t>(cblk) << (row_bits + col_bits) |
+                              static_cast<std::uint64_t>(row) << col_bits |
+                              static_cast<std::uint64_t>(col - cblk * width);
+    return EdgeRec{static_cast<std::uint32_t>(key >> 32), static_cast<std::uint32_t>(key), val};
+  }
+  std::int64_t col_block(std::uint64_t key) const {
+    return static_cast<std::int64_t>(key >> (row_bits + col_bits));
+  }
+  std::int64_t row(std::uint64_t key) const {
+    return static_cast<std::int64_t>((key >> col_bits) & ((std::uint64_t{1} << row_bits) - 1));
+  }
+  std::int64_t col_in_block(std::uint64_t key) const {
+    return static_cast<std::int64_t>(key & ((std::uint64_t{1} << col_bits) - 1));
   }
 };
 
@@ -90,6 +116,8 @@ class ExternalSorter {
       fs::remove(run_path(i), ec);
     }
   }
+  ExternalSorter(const ExternalSorter&) = delete;
+  ExternalSorter& operator=(const ExternalSorter&) = delete;
 
   void push(const Rec& r) {
     buf_.push_back(r);
@@ -181,21 +209,31 @@ class ExternalSorter {
   std::size_t num_runs_ = 0;
 };
 
+/// The spill directory, created on construction and removed with everything
+/// in it on every exit path, a throw included.
+struct SpillDir {
+  std::string path;
+  explicit SpillDir(std::string p) : path(std::move(p)) { fs::create_directories(path); }
+  ~SpillDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+  SpillDir(const SpillDir&) = delete;
+  SpillDir& operator=(const SpillDir&) = delete;
+};
+
 /// Stream-write one adjacency version as a parts x parts grid of block
 /// files, byte-identical to io::write_adjacency_blocks over the assembled
-/// CSR. `sorter` holds the EdgeRecs in EdgeRecLess order, i.e. exactly one
+/// CSR. `sorter` holds the EdgeRecs in BlockKey order, i.e. exactly one
 /// block file's content at a time.
-std::int64_t write_blocks_streamed(const std::string& dir, const std::string& prefix,
-                                   std::int64_t padded, int parts,
+std::int64_t write_blocks_streamed(const std::string& dir, const std::string& prefix, int parts,
+                                   const BlockKey& layout,
                                    ExternalSorter<EdgeRec, EdgeRecLess>& sorter,
                                    std::int64_t* peak_buffer_bytes) {
-  const auto rb = sparse::block_bounds(padded, parts);
-  const auto cb = sparse::block_bounds(padded, parts);
-  const std::int64_t rw = padded / parts;
-  const std::int64_t cw = padded / parts;
+  const std::int64_t w = layout.width;
   const std::int64_t total_blocks = static_cast<std::int64_t>(parts) * parts;
 
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(rw), 0);
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(w), 0);
   std::vector<std::int32_t> col_idx;
   std::vector<float> vals;
   std::int64_t nnz_total = 0;
@@ -204,18 +242,16 @@ std::int64_t write_blocks_streamed(const std::string& dir, const std::string& pr
   std::int64_t cur = 0;
 
   auto flush_current = [&] {
-    const int r = static_cast<int>(cur % parts);
-    const int c = static_cast<int>(cur / parts);
-    const std::int64_t rows = rb[static_cast<std::size_t>(r) + 1] - rb[static_cast<std::size_t>(r)];
-    std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
-    for (std::int64_t i = 0; i < rows; ++i) {
+    const std::int64_t r = cur % parts;
+    const std::int64_t c = cur / parts;
+    std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(w) + 1, 0);
+    for (std::int64_t i = 0; i < w; ++i) {
       row_ptr[static_cast<std::size_t>(i) + 1] =
           row_ptr[static_cast<std::size_t>(i)] + counts[static_cast<std::size_t>(i)];
     }
-    io::write_adjacency_block(io::adjacency_block_path(dir, prefix, r, c),
-                              rb[static_cast<std::size_t>(r)], cb[static_cast<std::size_t>(c)],
-                              cb[static_cast<std::size_t>(c) + 1] - cb[static_cast<std::size_t>(c)],
-                              row_ptr, col_idx, vals);
+    io::write_adjacency_block(io::adjacency_block_path(dir, prefix, static_cast<int>(r),
+                                                       static_cast<int>(c)),
+                              r * w, c * w, w, row_ptr, col_idx, vals);
     nnz_total += static_cast<std::int64_t>(col_idx.size());
     *peak_buffer_bytes =
         std::max(*peak_buffer_bytes,
@@ -227,10 +263,13 @@ std::int64_t write_blocks_streamed(const std::string& dir, const std::string& pr
   };
 
   sorter.merge([&](const EdgeRec& e) {
-    const std::int64_t blk = (e.col / cw) * parts + e.row / rw;
+    const std::uint64_t key = e.key();
+    const std::int64_t row = layout.row(key);
+    const std::int64_t rblk = row / w;
+    const std::int64_t blk = layout.col_block(key) * parts + rblk;
     while (cur < blk) flush_current();
-    counts[static_cast<std::size_t>(e.row % rw)]++;
-    col_idx.push_back(static_cast<std::int32_t>(e.col % cw));
+    counts[static_cast<std::size_t>(row - rblk * w)]++;
+    col_idx.push_back(static_cast<std::int32_t>(layout.col_in_block(key)));
     vals.push_back(e.val);
     return true;
   });
@@ -281,8 +320,8 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
                "volume)");
 
   fs::create_directories(dir);
-  const std::string spill = spec.tmp_dir.empty() ? dir + "/.spill" : spec.tmp_dir;
-  fs::create_directories(spill);
+  const SpillDir spill_dir(spec.tmp_dir.empty() ? dir + "/.spill" : spec.tmp_dir);
+  const std::string& spill = spill_dir.path;
   const auto chunk_records =
       static_cast<std::size_t>(std::max<std::int64_t>(spec.chunk_edges, 16));
 
@@ -290,66 +329,72 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
   result.num_nodes = n;
   result.padded_nodes = padded;
 
-  // ---- Phase A: replay the full rmat attempt stream (same RNG, same cap)
-  // and externally sort the candidates by (key, attempt index). The
-  // in-memory generator accepts the first target_edges distinct keys in
-  // attempt order; sorting by key and keeping the smallest index per key,
-  // then re-ordering those survivors by index and cutting at target_edges,
-  // reproduces that set exactly — including the shortfall case where fewer
-  // than target_edges distinct keys exist within max_attempts.
+  // ---- Phase A: the accepted edges are the first target_edges distinct
+  // keys of the RmatAttempts stream within its cap (graph::rmat's hash-set
+  // loop). Find them by external sort over a prefix of the stream. Each
+  // round replays attempts up to `end` as (key, attempt index) records into
+  // a by-key sorter and keeps the first record per key: the survivors, each
+  // distinct key of [0, end) at its first attempt. Round 0 ends at about
+  // 1.25 * target_edges. A round with fewer than target_edges survivors
+  // continues the same stream to min(cap, 2 * end) and sorts its survivors
+  // together with the new records; every survivor's index is below every
+  // new attempt's, so the first record per key is still the key's first
+  // attempt in [0, end).
+  //
+  // Why a prefix is exact: with at least target_edges survivors, the
+  // target_edges-th distinct key of the stream first appears before `end`,
+  // so the first target_edges survivors in attempt order (Phase B) are
+  // exactly the keys graph::rmat accepts; later attempts cannot change them.
+  // A stream with fewer distinct keys than that within the cap stops at the
+  // cap, as graph::rmat does, and both keep every distinct key.
   const std::string edges_path = spill + "/edges.bin";
   std::vector<std::int64_t> deg(static_cast<std::size_t>(n), 0);
   {
-    ExternalSorter<DedupRec, DedupByKey> by_key(spill + "/bykey", chunk_records, DedupByKey{});
-    util::SplitMix64 rng(util::hash_combine(spec.seed, 0x27a7));
-    const std::int64_t max_attempts = spec.target_edges * 8;
-    for (std::int64_t attempt = 0; attempt < max_attempts; ++attempt) {
-      std::int64_t u = 0;
-      std::int64_t v = 0;
-      for (int level = 0; level < spec.scale; ++level) {
-        const double r = rng.next_double();
-        const double aa = spec.a + 0.05 * (rng.next_double() - 0.5);
-        const double bb = spec.b;
-        const double cc = spec.c;
-        u <<= 1;
-        v <<= 1;
-        if (r < aa) {
-          // top-left quadrant: no bits set
-        } else if (r < aa + bb) {
-          v |= 1;
-        } else if (r < aa + bb + cc) {
-          u |= 1;
-        } else {
-          u |= 1;
-          v |= 1;
-        }
+    RmatAttempts stream(spec.scale, spec.a, spec.b, spec.c, spec.seed);
+    const std::int64_t cap = spec.target_edges * RmatAttempts::kCapPerEdge;
+    std::int64_t end = std::min(cap, spec.target_edges + spec.target_edges / 4 + 64);
+    std::optional<ExternalSorter<DedupRec, DedupByIdx>> survivors;
+    for (int round = 0;; ++round) {
+      const std::string tag = std::to_string(round);
+      ExternalSorter<DedupRec, DedupByKey> by_key(spill + "/bykey" + tag, chunk_records,
+                                                  DedupByKey{});
+      if (survivors) {
+        survivors->merge([&](const DedupRec& r) {
+          by_key.push(r);
+          return true;
+        });
+        survivors.reset();
       }
-      if (u == v) continue;  // RNG already consumed, exactly like graph::rmat
-      by_key.push(DedupRec{edge_key(u, v), static_cast<std::uint64_t>(attempt)});
+      for (; result.attempts < end; ++result.attempts) {
+        const auto [u, v] = stream.next();
+        if (u == v) continue;  // the draws are consumed, exactly like graph::rmat
+        by_key.push(DedupRec{edge_key(u, v), static_cast<std::uint64_t>(result.attempts)});
+      }
+      survivors.emplace(spill + "/byidx" + tag, chunk_records, DedupByIdx{});
+      result.peak_buffer_bytes =
+          std::max(result.peak_buffer_bytes, by_key.peak_bytes() + survivors->peak_bytes());
+      std::int64_t distinct = 0;
+      std::uint64_t prev_key = 0;
+      by_key.merge([&](const DedupRec& r) {
+        if (distinct == 0 || r.key != prev_key) {
+          survivors->push(r);
+          prev_key = r.key;
+          ++distinct;
+        }
+        return true;
+      });
+      if (distinct >= spec.target_edges || end == cap) break;
+      end = std::min(cap, 2 * end);
     }
 
-    // ---- Phase B: first attempt per key -> survivors ordered by attempt
-    // index -> first target_edges become the accepted edge list, streamed to
-    // a flat file while node degrees accumulate.
-    ExternalSorter<DedupRec, DedupByIdx> by_idx(spill + "/byidx", chunk_records, DedupByIdx{});
-    result.peak_buffer_bytes =
-        std::max(result.peak_buffer_bytes, by_key.peak_bytes() + by_idx.peak_bytes());
-    std::uint64_t prev_key = 0;
-    bool have_prev = false;
-    by_key.merge([&](const DedupRec& r) {
-      if (!have_prev || r.key != prev_key) {
-        by_idx.push(r);
-        prev_key = r.key;
-        have_prev = true;
-      }
-      return true;
-    });
-
+    // ---- Phase B: the survivors in attempt order; the first target_edges
+    // become the accepted edge list, streamed to a flat file while node
+    // degrees accumulate.
     auto out = io::open_file(edges_path, "wb");
     std::vector<std::int32_t> wbuf;
     wbuf.reserve(std::size_t{1} << 16);
     std::int64_t accepted = 0;
-    by_idx.merge([&](const DedupRec& r) {
+    survivors->merge([&](const DedupRec& r) {
       const auto u = static_cast<std::int64_t>(r.key >> 32);
       const auto v = static_cast<std::int64_t>(r.key & 0xffffffffULL);
       deg[static_cast<std::size_t>(u)]++;
@@ -396,11 +441,12 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
   // self-loop row get the normalize_adjacency value, computed with the same
   // double-precision expression so the floats match bit for bit.
   const bool two_versions = spec.scheme == 2;
+  const BlockKey layout(padded, spec.parts);
   const auto stream_version = [&](const std::string& prefix,
                                   const std::vector<std::int64_t>& row_map,
                                   const std::vector<std::int64_t>& col_map) {
     ExternalSorter<EdgeRec, EdgeRecLess> sorter(spill + "/" + prefix, chunk_records,
-                                                EdgeRecLess{padded / spec.parts});
+                                                EdgeRecLess{});
     {
       auto in = io::open_file(edges_path, "rb");
       std::vector<std::int32_t> rbuf(std::size_t{1} << 16);
@@ -410,27 +456,20 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
         if (got == 0) break;
         PLEXUS_CHECK(got % 2 == 0, "rmat_to_shards: odd edge record in " + edges_path);
         for (std::size_t i = 0; i < got; i += 2) {
-          const auto u = static_cast<std::int64_t>(rbuf[i]);
-          const auto v = static_cast<std::int64_t>(rbuf[i + 1]);
-          const auto w = static_cast<float>(inv_sqrt[static_cast<std::size_t>(u)] *
-                                            inv_sqrt[static_cast<std::size_t>(v)]);
-          sorter.push(EdgeRec{static_cast<std::int32_t>(row_map[static_cast<std::size_t>(u)]),
-                              static_cast<std::int32_t>(col_map[static_cast<std::size_t>(v)]),
-                              w});
-          sorter.push(EdgeRec{static_cast<std::int32_t>(row_map[static_cast<std::size_t>(v)]),
-                              static_cast<std::int32_t>(col_map[static_cast<std::size_t>(u)]),
-                              w});
+          const auto u = static_cast<std::size_t>(rbuf[i]);
+          const auto v = static_cast<std::size_t>(rbuf[i + 1]);
+          const auto w = static_cast<float>(inv_sqrt[u] * inv_sqrt[v]);
+          sorter.push(layout.rec(row_map[u], col_map[v], w));
+          sorter.push(layout.rec(row_map[v], col_map[u], w));
         }
       }
     }
-    for (std::int64_t r = 0; r < n; ++r) {
-      const auto inv = inv_sqrt[static_cast<std::size_t>(r)];
-      sorter.push(EdgeRec{static_cast<std::int32_t>(row_map[static_cast<std::size_t>(r)]),
-                          static_cast<std::int32_t>(col_map[static_cast<std::size_t>(r)]),
-                          static_cast<float>(inv * inv)});
+    for (std::size_t r = 0; r < inv_sqrt.size(); ++r) {
+      const auto w = static_cast<float>(inv_sqrt[r] * inv_sqrt[r]);
+      sorter.push(layout.rec(row_map[r], col_map[r], w));
     }
     result.peak_buffer_bytes = std::max(result.peak_buffer_bytes, sorter.peak_bytes());
-    return write_blocks_streamed(dir, prefix, padded, spec.parts, sorter,
+    return write_blocks_streamed(dir, prefix, spec.parts, layout, sorter,
                                  &result.peak_buffer_bytes);
   };
   result.adjacency_nnz = stream_version("adj", p_r, p_c);
@@ -497,7 +536,6 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
     }
   }
 
-  fs::remove_all(spill);
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.is_regular_file()) {
       result.bytes_written += static_cast<std::int64_t>(entry.file_size());

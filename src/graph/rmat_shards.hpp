@@ -9,9 +9,17 @@
 ///
 /// at overlapping scales — the property the streaming-epoch loss gate rests
 /// on — but peak memory is O(nodes) arrays (degrees, permutations, labels)
-/// plus bounded sort chunks, never O(edges). Edge attempts replay the exact
-/// `graph::rmat` RNG stream; duplicates are removed by external sort instead
-/// of a hash set, keeping the accepted edge set bitwise identical.
+/// plus bounded sort chunks, never O(edges).
+///
+/// Edges come from the `graph::RmatAttempts` stream `graph::rmat` draws from,
+/// deduplicated by external sort instead of a hash set. Only a prefix of the
+/// stream is replayed: about 1.25 * target_edges attempts, doubled until the
+/// prefix holds target_edges distinct keys, and never past the cap of
+/// RmatAttempts::kCapPerEdge * target_edges. That is exact. graph::rmat
+/// accepts the first target_edges distinct keys in attempt order, and once a
+/// prefix holds that many, those keys all appear inside it, so attempts past
+/// the prefix cannot change the accepted set. A stream with fewer distinct
+/// keys within the cap is replayed to the cap, where graph::rmat stops too.
 
 #include <cstdint>
 #include <string>
@@ -58,6 +66,7 @@ struct RmatShardsResult {
   std::int64_t num_nodes = 0;
   std::int64_t padded_nodes = 0;
   std::int64_t num_edges = 0;        ///< accepted undirected edges
+  std::int64_t attempts = 0;         ///< RmatAttempts replayed (at most the cap)
   std::int64_t adjacency_nnz = 0;    ///< nnz of each normalised version
   std::int64_t bytes_written = 0;
   std::int64_t peak_buffer_bytes = 0;  ///< largest transient sort/block buffer

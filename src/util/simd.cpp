@@ -163,49 +163,12 @@ PLEXUS_AVX512_ATTR void relu_backward_avx512(const std::uint64_t* mask, const fl
 #endif  // PLEXUS_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// Adam. A plain loop cloned per target attribute: every operation is one
-// correctly-rounded mul/add/div/sqrt per element, so any vectorization of
-// the loop is bitwise-identical to the scalar run.
-
-#define PLEXUS_DEFINE_ADAM(SUFFIX, ATTR)                                                           \
-  ATTR void adam_step_##SUFFIX(float* p, const float* g, float* m, float* v, std::int64_t n,       \
-                               float beta1, float beta2, float lr, float eps, float weight_decay,  \
-                               float bc1, float bc2) {                                             \
-    if (weight_decay != 0.0f) {                                                                    \
-      for (std::int64_t i = 0; i < n; ++i) {                                                       \
-        float gi = g[i];                                                                           \
-        gi += weight_decay * p[i];                                                                 \
-        m[i] = beta1 * m[i] + (1.0f - beta1) * gi;                                                 \
-        v[i] = beta2 * v[i] + (1.0f - beta2) * gi * gi;                                            \
-        const float mhat = m[i] / bc1;                                                             \
-        const float vhat = v[i] / bc2;                                                             \
-        p[i] -= lr * mhat / (std::sqrt(vhat) + eps);                                               \
-      }                                                                                            \
-    } else {                                                                                       \
-      for (std::int64_t i = 0; i < n; ++i) {                                                       \
-        const float gi = g[i];                                                                     \
-        m[i] = beta1 * m[i] + (1.0f - beta1) * gi;                                                 \
-        v[i] = beta2 * v[i] + (1.0f - beta2) * gi * gi;                                            \
-        const float mhat = m[i] / bc1;                                                             \
-        const float vhat = v[i] / bc2;                                                             \
-        p[i] -= lr * mhat / (std::sqrt(vhat) + eps);                                               \
-      }                                                                                            \
-    }                                                                                              \
-  }
-
-PLEXUS_DEFINE_ADAM(scalar, PLEXUS_SCALAR_ATTR)
-#if PLEXUS_SIMD_X86
-PLEXUS_DEFINE_ADAM(avx2, __attribute__((target("avx2"))))
-PLEXUS_DEFINE_ADAM(avx512, __attribute__((target("avx512f"))))
-#endif
-#undef PLEXUS_DEFINE_ADAM
-
-// ---------------------------------------------------------------------------
-// Row kernels: the register-blocked GEMM and SpMM of simd_rows.inc, compiled
-// once per target over a vector traits type. The traits use separate mul and
-// add (never FMA: one rounding per operation, same as the scalar expression),
-// and `load`/`store` with `masked` set touch only the `tail` lanes, so every
-// feature width is bitwise-identical to the scalar table.
+// Row kernels and Adam: the register-blocked GEMM and SpMM and the Adam step
+// of simd_rows.inc, compiled once per target over a vector traits type. The
+// traits use separate mul, add, sub, div and sqrt, each one correctly
+// rounded operation (never FMA, same as the scalar expression), and
+// `load`/`store` with `masked` set touch only the `tail` lanes, so every
+// width is bitwise-identical to the scalar table.
 
 namespace scalar_rows {
 
@@ -226,6 +189,9 @@ struct V {
   PLEXUS_ROW_ATTR static Reg splat(float x) { return x; }
   PLEXUS_ROW_ATTR static Reg mul(Reg x, Reg y) { return x * y; }
   PLEXUS_ROW_ATTR static Reg add(Reg x, Reg y) { return x + y; }
+  PLEXUS_ROW_ATTR static Reg sub(Reg x, Reg y) { return x - y; }
+  PLEXUS_ROW_ATTR static Reg div(Reg x, Reg y) { return x / y; }
+  PLEXUS_ROW_ATTR static Reg sqrt(Reg x) { return std::sqrt(x); }
   PLEXUS_ROW_ATTR static Keep nonzero(Reg x) { return x != 0.0f; }
   PLEXUS_ROW_ATTR static Reg add_if(Keep keep, Reg c, Reg p) { return keep ? c + p : c; }
 };
@@ -266,6 +232,9 @@ struct V {
   PLEXUS_ROW_ATTR static Reg splat(float x) { return _mm256_set1_ps(x); }
   PLEXUS_ROW_ATTR static Reg mul(Reg x, Reg y) { return _mm256_mul_ps(x, y); }
   PLEXUS_ROW_ATTR static Reg add(Reg x, Reg y) { return _mm256_add_ps(x, y); }
+  PLEXUS_ROW_ATTR static Reg sub(Reg x, Reg y) { return _mm256_sub_ps(x, y); }
+  PLEXUS_ROW_ATTR static Reg div(Reg x, Reg y) { return _mm256_div_ps(x, y); }
+  PLEXUS_ROW_ATTR static Reg sqrt(Reg x) { return _mm256_sqrt_ps(x); }
   PLEXUS_ROW_ATTR static Keep nonzero(Reg x) {
     return _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NEQ_UQ);
   }
@@ -307,6 +276,11 @@ struct V {
   PLEXUS_ROW_ATTR static Reg splat(float x) { return _mm512_set1_ps(x); }
   PLEXUS_ROW_ATTR static Reg mul(Reg x, Reg y) { return _mm512_mul_ps(x, y); }
   PLEXUS_ROW_ATTR static Reg add(Reg x, Reg y) { return _mm512_add_ps(x, y); }
+  PLEXUS_ROW_ATTR static Reg sub(Reg x, Reg y) { return _mm512_sub_ps(x, y); }
+  PLEXUS_ROW_ATTR static Reg div(Reg x, Reg y) { return _mm512_div_ps(x, y); }
+  // All lanes through the zero-masked form: GCC 12 warns that the unmasked
+  // _mm512_sqrt_ps reads its undefined pass-through.
+  PLEXUS_ROW_ATTR static Reg sqrt(Reg x) { return _mm512_maskz_sqrt_ps(0xffff, x); }
   PLEXUS_ROW_ATTR static Keep nonzero(Reg x) {
     return _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_NEQ_UQ);
   }
@@ -322,12 +296,12 @@ struct V {
 #endif  // PLEXUS_SIMD_X86
 
 constexpr Kernels kScalarKernels{scalar_rows::spmm_rows, scalar_rows::gemm_tile, relu_scalar,
-                                 relu_backward_scalar, adam_step_scalar};
+                                 relu_backward_scalar, scalar_rows::adam_step};
 #if PLEXUS_SIMD_X86
 constexpr Kernels kAvx2Kernels{avx2_rows::spmm_rows, avx2_rows::gemm_tile, relu_avx2,
-                               relu_backward_avx2, adam_step_avx2};
+                               relu_backward_avx2, avx2_rows::adam_step};
 constexpr Kernels kAvx512Kernels{avx512_rows::spmm_rows, avx512_rows::gemm_tile, relu_avx512,
-                                 relu_backward_avx512, adam_step_avx512};
+                                 relu_backward_avx512, avx512_rows::adam_step};
 #endif
 
 Target best_supported() {

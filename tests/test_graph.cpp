@@ -44,6 +44,29 @@ TEST(Generators, RmatIsDeterministic) {
   EXPECT_EQ(a.cols, b.cols);
 }
 
+// Pins the R-MAT attempt stream. graph::rmat and rmat_to_shards draw from
+// the same RmatAttempts, so test_rmat_shards, which compares the two, cannot
+// see the stream change; every R-MAT proxy, the benchmark's included, would
+// then silently become another graph. The hash is 64-bit FNV-1a over each
+// entry's row and then column, each folded as 8 little-endian bytes.
+TEST(Generators, RmatStreamIsPinned) {
+  const auto coo = pg::rmat(12, 20000, 0.57, 0.19, 0.19, 0.05, 5);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::int64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (static_cast<std::uint64_t>(x) >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::int64_t i = 0; i < coo.nnz(); ++i) {
+    fold(coo.rows[static_cast<std::size_t>(i)]);
+    fold(coo.cols[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(coo.nnz(), 40000);
+  EXPECT_EQ(h, 0x9ac6357f0045c9d1ULL);
+  EXPECT_EQ(pg::make_proxy(pg::dataset_info("ogbn-products"), 16384, 1).num_edges(), 413836);
+}
+
 TEST(Generators, RmatIsSkewed) {
   // Power-law head: max degree far above mean.
   const auto coo = pg::rmat(10, 4000, 0.57, 0.19, 0.19, 0.05, 3);

@@ -93,7 +93,7 @@ std::string fresh_dir(const std::string& tag) {
   return dir;
 }
 
-void run_case(const std::string& tag, const graph::RmatShardsSpec& spec) {
+graph::RmatShardsResult run_case(const std::string& tag, const graph::RmatShardsSpec& spec) {
   SCOPED_TRACE(tag);
   const auto ref_dir = fresh_dir(tag + "_ref");
   const auto got_dir = fresh_dir(tag + "_got");
@@ -103,10 +103,17 @@ void run_case(const std::string& tag, const graph::RmatShardsSpec& spec) {
   EXPECT_GT(result.num_edges, 0);
   EXPECT_GT(result.adjacency_nnz, result.num_edges);
   EXPECT_GT(result.bytes_written, 0);
+  EXPECT_LE(result.attempts, spec.target_edges * graph::RmatAttempts::kCapPerEdge);
   EXPECT_FALSE(fs::exists(got_dir + "/.spill")) << "spill dir must be removed";
   expect_dirs_identical(got_dir, ref_dir);
   fs::remove_all(ref_dir);
   fs::remove_all(got_dir);
+  return result;
+}
+
+// Attempts in the first replayed prefix (rmat_to_shards' round 0).
+std::int64_t first_prefix(const graph::RmatShardsSpec& spec) {
+  return spec.target_edges + spec.target_edges / 4 + 64;
 }
 
 }  // namespace
@@ -182,8 +189,11 @@ TEST(RmatShards, ProxySpecMatchesMakeProxy) {
   const auto got_dir = fresh_dir("proxy_got");
   const auto g = graph::make_proxy(info, target_nodes, seed);
   write_reference(g, spec, ref_dir);
-  graph::rmat_to_shards(got_dir, spec);
+  const auto result = graph::rmat_to_shards(got_dir, spec);
   expect_dirs_identical(got_dir, ref_dir);
+  // The accepted edges end early in the attempt stream; replaying the whole
+  // 8x cap would be about 6x the work.
+  EXPECT_LT(result.attempts, spec.target_edges * 3 / 2);
 
   // The directory must load through the existing sharded view.
   core::ShardedDatasetView view(got_dir);
@@ -208,4 +218,53 @@ TEST(RmatShards, MatchesInMemoryScale18) {
   spec.parts = 4;
   spec.chunk_edges = 1 << 18;
   run_case("s18_double", spec);
+}
+
+// A dense small graph whose first prefix holds fewer than target_edges
+// distinct keys, so the replay grows twice (rounds of 5,064, 10,128 and
+// 20,256 attempts) and each round re-sorts the previous survivors with the
+// new records. Chunk 509 spills every sorter; 1 << 20 spills none.
+TEST(RmatShards, GrowsThePrefixUntilTargetEdgesAreDistinct) {
+  for (const std::int64_t chunk : {std::int64_t{509}, std::int64_t{1} << 20}) {
+    graph::RmatShardsSpec spec;
+    spec.scale = 8;
+    spec.target_edges = 4000;
+    spec.seed = 4;
+    spec.feature_dim = 6;
+    spec.num_classes = 5;
+    spec.scheme = 2;
+    spec.num_layers = 3;
+    spec.pad_multiple = 4;
+    spec.preprocess_seed = 3;
+    spec.parts = 2;
+    spec.chunk_edges = chunk;
+    const auto result = run_case("grow_" + std::to_string(chunk), spec);
+    EXPECT_EQ(result.num_edges, spec.target_edges);
+    EXPECT_GT(result.attempts, 2 * first_prefix(spec)) << "expected a third round";
+    EXPECT_LT(result.attempts, spec.target_edges * graph::RmatAttempts::kCapPerEdge);
+  }
+}
+
+// Scale 5 has 32 * 31 / 2 = 496 possible edges, so 600 cannot all be
+// distinct: the replay must run to the 8x cap and keep every distinct key,
+// as graph::rmat does.
+TEST(RmatShards, ShortfallReplaysTheWholeCap) {
+  for (const std::int64_t chunk : {std::int64_t{97}, std::int64_t{1} << 20}) {
+    graph::RmatShardsSpec spec;
+    spec.scale = 5;
+    spec.target_edges = 600;
+    spec.seed = 1;
+    spec.feature_dim = 4;
+    spec.num_classes = 3;
+    spec.scheme = 1;
+    spec.num_layers = 2;
+    spec.pad_multiple = 2;
+    spec.preprocess_seed = 9;
+    spec.parts = 2;
+    spec.chunk_edges = chunk;
+    const auto result = run_case("short_" + std::to_string(chunk), spec);
+    EXPECT_EQ(result.attempts, spec.target_edges * graph::RmatAttempts::kCapPerEdge);
+    EXPECT_LT(result.num_edges, spec.target_edges);
+    EXPECT_LE(result.num_edges, 496);
+  }
 }

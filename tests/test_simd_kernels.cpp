@@ -248,10 +248,14 @@ TEST(SimdKernels, ElementwiseAndAdamBitwiseAcrossTargetsAndWidths) {
     const auto sz = static_cast<std::size_t>(n);
     const auto x = random_floats(sz, 41);
     const auto dy = random_floats(sz, 43);
-    const auto g = random_floats(sz, 47, -0.5f, 0.5f);
+    auto g = random_floats(sz, 47, -0.5f, 0.5f);
     const auto p0 = random_floats(sz, 53);
     const auto m0 = random_floats(sz, 59, -0.1f, 0.1f);
     auto v0 = random_floats(sz, 61, 0.0f, 0.1f);
+    // Fresh second moments, as on Adam's first step; where the gradient is
+    // zero too, sqrt(v / bc2) is sqrt(+0).
+    for (std::size_t i = 0; i < sz; i += 3) v0[i] = 0.0f;
+    for (std::size_t i = 0; i < sz; i += 6) g[i] = 0.0f;
 
     const auto words = static_cast<std::size_t>((n + 63) / 64);
     std::vector<float> relu_want(sz), dx_want(sz);
@@ -259,10 +263,6 @@ TEST(SimdKernels, ElementwiseAndAdamBitwiseAcrossTargetsAndWidths) {
     ps::kernels(ps::Target::Scalar).relu(x.data(), relu_want.data(), n, mask_want.data());
     ps::kernels(ps::Target::Scalar)
         .relu_backward(mask_want.data(), dy.data(), dx_want.data(), n);
-    std::vector<float> pw = p0, mw = m0, vw = v0;
-    ps::kernels(ps::Target::Scalar)
-        .adam_step(pw.data(), g.data(), mw.data(), vw.data(), n, 0.9f, 0.999f, 1e-2f, 1e-8f,
-                   0.0f, 1.0f - 0.9f, 1.0f - 0.999f);
 
     for (const ps::Target t : supported_targets()) {
       std::vector<float> relu_got(sz), dx_got(sz);
@@ -273,12 +273,27 @@ TEST(SimdKernels, ElementwiseAndAdamBitwiseAcrossTargetsAndWidths) {
       EXPECT_EQ(mask_got, mask_want) << "relu mask: target " << ps::target_name(t) << ", width "
                                      << n;
       expect_bitwise_equal(dx_got, dx_want, "relu_backward", t, n);
-      std::vector<float> pg = p0, mg = m0, vg = v0;
-      ps::kernels(t).adam_step(pg.data(), g.data(), mg.data(), vg.data(), n, 0.9f, 0.999f, 1e-2f,
-                               1e-8f, 0.0f, 1.0f - 0.9f, 1.0f - 0.999f);
-      expect_bitwise_equal(pg, pw, "adam p", t, n);
-      expect_bitwise_equal(mg, mw, "adam m", t, n);
-      expect_bitwise_equal(vg, vw, "adam v", t, n);
+    }
+
+    for (const float weight_decay : {0.0f, 0.01f}) {
+      const auto adam = [&](ps::Target t, std::vector<float>& p, std::vector<float>& m,
+                            std::vector<float>& v) {
+        p = p0;
+        m = m0;
+        v = v0;
+        ps::kernels(t).adam_step(p.data(), g.data(), m.data(), v.data(), n, 0.9f, 0.999f, 1e-2f,
+                                 1e-8f, weight_decay, 1.0f - 0.9f, 1.0f - 0.999f);
+      };
+      std::vector<float> pw, mw, vw;
+      adam(ps::Target::Scalar, pw, mw, vw);
+      for (const ps::Target t : supported_targets()) {
+        SCOPED_TRACE(weight_decay);
+        std::vector<float> pg, mg, vg;
+        adam(t, pg, mg, vg);
+        expect_bitwise_equal(pg, pw, "adam p", t, n);
+        expect_bitwise_equal(mg, mw, "adam m", t, n);
+        expect_bitwise_equal(vg, vw, "adam v", t, n);
+      }
     }
   }
 }
