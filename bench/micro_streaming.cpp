@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(dir);
   std::printf("generating scale-%d proxy straight to shards in %s ...\n", scale, dir.c_str());
   const auto gen = plexus::graph::rmat_to_shards(dir, spec);
-  std::printf("  %lld edges, %lld nnz per version, %.1f MB on disk\n",
+  std::printf("  %lld edges, %lld nnz, %.1f MB on disk\n",
               static_cast<long long>(gen.num_edges), static_cast<long long>(gen.adjacency_nnz),
               static_cast<double>(gen.bytes_written) / 1e6);
 

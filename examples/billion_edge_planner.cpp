@@ -120,7 +120,7 @@ int run_proxy(int scale, std::int64_t rss_budget_mb, int epochs, const std::stri
   const plexus::util::WallTimer gen_timer;
   const auto r = pg::rmat_to_shards(dir, spec);
   const double gen_s = gen_timer.seconds();
-  std::printf("  %lld edges, %lld nnz per version, %.1f MB on disk "
+  std::printf("  %lld edges, %lld nnz, %.1f MB on disk "
               "(peak generation buffer %.1f MB, %lld of %lld R-MAT attempts replayed, "
               "%.2f s)\n",
               static_cast<long long>(r.num_edges), static_cast<long long>(r.adjacency_nnz),

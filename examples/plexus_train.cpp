@@ -231,9 +231,9 @@ int main(int argc, char** argv) {
     const auto r = plexus::graph::rmat_to_shards(write_shards_dir, spec);
     const double gen_s = gen_timer.seconds();
     std::printf(
-        "wrote sharded %s proxy to %s: %lld nodes (%lld padded), %lld edges, %lld nnz per "
-        "version, %.1f MB on disk, %.1f MB peak buffer, %lld of %lld R-MAT attempts "
-        "replayed, %.2f s\n",
+        "wrote sharded %s proxy to %s: %lld nodes (%lld padded), %lld edges, %lld nnz, "
+        "%.1f MB on disk, %.1f MB peak buffer, %lld of %lld R-MAT attempts replayed, "
+        "%.2f s\n",
         dataset.c_str(), write_shards_dir.c_str(), static_cast<long long>(r.num_nodes),
         static_cast<long long>(r.padded_nodes), static_cast<long long>(r.num_edges),
         static_cast<long long>(r.adjacency_nnz), static_cast<double>(r.bytes_written) / 1e6,

@@ -4,11 +4,12 @@
 ///
 /// Layer l needs the adjacency *version* (l mod 2: P_r-rows vs P_c-rows under
 /// double permutation) sharded on the *plane* given by its roles (rows along
-/// axis R_l, cols along axis P_l; the plane cycles with period 3). Distinct
-/// (version, plane) combinations are built once and shared between layers —
-/// min(3, L) shards without double permutation, min(6, 2L) with it. Each shard
-/// is stored together with its transpose (the backward pass computes
-/// SpMM(A^T, dH), eq. 2.7).
+/// axis R_l, cols along axis P_l; the plane cycles with period 3). The view
+/// serves version 1 from the one stored matrix, but its shards are other
+/// windows: distinct (version, plane) combinations are built once and shared
+/// between layers — min(3, L) shards without double permutation, min(6, 2L)
+/// with it. Each shard is stored together with its transpose (the backward
+/// pass computes SpMM(A^T, dH), eq. 2.7).
 
 #include <map>
 #include <memory>

@@ -19,10 +19,7 @@ PlexusDataset dataset_from_view(const DatasetView& view, dense::Matrix features)
   ds.num_classes = view.num_classes();
   ds.train_total = view.train_total();
   ds.scheme = view.scheme();
-  ds.adj_even = view.adjacency_block(0, 0, ds.padded_nodes, 0, ds.padded_nodes);
-  ds.adj_odd = ds.scheme == PermutationScheme::Double
-                   ? view.adjacency_block(1, 0, ds.padded_nodes, 0, ds.padded_nodes)
-                   : ds.adj_even;
+  ds.adj = view.adjacency_block(0, 0, ds.padded_nodes, 0, ds.padded_nodes);
   ds.features = std::move(features);
   ds.labels = view.labels();
   ds.train_mask = view.mask(Split::Train);

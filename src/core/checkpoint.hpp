@@ -3,10 +3,11 @@
 /// Checkpoint save/restore on top of the sharded-dataset IO (loader/).
 ///
 /// A checkpoint directory is a regular `write_sharded_plexus_dataset`
-/// directory whose feature row blocks hold the *current trained* input
-/// features, plus `model.plx` (loader/checkpoint.hpp) carrying the model
-/// spec, per-layer weights/optimizer moments, feature optimizer moments and
-/// the epoch counter. That layout buys three consumers with one format:
+/// directory (one stored adjacency, "adj"; readers derive the odd layers'
+/// version from it) whose feature row blocks hold the *current trained*
+/// input features, plus `model.plx` (loader/checkpoint.hpp) carrying the
+/// model spec, per-layer weights/optimizer moments, feature optimizer moments
+/// and the epoch counter. That layout buys three consumers with one format:
 ///
 ///  * **resume** — ShardedDatasetView(dir) reads the directory in place as a
 ///    valid dataset whose features are the trained embeddings;

@@ -19,8 +19,8 @@ InMemoryDatasetView::InMemoryDatasetView(const PlexusDataset& ds) : ds_(&ds) {
 
 sparse::Csr InMemoryDatasetView::adjacency_block(int version, std::int64_t r0, std::int64_t r1,
                                                 std::int64_t c0, std::int64_t c1) const {
-  const sparse::Csr& a = version % 2 == 0 ? ds_->adj_even : ds_->adj_odd;
-  return a.block(r0, r1, c0, c1);
+  if (transposed_version(scheme_, version)) return ds_->adj.block(c0, c1, r0, r1).transposed();
+  return ds_->adj.block(r0, r1, c0, c1);
 }
 
 dense::Matrix InMemoryDatasetView::feature_block(std::int64_t r0, std::int64_t r1,
@@ -30,7 +30,7 @@ dense::Matrix InMemoryDatasetView::feature_block(std::int64_t r0, std::int64_t r
 
 const std::vector<std::int32_t>& InMemoryDatasetView::labels() const { return ds_->labels; }
 
-std::int64_t InMemoryDatasetView::adjacency_nnz() const { return ds_->adj_even.nnz(); }
+std::int64_t InMemoryDatasetView::adjacency_nnz() const { return ds_->adj.nnz(); }
 
 const std::vector<std::uint8_t>& InMemoryDatasetView::mask(Split split) const {
   switch (split) {
@@ -61,7 +61,6 @@ ShardedDatasetView::ShardedDatasetView(std::string dir, std::int64_t rss_budget_
   feature_dim_ = pm.valid_feature_dim;
   train_total_ = pm.train_total;
   scheme_ = static_cast<PermutationScheme>(pm.scheme);
-  adjacency_versions_ = pm.adjacency_versions;
   PLEXUS_CHECK(num_nodes_ <= padded_nodes_ && feature_dim_ <= padded_feature_dim_,
                "sharded dataset: inconsistent metadata in " + dir_);
   labels_ = io::load_labels(dir_);
@@ -69,10 +68,6 @@ ShardedDatasetView::ShardedDatasetView(std::string dir, std::int64_t rss_budget_
   PLEXUS_CHECK(static_cast<std::int64_t>(labels_.size()) == padded_nodes_ &&
                    static_cast<std::int64_t>(masks_.train.size()) == padded_nodes_,
                "sharded dataset: labels/masks do not cover the padded nodes");
-}
-
-const char* ShardedDatasetView::prefix(int version) const {
-  return version % 2 != 0 && adjacency_versions_ > 1 ? "adjo" : "adj";
 }
 
 sparse::Csr ShardedDatasetView::adjacency_block(int version, std::int64_t r0, std::int64_t r1,
@@ -99,8 +94,15 @@ sparse::Csr ShardedDatasetView::counted_window(int version, std::int64_t r0, std
                                                io::Orientation orientation,
                                                std::int64_t* io_bytes) const {
   if (io_bytes != nullptr) *io_bytes = 0;
+  if (transposed_version(scheme_, version)) {
+    // A_1's rows are A_0's columns: the same blocks, read the other way.
+    std::swap(r0, c0);
+    std::swap(r1, c1);
+    orientation = orientation == io::Orientation::Rows ? io::Orientation::Transposed
+                                                       : io::Orientation::Rows;
+  }
   auto window = io::load_adjacency_window(
-      dir_, prefix(version), meta_, r0, r1, c0, c1, orientation,
+      dir_, meta_, r0, r1, c0, c1, orientation,
       [&](const std::string& path, io::Orientation o) { return cache_->get(path, o, io_bytes); });
   // The walk has dropped its pins: reclaim what the budget no longer covers
   // now rather than at the next admission.
@@ -130,17 +132,14 @@ void write_sharded_plexus_dataset(const std::string& dir, const PlexusDataset& d
   PLEXUS_CHECK(parts > 0 && ds.padded_nodes % parts == 0,
                "write_sharded_plexus_dataset: parts must divide padded_nodes (pass the grid "
                "volume the dataset was padded for)");
-  io::write_sharded_dataset(dir, ds.adj_even, ds.features, ds.labels, ds.num_classes,
-                            parts, parts);
-  const bool two_versions = ds.scheme == PermutationScheme::Double;
-  if (two_versions) io::write_adjacency_blocks(dir, "adjo", ds.adj_odd, parts, parts);
+  io::write_sharded_dataset(dir, ds.adj, ds.features, ds.labels, ds.num_classes, parts, parts);
   io::write_masks(dir, io::ShardedMasks{ds.train_mask, ds.val_mask, ds.test_mask});
   io::PlexusShardMeta pm;
   pm.valid_nodes = ds.num_nodes;
   pm.valid_feature_dim = ds.feature_dim;
   pm.train_total = ds.train_total;
   pm.scheme = static_cast<std::int32_t>(ds.scheme);
-  pm.adjacency_versions = two_versions ? 2 : 1;
+  pm.adjacency_versions = ds.scheme == PermutationScheme::Double ? 2 : 1;
   io::write_plexus_meta(dir, pm);
 }
 

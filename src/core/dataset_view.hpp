@@ -34,6 +34,12 @@ namespace plexus::core {
 
 enum class Split { Train, Val, Test };
 
+/// True for the adjacency versions served as version 0's transpose (see
+/// DatasetView::adjacency_block): the odd ones under Double.
+inline bool transposed_version(PermutationScheme scheme, int version) {
+  return version % 2 != 0 && scheme == PermutationScheme::Double;
+}
+
 class DatasetView {
  public:
   virtual ~DatasetView() = default;
@@ -46,10 +52,11 @@ class DatasetView {
   std::int64_t train_total() const { return train_total_; }
   PermutationScheme scheme() const { return scheme_; }
 
-  /// Adjacency window [r0, r1) x [c0, c1) of one adjacency version: version
-  /// 0 is adj_even (P_r A~ P_c^T), version 1 adj_odd (the Double scheme's
-  /// alternate; the same matrix under None/Single). Layer l reads version
-  /// l % 2.
+  /// Adjacency window [r0, r1) x [c0, c1) of one adjacency version; layer l
+  /// reads version l % 2. Version 0 is the stored P_r A~ P_c^T. Under Double,
+  /// version 1 is P_c A~ P_r^T, its transpose because A~ is symmetric:
+  /// A_1[r0:r1, c0:c1] = (A_0[c0:c1, r0:r1])^T. Under None and Single,
+  /// version 1 is version 0.
   virtual sparse::Csr adjacency_block(int version, std::int64_t r0, std::int64_t r1,
                                       std::int64_t c0, std::int64_t c1) const = 0;
 
@@ -69,9 +76,9 @@ class DatasetView {
   /// them from per-rank ShardStream worker threads.
   virtual bool streaming() const { return false; }
 
-  /// Total nnz of one adjacency version, when the provider knows it without
-  /// reading the payload (0 otherwise). Feeds the streaming planner's
-  /// per-block nnz estimate.
+  /// Total nnz of the adjacency (each version has the same), when the
+  /// provider knows it without reading the payload (0 otherwise). Feeds the
+  /// streaming planner's per-block nnz estimate.
   virtual std::int64_t adjacency_nnz() const { return 0; }
 
   /// adjacency_block plus the bytes the request actually pulled from disk
@@ -126,10 +133,11 @@ class InMemoryDatasetView final : public DatasetView {
 /// reads only the metadata, labels and masks; adjacency/feature block
 /// requests read exactly the intersecting block files. Every view reads
 /// adjacency through one path, its own LRU BlockCache: windows are assembled
-/// from the cache's parsed blocks, forward row windows from the blocks' file
-/// form, backward A^T windows from transposed forms the cache derives once
-/// per admission. All reads are thread-safe, so one view may be shared by
-/// every rank thread, and cache_stats() is the one IO account.
+/// from the cache's parsed "adj" blocks, row windows from the blocks' file
+/// form, A^T windows from transposed forms the cache derives once per
+/// admission; version 1 reads the same blocks in the other orientation. All
+/// reads are thread-safe, so one view may be shared by every rank thread, and
+/// cache_stats() is the one IO account.
 class ShardedDatasetView final : public DatasetView {
  public:
   /// Plain view: a budget-0 cache, which keeps no block once its window is
@@ -168,7 +176,6 @@ class ShardedDatasetView final : public DatasetView {
  private:
   ShardedDatasetView(std::string dir, std::int64_t rss_budget_bytes, bool streaming);
 
-  const char* prefix(int version) const;
   /// One window of `version` through the cache, counting disk bytes into
   /// `io_bytes`.
   sparse::Csr counted_window(int version, std::int64_t r0, std::int64_t r1, std::int64_t c0,
@@ -178,17 +185,16 @@ class ShardedDatasetView final : public DatasetView {
   std::string dir_;
   io::ShardedMeta meta_;
   bool streaming_ = false;
-  std::int32_t adjacency_versions_ = 1;
   std::vector<std::int32_t> labels_;
   io::ShardedMasks masks_;
   std::unique_ptr<io::BlockCache> cache_;
 };
 
 /// Write `ds` into `dir` as a parts x parts block-file grid readable by
-/// ShardedDatasetView: the primary adjacency under prefix "adj", the Double
-/// scheme's odd version under "adjo", feature row blocks, labels, masks and
-/// the two metadata files. `parts` must divide `padded_nodes`; pass the grid
-/// volume so every rank's adjacency/feature window falls on block boundaries
+/// ShardedDatasetView: the one adjacency as "adj" blocks (readers derive
+/// the odd version from it), feature row blocks, labels, masks and the two
+/// metadata files. `parts` must divide `padded_nodes`; pass the grid volume
+/// so every rank's adjacency/feature window falls on block boundaries
 /// (uniform_slice extents divide the volume, hence the block size).
 void write_sharded_plexus_dataset(const std::string& dir, const PlexusDataset& ds, int parts);
 

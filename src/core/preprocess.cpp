@@ -39,12 +39,15 @@ PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, 
   out.num_classes = g.num_classes;
   out.train_total = g.train_count();
 
-  // Normalised adjacency at padded size (padded tail has no entries).
+  // Normalised adjacency at padded size (padded tail has no entries). Odd
+  // layers read its transpose, which is their matrix only when A is
+  // symmetric; normalize_adjacency keeps a symmetric A symmetric bit for bit.
   sparse::Coo padded_edges = g.edges;
   padded_edges.num_rows = out.padded_nodes;
   padded_edges.num_cols = out.padded_nodes;
-  const sparse::Csr normalized =
-      sparse::normalize_adjacency(sparse::Csr::from_coo(padded_edges, false), g.num_nodes);
+  const sparse::Csr raw = sparse::Csr::from_coo(padded_edges, false);
+  sparse::check_symmetric(raw, "preprocess_graph: graph " + g.name);
+  const sparse::Csr normalized = sparse::normalize_adjacency(raw, g.num_nodes);
 
   // Permutations over the padded index space: padding rows scatter uniformly,
   // which keeps per-shard *active* row counts balanced too.
@@ -52,12 +55,7 @@ PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, 
   const auto& p_r = perms.rows;
   const auto& p_c = perms.cols;
 
-  out.adj_even = normalized.permuted(p_r, p_c);  // P_r A~ P_c^T  (eq. 5.3)
-  if (scheme == PermutationScheme::Double) {
-    out.adj_odd = normalized.permuted(p_c, p_r);  // P_c A~ P_r^T (eq. 5.4)
-  } else {
-    out.adj_odd = out.adj_even;
-  }
+  out.adj = normalized.permuted(p_r, p_c);  // P_r A~ P_c^T (eq. 5.3)
 
   // Features live in the input (column) permutation: layer 0 computes
   // (P_r A P_c^T)(P_c F) per eq. 5.3.
@@ -87,7 +85,7 @@ double scheme_imbalance(const graph::Graph& g, PermutationScheme scheme, std::in
                         std::int64_t grid_cols, std::uint64_t seed) {
   const auto ds = preprocess_graph(g, scheme, /*num_layers=*/1,
                                    /*pad_multiple=*/grid_rows * grid_cols, seed);
-  return sparse::grid_imbalance(ds.adj_even, grid_rows, grid_cols).max_over_mean;
+  return sparse::grid_imbalance(ds.adj, grid_rows, grid_cols).max_over_mean;
 }
 
 }  // namespace plexus::core

@@ -44,10 +44,10 @@ struct PlexusDataset {
 
   PermutationScheme scheme = PermutationScheme::Double;
 
-  /// Normalised adjacency versions. Even layers use adj_even = P_r A~ P_c^T,
-  /// odd layers adj_odd = P_c A~ P_r^T (equal objects under None/Single).
-  sparse::Csr adj_even;
-  sparse::Csr adj_odd;
+  /// The normalised adjacency P_r A~ P_c^T, read by even layers. A~ is
+  /// symmetric, so the odd layers' P_c A~ P_r^T under Double is exactly its
+  /// transpose; DatasetView serves it from this one matrix.
+  sparse::Csr adj;
 
   /// Features in the input permutation (rows ordered by P_c), padded.
   dense::Matrix features;
@@ -57,14 +57,11 @@ struct PlexusDataset {
   std::vector<std::uint8_t> train_mask;
   std::vector<std::uint8_t> val_mask;
   std::vector<std::uint8_t> test_mask;
-
-  const sparse::Csr& adjacency_for_layer(int layer) const {
-    return layer % 2 == 0 ? adj_even : adj_odd;
-  }
 };
 
 /// Preprocess `g` for an L-layer GCN on grids whose volume divides
-/// `pad_multiple`. `seed` fixes the permutations.
+/// `pad_multiple`. `seed` fixes the permutations. Throws, naming one edge
+/// without its twin, when `g`'s edge set is not symmetric.
 PlexusDataset preprocess_graph(const graph::Graph& g, PermutationScheme scheme, int num_layers,
                                std::int64_t pad_multiple, std::uint64_t seed);
 

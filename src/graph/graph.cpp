@@ -40,6 +40,7 @@ void Graph::validate() const {
     PLEXUS_CHECK(r >= 0 && r < num_nodes && c >= 0 && c < num_nodes, "edge out of range");
     PLEXUS_CHECK(r != c, "self loop in raw edge list");
   }
+  sparse::check_symmetric(adjacency(), "graph " + name);
 }
 
 dense::Matrix synthetic_features(std::int64_t num_nodes, std::int64_t dim,

@@ -40,7 +40,8 @@ struct Graph {
 
   std::int64_t train_count() const;
 
-  /// Internal-consistency checks (sizes, label ranges, symmetric edge set).
+  /// Internal-consistency checks: sizes, label ranges, edges in range and
+  /// off the diagonal, and every edge (r, c, v) matched by its twin (c, r, v).
   void validate() const;
 };
 

@@ -124,16 +124,21 @@ class ExternalSorter {
     if (buf_.size() >= max_buffered_) spill();
   }
 
+  /// Most bytes of records the sorter has held at once: its fullest buffer,
+  /// plus the run read buffers once merge() reads spilled runs. Only these
+  /// pages are touched; the buffer's reserved capacity is not counted.
   std::int64_t peak_bytes() const {
-    return static_cast<std::int64_t>(max_buffered_ * sizeof(Rec));
+    const std::size_t held = std::max(held_peak_, buf_.size()) + merge_held_;
+    return static_cast<std::int64_t>(held * sizeof(Rec));
   }
 
   /// Single sorted sweep over everything pushed; fn returning false stops
   /// early. The sorter is consumed.
   template <typename Fn>
   void merge(Fn&& fn) {
-    std::sort(buf_.begin(), buf_.end(), less_);
     if (num_runs_ == 0) {
+      held_peak_ = std::max(held_peak_, buf_.size());
+      std::sort(buf_.begin(), buf_.end(), less_);
       for (const auto& r : buf_) {
         if (!fn(r)) break;
       }
@@ -141,7 +146,7 @@ class ExternalSorter {
       buf_.shrink_to_fit();
       return;
     }
-    spill();
+    spill();  // the last records become one more sorted run
     struct Run {
       io::File file;
       std::vector<Rec> buf;
@@ -153,6 +158,7 @@ class ExternalSorter {
     for (std::size_t i = 0; i < num_runs_; ++i) {
       runs.push_back(Run{io::open_file(run_path(i), "rb"),
                          std::vector<Rec>(std::size_t{1} << 13), 0, 0});
+      merge_held_ += runs.back().buf.size();
     }
     auto refill = [](Run& run) {
       run.len = io::checked_fread(run.buf.data(), sizeof(Rec), run.buf.size(), run.file.get());
@@ -194,6 +200,7 @@ class ExternalSorter {
   }
   void spill() {
     if (buf_.empty()) return;
+    held_peak_ = std::max(held_peak_, buf_.size());
     std::sort(buf_.begin(), buf_.end(), less_);
     auto f = io::open_file(run_path(num_runs_), "wb");
     io::write_array(f.get(), buf_.data(), buf_.size());
@@ -207,6 +214,8 @@ class ExternalSorter {
   Less less_;
   std::vector<Rec> buf_;
   std::size_t num_runs_ = 0;
+  std::size_t held_peak_ = 0;   ///< most records buffered at once
+  std::size_t merge_held_ = 0;  ///< records in merge()'s run read buffers
 };
 
 /// The spill directory, created on construction and removed with everything
@@ -222,14 +231,14 @@ struct SpillDir {
   SpillDir& operator=(const SpillDir&) = delete;
 };
 
-/// Stream-write one adjacency version as a parts x parts grid of block
-/// files, byte-identical to io::write_adjacency_blocks over the assembled
-/// CSR. `sorter` holds the EdgeRecs in BlockKey order, i.e. exactly one
-/// block file's content at a time.
-std::int64_t write_blocks_streamed(const std::string& dir, const std::string& prefix, int parts,
-                                   const BlockKey& layout,
+/// Stream-write the adjacency as a parts x parts grid of "adj" block files,
+/// byte-identical to io::write_adjacency_blocks over the assembled CSR.
+/// `sorter` holds the EdgeRecs in BlockKey order, i.e. exactly one block
+/// file's content at a time. `block_bytes` receives the most bytes one
+/// block's arrays held.
+std::int64_t write_blocks_streamed(const std::string& dir, int parts, const BlockKey& layout,
                                    ExternalSorter<EdgeRec, EdgeRecLess>& sorter,
-                                   std::int64_t* peak_buffer_bytes) {
+                                   std::int64_t* block_bytes) {
   const std::int64_t w = layout.width;
   const std::int64_t total_blocks = static_cast<std::int64_t>(parts) * parts;
 
@@ -249,13 +258,12 @@ std::int64_t write_blocks_streamed(const std::string& dir, const std::string& pr
       row_ptr[static_cast<std::size_t>(i) + 1] =
           row_ptr[static_cast<std::size_t>(i)] + counts[static_cast<std::size_t>(i)];
     }
-    io::write_adjacency_block(io::adjacency_block_path(dir, prefix, static_cast<int>(r),
+    io::write_adjacency_block(io::adjacency_block_path(dir, static_cast<int>(r),
                                                        static_cast<int>(c)),
                               r * w, c * w, w, row_ptr, col_idx, vals);
     nnz_total += static_cast<std::int64_t>(col_idx.size());
-    *peak_buffer_bytes =
-        std::max(*peak_buffer_bytes,
-                 static_cast<std::int64_t>(col_idx.size() * 8 + row_ptr.size() * 8));
+    *block_bytes = std::max(*block_bytes,
+                            static_cast<std::int64_t>(col_idx.size() * 8 + row_ptr.size() * 8));
     std::fill(counts.begin(), counts.end(), 0);
     col_idx.clear();
     vals.clear();
@@ -358,11 +366,13 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
       const std::string tag = std::to_string(round);
       ExternalSorter<DedupRec, DedupByKey> by_key(spill + "/bykey" + tag, chunk_records,
                                                   DedupByKey{});
+      std::int64_t carried_bytes = 0;  // the previous survivors, alive during the carry-over
       if (survivors) {
         survivors->merge([&](const DedupRec& r) {
           by_key.push(r);
           return true;
         });
+        carried_bytes = survivors->peak_bytes();
         survivors.reset();
       }
       for (; result.attempts < end; ++result.attempts) {
@@ -371,8 +381,6 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
         by_key.push(DedupRec{edge_key(u, v), static_cast<std::uint64_t>(result.attempts)});
       }
       survivors.emplace(spill + "/byidx" + tag, chunk_records, DedupByIdx{});
-      result.peak_buffer_bytes =
-          std::max(result.peak_buffer_bytes, by_key.peak_bytes() + survivors->peak_bytes());
       std::int64_t distinct = 0;
       std::uint64_t prev_key = 0;
       by_key.merge([&](const DedupRec& r) {
@@ -383,6 +391,9 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
         }
         return true;
       });
+      result.peak_buffer_bytes =
+          std::max(result.peak_buffer_bytes,
+                   by_key.peak_bytes() + std::max(carried_bytes, survivors->peak_bytes()));
       if (distinct >= spec.target_edges || end == cap) break;
       end = std::min(cap, 2 * end);
     }
@@ -436,17 +447,14 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
   std::int64_t train_total = 0;
   for (const auto m : train) train_total += m != 0 ? 1 : 0;
 
-  // ---- Phase D: each adjacency version streams edges.bin through an
-  // external sort into block files. Both directions of every edge plus the
-  // self-loop row get the normalize_adjacency value, computed with the same
-  // double-precision expression so the floats match bit for bit.
-  const bool two_versions = spec.scheme == 2;
+  // ---- Phase D: the adjacency streams edges.bin through an external sort
+  // into block files. Both directions of every edge plus the self-loop row
+  // get the normalize_adjacency value, computed with the same
+  // double-precision expression so the floats match bit for bit. The Double
+  // scheme's odd version is this matrix's transpose, which readers derive.
   const BlockKey layout(padded, spec.parts);
-  const auto stream_version = [&](const std::string& prefix,
-                                  const std::vector<std::int64_t>& row_map,
-                                  const std::vector<std::int64_t>& col_map) {
-    ExternalSorter<EdgeRec, EdgeRecLess> sorter(spill + "/" + prefix, chunk_records,
-                                                EdgeRecLess{});
+  {
+    ExternalSorter<EdgeRec, EdgeRecLess> sorter(spill + "/adj", chunk_records, EdgeRecLess{});
     {
       auto in = io::open_file(edges_path, "rb");
       std::vector<std::int32_t> rbuf(std::size_t{1} << 16);
@@ -459,23 +467,19 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
           const auto u = static_cast<std::size_t>(rbuf[i]);
           const auto v = static_cast<std::size_t>(rbuf[i + 1]);
           const auto w = static_cast<float>(inv_sqrt[u] * inv_sqrt[v]);
-          sorter.push(layout.rec(row_map[u], col_map[v], w));
-          sorter.push(layout.rec(row_map[v], col_map[u], w));
+          sorter.push(layout.rec(p_r[u], p_c[v], w));
+          sorter.push(layout.rec(p_r[v], p_c[u], w));
         }
       }
     }
     for (std::size_t r = 0; r < inv_sqrt.size(); ++r) {
       const auto w = static_cast<float>(inv_sqrt[r] * inv_sqrt[r]);
-      sorter.push(layout.rec(row_map[r], col_map[r], w));
+      sorter.push(layout.rec(p_r[r], p_c[r], w));
     }
-    result.peak_buffer_bytes = std::max(result.peak_buffer_bytes, sorter.peak_bytes());
-    return write_blocks_streamed(dir, prefix, spec.parts, layout, sorter,
-                                 &result.peak_buffer_bytes);
-  };
-  result.adjacency_nnz = stream_version("adj", p_r, p_c);
-  if (two_versions) {
-    const auto odd_nnz = stream_version("adjo", p_c, p_r);
-    PLEXUS_CHECK(odd_nnz == result.adjacency_nnz, "rmat_to_shards: version nnz mismatch");
+    std::int64_t block_bytes = 0;
+    result.adjacency_nnz = write_blocks_streamed(dir, spec.parts, layout, sorter, &block_bytes);
+    result.peak_buffer_bytes =
+        std::max(result.peak_buffer_bytes, sorter.peak_bytes() + block_bytes);
   }
 
   // ---- Phase E: metadata, labels, masks, features — small or streamed.
@@ -505,7 +509,7 @@ RmatShardsResult rmat_to_shards(const std::string& dir, const RmatShardsSpec& sp
     pm.valid_feature_dim = spec.feature_dim;
     pm.train_total = train_total;
     pm.scheme = static_cast<std::int32_t>(spec.scheme);
-    pm.adjacency_versions = two_versions ? 2 : 1;
+    pm.adjacency_versions = spec.scheme == 2 ? 2 : 1;
     io::write_plexus_meta(dir, pm);
   }
   {

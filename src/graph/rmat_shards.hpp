@@ -67,9 +67,11 @@ struct RmatShardsResult {
   std::int64_t padded_nodes = 0;
   std::int64_t num_edges = 0;        ///< accepted undirected edges
   std::int64_t attempts = 0;         ///< RmatAttempts replayed (at most the cap)
-  std::int64_t adjacency_nnz = 0;    ///< nnz of each normalised version
+  std::int64_t adjacency_nnz = 0;    ///< nnz of the normalised adjacency
   std::int64_t bytes_written = 0;
-  std::int64_t peak_buffer_bytes = 0;  ///< largest transient sort/block buffer
+  /// Most record and block bytes held at once, bounded above by summing the
+  /// high-water marks of the buffers alive together (not their capacity).
+  std::int64_t peak_buffer_bytes = 0;
 };
 
 /// Generate the dataset into `dir` (created if needed). Spill files live in

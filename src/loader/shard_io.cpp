@@ -11,9 +11,8 @@
 
 namespace plexus::io {
 
-std::string adjacency_block_path(const std::string& dir, const std::string& prefix, int r,
-                                 int c) {
-  return dir + "/" + prefix + "_" + std::to_string(r) + "_" + std::to_string(c) + ".plx";
+std::string adjacency_block_path(const std::string& dir, int r, int c) {
+  return dir + "/adj_" + std::to_string(r) + "_" + std::to_string(c) + ".plx";
 }
 
 std::string feature_block_path(const std::string& dir, int r) {
@@ -100,9 +99,9 @@ BlockOpener fresh_block_opener(std::function<void(const MappedBlock&)> on_open) 
   };
 }
 
-sparse::Csr load_adjacency_window(const std::string& dir, const std::string& prefix,
-                                  const ShardedMeta& meta, std::int64_t r0, std::int64_t r1,
-                                  std::int64_t c0, std::int64_t c1, Orientation orientation,
+sparse::Csr load_adjacency_window(const std::string& dir, const ShardedMeta& meta,
+                                  std::int64_t r0, std::int64_t r1, std::int64_t c0,
+                                  std::int64_t c1, Orientation orientation,
                                   const BlockOpener& open) {
   // Work in output coordinates: rows [o0, o1) and columns [p0, p1) of A, or
   // of A^T, whose block (i, j) is the transpose of file block (j, i).
@@ -132,7 +131,7 @@ sparse::Csr load_adjacency_window(const std::string& dir, const std::string& pre
     for (std::size_t j = j0; j < j1; ++j) {
       const int fr = static_cast<int>(t ? j : i);
       const int fc = static_cast<int>(t ? i : j);
-      auto blk = open(adjacency_block_path(dir, prefix, fr, fc), orientation);
+      auto blk = open(adjacency_block_path(dir, fr, fc), orientation);
       PLEXUS_CHECK(blk->row0 == ob[i] && blk->rows == ob[i + 1] - ob[i] &&
                        blk->col0 == pb[j] && blk->cols == pb[j + 1] - pb[j],
                    "corrupt block header in " + blk->path + " (not its grid block)");
@@ -237,9 +236,8 @@ void write_labels(const std::string& dir, const std::vector<std::int32_t>& label
   f.close();
 }
 
-void write_adjacency_blocks(const std::string& dir, const std::string& prefix,
-                            const sparse::Csr& adj, std::int32_t grid_rows,
-                            std::int32_t grid_cols) {
+void write_adjacency_blocks(const std::string& dir, const sparse::Csr& adj,
+                            std::int32_t grid_rows, std::int32_t grid_cols) {
   std::filesystem::create_directories(dir);
   const auto rb = sparse::block_bounds(adj.rows(), grid_rows);
   const auto cb = sparse::block_bounds(adj.cols(), grid_cols);
@@ -247,8 +245,8 @@ void write_adjacency_blocks(const std::string& dir, const std::string& prefix,
     for (std::size_t c = 0; c + 1 < cb.size(); ++c) {
       const auto blk = adj.block(rb[r], rb[r + 1], cb[c], cb[c + 1]);
       write_adjacency_block(
-          adjacency_block_path(dir, prefix, static_cast<int>(r), static_cast<int>(c)), rb[r],
-          cb[c], blk.cols(), blk.row_ptr(), blk.col_idx(), blk.vals());
+          adjacency_block_path(dir, static_cast<int>(r), static_cast<int>(c)), rb[r], cb[c],
+          blk.cols(), blk.row_ptr(), blk.col_idx(), blk.vals());
     }
   }
 }
@@ -262,7 +260,7 @@ void write_sharded_dataset(const std::string& dir, const sparse::Csr& adj,
   write_meta(dir, ShardedMeta{adj.rows(), features.cols(), num_classes, grid_rows, grid_cols,
                               adj.nnz()});
   write_labels(dir, labels);
-  write_adjacency_blocks(dir, "adj", adj, grid_rows, grid_cols);
+  write_adjacency_blocks(dir, adj, grid_rows, grid_cols);
   const auto rb = sparse::block_bounds(adj.rows(), grid_rows);
   for (std::size_t r = 0; r + 1 < rb.size(); ++r) {
     write_feature_block(feature_block_path(dir, static_cast<int>(r)), rb[r], rb[r + 1] - rb[r],
@@ -332,12 +330,11 @@ ShardedMasks load_masks(const std::string& dir) {
 }
 
 sparse::Csr load_adjacency_block(const std::string& dir, std::int64_t r0, std::int64_t r1,
-                                 std::int64_t c0, std::int64_t c1, LoadStats* stats,
-                                 const std::string& prefix) {
+                                 std::int64_t c0, std::int64_t c1, LoadStats* stats) {
   util::WallTimer timer;
   std::int64_t buffered = 0;
   auto csr = load_adjacency_window(
-      dir, prefix, read_meta(dir), r0, r1, c0, c1, Orientation::Rows,
+      dir, read_meta(dir), r0, r1, c0, c1, Orientation::Rows,
       fresh_block_opener([&](const MappedBlock& file) {
         buffered += file.size_bytes();
         if (stats != nullptr) {
@@ -385,12 +382,11 @@ dense::Matrix load_feature_block(const std::string& dir, std::int64_t r0, std::i
 }
 
 sparse::Csr load_adjacency_block_naive(const std::string& dir, std::int64_t r0, std::int64_t r1,
-                                       std::int64_t c0, std::int64_t c1, LoadStats* stats,
-                                       const std::string& prefix) {
+                                       std::int64_t c0, std::int64_t c1, LoadStats* stats) {
   // Read every block, reassemble the full matrix, then slice — the "load the
   // whole dataset into CPU memory first" pattern of many GNN frameworks.
   const std::int64_t n = read_meta(dir).num_nodes;
-  return load_adjacency_block(dir, 0, n, 0, n, stats, prefix).block(r0, r1, c0, c1);
+  return load_adjacency_block(dir, 0, n, 0, n, stats).block(r0, r1, c0, c1);
 }
 
 std::vector<std::int32_t> load_labels(const std::string& dir) {

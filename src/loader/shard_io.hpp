@@ -54,7 +54,9 @@ struct PlexusShardMeta {
   std::int64_t valid_feature_dim = 0;  ///< un-padded feature width
   std::int64_t train_total = 0;        ///< number of training nodes
   std::int32_t scheme = 0;             ///< core::PermutationScheme as int
-  std::int32_t adjacency_versions = 1; ///< 1, or 2 under Double permutation
+  /// Adjacency versions the layers read: 2 under Double permutation, else 1.
+  /// Only "adj" is stored; readers derive version 1 as its transpose.
+  std::int32_t adjacency_versions = 1;
 };
 
 /// Per-split node masks (one byte per padded node).
@@ -87,7 +89,7 @@ struct AdjacencyBlock {
   std::shared_ptr<const void> storage;
 };
 
-/// Parse and validate one `<prefix>_<r>_<c>.plx` file: the magic, non-negative
+/// Parse and validate one `adj_<r>_<c>.plx` file: the magic, non-negative
 /// header fields, arrays inside the file, row pointers running from 0 to nnz
 /// without decreasing, and every row's column indices inside the block and
 /// strictly ascending. Throws an error naming the file otherwise. Both
@@ -110,16 +112,16 @@ using BlockOpener = std::function<std::shared_ptr<const AdjacencyBlock>(const st
 BlockOpener fresh_block_opener(std::function<void(const MappedBlock&)> on_open = {});
 
 /// Assemble the window [r0, r1) x [c0, c1) of A (Rows) or its transpose, A^T's
-/// rows [c0, c1) over columns [r0, r1) (Transposed), from the `prefix` blocks
-/// it intersects. A counting pass sizes the CSR exactly; each output row then
+/// rows [c0, c1) over columns [r0, r1) (Transposed), from the "adj" blocks it
+/// intersects. A counting pass sizes the CSR exactly; each output row then
 /// concatenates its pieces of the blocks in block order, shifted by the
 /// block's column offset. That is sorted without a sort under the block
 /// contract above, so the result is bitwise-equal whichever opener serves
 /// the blocks, and the Transposed window equals the Rows window's
 /// Csr::transposed(). Each block's header must match its place in the grid.
-sparse::Csr load_adjacency_window(const std::string& dir, const std::string& prefix,
-                                  const ShardedMeta& meta, std::int64_t r0, std::int64_t r1,
-                                  std::int64_t c0, std::int64_t c1, Orientation orientation,
+sparse::Csr load_adjacency_window(const std::string& dir, const ShardedMeta& meta,
+                                  std::int64_t r0, std::int64_t r1, std::int64_t c0,
+                                  std::int64_t c1, Orientation orientation,
                                   const BlockOpener& open);
 
 /// Write one adjacency block file: `row_ptr.size() - 1` rows starting at
@@ -146,13 +148,10 @@ void write_sharded_dataset(const std::string& dir, const sparse::Csr& adj,
                            const std::vector<std::int32_t>& labels, std::int64_t num_classes,
                            std::int32_t grid_rows, std::int32_t grid_cols);
 
-/// Write one CSR matrix as a grid of `<prefix>_<r>_<c>.plx` block files (the
-/// layout write_sharded_dataset uses with prefix "adj"). Extra adjacency
-/// versions (the Double permutation's odd-layer matrix) go under their own
-/// prefix in the same directory.
-void write_adjacency_blocks(const std::string& dir, const std::string& prefix,
-                            const sparse::Csr& adj, std::int32_t grid_rows,
-                            std::int32_t grid_cols);
+/// Write the adjacency as a grid of `adj_<r>_<c>.plx` block files (the
+/// layout write_sharded_dataset uses).
+void write_adjacency_blocks(const std::string& dir, const sparse::Csr& adj,
+                            std::int32_t grid_rows, std::int32_t grid_cols);
 
 void write_plexus_meta(const std::string& dir, const PlexusShardMeta& m);
 
@@ -164,20 +163,18 @@ PlexusShardMeta read_plexus_meta(const std::string& dir);
 
 ShardedMasks load_masks(const std::string& dir);
 
-/// Parallel loader: assemble only the blocks intersecting [r0, r1) x
+/// Parallel loader: assemble only the "adj" blocks intersecting [r0, r1) x
 /// [c0, c1) (load_adjacency_window over freshly opened files).
-/// `prefix` selects the adjacency version ("adj" = the primary matrix).
 sparse::Csr load_adjacency_block(const std::string& dir, std::int64_t r0, std::int64_t r1,
-                                 std::int64_t c0, std::int64_t c1, LoadStats* stats = nullptr,
-                                 const std::string& prefix = "adj");
+                                 std::int64_t c0, std::int64_t c1, LoadStats* stats = nullptr);
 
 /// Parallel loader for a feature row/column window. Each stripe header must
 /// match the stripe's grid bounds and meta.feature_dim.
 dense::Matrix load_feature_block(const std::string& dir, std::int64_t r0, std::int64_t r1,
                                  std::int64_t c0, std::int64_t c1, LoadStats* stats = nullptr);
 
-/// Path of the `<prefix>_<r>_<c>.plx` block file inside `dir`.
-std::string adjacency_block_path(const std::string& dir, const std::string& prefix, int r, int c);
+/// Path of the `adj_<r>_<c>.plx` block file inside `dir`.
+std::string adjacency_block_path(const std::string& dir, int r, int c);
 
 /// Path of the `feat_<r>.plx` feature row stripe inside `dir`.
 std::string feature_block_path(const std::string& dir, int r);
@@ -186,8 +183,7 @@ std::string feature_block_path(const std::string& dir, int r);
 /// (the baseline of section 5.4's comparison).
 sparse::Csr load_adjacency_block_naive(const std::string& dir, std::int64_t r0, std::int64_t r1,
                                        std::int64_t c0, std::int64_t c1,
-                                       LoadStats* stats = nullptr,
-                                       const std::string& prefix = "adj");
+                                       LoadStats* stats = nullptr);
 
 std::vector<std::int32_t> load_labels(const std::string& dir);
 

@@ -22,8 +22,11 @@ ServedModel::ServedModel(const std::string& checkpoint_dir)
 
   // One-time full-graph forward, serially over the global matrices:
   // H_{l+1} = act(A_l H_l W_l). The trained features are the checkpoint's
-  // feature blocks, already permuted into the layer-0 input order.
+  // feature blocks, already permuted into the layer-0 input order. Odd
+  // layers under Double read the stored adjacency's transpose.
   const int L = state_.num_layers();
+  const sparse::Csr adj_t =
+      L > 1 && core::transposed_version(ds_.scheme, 1) ? ds_.adj.transposed() : sparse::Csr{};
   dense::Matrix h = ds_.features;
   acts_.reserve(static_cast<std::size_t>(L));
   for (int l = 0; l < L; ++l) {
@@ -31,7 +34,7 @@ ServedModel::ServedModel(const std::string& checkpoint_dir)
     PLEXUS_CHECK(ls.rows == h.cols(), "checkpoint layer dims do not chain");
     dense::Matrix w(ls.rows, ls.cols);
     std::copy(ls.w.begin(), ls.w.end(), w.data());
-    h = sparse::spmm(ds_.adjacency_for_layer(l), h);
+    h = sparse::spmm(core::transposed_version(ds_.scheme, l) ? adj_t : ds_.adj, h);
     h = dense::matmul(h, w);
     if (l + 1 < L) h = dense::relu(h);
     acts_.push_back(h);  // cache; h flows on as the next layer's input

@@ -254,8 +254,10 @@ Csr normalize_adjacency(const Csr& a, std::int64_t active_nodes) {
          ++k) {
       const std::int32_t c = ci[static_cast<std::size_t>(k)];
       if (c == r) has_self = true;
-      const double w = static_cast<double>(va[static_cast<std::size_t>(k)]) *
-                       inv_sqrt[static_cast<std::size_t>(r)] * inv_sqrt[static_cast<std::size_t>(c)];
+      // The degree product first: (r, c) and (c, r) scale by the same double.
+      const double scale =
+          inv_sqrt[static_cast<std::size_t>(r)] * inv_sqrt[static_cast<std::size_t>(c)];
+      const double w = static_cast<double>(va[static_cast<std::size_t>(k)]) * scale;
       coo.push(r, c, static_cast<float>(w));
     }
     if (!has_self && r < active_nodes) {
@@ -265,6 +267,44 @@ Csr normalize_adjacency(const Csr& a, std::int64_t active_nodes) {
     }
   }
   return Csr::from_coo(coo);
+}
+
+void check_symmetric(const Csr& a, const std::string& what) {
+  PLEXUS_CHECK(a.rows() == a.cols(), what + ": a symmetric matrix must be square");
+  const Csr t = a.transposed();
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto va = a.vals();
+  const auto trp = t.row_ptr();
+  const auto tci = t.col_idx();
+  const auto tva = t.vals();
+  const auto edge = [](std::int64_t r, std::int64_t c, float v) {
+    return "edge (" + std::to_string(r) + ", " + std::to_string(c) + ", " + std::to_string(v) +
+           ")";
+  };
+  const auto twin = [](std::int64_t r, std::int64_t c) {
+    return " has no twin (" + std::to_string(c) + ", " + std::to_string(r) + ")";
+  };
+  // Row r of `a` and row r of its transpose list the same (column, value)
+  // pairs exactly when every entry has its twin. Where they first differ,
+  // the smaller column is an entry without a twin; equal columns are twins
+  // with unequal values.
+  for (std::int64_t r = 0; r < a.rows(); ++r) {
+    const auto end = rp[static_cast<std::size_t>(r) + 1];
+    const auto end_t = trp[static_cast<std::size_t>(r) + 1];
+    auto k = rp[static_cast<std::size_t>(r)];
+    auto kt = trp[static_cast<std::size_t>(r)];
+    for (; k < end || kt < end_t; ++k, ++kt) {
+      const auto i = static_cast<std::size_t>(k);
+      const auto it = static_cast<std::size_t>(kt);
+      PLEXUS_CHECK(kt < end_t && (k == end || ci[i] >= tci[it]),
+                   what + ": " + edge(r, ci[i], va[i]) + twin(r, ci[i]));
+      PLEXUS_CHECK(k < end && tci[it] >= ci[i],
+                   what + ": " + edge(tci[it], r, tva[it]) + twin(tci[it], r));
+      PLEXUS_CHECK(va[i] == tva[it], what + ": " + edge(r, ci[i], va[i]) + " and its twin " +
+                                         edge(ci[i], r, tva[it]) + " differ in value");
+    }
+  }
 }
 
 }  // namespace plexus::sparse

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sparse/coo.hpp"
@@ -81,6 +82,13 @@ class Csr {
 /// \brief GCN preprocessing (section 2.1): given a square adjacency A restricted
 /// to `active_nodes` (rows/cols < active_nodes get self-loops; padded tail stays
 /// empty), returns D^{-1/2} (A + I) D^{-1/2} where D is the degree of (A + I).
+/// Entry (r, c) is a_rc * (d_r^{-1/2} * d_c^{-1/2}), so a symmetric A gives a
+/// bitwise-symmetric result.
 Csr normalize_adjacency(const Csr& a, std::int64_t active_nodes);
+
+/// Throws unless every entry (r, c, v) of `a` (rows with sorted, distinct
+/// columns, as from_coo builds them) has its twin (c, r, v). The error
+/// starts with `what` and names one entry without a twin.
+void check_symmetric(const Csr& a, const std::string& what);
 
 }  // namespace plexus::sparse

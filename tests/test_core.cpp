@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "comm/world.hpp"
 #include "core/adjacency_store.hpp"
+#include "core/dataset_view.hpp"
 #include "core/grid.hpp"
 #include "core/preprocess.hpp"
 #include "core/roles.hpp"
@@ -17,9 +19,23 @@
 #include "graph/datasets.hpp"
 #include "sim/machine.hpp"
 #include "sparse/partition2d.hpp"
+#include "util/rng.hpp"
 
 namespace pc = plexus::core;
 namespace pg = plexus::graph;
+
+namespace {
+
+/// A~ of `g` at `padded` nodes, unpermuted: what preprocess_graph permutes.
+plexus::sparse::Csr normalized_adjacency(const pg::Graph& g, std::int64_t padded) {
+  plexus::sparse::Coo edges = g.edges;
+  edges.num_rows = padded;
+  edges.num_cols = padded;
+  return plexus::sparse::normalize_adjacency(plexus::sparse::Csr::from_coo(edges, false),
+                                             g.num_nodes);
+}
+
+}  // namespace
 
 TEST(Roles, RotationCycle) {
   const auto l0 = pc::roles_for_layer(0);
@@ -186,8 +202,8 @@ TEST(Preprocess, PaddingAndStats) {
   EXPECT_EQ(ds.padded_feature_dim, 16);
   EXPECT_EQ(ds.num_nodes, 100);
   EXPECT_EQ(ds.train_total, g.train_count());
-  // Adjacency versions have identical nnz (both are permutations of A~).
-  EXPECT_EQ(ds.adj_even.nnz(), ds.adj_odd.nnz());
+  // A~ = A + I over the active nodes, permuted: no entry gained or lost.
+  EXPECT_EQ(ds.adj.nnz(), g.num_edges() + g.num_nodes);
   // Padded feature columns are zero.
   for (std::int64_t i = 0; i < ds.padded_nodes; ++i) {
     for (std::int64_t k = 10; k < 16; ++k) EXPECT_EQ(ds.features.at(i, k), 0.0f);
@@ -219,7 +235,78 @@ TEST(Preprocess, NoneSchemeKeepsOrdering) {
   for (std::int64_t u = 0; u < 64; ++u) {
     EXPECT_EQ(ds.features.at(u, 0), g.features.at(u, 0));
   }
-  EXPECT_TRUE(plexus::sparse::Csr::equal(ds.adj_even, ds.adj_odd));
+  // Adjacency in original order: A~ itself.
+  EXPECT_TRUE(plexus::sparse::Csr::equal(ds.adj, normalized_adjacency(g, ds.padded_nodes)));
+}
+
+TEST(Preprocess, OddVersionIsTheTransposedEvenVersion) {
+  // Every window of version 1 equals the reference P_c A~ P_r^T (eq. 5.4),
+  // built here from A~, and version 0's window with rows and columns
+  // swapped, transposed. Under None and Single both are version 0 itself.
+  const auto g = pg::make_proxy(pg::dataset_info("ogbn-products"), 2048, 3);
+  for (const auto scheme : {pc::PermutationScheme::None, pc::PermutationScheme::Single,
+                            pc::PermutationScheme::Double}) {
+    SCOPED_TRACE(pc::scheme_name(scheme));
+    const auto ds = pc::preprocess_graph(g, scheme, 3, 8, 5);
+    const auto perms =
+        plexus::util::scheme_permutations(static_cast<int>(scheme), ds.padded_nodes, 5);
+    const auto normalized = normalized_adjacency(g, ds.padded_nodes);
+    const auto even = normalized.permuted(perms.rows, perms.cols);
+    const auto odd = normalized.permuted(perms.cols, perms.rows);
+    EXPECT_TRUE(plexus::sparse::Csr::equal(ds.adj, even));
+    const pc::InMemoryDatasetView view(ds);
+    const auto bounds = plexus::sparse::block_bounds(ds.padded_nodes, 3);
+    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+      for (std::size_t j = 0; j + 1 < bounds.size(); ++j) {
+        const auto r0 = bounds[i], r1 = bounds[i + 1], c0 = bounds[j], c1 = bounds[j + 1];
+        const auto v1 = view.adjacency_block(1, r0, r1, c0, c1);
+        EXPECT_TRUE(plexus::sparse::Csr::equal(v1, odd.block(r0, r1, c0, c1)));
+        EXPECT_TRUE(plexus::sparse::Csr::equal(
+            v1, view.adjacency_block(0, c0, c1, r0, r1).transposed()));
+        EXPECT_TRUE(plexus::sparse::Csr::equal(view.adjacency_block(0, r0, r1, c0, c1),
+                                               even.block(r0, r1, c0, c1)));
+      }
+    }
+  }
+}
+
+TEST(Preprocess, RejectsAsymmetricGraph) {
+  // Odd layers read the transpose of the one stored adjacency, so an edge
+  // without its twin must be refused, not turned into a wrong odd layer.
+  const auto expect_rejected = [](const pg::Graph& g, const std::string& edge) {
+    for (const bool preprocess : {false, true}) {
+      try {
+        if (preprocess) {
+          pc::preprocess_graph(g, pc::PermutationScheme::Double, 3, 8, 5);
+        } else {
+          g.validate();
+        }
+        ADD_FAILURE() << (preprocess ? "preprocess_graph" : "validate") << " accepted it";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(edge), std::string::npos) << e.what();
+      }
+    }
+  };
+  const auto g = pg::make_test_graph(60, 4.0, 6, 3, 11);
+  ASSERT_NO_THROW(g.validate());
+  const auto r = g.edges.rows[0];
+  const auto c = g.edges.cols[0];
+
+  pg::Graph missing = g;  // drop the twin (c, r) of edge (r, c)
+  for (std::size_t k = 0; k < missing.edges.rows.size(); ++k) {
+    if (missing.edges.rows[k] == c && missing.edges.cols[k] == r) {
+      missing.edges.rows.erase(missing.edges.rows.begin() + static_cast<std::ptrdiff_t>(k));
+      missing.edges.cols.erase(missing.edges.cols.begin() + static_cast<std::ptrdiff_t>(k));
+      missing.edges.vals.erase(missing.edges.vals.begin() + static_cast<std::ptrdiff_t>(k));
+      break;
+    }
+  }
+  ASSERT_EQ(missing.num_edges() + 1, g.num_edges());
+  expect_rejected(missing, "(" + std::to_string(r) + ", " + std::to_string(c) + ", ");
+
+  pg::Graph unequal = g;  // edge (r, c) weighs 2, its twin (c, r) still 1
+  unequal.edges.vals[0] = 2.0f;
+  expect_rejected(unequal, "(" + std::to_string(r) + ", " + std::to_string(c) + ", 2.0");
 }
 
 TEST(Preprocess, DoublePermutationBalancesRoadNetwork) {
@@ -278,7 +365,7 @@ TEST(AdjacencyStore, ShardsPartitionTheMatrix) {
       if (pc::Grid3D::coord(c, roles.q) != 0) continue;
       total += pc::AdjacencyStore(view, grid, r, 3).layer(layer).a.nnz();
     }
-    EXPECT_EQ(total, ds.adjacency_for_layer(layer).nnz()) << "layer " << layer;
+    EXPECT_EQ(total, ds.adj.nnz()) << "layer " << layer;
   }
 }
 

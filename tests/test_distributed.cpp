@@ -8,6 +8,10 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "comm/world.hpp"
 #include "core/dataset_view.hpp"
@@ -17,9 +21,11 @@
 #include "core/shard.hpp"
 #include "core/trainer.hpp"
 #include "graph/datasets.hpp"
+#include "loader/shard_io.hpp"
 #include "model/serial_gcn.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
+#include "sparse/partition2d.hpp"
 
 namespace pc = plexus::core;
 namespace pg = plexus::graph;
@@ -327,9 +333,12 @@ TEST(Distributed, ReduceEpochStatsTakesCrossRankMaxima) {
 TEST(Distributed, ShardedViewTrainingBitwiseEqualsInMemory) {
   // The one-process-per-rank data path: rank-private ShardedDatasetViews must
   // train bitwise-identically to the shared in-memory dataset (the block-file
-  // round trip is exact binary IO), and each rank must read strictly fewer
-  // adjacency block files than the directory holds — the shard-local-IO
-  // guarantee. The view's cache counts each block file it reads as a miss.
+  // round trip is exact binary IO), and each rank must read exactly the
+  // block files its own layer windows intersect — the shard-local-IO
+  // guarantee. The plain view's cache keeps no block between windows, so
+  // each distinct (version, plane) window reads its blocks once; version 1's
+  // window reads the "adj" blocks of the swapped window and builds each
+  // one's transposed form, which the cache counts as a second miss.
   const auto g = small_graph();
   const auto spec = small_spec();
   const psim::GridShape shape{2, 2, 1};
@@ -343,7 +352,7 @@ TEST(Distributed, ShardedViewTrainingBitwiseEqualsInMemory) {
   const int epochs = 3;
   auto run = [&](bool sharded) {
     std::vector<double> losses(static_cast<std::size_t>(epochs), 0.0);
-    std::vector<std::int64_t> files(static_cast<std::size_t>(volume), 0);
+    std::vector<plexus::io::BlockCache::Stats> io(static_cast<std::size_t>(volume));
     plexus::comm::World world(volume);
     pc::Grid3D grid(world, shape, psim::Machine::test_machine());
     psim::run_cluster(world, psim::Machine::test_machine(), [&](psim::RankContext& ctx) {
@@ -360,14 +369,14 @@ TEST(Distributed, ShardedViewTrainingBitwiseEqualsInMemory) {
         if (ctx.rank() == 0) losses[static_cast<std::size_t>(e)] = s.loss;
       }
       if (sharded) {
-        files[static_cast<std::size_t>(ctx.rank())] =
-            static_cast<const pc::ShardedDatasetView&>(*view).cache_stats().misses;
+        io[static_cast<std::size_t>(ctx.rank())] =
+            static_cast<const pc::ShardedDatasetView&>(*view).cache_stats();
       }
     });
-    return std::make_pair(losses, files);
+    return std::make_pair(losses, io);
   };
-  const auto [mem_losses, mem_files] = run(false);
-  const auto [shard_losses, shard_files] = run(true);
+  const auto [mem_losses, mem_io] = run(false);
+  const auto [shard_losses, shard_io] = run(true);
   for (int e = 0; e < epochs; ++e) {
     EXPECT_EQ(std::memcmp(&mem_losses[static_cast<std::size_t>(e)],
                           &shard_losses[static_cast<std::size_t>(e)], sizeof(double)),
@@ -380,11 +389,44 @@ TEST(Distributed, ShardedViewTrainingBitwiseEqualsInMemory) {
     const auto name = entry.path().filename().string();
     if (name.rfind("adj", 0) == 0) ++block_files;
   }
-  ASSERT_GT(block_files, 0);
+  ASSERT_EQ(block_files, volume * volume);
+  const auto bounds = plexus::sparse::block_bounds(ds.padded_nodes, volume);
+  const auto blocks_of = [&](const pc::Slice& s) {
+    std::vector<int> ids;
+    for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
+      if (bounds[b] < s.end && bounds[b + 1] > s.begin) ids.push_back(static_cast<int>(b));
+    }
+    return ids;
+  };
+  plexus::comm::World world(volume);
+  const pc::Grid3D grid(world, shape, psim::Machine::test_machine());
   for (int r = 0; r < volume; ++r) {
-    EXPECT_GT(shard_files[static_cast<std::size_t>(r)], 0) << "rank " << r;
-    EXPECT_LT(shard_files[static_cast<std::size_t>(r)], block_files)
-        << "rank " << r << " opened every block file — not shard-local IO";
+    SCOPED_TRACE("rank " + std::to_string(r));
+    std::set<std::pair<int, int>> windows;  // (version, plane), as AdjacencyStore shares them
+    std::int64_t want_bytes = 0;
+    std::int64_t want_misses = 0;
+    for (int l = 0; l < spec.num_layers(); ++l) {
+      const int version = l % 2;
+      if (!windows.emplace(version, l % 3).second) continue;
+      const auto roles = pc::roles_for_layer(l);
+      auto blk = pc::matrix_shard(ds.padded_nodes, ds.padded_nodes, grid, grid.coords_of(r),
+                                  roles.r, roles.p);
+      if (version == 1) std::swap(blk.rows, blk.cols);
+      const auto rows = blocks_of(blk.rows);
+      const auto cols = blocks_of(blk.cols);
+      const auto reads = static_cast<std::int64_t>(rows.size() * cols.size());
+      ASSERT_LT(reads, block_files) << "layer " << l << "'s window spans every block file";
+      for (const int i : rows) {
+        for (const int j : cols) {
+          want_bytes += static_cast<std::int64_t>(
+              std::filesystem::file_size(plexus::io::adjacency_block_path(dir.string(), i, j)));
+        }
+      }
+      want_misses += version == 1 ? 2 * reads : reads;
+    }
+    const auto& got = shard_io[static_cast<std::size_t>(r)];
+    EXPECT_EQ(got.bytes_loaded, want_bytes) << "not the blocks of this rank's windows";
+    EXPECT_EQ(got.misses, want_misses);
   }
   std::filesystem::remove_all(dir);
 }

@@ -156,12 +156,15 @@ TEST(Integration, RejectsMismatchedPadding) {
 
 TEST(PreprocessAlgebra, PermutedAdjacencyKeepsRowSums) {
   // P_r A P_c^T is a reordering: multiplying by the all-ones vector must give
-  // the permuted row sums (conservation of aggregation mass).
+  // the permuted row sums (conservation of aggregation mass). The odd
+  // layers' version, served by the view, has the same multiset.
   const auto g = graph_200();
   const auto ds = pc::preprocess_graph(g, pc::PermutationScheme::Double, 3, 8, 7);
-  plexus::dense::Matrix ones(ds.padded_nodes, 1, 1.0f);
-  const auto sums_even = plexus::sparse::spmm(ds.adj_even, ones);
-  const auto sums_odd = plexus::sparse::spmm(ds.adj_odd, ones);
+  const pc::InMemoryDatasetView view(ds);
+  const std::int64_t n = ds.padded_nodes;
+  plexus::dense::Matrix ones(n, 1, 1.0f);
+  const auto sums_even = plexus::sparse::spmm(view.adjacency_block(0, 0, n, 0, n), ones);
+  const auto sums_odd = plexus::sparse::spmm(view.adjacency_block(1, 0, n, 0, n), ones);
   // Sorted multisets of row sums must be identical across versions.
   std::vector<float> a(sums_even.data(), sums_even.data() + sums_even.size());
   std::vector<float> b(sums_odd.data(), sums_odd.data() + sums_odd.size());

@@ -183,7 +183,7 @@ TEST_F(LoaderTest, ShortWriteSurfacesAtClose) {
   const auto wdir = dir_ / "full_disk";
   std::filesystem::create_directories(wdir);
   std::filesystem::create_symlink("/dev/full", wdir / "adj_0_0.plx");
-  EXPECT_THROW(pio::write_adjacency_blocks(wdir.string(), "adj", adj_, 1, 1),
+  EXPECT_THROW(pio::write_adjacency_blocks(wdir.string(), adj_, 1, 1),
                std::runtime_error);
 }
 
@@ -239,7 +239,7 @@ TEST_F(LoaderTest, BlockMustFitItsGridPlace) {
                 .find("corrupt block header"),
             std::string::npos);
 
-  pio::write_adjacency_blocks(dir_.string(), "adj", adj_, 4, 4);
+  pio::write_adjacency_blocks(dir_.string(), adj_, 4, 4);
   poke(path, kRowPtrOffset + 65 * 8, std::int32_t{64});  // col_idx[0] of a 64-row block
   EXPECT_NE(error_of([&] { pio::load_adjacency_block(dir_.string(), 0, 64, 0, 64); })
                 .find("corrupt column index"),
@@ -301,7 +301,7 @@ TEST_F(LoaderTest, UnsortedColumnsAreRejected) {
     poke(path, col_idx + 4 * (k + 1), first);
     check();
   }
-  pio::write_adjacency_blocks(dir_.string(), "adj", adj_, 4, 4);
+  pio::write_adjacency_blocks(dir_.string(), adj_, 4, 4);
   {
     SCOPED_TRACE("duplicated");
     poke(path, col_idx + 4 * (k + 1), first);
@@ -327,7 +327,7 @@ TEST_F(LoaderTest, ConcurrentWindowsShareOneCache) {
   for (int r = 0; r < 2; ++r) {
     for (int c = 0; c < 4; ++c) {
       const auto size = static_cast<std::int64_t>(
-          std::filesystem::file_size(pio::adjacency_block_path(dir_.string(), "adj", r, c)));
+          std::filesystem::file_size(pio::adjacency_block_path(dir_.string(), r, c)));
       distinct += size + (size - 48);
       largest = std::max(largest, size);
     }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -267,4 +268,31 @@ TEST(RmatShards, ShortfallReplaysTheWholeCap) {
     EXPECT_LT(result.num_edges, spec.target_edges);
     EXPECT_LE(result.num_edges, 496);
   }
+}
+
+// peak_buffer_bytes counts what the sorters and the block writer held, not
+// what they reserved. With the default chunk every record stays in memory,
+// so the figure is at most the bytes of all the records pushed: 16-byte
+// (key, attempt) records into the by-key and survivor sorters, and 12-byte
+// adjacency records. Each sorter reserves a whole chunk, 64 MiB of the
+// former, which is far more. It is at least what was held together: every
+// accepted edge in both dedup sorters, or every adjacency record.
+TEST(RmatShards, PeakBufferCountsHeldRecords) {
+  graph::RmatShardsSpec spec;
+  spec.scale = 12;
+  spec.target_edges = (std::int64_t{1} << 12) * 4;
+  spec.seed = 6;
+  spec.feature_dim = 4;
+  spec.num_classes = 3;
+  spec.pad_multiple = 4;
+  spec.parts = 4;
+  const auto result = run_case("peak", spec);
+  ASSERT_LT(std::max(result.attempts, result.adjacency_nnz), spec.chunk_edges)
+      << "every sorter must fit one chunk";
+  constexpr std::int64_t kDedupRecordBytes = 16;
+  constexpr std::int64_t kEdgeRecordBytes = 12;
+  EXPECT_GE(result.peak_buffer_bytes, 2 * kDedupRecordBytes * result.num_edges);
+  EXPECT_GE(result.peak_buffer_bytes, kEdgeRecordBytes * result.adjacency_nnz);
+  EXPECT_LE(result.peak_buffer_bytes, 2 * kDedupRecordBytes * result.attempts +
+                                          kEdgeRecordBytes * result.adjacency_nnz);
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <stdexcept>
@@ -215,6 +216,48 @@ TEST_F(ServeTest, StatsTableListsEveryCounter) {
   for (const char* key : {"served", "rejected", "batches", "p50", "p99"}) {
     EXPECT_NE(rendered.find(key), std::string::npos) << rendered;
   }
+}
+
+namespace {
+
+/// FNV-1a over the IEEE bit patterns of every element, row-major.
+std::uint64_t fnv1a_bits(const plexus::dense::Matrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const float v : m.flat()) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+// The served logits of a small products-proxy checkpoint, pinned: the
+// one-time forward pass reads the odd layers' adjacency as the transpose of
+// the stored one, which must be bitwise the matrix training used.
+TEST(ServedModel, LogitsArePinned) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("plexus_serve_pinned_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  pc::TrainOptions opt;
+  opt.grid = {2, 1, 2};
+  opt.epochs = 3;
+  opt.checkpoint_dir = dir.string();
+  pc::train_plexus(pg::make_proxy(pg::dataset_info("ogbn-products"), 2000, 1), opt);
+  int layers = 0;
+  std::uint64_t hash = 0;
+  {
+    const psv::ServedModel model(dir.string());
+    layers = model.num_layers();
+    hash = fnv1a_bits(model.logits());
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(layers, 3);
+  EXPECT_EQ(hash, 0xd1b7c243c6f09dedull);
 }
 
 TEST(Zipf, SamplesInRangeAndDeterministic) {

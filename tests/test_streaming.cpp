@@ -28,20 +28,31 @@
 #include "loader/shard_io.hpp"
 #include "sim/machine.hpp"
 #include "sparse/partition2d.hpp"
+#include "util/rng.hpp"
 
 namespace fs = std::filesystem;
 using namespace plexus;
 
 namespace {
 
-std::string fresh_dir(const std::string& tag) {
-  const auto dir =
-      (fs::temp_directory_path() / ("plexus_streaming_" + tag + "_" + std::to_string(::getpid())))
-          .string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+/// A fresh directory under the temp directory, removed with everything in it
+/// when the test ends, a failed assertion included.
+struct ScopedDir {
+  std::string path;
+  explicit ScopedDir(const std::string& tag)
+      : path((fs::temp_directory_path() /
+              ("plexus_streaming_" + tag + "_" + std::to_string(::getpid())))
+                 .string()) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~ScopedDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+  ScopedDir(const ScopedDir&) = delete;
+  ScopedDir& operator=(const ScopedDir&) = delete;
+};
 
 /// Write a valid one-row adjacency block file of exactly `bytes` bytes (the
 /// cache parses what it admits): the 48-byte header, two row pointers, then
@@ -57,19 +68,20 @@ void write_block(const std::string& path, std::int64_t bytes) {
   ASSERT_EQ(static_cast<std::int64_t>(fs::file_size(path)), bytes);
 }
 
+graph::Graph make_graph(std::int64_t nodes) {
+  return graph::make_proxy(graph::dataset_info("ogbn-products"), nodes, /*seed=*/1);
+}
+
 /// Small ogbn-products proxy preprocessed for a volume-4 grid, written as a
 /// 4x4 shard directory — the shared dataset of the streaming tests.
-core::PlexusDataset make_dataset(std::int64_t nodes = 4096) {
-  const auto& info = graph::dataset_info("ogbn-products");
-  const auto g = graph::make_proxy(info, nodes, /*seed=*/1);
-  return core::preprocess_graph(g, core::PermutationScheme::Double, /*num_layers=*/2,
+core::PlexusDataset make_dataset(std::int64_t nodes = 4096,
+                                 core::PermutationScheme scheme = core::PermutationScheme::Double) {
+  return core::preprocess_graph(make_graph(nodes), scheme, /*num_layers=*/2,
                                 /*pad_multiple=*/4, /*seed=*/7);
 }
 
-std::string write_shards(const core::PlexusDataset& ds, const std::string& tag) {
-  const auto dir = fresh_dir(tag);
-  core::write_sharded_plexus_dataset(dir, ds, /*parts=*/4);
-  return dir;
+void write_shards(const core::PlexusDataset& ds, const ScopedDir& dir) {
+  core::write_sharded_plexus_dataset(dir.path, ds, /*parts=*/4);
 }
 
 core::TrainOptions base_options() {
@@ -115,10 +127,10 @@ std::int64_t adjacency_bytes_on_disk(const std::string& dir) {
 // ---------------------------------------------------------------------------
 
 TEST(BlockCache, LruEvictionOrder) {
-  const auto dir = fresh_dir("lru");
-  const auto a = dir + "/a.plx";
-  const auto b = dir + "/b.plx";
-  const auto c = dir + "/c.plx";
+  const ScopedDir dir("lru");
+  const auto a = dir.path + "/a.plx";
+  const auto b = dir.path + "/b.plx";
+  const auto c = dir.path + "/c.plx";
   write_block(a, 1000);
   write_block(b, 1000);
   write_block(c, 1000);
@@ -143,10 +155,10 @@ TEST(BlockCache, LruEvictionOrder) {
 }
 
 TEST(BlockCache, PinnedBlocksSurviveBudgetZero) {
-  const auto dir = fresh_dir("pin");
-  const auto a = dir + "/a.plx";
-  const auto b = dir + "/b.plx";
-  const auto c = dir + "/c.plx";
+  const ScopedDir dir("pin");
+  const auto a = dir.path + "/a.plx";
+  const auto b = dir.path + "/b.plx";
+  const auto c = dir.path + "/c.plx";
   write_block(a, 1000);
   write_block(b, 1000);
   write_block(c, 1000);
@@ -164,9 +176,9 @@ TEST(BlockCache, PinnedBlocksSurviveBudgetZero) {
 }
 
 TEST(BlockCache, BudgetZeroKeepsNothingUnpinned) {
-  const auto dir = fresh_dir("zero");
-  const auto a = dir + "/a.plx";
-  const auto b = dir + "/b.plx";
+  const ScopedDir dir("zero");
+  const auto a = dir.path + "/a.plx";
+  const auto b = dir.path + "/b.plx";
   write_block(a, 1000);
   write_block(b, 1000);
 
@@ -182,9 +194,9 @@ TEST(BlockCache, BudgetZeroKeepsNothingUnpinned) {
 }
 
 TEST(BlockCache, MissBytesAccumulate) {
-  const auto dir = fresh_dir("bytes");
-  const auto a = dir + "/a.plx";
-  const auto b = dir + "/b.plx";
+  const ScopedDir dir("bytes");
+  const auto a = dir.path + "/a.plx";
+  const auto b = dir.path + "/b.plx";
   write_block(a, 696);  // block sizes are whole 8-byte words
   write_block(b, 304);
 
@@ -205,54 +217,115 @@ TEST(BlockCache, MissBytesAccumulate) {
 // ---------------------------------------------------------------------------
 
 TEST(Streaming, BudgetedViewMatchesPlainViewBitwise) {
-  const auto ds = make_dataset();
-  const auto dir = write_shards(ds, "view");
-  const core::ShardedDatasetView plain(dir);
-  ASSERT_FALSE(plain.streaming());
-  const std::int64_t n = plain.padded_nodes();
-  const auto bounds = sparse::block_bounds(n, 3);  // misaligned with the 4x4 file grid
+  // Under every scheme, both versions' windows are the same through the
+  // in-memory view, a plain view and a budgeted view at three budgets.
+  // Version 1 is the reference P_c A~ P_r^T built here, and version 0's
+  // window with rows and columns swapped, transposed.
+  for (const auto scheme : {core::PermutationScheme::None, core::PermutationScheme::Single,
+                            core::PermutationScheme::Double}) {
+    SCOPED_TRACE(core::scheme_name(scheme));
+    const auto ds = make_dataset(4096, scheme);
+    const ScopedDir dir("view");
+    write_shards(ds, dir);
+    const core::InMemoryDatasetView memory(ds);
+    const core::ShardedDatasetView plain(dir.path);
+    ASSERT_FALSE(plain.streaming());
+    const std::int64_t n = plain.padded_nodes();
+    const auto bounds = sparse::block_bounds(n, 3);  // misaligned with the 4x4 file grid
 
-  constexpr std::int64_t kRoomy = std::int64_t{64} << 20;  // holds every block
-  for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{1} << 20, kRoomy}) {
-    SCOPED_TRACE("budget " + std::to_string(budget));
-    const core::ShardedDatasetView budgeted(dir, budget);
-    ASSERT_TRUE(budgeted.streaming());
-    EXPECT_EQ(budgeted.adjacency_nnz(), ds.adj_even.nnz());
-    for (const int version : {0, 1}) {
-      for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-        for (std::size_t j = 0; j + 1 < bounds.size(); ++j) {
-          const auto r0 = bounds[i], r1 = bounds[i + 1], c0 = bounds[j], c1 = bounds[j + 1];
-          const auto want = plain.adjacency_block(version, r0, r1, c0, c1);
-          std::int64_t io_bytes = -1;
-          expect_csr_eq(budgeted.adjacency_block_counted(version, r0, r1, c0, c1, &io_bytes),
-                        want);
-          ASSERT_GE(io_bytes, 0);
-          io_bytes = -1;
-          expect_csr_eq(budgeted.transposed_block_counted(version, r0, r1, c0, c1, &io_bytes),
-                        want.transposed());
-          ASSERT_GE(io_bytes, 0);
-          // The window's row forms were just admitted; with room for them the
-          // transposed forms derive from the cache, not the disk.
-          if (budget == kRoomy) {
-            EXPECT_EQ(io_bytes, 0);
+    const auto g = make_graph(4096);
+    sparse::Coo edges = g.edges;
+    edges.num_rows = n;
+    edges.num_cols = n;
+    const auto perms = util::scheme_permutations(static_cast<int>(scheme), n, /*seed=*/7);
+    const auto odd =
+        sparse::normalize_adjacency(sparse::Csr::from_coo(edges, false), g.num_nodes)
+            .permuted(perms.cols, perms.rows);
+
+    constexpr std::int64_t kRoomy = std::int64_t{64} << 20;  // holds every block
+    for (const std::int64_t budget : {std::int64_t{0}, std::int64_t{1} << 20, kRoomy}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      const core::ShardedDatasetView budgeted(dir.path, budget);
+      ASSERT_TRUE(budgeted.streaming());
+      EXPECT_EQ(budgeted.adjacency_nnz(), ds.adj.nnz());
+      for (const int version : {0, 1}) {
+        for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+          for (std::size_t j = 0; j + 1 < bounds.size(); ++j) {
+            const auto r0 = bounds[i], r1 = bounds[i + 1], c0 = bounds[j], c1 = bounds[j + 1];
+            const auto want = memory.adjacency_block(version, r0, r1, c0, c1);
+            if (version == 1) {
+              expect_csr_eq(want, odd.block(r0, r1, c0, c1));
+              expect_csr_eq(want, memory.adjacency_block(0, c0, c1, r0, r1).transposed());
+            }
+            expect_csr_eq(plain.adjacency_block(version, r0, r1, c0, c1), want);
+            std::int64_t io_bytes = -1;
+            expect_csr_eq(budgeted.adjacency_block_counted(version, r0, r1, c0, c1, &io_bytes),
+                          want);
+            ASSERT_GE(io_bytes, 0);
+            io_bytes = -1;
+            expect_csr_eq(budgeted.transposed_block_counted(version, r0, r1, c0, c1, &io_bytes),
+                          want.transposed());
+            ASSERT_GE(io_bytes, 0);
+            // The window's blocks were just admitted in the other
+            // orientation; with room for them this one derives from the
+            // cache, not the disk.
+            if (budget == kRoomy) {
+              EXPECT_EQ(io_bytes, 0);
+            }
           }
         }
       }
+      if (budget != kRoomy) continue;
+      // Everything fits under 64 MB: a repeat read is served from the cache
+      // and reports zero bytes pulled from disk.
+      std::int64_t again = 0;
+      budgeted.adjacency_block_counted(0, 0, n, 0, n, &again);
+      EXPECT_EQ(again, 0);
+      budgeted.transposed_block_counted(1, 0, n, 0, n, &again);
+      EXPECT_EQ(again, 0);
+      const auto cs = budgeted.cache_stats();
+      EXPECT_GT(cs.hits, 0);
+      EXPECT_GT(cs.bytes_loaded, 0);
+      EXPECT_EQ(cs.evictions, 0);
     }
-    if (budget != kRoomy) continue;
-    // Everything fits under 64 MB: a repeat read is served from the cache and
-    // reports zero bytes pulled from disk.
-    std::int64_t again = 0;
-    budgeted.adjacency_block_counted(0, 0, n, 0, n, &again);
-    EXPECT_EQ(again, 0);
-    budgeted.transposed_block_counted(1, 0, n, 0, n, &again);
-    EXPECT_EQ(again, 0);
-    const auto cs = budgeted.cache_stats();
-    EXPECT_GT(cs.hits, 0);
-    EXPECT_GT(cs.bytes_loaded, 0);
-    EXPECT_EQ(cs.evictions, 0);
   }
-  fs::remove_all(dir);
+}
+
+TEST(Streaming, OlderLayoutWithOddVersionFilesReadsTheSame) {
+  // Older writers also stored the Double scheme's odd version, as "adjo"
+  // blocks. A directory that still holds them reads bitwise-equal to one
+  // without them, and from the same bytes: the "adjo" files are never read.
+  const auto ds = make_dataset(2048);
+  const ScopedDir current("layout_current");
+  const ScopedDir older("layout_older");
+  const ScopedDir odd("layout_odd");
+  write_shards(ds, current);
+  write_shards(ds, older);
+  // The odd version's blocks, written as "adj" files and renamed to the
+  // older "adjo" names.
+  io::write_adjacency_blocks(odd.path, ds.adj.transposed(), 4, 4);
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 4; ++c) {
+      fs::rename(io::adjacency_block_path(odd.path, r, c),
+                 older.path + "/adjo_" + std::to_string(r) + "_" + std::to_string(c) + ".plx");
+    }
+  }
+  const core::ShardedDatasetView want(current.path, /*rss_budget_bytes=*/0);
+  const core::ShardedDatasetView got(older.path, /*rss_budget_bytes=*/0);
+  const auto bounds = sparse::block_bounds(want.padded_nodes(), 3);
+  for (const int version : {0, 1}) {
+    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+      for (std::size_t j = 0; j + 1 < bounds.size(); ++j) {
+        const auto r0 = bounds[i], r1 = bounds[i + 1], c0 = bounds[j], c1 = bounds[j + 1];
+        expect_csr_eq(got.adjacency_block_counted(version, r0, r1, c0, c1, nullptr),
+                      want.adjacency_block_counted(version, r0, r1, c0, c1, nullptr));
+        expect_csr_eq(got.transposed_block_counted(version, r0, r1, c0, c1, nullptr),
+                      want.transposed_block_counted(version, r0, r1, c0, c1, nullptr));
+      }
+    }
+  }
+  EXPECT_EQ(got.cache_stats().bytes_loaded, want.cache_stats().bytes_loaded);
+  EXPECT_EQ(got.cache_stats().misses, want.cache_stats().misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +338,8 @@ TEST(Streaming, TrainMatchesInMemoryBitwise) {
   // grid (so each axis plays P, Q and R) and adaptive plus fixed pipeline
   // depths.
   const auto ds = make_dataset();
-  const auto dir = write_shards(ds, "train");
+  const ScopedDir dir("train");
+  write_shards(ds, dir);
   const core::InMemoryDatasetView view(ds);
   const auto bitwise_eq = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -283,7 +357,7 @@ TEST(Streaming, TrainMatchesInMemoryBitwise) {
 
       auto sopt = opt;
       sopt.rss_budget_bytes = 1 << 20;  // well below the on-disk adjacency bytes
-      const auto streamed = core::train_plexus_streaming(dir, sopt);
+      const auto streamed = core::train_plexus_streaming(dir.path, sopt);
 
       ASSERT_EQ(streamed.epochs.size(), resident.epochs.size());
       for (std::size_t e = 0; e < resident.epochs.size(); ++e) {
@@ -305,18 +379,21 @@ TEST(Streaming, TrainMatchesInMemoryBitwise) {
       EXPECT_GT(streamed.epochs[0].io_bytes_streamed, 0.0);
     }
   }
-  fs::remove_all(dir);
 }
 
 TEST(Streaming, PeakCacheRespectsBudget) {
   const auto ds = make_dataset();
-  const auto dir = write_shards(ds, "budget");
+  const ScopedDir dir("budget");
+  write_shards(ds, dir);
   const std::int64_t budget = 1 << 20;
-  ASSERT_GT(adjacency_bytes_on_disk(dir), budget) << "budget must force eviction";
+  // An epoch reads every block in both orientations (rows for version 0's
+  // forward and version 1's backward windows, transposed forms for the
+  // other two), and a transposed form holds as many bytes as its file.
+  ASSERT_GT(2 * adjacency_bytes_on_disk(dir.path), budget) << "budget must force eviction";
 
   // Through a named view (train_plexus_streaming builds its own) so the cache
   // high-water mark is still readable after the run.
-  const core::ShardedDatasetView view(dir, budget);
+  const core::ShardedDatasetView view(dir.path, budget);
   auto opt = base_options();
   opt.epochs = 2;
   opt.rss_budget_bytes = budget;  // lets the layers clamp their prefetch depth
@@ -329,24 +406,23 @@ TEST(Streaming, PeakCacheRespectsBudget) {
   EXPECT_GT(result.epochs[0].io_bytes_streamed, 0.0);
   // Evictions force re-reads: the later epoch still streams from disk.
   EXPECT_GT(result.epochs[1].io_bytes_streamed, 0.0);
-  fs::remove_all(dir);
 }
 
 TEST(Streaming, FixedPrefetchDepthIsStillBitwise) {
   const auto ds = make_dataset(2048);
-  const auto dir = write_shards(ds, "depth");
+  const ScopedDir dir("depth");
+  write_shards(ds, dir);
   auto opt = base_options();
   opt.epochs = 2;
 
-  const auto adaptive = core::train_plexus_streaming(dir, opt);
+  const auto adaptive = core::train_plexus_streaming(dir.path, opt);
   auto fixed = opt;
   fixed.prefetch_depth = 1;  // fully serial IO
-  const auto serial = core::train_plexus_streaming(dir, fixed);
+  const auto serial = core::train_plexus_streaming(dir.path, fixed);
   for (std::size_t e = 0; e < adaptive.epochs.size(); ++e) {
     EXPECT_EQ(adaptive.epochs[e].loss, serial.epochs[e].loss);
     EXPECT_EQ(adaptive.epochs[e].epoch_seconds, serial.epochs[e].epoch_seconds);
   }
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +443,8 @@ core::TrainOptions single_rank_options() {
 
 TEST(Streaming, ShortReadInPrefetchPathThrowsCleanly) {
   const auto ds = make_dataset(2048);
-  const auto dir = write_shards(ds, "shortread");
+  const ScopedDir dir("shortread");
+  write_shards(ds, dir);
 
   // The view is built unhooked (the mask file is also a size-1 byte read, and
   // the fault must land in the streaming path, not metadata loading). Every
@@ -375,7 +452,7 @@ TEST(Streaming, ShortReadInPrefetchPathThrowsCleanly) {
   // fallback reads the whole file in one size==1 call — the only such read
   // left once construction is done. Installing any hook also disables mmap,
   // so the fault is actually reachable.
-  const core::ShardedDatasetView view(dir, /*rss_budget_bytes=*/-1);
+  const core::ShardedDatasetView view(dir.path, /*rss_budget_bytes=*/-1);
   std::atomic<long> faults{0};
   io::FileHooks hooks;
   hooks.fread = [&](void* dst, std::size_t size, std::size_t count, std::FILE* f) {
@@ -389,15 +466,15 @@ TEST(Streaming, ShortReadInPrefetchPathThrowsCleanly) {
 
   EXPECT_THROW(core::train_plexus(view, single_rank_options()), std::runtime_error);
   EXPECT_GT(faults.load(), 0);
-  fs::remove_all(dir);
 }
 
 TEST(Streaming, EintrShortReadsAreRetriedTransparently) {
   const auto ds = make_dataset(2048);
-  const auto dir = write_shards(ds, "eintr");
+  const ScopedDir dir("eintr");
+  write_shards(ds, dir);
   const auto opt = single_rank_options();
 
-  const auto clean = core::train_plexus_streaming(dir, opt);
+  const auto clean = core::train_plexus_streaming(dir.path, opt);
 
   // Interrupt the first half of every multi-item read: a partial count with
   // the stream error flag set and errno == EINTR, exactly what a signal
@@ -419,43 +496,43 @@ TEST(Streaming, EintrShortReadsAreRetriedTransparently) {
   core::TrainResult hooked;
   {
     io::ScopedFileHooks guard(std::move(hooks));
-    hooked = core::train_plexus_streaming(dir, opt);
+    hooked = core::train_plexus_streaming(dir.path, opt);
   }
   EXPECT_GT(interruptions.load(), 0);
   ASSERT_EQ(hooked.epochs.size(), clean.epochs.size());
   EXPECT_EQ(hooked.epochs[0].loss, clean.epochs[0].loss);
   EXPECT_EQ(hooked.epochs[0].train_accuracy, clean.epochs[0].train_accuracy);
-  fs::remove_all(dir);
 }
 
 TEST(Streaming, MidEpochTruncationThrowsCleanly) {
   const auto ds = make_dataset(2048);
-  const auto dir = write_shards(ds, "truncate");
+  const ScopedDir dir("truncate");
+  write_shards(ds, dir);
   const auto opt = single_rank_options();
 
   // Healthy directory trains fine.
-  EXPECT_NO_THROW(core::train_plexus_streaming(dir, opt));
+  EXPECT_NO_THROW(core::train_plexus_streaming(dir.path, opt));
 
   // Truncate one adjacency block file to half, as a dying disk / torn copy
   // would. A budget-0 view re-reads every window, so the next epoch must
   // surface the truncation as a clean error — not a crash or silent zeros.
-  const auto victim = dir + "/adj_0_0.plx";
+  const auto victim = dir.path + "/adj_0_0.plx";
   ASSERT_TRUE(fs::exists(victim));
   fs::resize_file(victim, fs::file_size(victim) / 2);
   auto bopt = opt;
   bopt.rss_budget_bytes = 0;
-  EXPECT_THROW(core::train_plexus_streaming(dir, bopt), std::runtime_error);
-  fs::remove_all(dir);
+  EXPECT_THROW(core::train_plexus_streaming(dir.path, bopt), std::runtime_error);
 }
 
 TEST(Streaming, CorruptHeaderThrowsCleanly) {
   const auto ds = make_dataset(2048);
-  const auto dir = write_shards(ds, "corrupt");
+  const ScopedDir dir("corrupt");
+  write_shards(ds, dir);
 
   // Stamp garbage over the nnz field of one block header (offset 40: magic,
   // row0, col0, rows, cols, then nnz). The streamed parser must reject it
   // instead of indexing out of bounds.
-  const auto victim = dir + "/adj_0_0.plx";
+  const auto victim = dir.path + "/adj_0_0.plx";
   {
     std::FILE* f = std::fopen(victim.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -464,6 +541,5 @@ TEST(Streaming, CorruptHeaderThrowsCleanly) {
     std::fwrite(&bogus, sizeof(bogus), 1, f);
     std::fclose(f);
   }
-  EXPECT_THROW(core::train_plexus_streaming(dir, single_rank_options()), std::runtime_error);
-  fs::remove_all(dir);
+  EXPECT_THROW(core::train_plexus_streaming(dir.path, single_rank_options()), std::runtime_error);
 }
